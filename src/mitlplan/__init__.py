@@ -2,7 +2,7 @@
 under interval temporal-logic deadlines."""
 
 from .core import (INFINITY, LassoTimedWord, TimeInterval, parse_rational,
-                   format_rational, scale_to_integers, unroll)
+                   format_rational, unroll)
 from .mitl import (Formula, MitlError, MitlSyntaxError, PunctualIntervalError,
                    evaluate_at, first_violation, format_formula, normalize,
                    parse_formula, satisfies)
@@ -12,8 +12,7 @@ from .tba import (TimedBuchiAutomaton, UnsupportedFragmentError, accepts_lasso,
 from .wts import (CollectiveRun, ModelValidationError, RunValidationError,
                   TimedRun, WeightedTransitionSystem, collective_run,
                   collective_word_of, grid_system, timed_word_of)
-from .product import (GlobalProduct, LocalProduct, TeamProduct, global_product,
-                      local_product, team_product)
+from .product import GlobalProduct, LocalProduct, TeamProduct
 from .search import (AcceptingLasso, ExplorationLimitError, PlanBundle,
                      ProductStack, find_accepting_lasso, project_plan)
 

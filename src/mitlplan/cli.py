@@ -28,8 +28,7 @@ from .mitl import (Formula, MitlError, PunctualIntervalError, atoms_of,
 from .search import (ExplorationLimitError, PlanBundle, ProductStack,
                      find_accepting_lasso, project_plan)
 from .tba import (TimedBuchiAutomaton, UnsupportedFragmentError,
-                  constraint_constants, tba_from_dict, tba_to_dict,
-                  translate_mitl)
+                  tba_from_dict, tba_to_dict, translate_mitl)
 from .product import GlobalProduct, LocalProduct, TeamProduct
 from .wts import (CollectiveRun, ModelValidationError, RunValidationError,
                   TimedRun, WeightedTransitionSystem, collective_run,
@@ -46,6 +45,71 @@ DEFAULT_STATE_BUDGET = 5_000_000
 
 class InputError(Exception):
     """Malformed file contents or inconsistent problem definition."""
+
+
+# --- the shape of input files -------------------------------------------------
+# The loaders read fields without looking, after _check has held the file
+# against its schema: a dict is an object whose "?" keys are optional (keyed
+# by ``str``: any keys), ``[item]`` a list, ``[a, b]`` a pair, and a type or
+# tuple of types a value.
+
+_RATIONAL = (str, int)
+_KINDS = {dict: "an object", list: "a list", str: "a string",
+          int: "an integer", _RATIONAL: "a number or a rational string"}
+_LABELS = {str: [str]}
+_AGENT = {"name": str, "formula?": str, "tba?": str}
+_EXPLICIT_AGENT = {**_AGENT, "states": [str], "initial": [str],
+                   "atoms?": [str], "labels?": _LABELS,
+                   "transitions": [{"from": str, "to": str,
+                                    "weight": _RATIONAL}]}
+_GRID_AGENT = {**_AGENT, "initial?": [str],
+               "grid": {"rows": int, "cols": int,
+                        "moveWeights": {str: _RATIONAL},
+                        "labels?": _LABELS, "initial?": [str]}}
+_TEAM = {"formula?": str, "tba?": str}
+_RUNS = {"runs": {str: {"prefix?": [[str, _RATIONAL]],
+                        "cycle?": [[str, _RATIONAL]], "period": _RATIONAL}}}
+
+
+def _check(value, schema, where: str) -> None:
+    if isinstance(schema, dict):
+        _check(value, dict, where)
+        if str in schema:
+            for key, item in value.items():
+                _check(item, schema[str], f"{where}.{key}")
+            return
+        for key, item in schema.items():
+            name = key.rstrip("?")
+            path = f"{where}.{name}" if where else name
+            if name in value:
+                _check(value[name], item, path)
+            elif not key.endswith("?"):
+                raise InputError(f"{path}: missing")
+    elif isinstance(schema, list):
+        _check(value, list, where)
+        items = schema if len(schema) > 1 else schema * len(value)
+        if len(value) != len(items):
+            raise InputError(f"{where}: expected a list of {len(items)}")
+        for i, (item, inner) in enumerate(zip(value, items)):
+            _check(item, inner, f"{where}[{i}]")
+    elif not isinstance(value, schema) or isinstance(value, bool):
+        # a JSON true is no number
+        raise InputError(f"{where or 'top level'}: expected {_KINDS[schema]}")
+
+
+def _check_model_file(data) -> None:
+    """A model file, or the model part of a problem file."""
+    _check(data, {"agents": list}, "")
+    for i, entry in enumerate(data["agents"]):
+        grid = isinstance(entry, dict) and "grid" in entry
+        _check(entry, _GRID_AGENT if grid else _EXPLICIT_AGENT, f"agents[{i}]")
+
+
+def _positive(value, where: str) -> int:
+    _check(value, int, where)
+    if value < 1:
+        raise InputError(f"{where}: must be a positive integer, got {value}")
+    return value
 
 
 # --- loading ---------------------------------------------------------------
@@ -108,15 +172,15 @@ class PlanningProblem:
     global_formula_text: Optional[str]
     global_automaton: TimedBuchiAutomaton
     state_budget: int
-    scale: bool
 
 
 def load_model(path: Path) -> dict:
     """Agent name -> transition system, from a model or problem file."""
     data = _load_json(path)
+    _check_model_file(data)
     out = {}
-    for entry in data.get("agents", []):
-        name = entry.get("name")
+    for entry in data["agents"]:
+        name = entry["name"]
         if not name:
             raise InputError(f"{path}: agent entry without a name")
         if name in out:
@@ -129,8 +193,9 @@ def load_model(path: Path) -> dict:
 
 def load_runs(path: Path) -> dict:
     data = _load_json(path)
+    _check(data, _RUNS, "")
     runs = {}
-    for name, entry in data.get("runs", {}).items():
+    for name, entry in data["runs"].items():
         runs[name] = TimedRun(
             prefix=tuple((state, parse_rational(stamp))
                          for state, stamp in entry.get("prefix", [])),
@@ -169,6 +234,7 @@ def _load_agent_automaton(entry: dict, system: WeightedTransitionSystem,
 
 def load_problem(path: Path) -> PlanningProblem:
     data = _load_json(path)
+    _check(data, {"global?": _TEAM, "options?": {"stateBudget?": int}}, "")
     base = path.parent
     model = load_model(path)
     agents = []
@@ -211,8 +277,8 @@ def load_problem(path: Path) -> PlanningProblem:
         global_formula=global_formula,
         global_formula_text=global_text,
         global_automaton=global_automaton,
-        state_budget=int(options.get("stateBudget", DEFAULT_STATE_BUDGET)),
-        scale=bool(options.get("scale", True)),
+        state_budget=_positive(options.get("stateBudget", DEFAULT_STATE_BUDGET),
+                               "options.stateBudget"),
     )
 
 
@@ -226,31 +292,18 @@ class PlanOutcome:
     notes: tuple = ()
 
 
-def _scaling_factor(problem: PlanningProblem) -> int:
-    denominators = [1]
-    for agent in problem.agents:
-        denominators.extend(w.denominator for w in agent.system.weights.values())
-        denominators.extend(c.denominator for c in _automaton_constants(agent.automaton))
-    denominators.extend(c.denominator
-                        for c in _automaton_constants(problem.global_automaton))
-    return lcm(*denominators)
-
-
-def _automaton_constants(automaton: TimedBuchiAutomaton):
-    constants = set()
-    for edge in automaton.edges:
-        constants |= constraint_constants(edge.guard)
-    for invariant in automaton.invariants.values():
-        constants |= constraint_constants(invariant)
-    return constants
-
-
 def solve(problem: PlanningProblem) -> PlanOutcome:
-    factor = _scaling_factor(problem) if problem.scale else 1
+    # the products count time in units of 1/factor, which makes every
+    # duration and clock constant an int
+    automata = ([agent.automaton for agent in problem.agents]
+                + [problem.global_automaton])
+    factor = lcm(*(weight.denominator for agent in problem.agents
+                   for weight in agent.system.weights.values()),
+                 *(constant.denominator for automaton in automata
+                   for constant in automaton.constants()))
     systems = tuple(agent.system.scaled(factor) for agent in problem.agents)
-    local_automata = tuple(agent.automaton.scaled(factor)
-                           for agent in problem.agents)
-    global_automaton = problem.global_automaton.scaled(factor)
+    *local_automata, global_automaton = (automaton.scaled(factor)
+                                         for automaton in automata)
 
     notes = []
     locals_ = []
@@ -442,9 +495,7 @@ def _write(path: Path, content: str) -> None:
 def command_plan(args) -> int:
     problem = load_problem(Path(args.problem))
     if args.state_budget is not None:
-        problem.state_budget = args.state_budget
-    if args.no_scale:
-        problem.scale = False
+        problem.state_budget = _positive(args.state_budget, "--state-budget")
     outcome = solve(problem)
     for note in outcome.notes:
         print(f"note: {note}", file=sys.stderr)
@@ -559,8 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("problem", help="problem file (JSON)")
     plan.add_argument("--out-dir", default=".", help="artifact directory")
     plan.add_argument("--state-budget", type=int, default=None)
-    plan.add_argument("--no-scale", action="store_true",
-                      help="skip rescaling all durations to integers")
     plan.set_defaults(handler=command_plan)
 
     check = commands.add_parser("check", help="evaluate formulas on given runs")

@@ -1,16 +1,17 @@
 """Exact time arithmetic, intervals, and lasso-shaped timed sequences.
 
-Every quantity of time in this package is an exact ``fractions.Fraction``
-(or the :data:`INFINITY` sentinel).  Floats never enter the pipeline; they
-appear only in presentation code (SVG coordinates).
+Every quantity of time in this package is exact: a ``fractions.Fraction``,
+an ``int`` where the value is integral (see :func:`int_if_integral`), or
+the :data:`INFINITY` sentinel as the upper end of an unbounded interval.
+Floats never enter the pipeline; they appear only in presentation code
+(SVG coordinates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, TypeVar
+from typing import Iterable
 
 
 class Infinite:
@@ -52,9 +53,6 @@ class Infinite:
 
 INFINITY = Infinite()
 
-TimeValue = Fraction  # nonnegative exact rational
-TimeOrInfinity = object  # Fraction | Infinite
-
 
 def parse_rational(text) -> Fraction:
     """Parse an exact nonnegative rational from ``"7/10"``, ``"0.7"`` or ``7``."""
@@ -78,30 +76,14 @@ def format_rational(value) -> str:
     return str(value)
 
 
-def scale_to_integers(values: Iterable[Fraction]) -> tuple[set[int], int]:
-    """Rescale a finite set of nonnegative rationals to integers.
+def int_if_integral(value):
+    """An integral rational as an ``int``, any other value unchanged.
 
-    Returns ``(scaled, factor)`` where ``factor`` is the least common
-    multiple of the denominators and every element of ``scaled`` equals the
-    original value times ``factor``.  Ordering and ratios are preserved.
+    Model weights and clock constants go through here when they are built,
+    so that the products add and compare plain ``int``s whenever the data
+    allow it.
     """
-    values = list(values)
-    for v in values:
-        if v < 0:
-            raise ValueError(f"negative value cannot be scaled: {v}")
-    if not values:
-        return set(), 1
-    factor = lcm(*(v.denominator for v in values))
-    scaled = {int(v * factor) for v in values}
-    return scaled, factor
-
-
-def scaling_factor(values: Iterable[Fraction]) -> int:
-    """The lcm of denominators, i.e. the factor used by :func:`scale_to_integers`."""
-    denominators = [v.denominator for v in values]
-    if not denominators:
-        return 1
-    return lcm(*denominators)
+    return int(value) if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -162,12 +144,6 @@ class TimeInterval:
     def unbounded(self) -> bool:
         return self.upper is INFINITY
 
-    def finite_constants(self) -> set[Fraction]:
-        constants = {self.lower}
-        if self.upper is not INFINITY:
-            constants.add(self.upper)
-        return constants
-
     def scaled(self, factor: int) -> "TimeInterval":
         upper = self.upper if self.upper is INFINITY else self.upper * factor
         return TimeInterval(self.lower * factor, upper,
@@ -179,9 +155,6 @@ UNIT_INTERVAL = TimeInterval(Fraction(0), INFINITY, True, False)  # [0, inf)
 
 def freeze_atoms(atoms: Iterable[str]) -> frozenset[str]:
     return frozenset(str(a) for a in atoms)
-
-
-P = TypeVar("P")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ remaining transition duration among the agents, agents finishing exactly
 then complete their moves, and a round-robin index turns the per-agent
 acceptance sets into a single one.  Layer 3 pairs the team graph with the
 team specification automaton using the two-flag intersection bookkeeping.
+Layers 1 and 3 move their automaton with :meth:`TimedBuchiAutomaton.step`,
+on integer time when the caller scales durations and clock constants to
+integers, as ``solve`` does.
 
 Successor lists are memoized per state: repeated exploration touches each
 state once, state objects are plain value tuples, and the generation
@@ -17,18 +20,16 @@ order is deterministic, so rebuilding a product reproduces it exactly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
-from .core import INFINITY
-from .tba import (TimedBuchiAutomaton, evaluate_constraint, step_valuation)
+from .tba import TimedBuchiAutomaton
 from .wts import WeightedTransitionSystem
 
 
 class LocalState(NamedTuple):
     region: str
     location: str
-    valuation: tuple  # per clock: Fraction or the saturation sentinel
+    valuation: tuple  # per clock, at most the automaton's cmax + 1
 
 
 class TeamState(NamedTuple):
@@ -43,14 +44,6 @@ class GlobalState(NamedTuple):
     location: str
     valuation: tuple
     flag: int
-
-
-def _valuation_key(valuation: tuple):
-    return tuple((1, Fraction(0)) if v is INFINITY else (0, v) for v in valuation)
-
-
-def _local_key(state: LocalState):
-    return (state.region, state.location, _valuation_key(state.valuation))
 
 
 class _MemoizedGraph:
@@ -99,18 +92,12 @@ class LocalProduct(_MemoizedGraph):
         self._initial = self._build_initial()
 
     def _build_initial(self):
-        out = []
         zero = self.automaton.zero_valuation()
-        zero_map = self.automaton.valuation_map(zero)
-        for region in sorted(self.system.initial):
-            for location in sorted(self.automaton.initial):
-                if self.system.label_of(region) != self.automaton.label_of(location):
-                    continue
-                if not evaluate_constraint(self.automaton.invariant_of(location),
-                                           zero_map):
-                    continue
-                out.append(LocalState(region, location, zero))
-        return tuple(sorted(out, key=_local_key))
+        return tuple(
+            LocalState(region, location, zero)
+            for region in sorted(self.system.initial)
+            for location in self.automaton.initial_locations(
+                self.system.label_of(region)))
 
     @property
     def has_initial_states(self) -> bool:
@@ -124,27 +111,12 @@ class LocalProduct(_MemoizedGraph):
         out = []
         for region in system.successors(state.region):
             duration = system.weight_of(state.region, region)
-            target_label = system.label_of(region)
-            elapsed = tuple(v if v is INFINITY else v + duration
-                            for v in state.valuation)
-            elapsed_map = automaton.valuation_map(elapsed)
-            if not evaluate_constraint(automaton.invariant_of(state.location),
-                                       elapsed_map):
-                continue
-            for edge in automaton.edges_from(state.location):
-                if automaton.label_of(edge.target) != target_label:
-                    continue
-                if not evaluate_constraint(edge.guard, elapsed_map):
-                    continue
-                landed = step_valuation(state.valuation, automaton.clocks,
-                                        duration, edge.resets, self.cmax)
-                if not evaluate_constraint(automaton.invariant_of(edge.target),
-                                           automaton.valuation_map(landed)):
-                    continue
-                successor = LocalState(region, edge.target, landed)
-                out.append((duration, successor))
-        unique = sorted(set(out), key=lambda pair: (_local_key(pair[1]), pair[0]))
-        return tuple(unique)
+            for location, landed in automaton.step(
+                    state.location, state.valuation, duration,
+                    system.label_of(region), self.cmax):
+                out.append((LocalState(region, location, landed), duration))
+        return tuple((duration, successor)
+                     for successor, duration in sorted(set(out)))
 
     def is_accepting(self, state: LocalState) -> bool:
         return state.location in self.automaton.accepting
@@ -152,7 +124,7 @@ class LocalProduct(_MemoizedGraph):
     def label_of(self, state: LocalState) -> frozenset[str]:
         return self.system.label_of(state.region)
 
-    def duration_of(self, state: LocalState, target: LocalState) -> Fraction:
+    def duration_of(self, state: LocalState, target: LocalState):
         return self.system.weight_of(state.region, target.region)
 
 
@@ -177,13 +149,12 @@ class TeamProduct(_MemoizedGraph):
 
     def initial_states(self):
         per_agent = [local.initial_states() for local in self.locals]
-        zero = Fraction(0)
         out = []
         for combo in itertools.product(*per_agent):
             out.append(TeamState(
                 components=tuple(combo),
                 targets=(None,) * self.count,
-                offsets=(zero,) * self.count,
+                offsets=(0,) * self.count,
                 turn=0,
             ))
         return tuple(out)
@@ -212,7 +183,7 @@ class TeamProduct(_MemoizedGraph):
                 if offset + step == duration:
                     components.append(target)
                     targets.append(None)
-                    offsets.append(Fraction(0))
+                    offsets.append(0)
                 else:
                     components.append(state.components[k])
                     targets.append(target)
@@ -227,10 +198,8 @@ class TeamProduct(_MemoizedGraph):
     @staticmethod
     def _successor_key(pair):
         step, state = pair
-        component_key = tuple(_local_key(c) for c in state.components)
-        target_key = tuple(
-            (0,) if t is None else (1,) + _local_key(t) for t in state.targets)
-        return (component_key, target_key, state.offsets, state.turn, step)
+        target_key = tuple((0,) if t is None else (1, t) for t in state.targets)
+        return (state.components, target_key, state.offsets, state.turn, step)
 
     def is_accepting(self, state: TeamState) -> bool:
         last = self.count - 1
@@ -263,71 +232,29 @@ class GlobalProduct(_MemoizedGraph):
         self.cmax = automaton.cmax()
 
     def initial_states(self):
-        automaton = self.automaton
-        zero = automaton.zero_valuation()
-        zero_map = automaton.valuation_map(zero)
-        out = []
-        for team_state in self.team.initial_states():
-            label = self.team.label_of(team_state)
-            for location in sorted(automaton.initial):
-                if automaton.label_of(location) != label:
-                    continue
-                if not evaluate_constraint(automaton.invariant_of(location),
-                                           zero_map):
-                    continue
-                out.append(GlobalState(team_state, location, zero, 1))
-        return tuple(out)
+        zero = self.automaton.zero_valuation()
+        return tuple(
+            GlobalState(team_state, location, zero, 1)
+            for team_state in self.team.initial_states()
+            for location in self.automaton.initial_locations(
+                self.team.label_of(team_state)))
 
     def _compute_successors(self, state: GlobalState):
+        """In the team's successor order, and by (location, valuation)
+        among the automaton's moves on one team successor."""
         automaton = self.automaton
-        out = []
-        team_accepting = self.team.is_accepting(state.team)
-        automaton_accepting = state.location in automaton.accepting
         if state.flag == 1:
-            flag = 2 if team_accepting else 1
+            flag = 2 if self.team.is_accepting(state.team) else 1
         else:
-            flag = 1 if automaton_accepting else 2
+            flag = 1 if state.location in automaton.accepting else 2
+        out = []
         for step, team_next in self.team.successors(state.team):
-            label = self.team.label_of(team_next)
-            elapsed = tuple(v if v is INFINITY else v + step
-                            for v in state.valuation)
-            elapsed_map = automaton.valuation_map(elapsed)
-            if not evaluate_constraint(automaton.invariant_of(state.location),
-                                       elapsed_map):
-                continue
-            for edge in automaton.edges_from(state.location):
-                if automaton.label_of(edge.target) != label:
-                    continue
-                if not evaluate_constraint(edge.guard, elapsed_map):
-                    continue
-                landed = step_valuation(state.valuation, automaton.clocks,
-                                        step, edge.resets, self.cmax)
-                if not evaluate_constraint(automaton.invariant_of(edge.target),
-                                           automaton.valuation_map(landed)):
-                    continue
-                out.append((step, GlobalState(team_next, edge.target,
-                                              landed, flag)))
-        return tuple(sorted(set(out), key=self._successor_key))
-
-    @staticmethod
-    def _successor_key(pair):
-        step, state = pair
-        return (TeamProduct._successor_key((step, state.team)),
-                state.location, _valuation_key(state.valuation), state.flag)
+            moves = automaton.step(state.location, state.valuation, step,
+                                   self.team.label_of(team_next), self.cmax)
+            for location, landed in sorted(set(moves)):
+                out.append((step, GlobalState(team_next, location, landed,
+                                              flag)))
+        return tuple(out)
 
     def is_accepting(self, state: GlobalState) -> bool:
         return state.flag == 1 and self.team.is_accepting(state.team)
-
-
-def local_product(system: WeightedTransitionSystem,
-                  automaton: TimedBuchiAutomaton) -> LocalProduct:
-    return LocalProduct(system, automaton)
-
-
-def team_product(locals_) -> TeamProduct:
-    return TeamProduct(locals_)
-
-
-def global_product(team: TeamProduct,
-                   automaton: TimedBuchiAutomaton) -> GlobalProduct:
-    return GlobalProduct(team, automaton)

@@ -51,8 +51,8 @@ class AcceptingLasso:
         return self.stem_states[-1]
 
     @property
-    def cycle_weight(self) -> Fraction:
-        return sum((w for w, _ in self.cycle_steps), Fraction(0))
+    def cycle_weight(self):
+        return sum(w for w, _ in self.cycle_steps)
 
     def path_states(self) -> tuple:
         return self.stem_states + tuple(s for _, s in self.cycle_steps)
@@ -198,19 +198,19 @@ def project_plan(lasso: AcceptingLasso, stack: ProductStack,
     """Peel a global-product lasso into per-agent runs, rebuild all words,
     and re-validate every formula and automaton against them.
 
-    ``rescale`` divides all produced timestamps (used when the products
-    were built from integer-scaled data).
+    ``rescale`` is the factor the products' durations were multiplied by;
+    every stamp is divided back by it into an exact rational.
     """
     states = lasso.path_states()
     weights = lasso.path_weights()
     team_states = [s.team for s in states]
     stem_len = len(lasso.stem_states)
 
-    stamps = [Fraction(0)]
+    stamps = [0]
     for w in weights:
         stamps.append(stamps[-1] + w)
-    stamps = [t / rescale for t in stamps]
-    period = lasso.cycle_weight / rescale
+    stamps = [Fraction(t, rescale) for t in stamps]
+    period = Fraction(lasso.cycle_weight, rescale)
 
     n = len(stack.agent_names)
     vectors = [tuple(component.region for component in ts.components)
@@ -225,12 +225,13 @@ def project_plan(lasso: AcceptingLasso, stack: ProductStack,
 
     runs = []
     for k in range(n):
-        prefix = [(vectors[0][k], stamps[0])]
+        prefix = []
         cycle = []
-        # an offset of zero after the initial state means agent k completed
-        # a transition at this event; the final path position repeats the
-        # cycle head one period later and is therefore excluded
-        for i in range(1, len(team_states) - 1):
+        # agent k is at a state of its own run where its offset is zero,
+        # which includes position 0: it opens the cycle when the stem is the
+        # initial state alone.  The final path position is excluded: it
+        # repeats the cycle head one period later
+        for i in range(len(team_states) - 1):
             if team_states[i].offsets[k] != 0:
                 continue
             entry = (vectors[i][k], stamps[i])

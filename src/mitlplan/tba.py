@@ -8,8 +8,10 @@ run over a timed word starts in an initial location whose label matches
 position 0, and each step elapses the gap to the next position, checks the
 source invariant and the edge guard on the elapsed valuation, applies the
 resets, and checks the target invariant; the target's label must match the
-next letter.  Clock values above the automaton's largest constant are kept
-as the saturation sentinel, which preserves the truth of every constraint.
+next letter.  :meth:`TimedBuchiAutomaton.step` is that step, for every
+product built on an automaton.  A clock above the automaton's largest
+constant ``cmax`` is kept at ``cmax + 1``: such a clock satisfies exactly
+the constraints any larger value does, so the products stay finite.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from typing import Callable, Optional
 
-from .core import INFINITY, LassoTimedWord, TimeInterval, format_rational, parse_rational
+from .core import (INFINITY, LassoTimedWord, TimeInterval, format_rational,
+                   int_if_integral, parse_rational)
 from .mitl import (Always, And, Eventually, FalseFormula, Formula, Next,
                    Not, TrueFormula, Until, atoms_of,
                    evaluate_propositional, format_formula, is_propositional,
@@ -62,13 +67,14 @@ class AndConstraint(ClockConstraint):
 class Compare(ClockConstraint):
     clock: str
     relation: str  # one of < <= > >= =
-    constant: Fraction
+    constant: Fraction  # stored as an int when integral
 
     def __post_init__(self):
         if self.relation not in ("<", "<=", ">", ">=", "="):
             raise ValueError(f"unknown relation {self.relation!r}")
         if self.constant < 0:
             raise ValueError("clock constants are nonnegative")
+        object.__setattr__(self, "constant", int_if_integral(self.constant))
 
 
 TRUE = TrueConstraint()
@@ -83,74 +89,42 @@ def constraint_and(*parts: ClockConstraint) -> ClockConstraint:
     return out if out is not None else TRUE
 
 
-def evaluate_constraint(constraint: ClockConstraint, valuation) -> bool:
-    """``valuation`` maps clock name to a Fraction or the saturation sentinel.
-
-    The sentinel behaves as an arbitrarily large value: it satisfies
-    ``x > c`` and ``x >= c`` and falsifies the rest.
-    """
+def comparisons(constraint: ClockConstraint):
+    """The clock comparisons of ``constraint``, left to right."""
     match constraint:
         case TrueConstraint():
-            return True
+            return
         case NotConstraint(operand):
-            return not evaluate_constraint(operand, valuation)
+            yield from comparisons(operand)
         case AndConstraint(left, right):
-            return (evaluate_constraint(left, valuation)
-                    and evaluate_constraint(right, valuation))
-        case Compare(clock, relation, constant):
-            value = valuation[clock]
-            if value is INFINITY:
-                return relation in (">", ">=")
-            if relation == "<":
-                return value < constant
-            if relation == "<=":
-                return value <= constant
-            if relation == ">":
-                return value > constant
-            if relation == ">=":
-                return value >= constant
-            return value == constant
-    raise TypeError(f"not a clock constraint: {constraint!r}")
+            yield from comparisons(left)
+            yield from comparisons(right)
+        case Compare():
+            yield constraint
+        case _:
+            raise TypeError(constraint)
+
+
+def map_comparisons(constraint: ClockConstraint, change) -> ClockConstraint:
+    """``constraint`` with every comparison ``c`` replaced by ``change(c)``."""
+    match constraint:
+        case NotConstraint(operand):
+            return NotConstraint(map_comparisons(operand, change))
+        case AndConstraint(left, right):
+            return AndConstraint(map_comparisons(left, change),
+                                 map_comparisons(right, change))
+        case Compare():
+            return change(constraint)
+    return constraint
 
 
 def constraint_constants(constraint: ClockConstraint) -> set[Fraction]:
-    match constraint:
-        case TrueConstraint():
-            return set()
-        case NotConstraint(operand):
-            return constraint_constants(operand)
-        case AndConstraint(left, right):
-            return constraint_constants(left) | constraint_constants(right)
-        case Compare(_, _, constant):
-            return {constant}
-    raise TypeError(constraint)
-
-
-def constraint_clocks(constraint: ClockConstraint) -> set[str]:
-    match constraint:
-        case TrueConstraint():
-            return set()
-        case NotConstraint(operand):
-            return constraint_clocks(operand)
-        case AndConstraint(left, right):
-            return constraint_clocks(left) | constraint_clocks(right)
-        case Compare(clock, _, _):
-            return {clock}
-    raise TypeError(constraint)
+    return {c.constant for c in comparisons(constraint)}
 
 
 def scale_constraint(constraint: ClockConstraint, factor: int) -> ClockConstraint:
-    match constraint:
-        case TrueConstraint():
-            return constraint
-        case NotConstraint(operand):
-            return NotConstraint(scale_constraint(operand, factor))
-        case AndConstraint(left, right):
-            return AndConstraint(scale_constraint(left, factor),
-                                 scale_constraint(right, factor))
-        case Compare(clock, relation, constant):
-            return Compare(clock, relation, constant * factor)
-    raise TypeError(constraint)
+    return map_comparisons(constraint, lambda c: Compare(
+        c.clock, c.relation, c.constant * factor))
 
 
 def interval_guard(clock: str, interval: TimeInterval) -> ClockConstraint:
@@ -272,12 +246,44 @@ def format_constraint(constraint: ClockConstraint) -> str:
 
 # --- the automaton model -------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # automata hold thousands of edges
 class Edge:
     source: str
     guard: ClockConstraint
     resets: frozenset[str]
     target: str
+
+
+_OPERATORS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
+
+
+def compile_constraint(constraint: ClockConstraint,
+                       clocks: tuple[str, ...]) -> Optional[Callable]:
+    """A function deciding ``constraint`` on a valuation tuple ordered as
+    ``clocks``, or ``None`` for a constraint that always holds: one Python
+    expression over the tuple's slots, whose text holds only slot indices,
+    operators and the names the constants are bound to."""
+    if isinstance(constraint, TrueConstraint):
+        return None
+    slot = {clock: i for i, clock in enumerate(clocks)}
+    names: dict = {}  # constant -> its name in the expression
+
+    def source(part: ClockConstraint) -> str:
+        match part:
+            case TrueConstraint():
+                return "True"
+            case NotConstraint(operand):
+                return f"not ({source(operand)})"
+            case AndConstraint(left, right):
+                return f"({source(left)}) and ({source(right)})"
+            case Compare(clock, relation, constant):
+                name = names.setdefault(constant, f"c{len(names)}")
+                return f"v[{slot[clock]}] {_OPERATORS[relation]} {name}"
+        raise TypeError(f"not a clock constraint: {part!r}")
+
+    body = source(constraint)
+    return eval(f"lambda v: {body}",
+                {name: constant for constant, name in names.items()})
 
 
 @dataclass
@@ -291,6 +297,9 @@ class TimedBuchiAutomaton:
     atoms: frozenset[str]
     labels: dict  # location -> frozenset of atoms
     _edges_from: dict = field(default_factory=dict, repr=False)
+    # filled by the first step out of a location, see step()
+    _step_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _checks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.locations = tuple(sorted(self.locations))
@@ -313,12 +322,13 @@ class TimedBuchiAutomaton:
             if not frozenset(self.labels[loc]) <= self.atoms:
                 raise ValueError(f"label of {loc} uses undeclared atoms")
             self.labels[loc] = frozenset(self.labels[loc])
-            if not constraint_clocks(self.invariants[loc]) <= clock_set:
+            if not {c.clock for c in comparisons(self.invariants[loc])} <= clock_set:
                 raise ValueError(f"invariant of {loc} uses undeclared clocks")
         for edge in self.edges:
             if edge.source not in known or edge.target not in known:
                 raise ValueError(f"edge endpoints must be declared: {edge}")
-            if not (constraint_clocks(edge.guard) | set(edge.resets)) <= clock_set:
+            clocks = {c.clock for c in comparisons(edge.guard)} | set(edge.resets)
+            if not clocks <= clock_set:
                 raise ValueError(f"edge uses undeclared clocks: {edge}")
         self.edges = tuple(sorted(
             self.edges, key=lambda e: (e.source, e.target, format_constraint(e.guard),
@@ -331,25 +341,21 @@ class TimedBuchiAutomaton:
     def label_of(self, location: str) -> frozenset[str]:
         return self.labels[location]
 
-    def invariant_of(self, location: str) -> ClockConstraint:
-        return self.invariants[location]
-
     def edges_from(self, location: str) -> tuple[Edge, ...]:
         return self._edges_from[location]
 
-    def cmax(self) -> Fraction:
-        constants = set()
-        for edge in self.edges:
-            constants |= constraint_constants(edge.guard)
-        for constraint in self.invariants.values():
-            constants |= constraint_constants(constraint)
-        return max(constants, default=Fraction(0))
+    def constants(self) -> set:
+        """Every constant of a guard or an invariant."""
+        constraints = [edge.guard for edge in self.edges]
+        constraints.extend(self.invariants.values())
+        return {c.constant for constraint in constraints
+                for c in comparisons(constraint)}
+
+    def cmax(self):
+        return max(self.constants(), default=0)
 
     def zero_valuation(self) -> tuple:
-        return tuple(Fraction(0) for _ in self.clocks)
-
-    def valuation_map(self, valuation: tuple) -> dict:
-        return dict(zip(self.clocks, valuation))
+        return (0,) * len(self.clocks)
 
     def scaled(self, factor: int) -> "TimedBuchiAutomaton":
         if factor == 1:
@@ -367,20 +373,66 @@ class TimedBuchiAutomaton:
             labels=dict(self.labels),
         )
 
+    def initial_locations(self, letter: frozenset[str]) -> tuple[str, ...]:
+        """The initial locations labelled ``letter`` whose invariant admits
+        the zero valuation, in name order."""
+        zero = self.zero_valuation()
+        out = []
+        for location in sorted(self.initial):
+            if self.labels[location] != letter:
+                continue
+            check = self._check(self.invariants[location])
+            if check is None or check(zero):
+                out.append(location)
+        return tuple(out)
 
-def step_valuation(valuation: tuple, clocks: tuple[str, ...], elapse: Fraction,
-                   resets: frozenset[str], cmax: Fraction) -> tuple:
-    """Advance all clocks, apply resets, saturate above ``cmax``."""
-    out = []
-    for clock, value in zip(clocks, valuation):
-        if clock in resets:
-            out.append(Fraction(0))
-            continue
-        advanced = value if value is INFINITY else value + elapse
-        if advanced is not INFINITY and advanced > cmax:
-            advanced = INFINITY
-        out.append(advanced)
-    return tuple(out)
+    def step(self, location: str, valuation: tuple, elapse, letter: frozenset[str],
+             cmax) -> list:
+        """The ``(target, landed valuation)`` pairs, in edge order, of the
+        step out of ``location`` into a location labelled ``letter`` after
+        ``elapse`` time units, as the module describes it; ``cmax`` is at
+        least :meth:`cmax`."""
+        table = self._step_tables.get(location)
+        if table is None:
+            table = self._step_tables[location] = self._step_table(location)
+        invariant, by_letter = table
+        edges = by_letter.get(letter)
+        if edges is None:
+            return []
+        elapsed = tuple([value + elapse for value in valuation])
+        if invariant is not None and not invariant(elapsed):
+            return []
+        cap = cmax + 1
+        saturated = tuple([value if value <= cmax else cap for value in elapsed])
+        out = []
+        for target, guard, resets, target_invariant in edges:
+            if guard is not None and not guard(elapsed):
+                continue
+            landed = saturated
+            if resets:
+                landed = tuple([0 if slot in resets else value
+                                for slot, value in enumerate(saturated)])
+            if target_invariant is None or target_invariant(landed):
+                out.append((target, landed))
+        return out
+
+    def _step_table(self, location: str):
+        """The compiled invariant of ``location`` and, per target letter,
+        its edges as (target, guard, reset slots, target invariant)."""
+        slot = {clock: i for i, clock in enumerate(self.clocks)}
+        by_letter: dict = {}
+        for edge in self._edges_from[location]:
+            by_letter.setdefault(self.labels[edge.target], []).append((
+                edge.target, self._check(edge.guard),
+                frozenset(slot[clock] for clock in edge.resets),
+                self._check(self.invariants[edge.target])))
+        return (self._check(self.invariants[location]),
+                {letter: tuple(edges) for letter, edges in by_letter.items()})
+
+    def _check(self, constraint: ClockConstraint) -> Optional[Callable]:
+        if constraint not in self._checks:
+            self._checks[constraint] = compile_constraint(constraint, self.clocks)
+        return self._checks[constraint]
 
 
 # --- JSON external format -------------------------------------------------
@@ -737,16 +789,8 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
         return f"b_{name}"
 
     def rename(constraint: ClockConstraint, prefix) -> ClockConstraint:
-        match constraint:
-            case TrueConstraint():
-                return constraint
-            case NotConstraint(operand):
-                return NotConstraint(rename(operand, prefix))
-            case AndConstraint(left, right):
-                return AndConstraint(rename(left, prefix), rename(right, prefix))
-            case Compare(clock, relation, constant):
-                return Compare(prefix(clock), relation, constant)
-        raise TypeError(constraint)
+        return map_comparisons(constraint, lambda c: Compare(
+            prefix(c.clock), c.relation, c.constant))
 
     def name(la: str, lb: str, flag: int) -> str:
         return f"{la}|{lb}|{flag}"
@@ -809,52 +853,45 @@ class WordAutomatonProduct:
     a lazily generated Buchi graph.  States are (word position, location,
     valuation) with the position reduced into prefix + one cycle; the
     language is nonempty exactly when the automaton accepts the word.
+
+    Time is counted in integers: the word's stamps and the automaton's
+    constants are multiplied by the lcm of all their denominators.
     """
 
     def __init__(self, automaton: TimedBuchiAutomaton, word: LassoTimedWord):
         if not word.all_atoms() <= automaton.atoms:
             raise ValueError("word uses atoms outside the automaton alphabet")
-        self.automaton = automaton
-        self.word = word
-        self.cmax = automaton.cmax()
+        constants = automaton.constants()
+        events = word.prefix + word.cycle
+        factor = lcm(word.period.denominator,
+                     *(stamp.denominator for _, stamp in events),
+                     *(constant.denominator for constant in constants))
+        self.automaton = automaton.scaled(factor)
+        self.cmax = int(max(constants, default=0) * factor)
+        stamps = [stamp.numerator * (factor // stamp.denominator)
+                  for _, stamp in events]
+        # the cycle's first position once more, one period later
+        loop = len(word.prefix)
+        stamps.append(stamps[loop] + int(word.period * factor))
+        following = list(range(1, len(events))) + [loop]
+        # per reduced position: the gap to the next position, that
+        # position reduced, and the letter read there
+        self._moves = tuple(
+            (stamps[i + 1] - stamps[i], j, events[j][0])
+            for i, j in enumerate(following))
+        self._first = events[0][0]
 
     def initial_states(self):
-        automaton = self.automaton
-        first = self.word.atoms_at(0)
-        out = []
-        zero = automaton.zero_valuation()
-        for loc in sorted(automaton.initial):
-            if automaton.labels[loc] != first:
-                continue
-            if evaluate_constraint(automaton.invariants[loc],
-                                   automaton.valuation_map(zero)):
-                out.append((0, loc, zero))
-        return tuple(out)
+        zero = self.automaton.zero_valuation()
+        return tuple((0, location, zero) for location in
+                     self.automaton.initial_locations(self._first))
 
     def successors(self, state):
         position, location, valuation = state
-        automaton = self.automaton
-        word = self.word
-        gap = word.gap_after(position)
-        next_position = word.reduce_index(position + 1)
-        next_letter = word.atoms_at(position + 1)
-        elapsed = tuple(v if v is INFINITY else v + gap for v in valuation)
-        elapsed_map = automaton.valuation_map(elapsed)
-        if not evaluate_constraint(automaton.invariants[location], elapsed_map):
-            return ()
-        out = []
-        for edge in automaton.edges_from(location):
-            if automaton.labels[edge.target] != next_letter:
-                continue
-            if not evaluate_constraint(edge.guard, elapsed_map):
-                continue
-            landed = step_valuation(valuation, automaton.clocks, gap,
-                                    edge.resets, self.cmax)
-            if not evaluate_constraint(automaton.invariants[edge.target],
-                                       automaton.valuation_map(landed)):
-                continue
-            out.append((gap, (next_position, edge.target, landed)))
-        return tuple(out)
+        gap, next_position, letter = self._moves[position]
+        return tuple(
+            (gap, (next_position, target, landed)) for target, landed in
+            self.automaton.step(location, valuation, gap, letter, self.cmax))
 
     def is_accepting(self, state):
         return state[1] in self.automaton.accepting

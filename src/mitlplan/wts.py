@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import LassoSequence, LassoTimedWord, freeze_atoms
+from .core import LassoSequence, LassoTimedWord, freeze_atoms, int_if_integral
 
 
 class ModelValidationError(Exception):
@@ -23,7 +23,7 @@ class WeightedTransitionSystem:
     states: tuple[str, ...]
     initial: frozenset[str]
     transitions: tuple[tuple[str, str], ...]
-    weights: dict  # (source, target) -> positive Fraction
+    weights: dict  # (source, target) -> positive rational, int if integral
     atoms: frozenset[str]
     labels: dict  # state -> frozenset of atoms
     _successors: dict = field(default_factory=dict, repr=False)
@@ -49,6 +49,8 @@ class WeightedTransitionSystem:
             if weight <= 0:
                 raise ModelValidationError(
                     f"transition weights must be positive: {pair} -> {weight}")
+        self.weights = {pair: int_if_integral(weight)
+                        for pair, weight in self.weights.items()}
         for state in self.states:
             label = freeze_atoms(self.labels.get(state, ()))
             if not label <= self.atoms:

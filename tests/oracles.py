@@ -3,7 +3,8 @@
 These deliberately share no code with the package's evaluators: the brute
 force unrolls a lasso word into a long finite list and applies the
 semantics clauses literally; the emptiness oracle is Tarjan SCC
-decomposition over a fully materialized graph.
+decomposition over a fully materialized graph; the automaton step walks
+each constraint's tree over a clock-name map and scans every edge.
 """
 
 from __future__ import annotations
@@ -204,6 +205,93 @@ def random_fragment_formula(rng: random.Random, atoms, allow_and=True):
 def _untimed() -> TimeInterval:
     from mitlplan.core import UNIT_INTERVAL
     return UNIT_INTERVAL
+
+
+# --- one automaton step by the definition ---------------------------------
+
+def evaluate_constraint(constraint, valuation) -> bool:
+    """``valuation`` maps each clock name to its value."""
+    from mitlplan.tba import (AndConstraint, Compare, NotConstraint,
+                              TrueConstraint)
+
+    match constraint:
+        case TrueConstraint():
+            return True
+        case NotConstraint(operand):
+            return not evaluate_constraint(operand, valuation)
+        case AndConstraint(left, right):
+            return (evaluate_constraint(left, valuation)
+                    and evaluate_constraint(right, valuation))
+        case Compare(clock, relation, constant):
+            value = valuation[clock]
+            if relation == "<":
+                return value < constant
+            if relation == "<=":
+                return value <= constant
+            if relation == ">":
+                return value > constant
+            if relation == ">=":
+                return value >= constant
+            return value == constant
+    raise TypeError(f"not a clock constraint: {constraint!r}")
+
+
+def reference_step(automaton, location, valuation, elapse, letter, cmax):
+    """The ``(target, landed valuation)`` pairs of one step, in edge order:
+    elapse, source invariant, target letter, guard, resets, saturation of
+    clocks above ``cmax`` at ``cmax + 1``, target invariant."""
+    elapsed = {clock: value + elapse
+               for clock, value in zip(automaton.clocks, valuation)}
+    if not evaluate_constraint(automaton.invariants[location], elapsed):
+        return []
+    out = []
+    for edge in automaton.edges:
+        if edge.source != location or automaton.labels[edge.target] != letter:
+            continue
+        if not evaluate_constraint(edge.guard, elapsed):
+            continue
+        landed = {clock: 0 if clock in edge.resets
+                  else value if value <= cmax else cmax + 1
+                  for clock, value in elapsed.items()}
+        if evaluate_constraint(automaton.invariants[edge.target], landed):
+            out.append((edge.target,
+                        tuple(landed[clock] for clock in automaton.clocks)))
+    return out
+
+
+def random_clock_constraint(rng: random.Random, clocks, depth=2, max_const=4):
+    from mitlplan.tba import AndConstraint, Compare, NotConstraint, TRUE
+
+    pick = rng.randrange(4) if depth else 0
+    if pick == 0:
+        return Compare(rng.choice(clocks), rng.choice(["<", "<=", ">", ">=", "="]),
+                       Fraction(rng.randrange(0, max_const + 1)))
+    if pick == 1:
+        return NotConstraint(random_clock_constraint(rng, clocks, depth - 1))
+    if pick == 2:
+        return AndConstraint(random_clock_constraint(rng, clocks, depth - 1),
+                             random_clock_constraint(rng, clocks, depth - 1))
+    return TRUE
+
+
+def random_automaton(rng: random.Random, letters, clocks=("x", "y"), size=4):
+    """Random invariants, guards and resets over two clocks, unlike the
+    translator's fixed shapes."""
+    from mitlplan.tba import TRUE, Edge, TimedBuchiAutomaton
+
+    locations = [f"l{i}" for i in range(size)]
+    edges = tuple(
+        Edge(source, random_clock_constraint(rng, clocks),
+             frozenset(c for c in clocks if rng.random() < 0.3), target)
+        for source in locations for target in locations if rng.random() < 0.6)
+    return TimedBuchiAutomaton(
+        locations=tuple(locations), initial=frozenset({locations[0]}),
+        clocks=tuple(clocks),
+        invariants={loc: random_clock_constraint(rng, clocks)
+                    if rng.random() < 0.5 else TRUE for loc in locations},
+        edges=edges, accepting=frozenset({rng.choice(locations)}),
+        atoms=frozenset().union(*letters),
+        labels={loc: rng.choice(letters) for loc in locations})
 
 
 # --- Buchi emptiness by SCC decomposition --------------------------------

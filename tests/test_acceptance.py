@@ -6,6 +6,7 @@ prints a PASS line when it gets through its assertions (run with ``-s`` or
 only tolerances are wall-clock and state-count budgets.
 """
 
+import itertools
 import json
 import random
 import time
@@ -16,11 +17,11 @@ from pathlib import Path
 from mitlplan.cli import AgentSpec, PlanningProblem, load_problem, main, solve
 from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
 from mitlplan.mitl import (Always, And, Atom, Eventually, Next, Not, Until,
-                           satisfies)
+                           parse_formula, satisfies)
 from mitlplan.search import find_accepting_lasso
 from mitlplan.tba import accepts_lasso, translate_mitl
-from mitlplan.wts import (collective_run, collective_word_of, grid_system,
-                          timed_word_of)
+from mitlplan.wts import (WeightedTransitionSystem, collective_run,
+                          collective_word_of, grid_system, timed_word_of)
 from oracles import (ExplicitGraph, enumerate_timed_runs, random_agent_system,
                      random_buchi_graph, random_fragment_formula,
                      random_lasso_word, random_propositional,
@@ -217,71 +218,89 @@ def _random_instance(rng: random.Random):
     f1 = random_fragment_formula(rng, ["a"], allow_and=False)
     f2 = random_fragment_formula(rng, ["b"], allow_and=False)
     fg = random_fragment_formula(rng, ["a", "b"], allow_and=False)
-    return s1, s2, f1, f2, fg
+    return (s1, s2), (f1, f2), fg
 
 
-def _pipeline_problem(s1, s2, f1, f2, fg):
-    agents = (
-        AgentSpec(name="one", system=s1, formula=f1, formula_text=None,
-                  automaton=translate_mitl(f1, alphabet=s1.atoms)),
-        AgentSpec(name="two", system=s2, formula=f2, formula_text=None,
-                  automaton=translate_mitl(f2, alphabet=s2.atoms)),
-    )
+def _self_loop_instances():
+    """One agent on one state with a self-loop: the accepting cycle passes
+    through the initial state, so the lasso's stem is that state alone."""
+    true = parse_formula("true")
+    for weight, atoms, formula, team in (
+            (Q(1), (), true, true),
+            (Q(1), ("a",), parse_formula("G F[<=1] a"),
+             parse_formula("G F[<=2] a")),
+            (Q(1, 2), ("a",), parse_formula("G F[<=1/2] a"), true)):
+        loop = WeightedTransitionSystem(
+            states=("s",), initial=frozenset({"s"}),
+            transitions=(("s", "s"),), weights={("s", "s"): weight},
+            atoms=frozenset(atoms), labels={"s": set(atoms)})
+        yield (loop,), (formula,), team
+
+
+def _pipeline_problem(systems, formulas, fg):
+    agents = tuple(
+        AgentSpec(name=f"agent{k}", system=system, formula=formula,
+                  formula_text=None,
+                  automaton=translate_mitl(formula, alphabet=system.atoms))
+        for k, (system, formula) in enumerate(zip(systems, formulas)))
+    union = frozenset().union(*(system.atoms for system in systems))
     return PlanningProblem(
         agents=agents, global_formula=fg, global_formula_text=None,
-        global_automaton=translate_mitl(fg, alphabet=s1.atoms | s2.atoms),
-        state_budget=400_000, scale=True)
+        global_automaton=translate_mitl(fg, alphabet=union),
+        state_budget=400_000)
 
 
-def _enumerator_finds_bundle(s1, s2, f1, f2, fg) -> bool:
-    runs1 = [r for r in enumerate_timed_runs(s1, max_stem=3, max_cycle=3)
-             if satisfies(timed_word_of(s1, r), f1)]
-    if not runs1:
-        return False
-    runs2 = [r for r in enumerate_timed_runs(s2, max_stem=3, max_cycle=3)
-             if satisfies(timed_word_of(s2, r), f2)]
-    if not runs2:
-        return False
-    for r1 in runs1:
-        for r2 in runs2:
-            merged = collective_run([r1, r2])
-            word = collective_word_of([s1, s2], merged)
-            if satisfies(word, fg):
-                return True
+def _enumerator_finds_bundle(systems, formulas, fg) -> bool:
+    satisfying = []
+    for system, formula in zip(systems, formulas):
+        runs = [r for r in enumerate_timed_runs(system, max_stem=3, max_cycle=3)
+                if satisfies(timed_word_of(system, r), formula)]
+        if not runs:
+            return False
+        satisfying.append(runs)
+    for runs in itertools.product(*satisfying):
+        word = collective_word_of(systems, collective_run(runs))
+        if satisfies(word, fg):
+            return True
     return False
 
 
 class TestCriterion6SoundnessSuite:
     def test_random_small_instances(self):
         rng = random.Random(606)
+        instances = [_random_instance(rng) for _ in range(100)]
+        instances.extend(_self_loop_instances())
         successes = 0
         unsatisfiables = 0
-        for trial in range(100):
-            s1, s2, f1, f2, fg = _random_instance(rng)
-            outcome = solve(_pipeline_problem(s1, s2, f1, f2, fg))
+        stemless = 0
+        for trial, (systems, formulas, fg) in enumerate(instances):
+            outcome = solve(_pipeline_problem(systems, formulas, fg))
             assert outcome.status in ("success", "unsatisfiable"), trial
             if outcome.status == "success":
                 successes += 1
                 bundle = outcome.bundle
+                stemless += not bundle.collective_run.prefix
                 # full re-validation: runs replay on the systems, words
                 # satisfy the formulas, automata accept the words
-                bundle.runs[0].validate_for(s1)
-                bundle.runs[1].validate_for(s2)
-                assert satisfies(bundle.words[0], f1), trial
-                assert satisfies(bundle.words[1], f2), trial
+                for run, word, system, formula in zip(
+                        bundle.runs, bundle.words, systems, formulas):
+                    run.validate_for(system)
+                    assert satisfies(word, formula), trial
+                    assert accepts_lasso(
+                        translate_mitl(formula, alphabet=system.atoms),
+                        word), trial
+                union = frozenset().union(*(s.atoms for s in systems))
                 assert satisfies(bundle.collective_word, fg), trial
-                assert accepts_lasso(translate_mitl(f1, alphabet=s1.atoms),
-                                     bundle.words[0]), trial
-                assert accepts_lasso(translate_mitl(f2, alphabet=s2.atoms),
-                                     bundle.words[1]), trial
-                assert accepts_lasso(
-                    translate_mitl(fg, alphabet=s1.atoms | s2.atoms),
-                    bundle.collective_word), trial
+                assert accepts_lasso(translate_mitl(fg, alphabet=union),
+                                     bundle.collective_word), trial
             else:
                 unsatisfiables += 1
-                assert not _enumerator_finds_bundle(s1, s2, f1, f2, fg), trial
-        assert successes + unsatisfiables == 100
-        report(6, f"{successes} plans fully re-validated, {unsatisfiables} "
+                assert not _enumerator_finds_bundle(systems, formulas,
+                                                    fg), trial
+        assert successes + unsatisfiables == len(instances)
+        assert stemless >= 3  # the self-loop instances at least
+        report(6, f"{successes} plans fully re-validated ({stemless} with "
+                  f"the cycle through the initial state), {unsatisfiables} "
                   f"unsatisfiable verdicts confirmed by enumeration")
 
 
@@ -313,30 +332,29 @@ class TestCriterion7ScalingInvariance:
         return tuple((v.description, v.satisfied) for v in bundle.verdicts)
 
     def test_corridor_plan_invariant_under_scaling(self):
+        # the products count time in halves (weights 3/2 and 1/2); the plan
+        # still comes back in exact rationals that replay on the systems
+        # as loaded
         problem = load_problem(FIXTURES / "two_agent_chain_plan.json")
-        assert problem.scale
-        scaled = solve(problem)
-        problem = load_problem(FIXTURES / "two_agent_chain_plan.json")
-        problem.scale = False
-        unscaled = solve(problem)
-        assert scaled.status == unscaled.status == "success"
-        assert scaled.statistics["scalingFactor"] == 2  # weights 3/2 and 1/2
-        for a, b in zip(scaled.bundle.runs, unscaled.bundle.runs):
-            assert a.prefix == b.prefix
-            assert a.cycle == b.cycle
-            assert a.period == b.period
-        assert (scaled.bundle.collective_word.cycle
-                == unscaled.bundle.collective_word.cycle)
+        outcome = solve(problem)
+        assert outcome.status == "success"
+        assert outcome.statistics["scalingFactor"] == 2
+        bundle = outcome.bundle
+        stamps = [t for run in bundle.runs
+                  for _, t in run.prefix + run.cycle + ((None, run.period),)]
+        assert all(isinstance(t, Q) for t in stamps)
+        assert {t.denominator for t in stamps} == {1, 2}
+        for agent, run in zip(problem.agents, bundle.runs):
+            run.validate_for(agent.system)
 
     def test_grid_plan_invariant_under_scaling(self):
         problem = load_problem(FIXTURES / "grid_meet.json")
-        scaled = solve(problem)
-        problem = load_problem(FIXTURES / "grid_meet.json")
-        problem.scale = False
-        unscaled = solve(problem)
-        assert scaled.status == unscaled.status == "success"
-        for a, b in zip(scaled.bundle.runs, unscaled.bundle.runs):
-            assert a.prefix == b.prefix and a.cycle == b.cycle
+        outcome = solve(problem)
+        assert outcome.status == "success"
+        assert outcome.statistics["scalingFactor"] == 1
+        for agent, run in zip(problem.agents, outcome.bundle.runs):
+            assert all(isinstance(t, Q) for _, t in run.prefix + run.cycle)
+            run.validate_for(agent.system)
 
     def test_explicitly_scaled_corridor_rescales_timestamps(self):
         base = load_problem(FIXTURES / "two_agent_chain_plan.json")
@@ -355,7 +373,7 @@ class TestCriterion7ScalingInvariance:
             agents=tuple(scaled_agents), global_formula=gf,
             global_formula_text=None,
             global_automaton=translate_mitl(gf, alphabet=union),
-            state_budget=base.state_budget, scale=True)
+            state_budget=base.state_budget)
         original = solve(base)
         rescaled = solve(doubled)
         assert original.status == rescaled.status == "success"

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
+
 from mitlplan.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -213,18 +215,30 @@ class TestPlanCommand:
         assert out.count("SATISFIED") == 3
         assert "VIOLATED" not in out
 
-    def test_no_scale_flag_yields_the_same_plan(self, tmp_path):
-        scaled = tmp_path / "scaled"
-        plain = tmp_path / "plain"
+    def test_plan_stamps_are_exact_rationals(self, tmp_path):
+        # the products count the corridor's time in halves; plan.json
+        # carries the stamps divided back, not the integers
         assert main(["plan", fixture("two_agent_chain_plan.json"),
-                     "--out-dir", str(scaled)]) == 0
-        assert main(["plan", fixture("two_agent_chain_plan.json"),
-                     "--out-dir", str(plain), "--no-scale"]) == 0
-        a = json.loads((scaled / "plan.json").read_text())
-        b = json.loads((plain / "plan.json").read_text())
-        assert a["agents"] == b["agents"]
-        assert a["collective"] == b["collective"]
-        assert a["verdicts"] == b["verdicts"]
+                     "--out-dir", str(tmp_path)]) == 0
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        assert plan["statistics"]["scalingFactor"] == 2
+        stamps = [Q(stamp) for agent in plan["agents"]
+                  for _, stamp in agent["run"]["prefix"] + agent["run"]["cycle"]]
+        assert {stamp.denominator for stamp in stamps} == {1, 2}
+
+    def test_cycle_through_the_initial_state_projects(self, tmp_path, capsys):
+        # the lasso's stem is the initial state alone; its position opens
+        # every agent's cycle, which the team automaton's flag doubles
+        problem = write_json(tmp_path / "loop.json", {
+            "agents": [{"name": "solo", "states": ["s"], "initial": ["s"],
+                        "transitions": [{"from": "s", "to": "s",
+                                         "weight": "1"}],
+                        "formula": "true"}],
+            "global": {"formula": "true"}})
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+        run = json.loads((tmp_path / "plan.json").read_text())["agents"][0]["run"]
+        assert run == {"prefix": [], "cycle": [["s", "0"], ["s", "1"]],
+                       "period": "2"}
 
     def test_exports_are_pure_functions_of_the_plan(self, tmp_path):
         first = tmp_path / "one"
@@ -258,3 +272,71 @@ class TestPlanCommand:
         # automaton-only agents report membership verdicts, no formula line
         assert "r1: timed automaton membership" in descriptions
         assert not any(d.startswith("r1: F") for d in descriptions)
+
+
+GOOD_AGENT = {"name": "solo", "states": ["s"], "initial": ["s"],
+              "transitions": [{"from": "s", "to": "s", "weight": "1"}],
+              "formula": "true"}
+
+
+def with_agent(**changes):
+    """A one-agent problem; a field changed to None is left out."""
+    agent = {**GOOD_AGENT, **changes}
+    return {"agents": [{key: value for key, value in agent.items()
+                        if value is not None}],
+            "global": {"formula": "true"}}
+
+
+class TestMalformedProblemFiles:
+    @pytest.mark.parametrize("data, flags, names", [
+        ([GOOD_AGENT], [], "top level"),
+        ({"agents": {"solo": GOOD_AGENT}}, [], "agents"),
+        ({"global": {"formula": "true"}}, [], "agents: missing"),
+        ({"agents": ["solo"]}, [], "agents[0]"),
+        (with_agent(transitions=None), [], "agents[0].transitions: missing"),
+        (with_agent(transitions="s->s"), [], "agents[0].transitions"),
+        (with_agent(transitions=[{"from": "s", "to": "s"}]), [],
+         "agents[0].transitions[0].weight"),
+        (with_agent(name=None), [], "agents[0].name"),
+        (with_agent(states=None), [], "agents[0].states"),
+        (with_agent(initial="s"), [], "agents[0].initial"),
+        (with_agent(formula=7), [], "agents[0].formula"),
+        (with_agent(grid={"rows": 1, "cols": 2}), [],
+         "agents[0].grid.moveWeights"),
+        ({**with_agent(), "global": "true"}, [], "global"),
+        ({**with_agent(), "options": {"stateBudget": -3}}, [],
+         "options.stateBudget"),
+        ({**with_agent(), "options": {"stateBudget": 0}}, [],
+         "options.stateBudget"),
+        ({**with_agent(), "options": {"stateBudget": "9"}}, [],
+         "options.stateBudget"),
+        (with_agent(), ["--state-budget", "-3"], "--state-budget"),
+        (with_agent(), ["--state-budget", "0"], "--state-budget"),
+    ])
+    def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
+                                      names):
+        problem = write_json(tmp_path / "problem.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)] + flags) == 3
+        err = capsys.readouterr().err
+        assert names in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_a_file_that_still_sets_scale_plans(self, tmp_path):
+        problem = write_json(tmp_path / "problem.json",
+                             {**with_agent(), "options": {"scale": False}})
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("runs, names", [
+        ([], "top level"),
+        ({"runs": {"r1": {"cycle": [["p1", "0"]]}}}, "runs.r1.period: missing"),
+        ({"runs": {"r1": {"cycle": [["p1"]], "period": "1"}}},
+         "runs.r1.cycle[0]"),
+    ])
+    def test_malformed_runs_exit_3(self, tmp_path, capsys, runs, names):
+        path = write_json(tmp_path / "runs.json", runs)
+        assert main(["check", "--model", fixture("two_agent_chain_model.json"),
+                     "--runs", path]) == 3
+        err = capsys.readouterr().err
+        assert names in err
+        assert "Traceback" not in err

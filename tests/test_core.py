@@ -4,8 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mitlplan.core import (INFINITY, LassoTimedWord, TimeInterval,
-                           format_rational, parse_rational, scale_to_integers,
-                           unroll)
+                           format_rational, parse_rational, unroll)
 
 
 def word(prefix, cycle, period):
@@ -116,25 +115,3 @@ class TestLassoTimedWord:
         flat = unroll(w, 4)
         for i, item in enumerate(flat):
             assert w.item_at(i) == item
-
-
-class TestScaleToIntegers:
-    def test_examples(self):
-        assert scale_to_integers({Q(1, 2), Q(3, 4)}) == ({2, 3}, 4)
-        assert scale_to_integers({Q(1), Q(2), Q(5)}) == ({1, 2, 5}, 1)
-        # lcm(10, 2, 1) = 10, checked by hand
-        assert scale_to_integers({Q(7, 10), Q(1, 2), Q(2)}) == ({7, 5, 20}, 10)
-        assert scale_to_integers(set()) == (set(), 1)
-
-    def test_preserves_strict_order(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            values = sorted({Q(rng.randrange(0, 40), rng.randrange(1, 12))
-                             for _ in range(6)})
-            scaled, factor = scale_to_integers(values)
-            rescaled = sorted(scaled)
-            assert rescaled == [v * factor for v in values]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            scale_to_integers({Q(-1, 2)})

@@ -13,8 +13,7 @@ from oracles import (ExplicitGraph, enumerate_timed_runs, random_buchi_graph,
                      scc_has_accepting_cycle)
 
 
-def make_problem(systems, names, formulas, global_formula, budget=1_000_000,
-                 scale=True):
+def make_problem(systems, names, formulas, global_formula, budget=1_000_000):
     agents = []
     for system, name, text in zip(systems, names, formulas):
         formula = parse_formula(text)
@@ -29,7 +28,6 @@ def make_problem(systems, names, formulas, global_formula, budget=1_000_000,
         global_automaton=translate_mitl(parse_formula(global_formula),
                                         alphabet=union),
         state_budget=budget,
-        scale=scale,
     )
 
 

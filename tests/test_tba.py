@@ -2,18 +2,21 @@ import itertools
 import json
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
-from mitlplan.core import INFINITY, LassoTimedWord
+from mitlplan.core import LassoTimedWord
 from mitlplan.mitl import Atom, parse_formula, satisfies
 from mitlplan.tba import (AndConstraint, Compare, NotConstraint,
                           TimedBuchiAutomaton, TrueConstraint,
                           UnsupportedFragmentError, accepts_lasso,
-                          empty_tba, evaluate_constraint, format_constraint,
+                          empty_tba, format_constraint,
                           intersect, parse_constraint, tba_from_dict,
                           tba_to_dict, translate_mitl, universal_tba)
-from oracles import (random_fragment_formula, random_lasso_word)
+from oracles import (evaluate_constraint, random_automaton,
+                     random_fragment_formula, random_lasso_word,
+                     reference_step)
 
 
 def word(prefix, cycle, period):
@@ -43,7 +46,8 @@ class TestClockConstraints:
             parse_constraint("x <=")
 
     def test_sentinel_semantics(self):
-        valuation = {"x": INFINITY}
+        # a clock saturated at cmax + 1 lies above every constant up to cmax
+        valuation = {"x": 101}
         assert evaluate_constraint(parse_constraint("x > 100"), valuation)
         assert evaluate_constraint(parse_constraint("x >= 100"), valuation)
         assert not evaluate_constraint(parse_constraint("x < 100"), valuation)
@@ -52,8 +56,8 @@ class TestClockConstraints:
 
     def test_saturation_preserves_truth_exhaustively(self):
         # any constraint with constants <= cmax evaluates identically under
-        # the exact value and under the saturated stand-in once the value
-        # exceeds cmax
+        # the exact value and under the saturated stand-in cmax + 1 once
+        # the value exceeds cmax
         cmax = Q(4)
         constants = [Q(0), Q(1), Q(5, 2), Q(4)]
         relations = ["<", "<=", ">", ">=", "="]
@@ -65,8 +69,46 @@ class TestClockConstraints:
                           AndConstraint(atom, atom)):
                 for value in big_values:
                     exact = evaluate_constraint(shape, {"x": value})
-                    saturated = evaluate_constraint(shape, {"x": INFINITY})
+                    saturated = evaluate_constraint(shape, {"x": cmax + 1})
                     assert exact == saturated, (shape, value)
+
+
+class TestStepKernel:
+    def test_step_matches_the_reference_step(self):
+        # translated and random automata on integer time; valuations below,
+        # at and above cmax, and saturated at cmax + 1; every target letter
+        rng = random.Random(41)
+        atoms = ["p", "q"]
+        letters = [frozenset(c) for r in range(len(atoms) + 1)
+                   for c in itertools.combinations(atoms, r)]
+        compared = 0
+        for trial in range(80):
+            if trial % 2:
+                automaton = random_automaton(rng, letters)
+            else:
+                automaton = translate_mitl(
+                    random_fragment_formula(rng, atoms), alphabet=set(atoms))
+            automaton = automaton.scaled(
+                lcm(*(c.denominator for c in automaton.constants())))
+            cmax = automaton.cmax()
+            locations = rng.sample(automaton.locations,
+                                   min(8, len(automaton.locations)))
+            for location in locations:
+                for _ in range(5):
+                    valuation = tuple(
+                        rng.choice([0, rng.randrange(cmax + 2), cmax + 1])
+                        for _ in automaton.clocks)
+                    elapse = rng.randrange(1, cmax + 3)
+                    for letter in letters:
+                        got = automaton.step(location, valuation, elapse,
+                                             letter, cmax)
+                        assert got == reference_step(
+                            automaton, location, valuation, elapse, letter,
+                            cmax), (automaton, location, valuation, elapse)
+                        assert all(type(value) is int
+                                   for _, landed in got for value in landed)
+                        compared += bool(got)
+        assert compared > 400
 
 
 class TestAutomatonModel:
