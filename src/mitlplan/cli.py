@@ -17,14 +17,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from math import lcm
 from pathlib import Path
 from typing import Optional
 
-from .core import format_rational, parse_rational
+from .core import denominator_lcm, format_rational, parse_rational
 from .mitl import (Formula, MitlError, PunctualIntervalError, atoms_of,
-                   first_violation, format_formula, parse_formula,
-                   satisfies)
+                   first_violation, format_formula, parse_formula)
 from .search import (ExplorationLimitError, PlanBundle, ProductStack,
                      find_accepting_lasso, project_plan)
 from .tba import (TimedBuchiAutomaton, UnsupportedFragmentError,
@@ -55,7 +53,8 @@ class InputError(Exception):
 
 _RATIONAL = (str, int)
 _KINDS = {dict: "an object", list: "a list", str: "a string",
-          int: "an integer", _RATIONAL: "a number or a rational string"}
+          int: "an integer", bool: "true or false",
+          _RATIONAL: "a number or a rational string"}
 _LABELS = {str: [str]}
 _AGENT = {"name": str, "formula?": str, "tba?": str}
 _EXPLICIT_AGENT = {**_AGENT, "states": [str], "initial": [str],
@@ -69,6 +68,10 @@ _GRID_AGENT = {**_AGENT, "initial?": [str],
 _TEAM = {"formula?": str, "tba?": str}
 _RUNS = {"runs": {str: {"prefix?": [[str, _RATIONAL]],
                         "cycle?": [[str, _RATIONAL]], "period": _RATIONAL}}}
+_TBA = {"clocks?": [str], "atoms?": [str],
+        "locations": [{"name": str, "label?": [str], "invariant?": str,
+                       "accepting?": bool, "initial?": bool}],
+        "edges": [{"from": str, "to": str, "guard?": str, "resets?": [str]}]}
 
 
 def _check(value, schema, where: str) -> None:
@@ -92,7 +95,8 @@ def _check(value, schema, where: str) -> None:
             raise InputError(f"{where}: expected a list of {len(items)}")
         for i, (item, inner) in enumerate(zip(value, items)):
             _check(item, inner, f"{where}[{i}]")
-    elif not isinstance(value, schema) or isinstance(value, bool):
+    elif not isinstance(value, schema) or (isinstance(value, bool)
+                                           and schema is not bool):
         # a JSON true is no number
         raise InputError(f"{where or 'top level'}: expected {_KINDS[schema]}")
 
@@ -208,8 +212,19 @@ def load_runs(path: Path) -> dict:
     return runs
 
 
+def _load_automaton(path: Path, where: str) -> TimedBuchiAutomaton:
+    """A hand-written automaton file; an error names ``where`` and the
+    field, as in ``global.tba: edges[2].to: missing``."""
+    data = _load_json(path)
+    try:
+        _check(data, _TBA, "")
+        return tba_from_dict(data)
+    except (InputError, ValueError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
 def _load_agent_automaton(entry: dict, system: WeightedTransitionSystem,
-                          base: Path):
+                          base: Path, where: str):
     formula = None
     text = entry.get("formula")
     if text is not None:
@@ -222,7 +237,7 @@ def _load_agent_automaton(entry: dict, system: WeightedTransitionSystem,
         automaton = translate_mitl(formula, alphabet=system.atoms)
         return formula, text, automaton
     if "tba" in entry:
-        automaton = tba_from_dict(_load_json(base / entry["tba"]))
+        automaton = _load_automaton(base / entry["tba"], f"{where}.tba")
         if automaton.atoms != system.atoms:
             raise InputError(
                 f"agent {entry['name']}: automaton alphabet "
@@ -239,7 +254,7 @@ def load_problem(path: Path) -> PlanningProblem:
     model = load_model(path)
     agents = []
     union_atoms: set[str] = set()
-    for entry in data["agents"]:
+    for i, entry in enumerate(data["agents"]):
         system = model[entry["name"]]
         overlap = union_atoms & system.atoms
         if overlap:
@@ -247,7 +262,8 @@ def load_problem(path: Path) -> PlanningProblem:
                 f"agent alphabets must be pairwise disjoint; {sorted(overlap)} "
                 f"appears twice")
         union_atoms |= system.atoms
-        formula, text, automaton = _load_agent_automaton(entry, system, base)
+        formula, text, automaton = _load_agent_automaton(
+            entry, system, base, f"agents[{i}]")
         agents.append(AgentSpec(name=entry["name"], system=system,
                                 formula=formula, formula_text=text,
                                 automaton=automaton))
@@ -264,7 +280,8 @@ def load_problem(path: Path) -> PlanningProblem:
         global_automaton = translate_mitl(global_formula,
                                           alphabet=frozenset(union_atoms))
     elif "tba" in global_entry:
-        global_automaton = tba_from_dict(_load_json(base / global_entry["tba"]))
+        global_automaton = _load_automaton(base / global_entry["tba"],
+                                           "global.tba")
         if global_automaton.atoms != frozenset(union_atoms):
             raise InputError(
                 "team automaton alphabet must equal the union of agent "
@@ -297,10 +314,11 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
     # duration and clock constant an int
     automata = ([agent.automaton for agent in problem.agents]
                 + [problem.global_automaton])
-    factor = lcm(*(weight.denominator for agent in problem.agents
-                   for weight in agent.system.weights.values()),
-                 *(constant.denominator for automaton in automata
-                   for constant in automaton.constants()))
+    factor = denominator_lcm(
+        [weight for agent in problem.agents
+         for weight in agent.system.weights.values()]
+        + [constant for automaton in automata
+           for constant in automaton.constants()])
     systems = tuple(agent.system.scaled(factor) for agent in problem.agents)
     *local_automata, global_automaton = (automaton.scaled(factor)
                                          for automaton in automata)
@@ -561,10 +579,11 @@ def command_check(args) -> int:
             word = collective_word
         else:
             word = timed_word_of(model[scope], runs[scope])
-        if satisfies(word, formula):
+        violation = first_violation(word, formula)
+        if violation is None:
             print(f"{scope}: {format_formula(formula)} -> SATISFIED")
         else:
-            position, stamp = first_violation(word, formula)
+            position, stamp = violation
             print(f"{scope}: {format_formula(formula)} -> VIOLATED at position "
                   f"{position} (time {format_rational(stamp)})")
     return EXIT_SUCCESS

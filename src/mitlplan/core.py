@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 
@@ -84,6 +85,17 @@ def int_if_integral(value):
     allow it.
     """
     return int(value) if value.denominator == 1 else value
+
+
+def denominator_lcm(values: Iterable) -> int:
+    """The least factor that makes every one of ``values`` an integer: the
+    lcm of their denominators, 1 for no values.
+
+    Code that counts time in integers multiplies every stamp, duration and
+    constant it reads by such a factor, and divides back with
+    ``Fraction(t, factor)``.
+    """
+    return lcm(*(value.denominator for value in values))
 
 
 @dataclass(frozen=True)
@@ -214,15 +226,28 @@ class LassoSequence:
     def stamp_at(self, index: int) -> Fraction:
         return self.item_at(index)[1]
 
-    def gap_after(self, index: int) -> Fraction:
-        return self.stamp_at(index + 1) - self.stamp_at(index)
+    def time_values(self) -> list:
+        """The stamps of prefix + cycle and the period: the values whose
+        :func:`denominator_lcm` makes this sequence's time integral."""
+        return [t for _, t in self.prefix + self.cycle] + [self.period]
 
-    def reduce_index(self, index: int) -> int:
-        """A cycle-equivalent position inside ``prefix + one cycle``."""
-        if index < len(self.prefix) + len(self.cycle):
-            return index
-        offset = (index - len(self.prefix)) % len(self.cycle)
-        return len(self.prefix) + offset
+    def integer_timeline(self, factor: int) -> tuple[list[int], int]:
+        """The stamps of prefix + cycle and the period, multiplied by
+        ``factor`` into ``int``s; ``factor`` must be a multiple of every
+        denominator among them."""
+        *stamps, period = [value.numerator * (factor // value.denominator)
+                           for value in self.time_values()]
+        return stamps, period
+
+    def integer_steps(self, factor: int) -> list[tuple[int, int]]:
+        """Per position of prefix + cycle: the time to the next position in
+        :meth:`integer_timeline`'s units, and that position reduced into
+        prefix + cycle."""
+        stamps, period = self.integer_timeline(factor)
+        loop = len(self.prefix)
+        stamps.append(stamps[loop] + period)
+        following = list(range(1, len(stamps) - 1)) + [loop]
+        return [(stamps[i + 1] - stamps[i], j) for i, j in enumerate(following)]
 
     def unroll(self, count: int) -> tuple:
         """Prefix followed by ``count`` shifted copies of the cycle."""
@@ -249,9 +274,6 @@ class LassoTimedWord(LassoSequence):
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
         super().__post_init__()
-
-    def atoms_at(self, index: int) -> frozenset[str]:
-        return self.payload_at(index)
 
     def all_atoms(self) -> frozenset[str]:
         out: set[str] = set()

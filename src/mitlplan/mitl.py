@@ -22,6 +22,12 @@ window measures from the evaluation position.  The anchor-preserving next
 means that in ``G(p -> X G[0,c] !p)`` the inner window starts at the
 position where ``p`` held, which is the "no revisit within c time units"
 reading; see the README for a worked example.
+
+The evaluator counts time in integers.  It normalizes the formula once,
+multiplies the word's stamps and the formula's interval endpoints by the
+lcm of all their denominators, and turns each interval into the closed
+range of integer offsets inside it.  ``first_violation`` divides the stamp
+it reports back into the exact ``Fraction`` of the input word.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (INFINITY, LassoTimedWord, TimeInterval, UNIT_INTERVAL,
-                   format_rational, parse_rational)
+                   denominator_lcm, format_rational, parse_rational)
 
 
 class MitlError(Exception):
@@ -452,86 +458,169 @@ def format_formula(formula: Formula) -> str:
 
 # --- evaluation over lasso words ---------------------------------------
 
+class _Node:
+    """One subformula of the normalized tree, as the evaluator reads it.
+
+    ``kind`` is the formula class.  A temporal node's interval is in the
+    evaluator's integer time and closed at both ends: ``low`` is the least
+    offset inside it, ``high`` the greatest or ``None`` when unbounded.
+    """
+
+    __slots__ = ("kind", "atom", "operands", "interval", "low", "high", "memo")
+
+    def __init__(self, kind, operands=(), atom=None, interval=None):
+        self.kind = kind
+        self.atom = atom
+        self.operands = operands
+        self.interval = interval
+        self.low = self.high = None
+        self.memo = {}  # (position, anchor) -> truth, on temporal nodes
+
+    def scale(self, factor: int) -> None:
+        interval = self.interval
+        lower = int(interval.lower * factor)
+        self.low = lower if interval.lower_closed else lower + 1
+        if not interval.unbounded:
+            upper = int(interval.upper * factor)
+            self.high = upper if interval.upper_closed else upper - 1
+
+
+def _build(formula: Formula, nodes: dict) -> _Node:
+    """The node of a normalized formula; equal subformulas share a node,
+    and so its memo."""
+    node = nodes.get(formula)
+    if node is not None:
+        return node
+    match formula:
+        case Atom(name):
+            node = _Node(Atom, atom=name)
+        case TrueFormula() | FalseFormula():
+            node = _Node(type(formula))
+        case Not(operand):
+            node = _Node(Not, (_build(operand, nodes),))
+        case And(left, right):
+            node = _Node(And, (_build(left, nodes), _build(right, nodes)))
+        case Next(interval, operand) | Eventually(interval, operand) | \
+                Always(interval, operand):
+            node = _Node(type(formula), (_build(operand, nodes),),
+                         interval=interval)
+        case Until(interval, left, right):
+            node = _Node(Until, (_build(left, nodes), _build(right, nodes)),
+                         interval=interval)
+        case _:
+            raise TypeError(f"not a normalized formula: {formula!r}")
+    nodes[formula] = node
+    return node
+
+
 class _Evaluator:
-    def __init__(self, word: LassoTimedWord):
-        self.word = word
-        self.memo: dict = {}
+    """One formula over one word, in integer time.
 
-    def run(self, formula: Formula, position: int) -> bool:
-        return self.eval(formula, position, self.word.stamp_at(position))
+    The word's stamps and the formula's interval endpoints are multiplied
+    by one factor, the lcm of all their denominators, so every anchor and
+    every offset ``t(j) - a`` is an ``int``.  Stamps and letters are read
+    from lists over prefix + cycle; positions past them are reduced into
+    the cycle.
+    """
 
-    def eval(self, formula: Formula, i: int, anchor: Fraction) -> bool:
-        key = (formula, i, anchor)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._eval(formula, i, anchor)
-        self.memo[key] = result
-        return result
+    def __init__(self, word: LassoTimedWord, formula: Formula):
+        nodes: dict = {}
+        self.root = _build(normalize(formula), nodes)
+        temporal = [node for node in nodes.values()
+                    if node.interval is not None]
+        self.factor = denominator_lcm(word.time_values() + [
+            endpoint for node in temporal
+            for endpoint in (node.interval.lower, node.interval.upper)
+            if endpoint is not INFINITY])
+        for node in temporal:
+            node.scale(self.factor)
+        self.stamps, self.period = word.integer_timeline(self.factor)
+        self.letters = [letter for letter, _ in word.prefix + word.cycle]
+        self.loop = word.prefix_length
+        self.size = len(self.stamps)
 
-    def _eval(self, formula: Formula, i: int, anchor: Fraction) -> bool:
-        word = self.word
-        match formula:
-            case Atom(name):
-                return name in word.atoms_at(i)
-            case TrueFormula():
+    def stamp(self, j: int) -> int:
+        if j < self.size:
+            return self.stamps[j]
+        turns, slot = divmod(j - self.loop, self.size - self.loop)
+        return self.stamps[self.loop + slot] + turns * self.period
+
+    def letter(self, j: int) -> frozenset[str]:
+        if j < self.size:
+            return self.letters[j]
+        slot = (j - self.loop) % (self.size - self.loop)
+        return self.letters[self.loop + slot]
+
+    def holds(self, node: _Node, i: int, anchor: int) -> bool:
+        kind = node.kind
+        if kind is Atom:
+            return node.atom in self.letter(i)
+        if kind is Not:
+            return not self.holds(node.operands[0], i, anchor)
+        if kind is And:
+            left, right = node.operands
+            return self.holds(left, i, anchor) and self.holds(right, i, anchor)
+        if kind is TrueFormula:
+            return True
+        if kind is FalseFormula:
+            return False
+        key = (i, anchor)
+        truth = node.memo.get(key)
+        if truth is None:
+            truth = node.memo[key] = self._temporal(node, i, anchor)
+        return truth
+
+    def _temporal(self, node: _Node, i: int, anchor: int) -> bool:
+        kind, low = node.kind, node.low
+        if kind is Next:
+            gap = self.stamp(i + 1) - self.stamp(i)
+            return (low <= gap and (node.high is None or gap <= node.high)
+                    and self.holds(node.operands[0], i + 1, anchor))
+        if kind is Eventually:
+            operand = node.operands[0]
+            for j, t in self.window(node, i, anchor):
+                if t - anchor >= low and self.holds(operand, j, t):
+                    return True
+            return False
+        if kind is Always:
+            operand = node.operands[0]
+            for j, t in self.window(node, i, anchor):
+                if t - anchor >= low and not self.holds(operand, j, t):
+                    return False
+            return True
+        left, right = node.operands  # Until
+        for j, t in self.window(node, i, anchor):
+            if t - anchor >= low and self.holds(right, j, t):
                 return True
-            case FalseFormula():
+            if not self.holds(left, j, t):
                 return False
-            case Not(operand):
-                return not self.eval(operand, i, anchor)
-            case And(left, right):
-                return self.eval(left, i, anchor) and self.eval(right, i, anchor)
-            case Next(interval, operand):
-                return (interval.contains(word.gap_after(i))
-                        and self.eval(operand, i + 1, anchor))
-            case Eventually(interval, operand):
-                for j in self.window(i, anchor, interval):
-                    if (interval.contains(word.stamp_at(j) - anchor)
-                            and self.eval(operand, j, word.stamp_at(j))):
-                        return True
-                return False
-            case Always(interval, operand):
-                for j in self.window(i, anchor, interval):
-                    if (interval.contains(word.stamp_at(j) - anchor)
-                            and not self.eval(operand, j, word.stamp_at(j))):
-                        return False
-                return True
-            case Until(interval, left, right):
-                for j in self.window(i, anchor, interval):
-                    if (interval.contains(word.stamp_at(j) - anchor)
-                            and self.eval(right, j, word.stamp_at(j))):
-                        return True
-                    if not self.eval(left, j, word.stamp_at(j)):
-                        return False
-                return False
-        # sugar: normalize lazily so callers may pass unnormalized trees
-        return self.eval(normalize(formula), i, anchor)
+        return False
 
-    def window(self, i: int, anchor: Fraction, interval: TimeInterval):
-        """Positions that decide a quantifier anchored at ``anchor``.
+    def window(self, node: _Node, i: int, anchor: int):
+        """The ``(position, stamp)`` pairs that decide a quantifier anchored
+        at ``anchor``; a pair is inside the interval once its offset
+        reaches ``node.low``.
 
         Bounded interval: every position until the offset passes the upper
         bound.  Unbounded interval: positions up to one full cycle past the
-        first position that is both beyond the lower bound and inside the
+        first position that is both inside the interval and inside the
         repeating cycle -- beyond that point the truth of the operand is
         cycle-periodic and the time constraint stays satisfied, so any
         witness (or violation) there already has a twin inside the window.
         """
-        word = self.word
-        if not interval.unbounded:
-            j = i
-            while not interval.above_upper(word.stamp_at(j) - anchor):
-                yield j
+        high = node.high
+        j = i
+        if high is not None:
+            while (t := self.stamp(j)) - anchor <= high:
+                yield j, t
                 j += 1
             return
-        j = i
         horizon = None
         while True:
-            past_lower = word.stamp_at(j) - anchor > interval.lower
-            if horizon is None and past_lower and j >= word.prefix_length:
-                horizon = j + word.cycle_length
-            yield j
+            t = self.stamp(j)
+            if horizon is None and j >= self.loop and t - anchor >= node.low:
+                horizon = j + self.size - self.loop
+            yield j, t
             if horizon is not None and j >= horizon:
                 return
             j += 1
@@ -540,7 +629,8 @@ class _Evaluator:
 def evaluate_at(word: LassoTimedWord, position: int, formula: Formula) -> bool:
     if position < 0:
         raise ValueError("positions are nonnegative")
-    return _Evaluator(word).run(formula, position)
+    evaluator = _Evaluator(word, formula)
+    return evaluator.holds(evaluator.root, position, evaluator.stamp(position))
 
 
 def satisfies(word: LassoTimedWord, formula: Formula) -> bool:
@@ -549,29 +639,24 @@ def satisfies(word: LassoTimedWord, formula: Formula) -> bool:
 
 def first_violation(word: LassoTimedWord, formula: Formula):
     """``None`` if the word satisfies the formula at position 0, else the
-    first position witnessing the failure (with its timestamp).
+    first position witnessing the failure, with its exact timestamp.
 
     For a failing top-level ``G`` the witness is the earliest in-window
-    position where the body fails; conjunctions recurse into the first
+    position where the body fails; conjunctions descend into the first
     failing conjunct; anything else reports position 0.
     """
-    evaluator = _Evaluator(word)
-
-    def locate(node: Formula, i: int, anchor: Fraction):
-        if evaluator.eval(node, i, anchor):
-            return None
-        match node:
-            case Always(interval, operand):
-                for j in evaluator.window(i, anchor, interval):
-                    if (interval.contains(word.stamp_at(j) - anchor)
-                            and not evaluator.eval(operand, j, word.stamp_at(j))):
-                        return j, word.stamp_at(j)
-            case And(left, right):
-                if not evaluator.eval(left, i, anchor):
-                    return locate(left, i, anchor)
-                return locate(right, i, anchor)
-            case Implies() | Or():
-                return locate(normalize(node), i, anchor)
-        return i, word.stamp_at(i)
-
-    return locate(formula, 0, word.stamp_at(0))
+    evaluator = _Evaluator(word, formula)
+    node, anchor = evaluator.root, evaluator.stamp(0)
+    if evaluator.holds(node, 0, anchor):
+        return None
+    while node.kind is And:
+        left, right = node.operands
+        node = right if evaluator.holds(left, 0, anchor) else left
+    position, stamp = 0, anchor
+    if node.kind is Always:
+        operand = node.operands[0]
+        for j, t in evaluator.window(node, 0, anchor):
+            if t - anchor >= node.low and not evaluator.holds(operand, j, t):
+                position, stamp = j, t
+                break
+    return position, Fraction(stamp, evaluator.factor)

@@ -19,11 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional
 
-from .core import (INFINITY, LassoTimedWord, TimeInterval, format_rational,
-                   int_if_integral, parse_rational)
+from .core import (INFINITY, LassoTimedWord, TimeInterval, denominator_lcm,
+                   format_rational, int_if_integral, parse_rational)
 from .mitl import (Always, And, Eventually, FalseFormula, Formula, Next,
                    Not, TrueFormula, Until, atoms_of,
                    evaluate_propositional, format_formula, is_propositional,
@@ -463,28 +462,34 @@ def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
 
 
 def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
+    def constraint(entry: dict, key: str, where: str) -> ClockConstraint:
+        try:
+            return parse_constraint(entry.get(key, "true"))
+        except ValueError as exc:
+            raise ValueError(f"{where}.{key}: {exc}") from exc
+
     locations = []
     labels = {}
     invariants = {}
     initial = set()
     accepting = set()
     atoms: set[str] = set()
-    for entry in data["locations"]:
+    for i, entry in enumerate(data["locations"]):
         name = entry["name"]
         locations.append(name)
         labels[name] = frozenset(entry.get("label", []))
         atoms |= labels[name]
-        invariants[name] = parse_constraint(entry.get("invariant", "true"))
+        invariants[name] = constraint(entry, "invariant", f"locations[{i}]")
         if entry.get("initial"):
             initial.add(name)
         if entry.get("accepting"):
             accepting.add(name)
     edges = tuple(
         Edge(source=entry["from"],
-             guard=parse_constraint(entry.get("guard", "true")),
+             guard=constraint(entry, "guard", f"edges[{i}]"),
              resets=frozenset(entry.get("resets", [])),
              target=entry["to"])
-        for entry in data["edges"]
+        for i, entry in enumerate(data["edges"])
     )
     return TimedBuchiAutomaton(
         locations=tuple(locations),
@@ -862,23 +867,14 @@ class WordAutomatonProduct:
         if not word.all_atoms() <= automaton.atoms:
             raise ValueError("word uses atoms outside the automaton alphabet")
         constants = automaton.constants()
-        events = word.prefix + word.cycle
-        factor = lcm(word.period.denominator,
-                     *(stamp.denominator for _, stamp in events),
-                     *(constant.denominator for constant in constants))
+        factor = denominator_lcm(word.time_values() + list(constants))
         self.automaton = automaton.scaled(factor)
         self.cmax = int(max(constants, default=0) * factor)
-        stamps = [stamp.numerator * (factor // stamp.denominator)
-                  for _, stamp in events]
-        # the cycle's first position once more, one period later
-        loop = len(word.prefix)
-        stamps.append(stamps[loop] + int(word.period * factor))
-        following = list(range(1, len(events))) + [loop]
+        events = word.prefix + word.cycle
         # per reduced position: the gap to the next position, that
         # position reduced, and the letter read there
-        self._moves = tuple(
-            (stamps[i + 1] - stamps[i], j, events[j][0])
-            for i, j in enumerate(following))
+        self._moves = tuple((gap, j, events[j][0])
+                            for gap, j in word.integer_steps(factor))
         self._first = events[0][0]
 
     def initial_states(self):

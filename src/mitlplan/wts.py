@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import LassoSequence, LassoTimedWord, freeze_atoms, int_if_integral
+from .core import (LassoSequence, LassoTimedWord, denominator_lcm,
+                   freeze_atoms, int_if_integral)
 
 
 class ModelValidationError(Exception):
@@ -100,19 +101,20 @@ class TimedRun(LassoSequence):
         return self.payload_at(index)
 
     def validate_for(self, system: WeightedTransitionSystem) -> None:
-        horizon = len(self.prefix) + len(self.cycle) + 1
-        if self.state_at(0) not in system.initial:
+        # every step of prefix + cycle, into the second turn and one more
+        events = self.unroll(3)[:len(self.prefix) + len(self.cycle) + 2]
+        if events[0][0] not in system.initial:
             raise RunValidationError(
-                f"run starts at {self.state_at(0)}, not an initial state")
-        for i in range(horizon):
-            here, there = self.state_at(i), self.state_at(i + 1)
+                f"run starts at {events[0][0]}, not an initial state")
+        for i, ((here, stamp), (there, arrival)) in enumerate(
+                zip(events, events[1:])):
             if (here, there) not in system.weights:
                 raise RunValidationError(
                     f"step {i}: {here} -> {there} is not a transition")
-            expected = self.stamp_at(i) + system.weight_of(here, there)
-            if self.stamp_at(i + 1) != expected:
+            expected = stamp + system.weight_of(here, there)
+            if arrival != expected:
                 raise RunValidationError(
-                    f"step {i}: arrival at {there} stamped {self.stamp_at(i + 1)}, "
+                    f"step {i}: arrival at {there} stamped {arrival}, "
                     f"expected {expected}")
 
 
@@ -148,6 +150,7 @@ def collective_run(runs) -> CollectiveRun:
     collective stamp; everyone else stays in place.  The merged sequence
     is ultimately periodic: the construction closes its cycle at the first
     repeat of (per-agent reduced position, per-agent time to next arrival).
+    Time is counted in integers, under the lcm of the runs' denominators.
     """
     runs = list(runs)
     if not runs:
@@ -162,31 +165,34 @@ def collective_run(runs) -> CollectiveRun:
             cycle=tuple(((s,), t) for s, t in only.cycle),
             period=only.period)
 
-    indices = [0 for _ in runs]
-    now = Fraction(0)
-    events = [(tuple(run.state_at(0) for run in runs), now)]
-    seen: dict = {}
+    # per run, in integer time under one factor: the state at each position
+    # of prefix + cycle, and the time to the next arrival with its position
+    factor = denominator_lcm(t for run in runs for t in run.time_values())
+    states = [[state for state, _ in run.prefix + run.cycle] for run in runs]
+    steps = [run.integer_steps(factor) for run in runs]
 
-    def configuration():
-        slots = tuple(run.reduce_index(i) for run, i in zip(runs, indices))
-        pending = tuple(run.stamp_at(i + 1) - now for run, i in zip(runs, indices))
-        return slots, pending
-
-    seen[configuration()] = 0
+    agents = range(len(runs))
+    positions = [0 for _ in runs]
+    pending = [steps[k][0][0] for k in agents]
+    now = 0
+    events = [(tuple(states[k][0] for k in agents), now)]
+    seen = {(tuple(positions), tuple(pending)): 0}
     while True:
-        arrivals = [run.stamp_at(i + 1) for run, i in zip(runs, indices)]
-        now = min(arrivals)
-        for k, arrival in enumerate(arrivals):
-            if arrival == now:
-                indices[k] += 1
-        events.append((tuple(run.state_at(i) for run, i in zip(runs, indices)), now))
-        config = configuration()
+        step = min(pending)
+        now += step
+        for k in agents:
+            pending[k] -= step
+            if pending[k] == 0:
+                positions[k] = steps[k][positions[k]][1]
+                pending[k] = steps[k][positions[k]][0]
+        events.append((tuple(states[k][positions[k]] for k in agents), now))
+        config = (tuple(positions), tuple(pending))
         if config in seen:
             start = seen[config]
-            period = now - events[start][1]
-            return CollectiveRun(prefix=tuple(events[:start]),
-                                 cycle=tuple(events[start:-1]),
-                                 period=period)
+            period = Fraction(now - events[start][1], factor)
+            exact = [(vector, Fraction(t, factor)) for vector, t in events]
+            return CollectiveRun(prefix=tuple(exact[:start]),
+                                 cycle=tuple(exact[start:-1]), period=period)
         seen[config] = len(events) - 1
 
 

@@ -122,10 +122,12 @@ def random_lasso_word(rng: random.Random, atoms, max_prefix=3, max_cycle=3,
                           period=period)
 
 
-def random_interval(rng: random.Random, bounded=True, max_const=4) -> TimeInterval:
-    lower = Fraction(rng.randrange(0, max_const)) / rng.choice([1, 2])
+def random_interval(rng: random.Random, bounded=True, max_const=4,
+                    denominators=(1, 2)) -> TimeInterval:
+    lower = Fraction(rng.randrange(0, max_const)) / rng.choice(denominators)
     if bounded:
-        upper = lower + Fraction(rng.randrange(1, max_const + 1)) / rng.choice([1, 2])
+        upper = lower + (Fraction(rng.randrange(1, max_const + 1))
+                         / rng.choice(denominators))
     else:
         upper = INFINITY
     return TimeInterval(lower, upper,
@@ -133,12 +135,15 @@ def random_interval(rng: random.Random, bounded=True, max_const=4) -> TimeInterv
                         upper_closed=bounded and rng.random() < 0.7)
 
 
-def random_bounded_formula(rng: random.Random, atoms, depth=2):
+def random_bounded_formula(rng: random.Random, atoms, depth=2,
+                           denominators=(1, 2)):
+    """Interval endpoints are drawn over ``denominators``."""
     atoms = sorted(atoms)
     if depth == 0 or rng.random() < 0.25:
         return Atom(rng.choice(atoms))
     pick = rng.randrange(8)
-    sub = lambda: random_bounded_formula(rng, atoms, depth - 1)
+    sub = lambda: random_bounded_formula(rng, atoms, depth - 1, denominators)
+    interval = lambda: random_interval(rng, denominators=denominators)
     if pick == 0:
         return Not(sub())
     if pick == 1:
@@ -148,12 +153,12 @@ def random_bounded_formula(rng: random.Random, atoms, depth=2):
     if pick == 3:
         return Implies(sub(), sub())
     if pick == 4:
-        return Next(random_interval(rng), sub())
+        return Next(interval(), sub())
     if pick == 5:
-        return Eventually(random_interval(rng), sub())
+        return Eventually(interval(), sub())
     if pick == 6:
-        return Always(random_interval(rng), sub())
-    return Until(random_interval(rng), sub(), sub())
+        return Always(interval(), sub())
+    return Until(interval(), sub(), sub())
 
 
 def random_propositional(rng: random.Random, atoms, depth=1):
@@ -366,9 +371,11 @@ def random_buchi_graph(rng: random.Random, max_states=50):
     return states, initial, edges, accepting
 
 
-def random_agent_system(rng: random.Random, atom: str, max_states=3):
+def random_agent_system(rng: random.Random, atom: str, max_states=3,
+                        weights=(Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                                 Fraction(2))):
     """A small strongly connected weighted system labeling ``atom`` on a
-    random nonempty subset of states."""
+    random nonempty subset of states; each weight is one of ``weights``."""
     from mitlplan.wts import WeightedTransitionSystem
 
     n = rng.randrange(2, max_states + 1)
@@ -379,15 +386,13 @@ def random_agent_system(rng: random.Random, atom: str, max_states=3):
     for _ in range(rng.randrange(0, 3)):
         a, b = rng.choice(states), rng.choice(states)
         pairs.add((a, b))
-    weights = {pair: rng.choice([Fraction(1, 2), Fraction(1),
-                                 Fraction(3, 2), Fraction(2)])
-               for pair in pairs}
+    chosen = {pair: rng.choice(weights) for pair in pairs}
     labeled = rng.sample(states, rng.randrange(1, n + 1))
     return WeightedTransitionSystem(
         states=tuple(states),
         initial=frozenset({rng.choice(states)}),
         transitions=tuple(pairs),
-        weights=weights,
+        weights=chosen,
         atoms=frozenset({atom}),
         labels={s: (frozenset({atom}) if s in labeled else frozenset())
                 for s in states})

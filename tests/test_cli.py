@@ -87,6 +87,27 @@ class TestCheckCommand:
         assert code == 3
         assert "p1 -> p3" in capsys.readouterr().err
 
+    def test_violation_at_a_fractional_time(self, tmp_path, capsys):
+        # stamps in thirds, bounds in halves: the evaluator counts in sixths
+        # and prints the stamp of the input word
+        model = write_json(tmp_path / "model.json", {"agents": [{
+            "name": "r", "states": ["a", "b"], "initial": ["a"],
+            "labels": {"b": ["hot"]},
+            "transitions": [{"from": "a", "to": "b", "weight": "7/3"},
+                            {"from": "b", "to": "a", "weight": "2/3"}]}]})
+        runs = write_json(tmp_path / "runs.json", {"runs": {"r": {
+            "cycle": [["a", "0"], ["b", "7/3"]], "period": "3"}}})
+        code = main(["check", "--model", model, "--runs", runs,
+                     "--formula", "r: G[<=5/2] !hot",
+                     "--formula", "r: G[0,7/3) !hot",
+                     "--formula", "r: F[1/2,7/3] hot"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "r: G[0,5/2] !hot -> VIOLATED at position 1 (time 7/3)",
+            "r: G[0,7/3) !hot -> SATISFIED",
+            "r: F[1/2,7/3] hot -> SATISFIED",
+        ]
+
     def test_unknown_scope(self, capsys):
         code = main([
             "check",
@@ -340,3 +361,61 @@ class TestMalformedProblemFiles:
         err = capsys.readouterr().err
         assert names in err
         assert "Traceback" not in err
+
+
+GOOD_TBA = {"clocks": ["x"],
+            "locations": [{"name": "l", "label": [], "initial": True,
+                           "accepting": True}],
+            "edges": [{"from": "l", "to": "l", "guard": "x <= 1",
+                       "resets": ["x"]}]}
+
+
+def with_edges(*edges):
+    """``GOOD_TBA`` with its edge changed into ``edges``; a field changed
+    to None is left out."""
+    return {**GOOD_TBA, "edges": [
+        {key: value for key, value in {**GOOD_TBA["edges"][0], **edge}.items()
+         if value is not None} for edge in edges]}
+
+
+class TestMalformedAutomatonFiles:
+    @staticmethod
+    def problem(tmp_path, scope, automaton):
+        write_json(tmp_path / "goal.json", automaton)
+        if scope == "agent":
+            data = with_agent(formula=None, tba="goal.json")
+        else:
+            data = {**with_agent(), "global": {"tba": "goal.json"}}
+        return write_json(tmp_path / "problem.json", data)
+
+    @pytest.mark.parametrize("scope", ["agent", "global"])
+    def test_a_well_formed_file_plans(self, tmp_path, scope):
+        problem = self.problem(tmp_path, scope, GOOD_TBA)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("scope, automaton, names", [
+        ("agent", {"clocks": []}, "agents[0].tba: locations: missing"),
+        ("agent", {"locations": GOOD_TBA["locations"]},
+         "agents[0].tba: edges: missing"),
+        ("global", [GOOD_TBA], "global.tba: top level: expected an object"),
+        ("global", with_edges({}, {}, {"to": None}),
+         "global.tba: edges[2].to: missing"),
+        ("agent", with_edges({"resets": "x"}),
+         "agents[0].tba: edges[0].resets: expected a list"),
+        ("global", with_edges({"guard": "x <="}),
+         "global.tba: edges[0].guard: constraint syntax"),
+        ("agent", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "invariant": "x ~ 2"}]},
+         "agents[0].tba: locations[0].invariant: constraint syntax"),
+        ("agent", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "accepting": "yes"}]},
+         "agents[0].tba: locations[0].accepting: expected true or false"),
+    ])
+    def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
+                                      names):
+        problem = self.problem(tmp_path, scope, automaton)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert names in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "plan.json").exists()

@@ -171,6 +171,45 @@ class TestProperties:
             checked += 1
         assert checked == 220
 
+    def test_brute_force_agreement_at_mixed_denominators(self):
+        # stamps in thirds, interval bounds in halves, fifths and sevenths:
+        # the evaluator counts time in units of 1/210 or a divisor of it
+        rng = random.Random(2025)
+        for _ in range(150):
+            w = random_lasso_word(rng, ["p", "q"], stamp_unit=Q(1, 3))
+            phi = random_bounded_formula(rng, ["p", "q"], depth=2,
+                                         denominators=(2, 5, 7))
+            for position in range(3):
+                expected = brute_force_evaluate(w, position, phi)
+                assert evaluate_at(w, position, phi) == expected
+
+    def test_first_violation_matches_a_scan_at_mixed_denominators(self):
+        from oracles import random_interval
+        rng = random.Random(2026)
+        violated = 0
+        for _ in range(150):
+            w = random_lasso_word(rng, ["p", "q"], stamp_unit=Q(1, 3))
+            body = random_bounded_formula(rng, ["p", "q"], depth=1,
+                                          denominators=(2, 5, 7))
+            interval = random_interval(rng, denominators=(2, 5, 7))
+            expected = None
+            j = 0
+            while w.stamp_at(j) - w.stamp_at(0) <= interval.upper:
+                if (interval.contains(w.stamp_at(j) - w.stamp_at(0))
+                        and not brute_force_evaluate(w, j, body)):
+                    expected = j
+                    break
+                j += 1
+            found = first_violation(w, Always(interval, body))
+            if expected is None:
+                assert found is None
+                continue
+            position, stamp = found
+            assert position == expected
+            assert isinstance(stamp, Q) and stamp == w.stamp_at(expected)
+            violated += 1
+        assert violated >= 30
+
     def test_negation_duality(self):
         rng = random.Random(5)
         for _ in range(120):

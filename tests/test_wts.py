@@ -188,39 +188,51 @@ class TestCollectiveRun:
         # randomized version of the two properties above, on systems
         # without self-loops (a self-loop arrival does not change the
         # state, so a state-change projection cannot see it)
-        from oracles import enumerate_timed_runs, random_agent_system
-        rng = random.Random(55)
-        checked = 0
-        for _ in range(60):
-            systems = []
-            while len(systems) < 2:
-                system = random_agent_system(rng, f"m{len(systems)}")
-                if all(a != b for a, b in system.transitions):
-                    systems.append(system)
-            candidate_runs = []
-            for system in systems:
-                runs = enumerate_timed_runs(system, max_stem=2, max_cycle=3)
-                if not runs:
-                    break
-                candidate_runs.append(rng.choice(runs))
-            if len(candidate_runs) < 2:
-                continue
-            r1, r2 = candidate_runs
-            merged = collective_run([r1, r2])
-            horizon = 10
-            merged_events = merged.unroll(8)[:horizon]
-            queue = sorted({r1.stamp_at(i) for i in range(40)}
-                           | {r2.stamp_at(i) for i in range(40)})
-            assert [t for _, t in merged_events] == queue[:horizon]
-            arrivals = [{r.stamp_at(i) for i in range(40)} for r in (r1, r2)]
-            for k, original in enumerate((r1, r2)):
-                events = [(v[k], t) for v, t in merged_events
-                          if t in arrivals[k] or t == 0]
-                expected = [(original.state_at(i), original.stamp_at(i))
-                            for i in range(len(events))]
-                assert events == expected
-            checked += 1
-        assert checked >= 30
+        assert_random_merges_match(random.Random(55))
+
+    def test_random_merges_at_weights_in_thirds_and_sevenths(self):
+        # the merge counts in units of 1/21: ties and cycle closings must
+        # fall where the exact stamps put them
+        assert_random_merges_match(random.Random(56),
+                                   weights=(Q(1, 3), Q(2, 7)))
+
+
+def assert_random_merges_match(rng, **system_options):
+    """Merges of random run pairs agree with an event queue of both runs'
+    stamps, and each agent's own run is read back from the merge."""
+    from oracles import enumerate_timed_runs, random_agent_system
+    checked = 0
+    for _ in range(60):
+        systems = []
+        while len(systems) < 2:
+            system = random_agent_system(rng, f"m{len(systems)}",
+                                         **system_options)
+            if all(a != b for a, b in system.transitions):
+                systems.append(system)
+        candidate_runs = []
+        for system in systems:
+            runs = enumerate_timed_runs(system, max_stem=2, max_cycle=3)
+            if not runs:
+                break
+            candidate_runs.append(rng.choice(runs))
+        if len(candidate_runs) < 2:
+            continue
+        r1, r2 = candidate_runs
+        merged = collective_run([r1, r2])
+        horizon = 10
+        merged_events = merged.unroll(8)[:horizon]
+        queue = sorted({r1.stamp_at(i) for i in range(40)}
+                       | {r2.stamp_at(i) for i in range(40)})
+        assert [t for _, t in merged_events] == queue[:horizon]
+        arrivals = [{r.stamp_at(i) for i in range(40)} for r in (r1, r2)]
+        for k, original in enumerate((r1, r2)):
+            events = [(v[k], t) for v, t in merged_events
+                      if t in arrivals[k] or t == 0]
+            expected = [(original.state_at(i), original.stamp_at(i))
+                        for i in range(len(events))]
+            assert events == expected
+        checked += 1
+    assert checked >= 30
 
 
 class TestCollectiveWord:
