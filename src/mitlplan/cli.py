@@ -52,9 +52,11 @@ class InputError(Exception):
 # tuple of types a value.
 
 _RATIONAL = (str, int)
+_INITIAL = (str, bool)  # a label; true or false in files with location labels
 _KINDS = {dict: "an object", list: "a list", str: "a string",
           int: "an integer", bool: "true or false",
-          _RATIONAL: "a number or a rational string"}
+          _RATIONAL: "a number or a rational string",
+          _INITIAL: "a label, true or false"}
 _LABELS = {str: [str]}
 _AGENT = {"name": str, "formula?": str, "tba?": str}
 _EXPLICIT_AGENT = {**_AGENT, "states": [str], "initial": [str],
@@ -70,8 +72,9 @@ _RUNS = {"runs": {str: {"prefix?": [[str, _RATIONAL]],
                         "cycle?": [[str, _RATIONAL]], "period": _RATIONAL}}}
 _TBA = {"clocks?": [str], "atoms?": [str],
         "locations": [{"name": str, "label?": [str], "invariant?": str,
-                       "accepting?": bool, "initial?": bool}],
-        "edges": [{"from": str, "to": str, "guard?": str, "resets?": [str]}]}
+                       "accepting?": bool, "initial?": _INITIAL}],
+        "edges": [{"from": str, "to": str, "label?": str, "guard?": str,
+                   "resets?": [str]}]}
 
 
 def _check(value, schema, where: str) -> None:
@@ -96,7 +99,7 @@ def _check(value, schema, where: str) -> None:
         for i, (item, inner) in enumerate(zip(value, items)):
             _check(item, inner, f"{where}[{i}]")
     elif not isinstance(value, schema) or (isinstance(value, bool)
-                                           and schema is not bool):
+                                           and schema not in (bool, _INITIAL)):
         # a JSON true is no number
         raise InputError(f"{where or 'top level'}: expected {_KINDS[schema]}")
 

@@ -37,6 +37,7 @@ class TeamState(NamedTuple):
     targets: tuple     # committed in-flight LocalState per agent, or None
     offsets: tuple     # time already spent on the current transition
     turn: int          # round-robin index, 0-based
+    letter: frozenset  # atoms of the components' regions, one object each
 
 
 class GlobalState(NamedTuple):
@@ -121,9 +122,6 @@ class LocalProduct(_MemoizedGraph):
     def is_accepting(self, state: LocalState) -> bool:
         return state.location in self.automaton.accepting
 
-    def label_of(self, state: LocalState) -> frozenset[str]:
-        return self.system.label_of(state.region)
-
     def duration_of(self, state: LocalState, target: LocalState):
         return self.system.weight_of(state.region, target.region)
 
@@ -146,6 +144,19 @@ class TeamProduct(_MemoizedGraph):
         if not self.locals:
             raise ValueError("at least one agent is required")
         self.count = len(self.locals)
+        self._letters: dict = {}  # region vector -> its letter
+        self._interned: dict = {}  # letter -> the one object for it
+
+    def _letter(self, components) -> frozenset[str]:
+        regions = tuple([component.region for component in components])
+        letter = self._letters.get(regions)
+        if letter is None:
+            letter = frozenset().union(*(
+                local.system.label_of(region)
+                for local, region in zip(self.locals, regions)))
+            letter = self._letters[regions] = self._interned.setdefault(
+                letter, letter)
+        return letter
 
     def initial_states(self):
         per_agent = [local.initial_states() for local in self.locals]
@@ -156,6 +167,7 @@ class TeamProduct(_MemoizedGraph):
                 targets=(None,) * self.count,
                 offsets=(0,) * self.count,
                 turn=0,
+                letter=self._letter(combo),
             ))
         return tuple(out)
 
@@ -192,7 +204,8 @@ class TeamProduct(_MemoizedGraph):
             if self.locals[turn].is_accepting(state.components[turn]):
                 turn = (turn + 1) % self.count
             out.append((step, TeamState(tuple(components), tuple(targets),
-                                        tuple(offsets), turn)))
+                                        tuple(offsets), turn,
+                                        self._letter(components))))
         return tuple(sorted(set(out), key=self._successor_key))
 
     @staticmethod
@@ -205,12 +218,6 @@ class TeamProduct(_MemoizedGraph):
         last = self.count - 1
         return (state.turn == last
                 and self.locals[last].is_accepting(state.components[last]))
-
-    def label_of(self, state: TeamState) -> frozenset[str]:
-        atoms: set[str] = set()
-        for local, component in zip(self.locals, state.components):
-            atoms |= local.label_of(component)
-        return frozenset(atoms)
 
 
 class GlobalProduct(_MemoizedGraph):
@@ -236,8 +243,7 @@ class GlobalProduct(_MemoizedGraph):
         return tuple(
             GlobalState(team_state, location, zero, 1)
             for team_state in self.team.initial_states()
-            for location in self.automaton.initial_locations(
-                self.team.label_of(team_state)))
+            for location in self.automaton.initial_locations(team_state.letter))
 
     def _compute_successors(self, state: GlobalState):
         """In the team's successor order, and by (location, valuation)
@@ -250,7 +256,7 @@ class GlobalProduct(_MemoizedGraph):
         out = []
         for step, team_next in self.team.successors(state.team):
             moves = automaton.step(state.location, state.valuation, step,
-                                   self.team.label_of(team_next), self.cmax)
+                                   team_next.letter, self.cmax)
             for location, landed in sorted(set(moves)):
                 out.append((step, GlobalState(team_next, location, landed,
                                               flag)))

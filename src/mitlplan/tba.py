@@ -2,31 +2,33 @@
 of a fragment of the formula language, intersection, and membership of
 lasso timed words.
 
-Automata here are state-labeled: every location carries the exact letter
-(a set of atomic propositions) that is read when the run sits there.  A
-run over a timed word starts in an initial location whose label matches
-position 0, and each step elapses the gap to the next position, checks the
-source invariant and the edge guard on the elapsed valuation, applies the
-resets, and checks the target invariant; the target's label must match the
-next letter.  :meth:`TimedBuchiAutomaton.step` is that step, for every
-product built on an automaton.  A clock above the automaton's largest
-constant ``cmax`` is kept at ``cmax + 1``: such a clock satisfies exactly
-the constraints any larger value does, so the products stay finite.
+Automata here are transition-labelled: every edge carries a propositional
+formula over the automaton's atoms, which the letter read on taking the
+edge must satisfy, and each initial location carries the formula that the
+letter at position 0 must satisfy.  A location is one control state of the
+construction, whatever letter is read there.  A run over a timed word
+starts in an initial location whose label holds at position 0, and each
+step elapses the gap to the next position, checks the source invariant,
+the edge's label on the next letter and its guard on the elapsed
+valuation, applies the resets, and checks the target invariant.
+:meth:`TimedBuchiAutomaton.step` is that step, for every product built on
+an automaton.  A clock above the automaton's largest constant ``cmax`` is
+kept at ``cmax + 1``: such a clock satisfies exactly the constraints any
+larger value does, so the products stay finite.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import (INFINITY, LassoTimedWord, TimeInterval, denominator_lcm,
                    format_rational, int_if_integral, parse_rational)
-from .mitl import (Always, And, Eventually, FalseFormula, Formula, Next,
-                   Not, TrueFormula, Until, atoms_of,
+from .mitl import (Always, And, Atom, Eventually, FalseFormula, Formula,
+                   MitlError, Next, Not, TrueFormula, Until, atoms_of,
                    evaluate_propositional, format_formula, is_propositional,
-                   normalize)
+                   normalize, parse_formula)
 
 
 class UnsupportedFragmentError(Exception):
@@ -245,12 +247,26 @@ def format_constraint(constraint: ClockConstraint) -> str:
 
 # --- the automaton model -------------------------------------------------
 
-@dataclass(frozen=True, slots=True)  # automata hold thousands of edges
+TRUE_LABEL = TrueFormula()
+
+
+def label_and(*labels: Formula) -> Formula:
+    """The conjunction of ``labels``, leaving out those that are true."""
+    out = None
+    for label in labels:
+        if isinstance(label, TrueFormula):
+            continue
+        out = label if out is None else And(out, label)
+    return out if out is not None else TRUE_LABEL
+
+
+@dataclass(frozen=True, slots=True)  # old-format files hold thousands of edges
 class Edge:
     source: str
     guard: ClockConstraint
     resets: frozenset[str]
     target: str
+    label: Formula = TRUE_LABEL  # propositional, read at the target
 
 
 _OPERATORS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
@@ -288,13 +304,12 @@ def compile_constraint(constraint: ClockConstraint,
 @dataclass
 class TimedBuchiAutomaton:
     locations: tuple[str, ...]
-    initial: frozenset[str]
+    initial: dict  # location -> propositional label read at position 0
     clocks: tuple[str, ...]
     invariants: dict  # location -> ClockConstraint
     edges: tuple[Edge, ...]
     accepting: frozenset[str]
     atoms: frozenset[str]
-    labels: dict  # location -> frozenset of atoms
     _edges_from: dict = field(default_factory=dict, repr=False)
     # filled by the first step out of a location, see step()
     _step_tables: dict = field(default_factory=dict, repr=False, compare=False)
@@ -303,24 +318,23 @@ class TimedBuchiAutomaton:
     def __post_init__(self):
         self.locations = tuple(sorted(self.locations))
         self.clocks = tuple(sorted(self.clocks))
-        self.initial = frozenset(self.initial)
+        self.initial = dict(self.initial)
         self.accepting = frozenset(self.accepting)
         self.atoms = frozenset(self.atoms)
         known = set(self.locations)
         if not self.initial:
             raise ValueError("automaton needs at least one initial location")
-        if not self.initial <= known:
+        if not set(self.initial) <= known:
             raise ValueError("initial locations must be declared")
         if not self.accepting <= known:
             raise ValueError("accepting locations must be declared")
+        for label in set(self.initial.values()) | {e.label for e in self.edges}:
+            if not is_propositional(label) or not atoms_of(label) <= self.atoms:
+                raise ValueError(f"label {format_formula(label)} is not "
+                                 f"propositional over the automaton's atoms")
         clock_set = set(self.clocks)
         for loc in self.locations:
             self.invariants.setdefault(loc, TRUE)
-            if loc not in self.labels:
-                raise ValueError(f"location {loc} has no label")
-            if not frozenset(self.labels[loc]) <= self.atoms:
-                raise ValueError(f"label of {loc} uses undeclared atoms")
-            self.labels[loc] = frozenset(self.labels[loc])
             if not {c.clock for c in comparisons(self.invariants[loc])} <= clock_set:
                 raise ValueError(f"invariant of {loc} uses undeclared clocks")
         for edge in self.edges:
@@ -331,14 +345,12 @@ class TimedBuchiAutomaton:
                 raise ValueError(f"edge uses undeclared clocks: {edge}")
         self.edges = tuple(sorted(
             self.edges, key=lambda e: (e.source, e.target, format_constraint(e.guard),
-                                       tuple(sorted(e.resets)))))
+                                       tuple(sorted(e.resets)),
+                                       format_formula(e.label))))
         by_source: dict[str, list[Edge]] = {loc: [] for loc in self.locations}
         for edge in self.edges:
             by_source[edge.source].append(edge)
         self._edges_from = {loc: tuple(edges) for loc, edges in by_source.items()}
-
-    def label_of(self, location: str) -> frozenset[str]:
-        return self.labels[location]
 
     def edges_from(self, location: str) -> tuple[Edge, ...]:
         return self._edges_from[location]
@@ -366,19 +378,18 @@ class TimedBuchiAutomaton:
             invariants={loc: scale_constraint(inv, factor)
                         for loc, inv in self.invariants.items()},
             edges=tuple(Edge(e.source, scale_constraint(e.guard, factor),
-                             e.resets, e.target) for e in self.edges),
+                             e.resets, e.target, e.label) for e in self.edges),
             accepting=self.accepting,
             atoms=self.atoms,
-            labels=dict(self.labels),
         )
 
     def initial_locations(self, letter: frozenset[str]) -> tuple[str, ...]:
-        """The initial locations labelled ``letter`` whose invariant admits
-        the zero valuation, in name order."""
+        """The initial locations whose label holds on ``letter`` and whose
+        invariant admits the zero valuation, in name order."""
         zero = self.zero_valuation()
         out = []
         for location in sorted(self.initial):
-            if self.labels[location] != letter:
+            if not evaluate_propositional(self.initial[location], letter):
                 continue
             check = self._check(self.invariants[location])
             if check is None or check(zero):
@@ -388,15 +399,18 @@ class TimedBuchiAutomaton:
     def step(self, location: str, valuation: tuple, elapse, letter: frozenset[str],
              cmax) -> list:
         """The ``(target, landed valuation)`` pairs, in edge order, of the
-        step out of ``location`` into a location labelled ``letter`` after
-        ``elapse`` time units, as the module describes it; ``cmax`` is at
-        least :meth:`cmax`."""
+        step out of ``location`` on edges whose label holds on ``letter``
+        after ``elapse`` time units, as the module describes it; ``cmax`` is
+        at least :meth:`cmax`."""
         table = self._step_tables.get(location)
         if table is None:
-            table = self._step_tables[location] = self._step_table(location)
+            table = self._step_tables[location] = (
+                self._check(self.invariants[location]), {})
         invariant, by_letter = table
         edges = by_letter.get(letter)
         if edges is None:
+            edges = by_letter[letter] = self._edges_reading(location, letter)
+        if not edges:
             return []
         elapsed = tuple([value + elapse for value in valuation])
         if invariant is not None and not invariant(elapsed):
@@ -415,18 +429,16 @@ class TimedBuchiAutomaton:
                 out.append((target, landed))
         return out
 
-    def _step_table(self, location: str):
-        """The compiled invariant of ``location`` and, per target letter,
-        its edges as (target, guard, reset slots, target invariant)."""
+    def _edges_reading(self, location: str, letter: frozenset[str]) -> tuple:
+        """The edges out of ``location`` whose label holds on ``letter``, as
+        (target, guard, reset slots, target invariant)."""
         slot = {clock: i for i, clock in enumerate(self.clocks)}
-        by_letter: dict = {}
-        for edge in self._edges_from[location]:
-            by_letter.setdefault(self.labels[edge.target], []).append((
-                edge.target, self._check(edge.guard),
-                frozenset(slot[clock] for clock in edge.resets),
-                self._check(self.invariants[edge.target])))
-        return (self._check(self.invariants[location]),
-                {letter: tuple(edges) for letter, edges in by_letter.items()})
+        return tuple(
+            (edge.target, self._check(edge.guard),
+             frozenset(slot[clock] for clock in edge.resets),
+             self._check(self.invariants[edge.target]))
+            for edge in self._edges_from[location]
+            if evaluate_propositional(edge.label, letter))
 
     def _check(self, constraint: ClockConstraint) -> Optional[Callable]:
         if constraint not in self._checks:
@@ -437,22 +449,23 @@ class TimedBuchiAutomaton:
 # --- JSON external format -------------------------------------------------
 
 def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
+    def location(loc: str) -> dict:
+        entry = {"name": loc,
+                 "invariant": format_constraint(automaton.invariants[loc]),
+                 "accepting": loc in automaton.accepting}
+        if loc in automaton.initial:
+            entry["initial"] = format_formula(automaton.initial[loc])
+        return entry
+
     return {
         "clocks": list(automaton.clocks),
-        "locations": [
-            {
-                "name": loc,
-                "label": sorted(automaton.labels[loc]),
-                "invariant": format_constraint(automaton.invariants[loc]),
-                "accepting": loc in automaton.accepting,
-                "initial": loc in automaton.initial,
-            }
-            for loc in automaton.locations
-        ],
+        "atoms": sorted(automaton.atoms),
+        "locations": [location(loc) for loc in automaton.locations],
         "edges": [
             {
                 "from": edge.source,
                 "to": edge.target,
+                "label": format_formula(edge.label),
                 "guard": format_constraint(edge.guard),
                 "resets": sorted(edge.resets),
             }
@@ -462,193 +475,173 @@ def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
 
 
 def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
+    """An automaton from its JSON form; an error names the field.
+
+    A location's ``initial`` is the label read at position 0.  Files
+    written before edges carried labels give a location the exact letter
+    read in it, as a ``label`` list of atoms, and a boolean ``initial``:
+    that letter becomes the label of every edge into the location and of
+    its initial entry.  Without ``atoms`` the alphabet is every atom the
+    labels name."""
     def constraint(entry: dict, key: str, where: str) -> ClockConstraint:
         try:
             return parse_constraint(entry.get(key, "true"))
         except ValueError as exc:
             raise ValueError(f"{where}.{key}: {exc}") from exc
 
-    locations = []
-    labels = {}
-    invariants = {}
-    initial = set()
-    accepting = set()
-    atoms: set[str] = set()
+    named = {}  # field -> the atoms its label names
+
+    def label(entry: dict, key: str, where: str) -> Formula:
+        text = entry.get(key, "true")
+        if text is True:
+            return TRUE_LABEL
+        try:
+            formula = parse_formula(text)
+        except MitlError as exc:
+            raise ValueError(f"{where}.{key}: {exc}") from exc
+        if not is_propositional(formula):
+            raise ValueError(f"{where}.{key}: {text!r} is not propositional")
+        named[f"{where}.{key}"] = atoms_of(formula)
+        return formula
+
+    letters = {}  # location of an old file -> the exact letter read there
     for i, entry in enumerate(data["locations"]):
-        name = entry["name"]
-        locations.append(name)
-        labels[name] = frozenset(entry.get("label", []))
-        atoms |= labels[name]
-        invariants[name] = constraint(entry, "invariant", f"locations[{i}]")
-        if entry.get("initial"):
-            initial.add(name)
-        if entry.get("accepting"):
-            accepting.add(name)
+        if "label" in entry:
+            letters[entry["name"]] = named[f"locations[{i}].label"] = \
+                frozenset(entry["label"])
+    initial = {entry["name"]: label(entry, "initial", f"locations[{i}]")
+               for i, entry in enumerate(data["locations"])
+               if entry.get("initial")}
+    edge_labels = [label(entry, "label", f"edges[{i}]")
+                   for i, entry in enumerate(data["edges"])]
+    atoms = frozenset(data["atoms"] if "atoms" in data
+                      else frozenset().union(*named.values()))
+    for where, used in named.items():
+        if not used <= atoms:
+            raise ValueError(f"{where}: atoms {sorted(used - atoms)} are not "
+                             f"in the file's atoms")
+    exact = {name: label_and(*(Atom(a) if a in letter else Not(Atom(a))
+                               for a in sorted(atoms)))
+             for name, letter in letters.items()}
+    invariants = {entry["name"]: constraint(entry, "invariant", f"locations[{i}]")
+                  for i, entry in enumerate(data["locations"])}
     edges = tuple(
         Edge(source=entry["from"],
              guard=constraint(entry, "guard", f"edges[{i}]"),
              resets=frozenset(entry.get("resets", [])),
-             target=entry["to"])
-        for i, entry in enumerate(data["edges"])
+             target=entry["to"],
+             label=label_and(edge_label, exact.get(entry["to"], TRUE_LABEL)))
+        for i, (entry, edge_label) in enumerate(zip(data["edges"], edge_labels))
     )
     return TimedBuchiAutomaton(
-        locations=tuple(locations),
-        initial=frozenset(initial),
+        locations=tuple(invariants),
+        initial={name: label_and(initial_label, exact.get(name, TRUE_LABEL))
+                 for name, initial_label in initial.items()},
         clocks=tuple(data.get("clocks", [])),
         invariants=invariants,
         edges=edges,
-        accepting=frozenset(accepting),
-        atoms=frozenset(data.get("atoms", sorted(atoms))),
-        labels=labels,
+        accepting=frozenset(entry["name"] for entry in data["locations"]
+                            if entry.get("accepting")),
+        atoms=atoms,
     )
 
 
 # --- translation of the supported fragment --------------------------------
 
-def _letters(atoms: frozenset[str]):
-    """All subsets of the alphabet, in a fixed order."""
-    ordered = sorted(atoms)
-    out = []
-    for r in range(len(ordered) + 1):
-        for combo in itertools.combinations(ordered, r):
-            out.append(frozenset(combo))
-    return out
-
-
-def _letter_name(letter: frozenset[str]) -> str:
-    return "+".join(sorted(letter)) if letter else "none"
-
-
-def _satisfying_letters(beta: Formula, letters):
-    return [s for s in letters if evaluate_propositional(beta, s)]
-
-
 class _Builder:
     def __init__(self, atoms: frozenset[str]):
         self.atoms = frozenset(atoms)
-        self.letters = _letters(self.atoms)
-        self.locations: list[str] = []
-        self.labels: dict[str, frozenset[str]] = {}
-        self.invariants: dict = {}
-        self.initial: set[str] = set()
+        self.invariants: dict = {}  # location -> invariant, in order
+        self.initial: dict = {}
         self.accepting: set[str] = set()
         self.edges: list[Edge] = []
         self.clocks: list[str] = []
 
-    def location(self, control: str, letter: frozenset[str], *, initial=False,
+    def location(self, name: str, *, initial: Optional[Formula] = None,
                  accepting=False, invariant=TRUE) -> str:
-        name = f"{control}[{_letter_name(letter)}]"
-        if name not in self.labels:
-            self.locations.append(name)
-            self.labels[name] = letter
-            self.invariants[name] = invariant
-        if initial:
-            self.initial.add(name)
+        """A control state; ``initial`` is its label at position 0."""
+        self.invariants[name] = invariant
+        if initial is not None:
+            self.initial[name] = initial
         if accepting:
             self.accepting.add(name)
         return name
 
-    def connect(self, sources, targets, guard=TRUE, resets=()):
-        for src in sources:
-            for dst in targets:
-                self.edges.append(Edge(src, guard, frozenset(resets), dst))
+    def connect(self, source: str, target: str, label=TRUE_LABEL, guard=TRUE,
+                resets=()):
+        self.edges.append(Edge(source, guard, frozenset(resets), target, label))
 
     def build(self) -> TimedBuchiAutomaton:
         return TimedBuchiAutomaton(
-            locations=tuple(self.locations),
-            initial=frozenset(self.initial),
+            locations=tuple(self.invariants),
+            initial=self.initial,
             clocks=tuple(self.clocks),
             invariants=self.invariants,
             edges=tuple(self.edges),
             accepting=frozenset(self.accepting),
             atoms=self.atoms,
-            labels=self.labels,
         )
 
 
 def universal_tba(atoms) -> TimedBuchiAutomaton:
     """Accepts every timed word over the alphabet."""
     b = _Builder(frozenset(atoms))
-    locs = [b.location("any", s, initial=True, accepting=True) for s in b.letters]
-    b.connect(locs, locs)
+    any_ = b.location("any", initial=TRUE_LABEL, accepting=True)
+    b.connect(any_, any_)
     return b.build()
 
 
 def empty_tba(atoms) -> TimedBuchiAutomaton:
     """Accepts no timed word: complete but with an empty accepting set."""
     b = _Builder(frozenset(atoms))
-    locs = [b.location("dead", s, initial=True) for s in b.letters]
-    b.connect(locs, locs)
+    dead = b.location("dead", initial=TRUE_LABEL)
+    b.connect(dead, dead)
     return b.build()
 
 
 def _translate_propositional(beta: Formula, b: _Builder) -> None:
-    good = _satisfying_letters(beta, b.letters)
-    rest = [b.location("rest", s, accepting=True) for s in b.letters]
-    starts = []
-    for s in b.letters:
-        loc = b.location("start", s, initial=True)
-        if s in good:
-            b.accepting.add(loc)
-            starts.append(loc)
-    b.connect(starts, rest)
+    start = b.location("start", initial=beta, accepting=True)
+    rest = b.location("rest", accepting=True)
+    b.connect(start, rest)
     b.connect(rest, rest)
 
 
 def _translate_eventually(interval, beta, b: _Builder) -> None:
     b.clocks.append("x")
-    good = _satisfying_letters(beta, b.letters)
-    wait = [b.location("wait", s, initial=True) for s in b.letters]
-    done = [b.location("done", s, accepting=True) for s in b.letters]
-    hits = [b.location("done", s) for s in good]
+    wait = b.location("wait", initial=TRUE_LABEL)
+    done = b.location("done", accepting=True,
+                      initial=beta if interval.contains(Fraction(0)) else None)
     b.connect(wait, wait)
-    b.connect(wait, hits, guard=interval_guard("x", interval))
+    b.connect(wait, done, beta, guard=interval_guard("x", interval))
     b.connect(done, done)
-    if interval.contains(Fraction(0)):
-        for s in good:
-            b.initial.add(b.location("done", s))
 
 
 def _translate_always(interval, beta, b: _Builder) -> None:
     b.clocks.append("x")
-    good = set(_satisfying_letters(beta, b.letters))
-    locs = [b.location("hold", s, accepting=True) for s in b.letters]
-    inside = interval_guard("x", interval)
-    outside = outside_interval_guard("x", interval)
-    good_locs = [b.location("hold", s) for s in b.letters if s in good]
-    b.connect(locs, good_locs, guard=inside)
-    b.connect(locs, locs, guard=outside)
-    for s in b.letters:
-        if s in good or not interval.contains(Fraction(0)):
-            b.initial.add(b.location("hold", s))
+    hold = b.location("hold", accepting=True, initial=(
+        beta if interval.contains(Fraction(0)) else TRUE_LABEL))
+    b.connect(hold, hold, beta, guard=interval_guard("x", interval))
+    b.connect(hold, hold, guard=outside_interval_guard("x", interval))
 
 
 def _translate_next(interval, beta, b: _Builder) -> None:
     b.clocks.append("x")
-    good = _satisfying_letters(beta, b.letters)
-    first = [b.location("first", s, initial=True) for s in b.letters]
-    second = [b.location("second", s, accepting=True) for s in good]
-    rest = [b.location("rest", s, accepting=True) for s in b.letters]
-    b.connect(first, second, guard=interval_guard("x", interval))
+    first = b.location("first", initial=TRUE_LABEL)
+    second = b.location("second", accepting=True)
+    rest = b.location("rest", accepting=True)
+    b.connect(first, second, beta, guard=interval_guard("x", interval))
     b.connect(second, rest)
     b.connect(rest, rest)
 
 
 def _translate_until(interval, left, right, b: _Builder) -> None:
     b.clocks.append("x")
-    holds = _satisfying_letters(left, b.letters)
-    goals = _satisfying_letters(right, b.letters)
-    wait = [b.location("wait", s) for s in holds]
-    done = [b.location("done", s, accepting=True) for s in b.letters]
-    for s in holds:
-        b.initial.add(b.location("wait", s))
-    b.connect(wait, wait)
-    b.connect(wait, [b.location("done", s) for s in goals],
-              guard=interval_guard("x", interval))
+    wait = b.location("wait", initial=left)
+    done = b.location("done", accepting=True,
+                      initial=right if interval.contains(Fraction(0)) else None)
+    b.connect(wait, wait, left)
+    b.connect(wait, done, right, guard=interval_guard("x", interval))
     b.connect(done, done)
-    if interval.contains(Fraction(0)):
-        for s in goals:
-            b.initial.add(b.location("done", s))
 
 
 def _translate_recurrence(interval, beta, b: _Builder) -> None:
@@ -659,40 +652,28 @@ def _translate_recurrence(interval, beta, b: _Builder) -> None:
     locations may only be entered while a beta could still arrive in time.
     """
     b.clocks.append("x")
-    good = set(_satisfying_letters(beta, b.letters))
     upper_ok = (interval_guard("x", TimeInterval(Fraction(0), interval.upper,
                                                  True, interval.upper_closed))
                 if interval.upper is not INFINITY else TRUE)
-    wait_inv = upper_ok
-    wait = [b.location("wait", s, initial=True, invariant=wait_inv)
-            for s in b.letters if s not in good]
-    hit = [b.location("hit", s, initial=True, accepting=True)
-           for s in b.letters if s in good]
-    b.connect(wait, wait)
-    b.connect(wait, hit, guard=upper_ok)
-    b.connect(hit, wait, resets=("x",))
-    b.connect(hit, hit, resets=("x",))
+    wait = b.location("wait", initial=Not(beta), invariant=upper_ok)
+    hit = b.location("hit", initial=beta, accepting=True)
+    b.connect(wait, wait, Not(beta))
+    b.connect(wait, hit, beta, guard=upper_ok)
+    b.connect(hit, wait, Not(beta), resets=("x",))
+    b.connect(hit, hit, beta, resets=("x",))
 
 
 def _translate_response(window, beta, b: _Builder) -> None:
     """G(beta -> X G[0,c] !beta): once beta holds, it may not hold again
     until the window measured from that position has passed."""
     b.clocks.append("x")
-    good = set(_satisfying_letters(beta, b.letters))
-    quiet = [b.location("quiet", s, initial=True, accepting=True)
-             for s in b.letters if s not in good]
-    seen_trigger = [b.location("windowed", s, accepting=True)
-                    for s in b.letters if s in good]
-    seen_quiet = [b.location("windowed", s, accepting=True)
-                  for s in b.letters if s not in good]
-    for s in b.letters:
-        if s in good:
-            b.initial.add(b.location("windowed", s))
-    allow = outside_interval_guard("x", window)
-    b.connect(quiet, quiet)
-    b.connect(quiet, seen_trigger, resets=("x",))
-    b.connect(seen_quiet + seen_trigger, seen_quiet)
-    b.connect(seen_quiet + seen_trigger, seen_trigger, guard=allow, resets=("x",))
+    quiet = b.location("quiet", initial=Not(beta), accepting=True)
+    windowed = b.location("windowed", initial=beta, accepting=True)
+    b.connect(quiet, quiet, Not(beta))
+    b.connect(quiet, windowed, beta, resets=("x",))
+    b.connect(windowed, windowed, Not(beta))
+    b.connect(windowed, windowed, beta, guard=outside_interval_guard("x", window),
+              resets=("x",))
 
 
 def _is_zero_based(interval: TimeInterval) -> bool:
@@ -779,14 +760,9 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
     Combined locations are (location of a, location of b, flag); the flag
     alternates between waiting for an accepting visit of ``a`` (flag 1) and
     of ``b`` (flag 2), and acceptance is flag 1 at an accepting location of
-    ``a``.  Labels are compared on the union alphabet, so the two labels of
-    a compatible pair must agree on shared atoms.
+    ``a``.  A combined edge or initial location reads the conjunction of
+    the two labels.
     """
-    atoms = a.atoms | b.atoms
-
-    def compatible(la: str, lb: str) -> bool:
-        return a.labels[la] & b.atoms == b.labels[lb] & a.atoms
-
     def clock_a(name: str) -> str:
         return f"a_{name}"
 
@@ -801,21 +777,18 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
         return f"{la}|{lb}|{flag}"
 
     locations = []
-    labels = {}
     invariants = {}
-    initial = set()
+    initial = {}
     accepting = set()
-    pairs = [(la, lb) for la in a.locations for lb in b.locations
-             if compatible(la, lb)]
+    pairs = [(la, lb) for la in a.locations for lb in b.locations]
     for la, lb in pairs:
         for flag in (1, 2):
             loc = name(la, lb, flag)
             locations.append(loc)
-            labels[loc] = a.labels[la] | b.labels[lb]
             invariants[loc] = constraint_and(rename(a.invariants[la], clock_a),
                                              rename(b.invariants[lb], clock_b))
             if la in a.initial and lb in b.initial and flag == 1:
-                initial.add(loc)
+                initial[loc] = label_and(a.initial[la], b.initial[lb])
             if flag == 1 and la in a.accepting:
                 accepting.add(loc)
 
@@ -828,26 +801,24 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
     for la, lb in pairs:
         for ea in a.edges_from(la):
             for eb in b.edges_from(lb):
-                if not compatible(ea.target, eb.target):
-                    continue
                 guard = constraint_and(rename(ea.guard, clock_a),
                                        rename(eb.guard, clock_b))
                 resets = frozenset(clock_a(c) for c in ea.resets) | frozenset(
                     clock_b(c) for c in eb.resets)
+                label = label_and(ea.label, eb.label)
                 for flag in (1, 2):
                     edges.append(Edge(name(la, lb, flag), guard, resets,
                                       name(ea.target, eb.target,
-                                           next_flag(flag, la, lb))))
+                                           next_flag(flag, la, lb)), label))
     return TimedBuchiAutomaton(
         locations=tuple(locations),
-        initial=frozenset(initial),
+        initial=initial,
         clocks=tuple(clock_a(c) for c in a.clocks) + tuple(clock_b(c)
                                                            for c in b.clocks),
         invariants=invariants,
         edges=tuple(edges),
         accepting=frozenset(accepting),
-        atoms=atoms,
-        labels=labels,
+        atoms=a.atoms | b.atoms,
     )
 
 

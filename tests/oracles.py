@@ -241,17 +241,26 @@ def evaluate_constraint(constraint, valuation) -> bool:
     raise TypeError(f"not a clock constraint: {constraint!r}")
 
 
+def label_holds(label, letter) -> bool:
+    """A propositional ``label`` on ``letter``, by the brute force on the
+    one-position word that reads it."""
+    word = LassoTimedWord(prefix=(), cycle=((frozenset(letter), Fraction(0)),),
+                          period=Fraction(1))
+    return brute_force_evaluate(word, 0, label)
+
+
 def reference_step(automaton, location, valuation, elapse, letter, cmax):
     """The ``(target, landed valuation)`` pairs of one step, in edge order:
-    elapse, source invariant, target letter, guard, resets, saturation of
-    clocks above ``cmax`` at ``cmax + 1``, target invariant."""
+    elapse, source invariant, edge label on the target letter, guard,
+    resets, saturation of clocks above ``cmax`` at ``cmax + 1``, target
+    invariant."""
     elapsed = {clock: value + elapse
                for clock, value in zip(automaton.clocks, valuation)}
     if not evaluate_constraint(automaton.invariants[location], elapsed):
         return []
     out = []
     for edge in automaton.edges:
-        if edge.source != location or automaton.labels[edge.target] != letter:
+        if edge.source != location or not label_holds(edge.label, letter):
             continue
         if not evaluate_constraint(edge.guard, elapsed):
             continue
@@ -279,24 +288,42 @@ def random_clock_constraint(rng: random.Random, clocks, depth=2, max_const=4):
     return TRUE
 
 
+def exact_letter(letter, atoms):
+    """The label that holds on ``letter`` alone among the subsets of
+    ``atoms``."""
+    out = TrueFormula()
+    for atom in sorted(atoms):
+        literal = Atom(atom) if atom in letter else Not(Atom(atom))
+        out = literal if isinstance(out, TrueFormula) else And(out, literal)
+    return out
+
+
 def random_automaton(rng: random.Random, letters, clocks=("x", "y"), size=4):
-    """Random invariants, guards and resets over two clocks, unlike the
-    translator's fixed shapes."""
+    """Random invariants, guards, resets and edge labels over two clocks,
+    unlike the translator's fixed shapes; a label is a random propositional
+    formula or the exact label of one letter."""
     from mitlplan.tba import TRUE, Edge, TimedBuchiAutomaton
+
+    atoms = frozenset().union(*letters)
+
+    def label():
+        if rng.random() < 0.5:
+            return random_propositional(rng, atoms)
+        return exact_letter(rng.choice(letters), atoms)
 
     locations = [f"l{i}" for i in range(size)]
     edges = tuple(
         Edge(source, random_clock_constraint(rng, clocks),
-             frozenset(c for c in clocks if rng.random() < 0.3), target)
+             frozenset(c for c in clocks if rng.random() < 0.3), target,
+             label())
         for source in locations for target in locations if rng.random() < 0.6)
     return TimedBuchiAutomaton(
-        locations=tuple(locations), initial=frozenset({locations[0]}),
+        locations=tuple(locations), initial={locations[0]: label()},
         clocks=tuple(clocks),
         invariants={loc: random_clock_constraint(rng, clocks)
                     if rng.random() < 0.5 else TRUE for loc in locations},
         edges=edges, accepting=frozenset({rng.choice(locations)}),
-        atoms=frozenset().union(*letters),
-        labels={loc: rng.choice(letters) for loc in locations})
+        atoms=atoms)
 
 
 # --- Buchi emptiness by SCC decomposition --------------------------------

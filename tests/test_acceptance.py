@@ -125,6 +125,10 @@ class TestCriterion3GridCaseStudy:
         explored = (plan["statistics"]["globalLayer"]["states"]
                     + plan["statistics"]["teamLayer"]["states"])
         assert explored < 5_000_000
+        # byte for byte the artifacts this fixture has always produced
+        for name in ("plan.json", "trace.csv"):
+            assert (tmp_path / name).read_bytes() == (
+                FIXTURES / "expected" / "grid_meet" / name).read_bytes(), name
         assert elapsed < 60.0
         report(3, f"grid case study solved in {elapsed:.1f}s, "
                   f"{explored} product states")

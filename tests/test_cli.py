@@ -35,6 +35,25 @@ class TestTranslateCommand:
             cycle=((frozenset(), Q(7)),), period=Q(1))
         assert accepts_lasso(automaton, word)
 
+    @pytest.mark.parametrize("formula, sizes", [
+        ("F[<=5] !a & G[<=9] b", (4, 12)),
+        ("G F[<=3] c & G(d -> X G[<=4] !d) & (e U[<=6] !f)", (32, 192)),
+    ])
+    def test_conjunctions_load_back_edge_for_edge(self, tmp_path, formula,
+                                                  sizes):
+        # the shapes of the translate benchmark, over six atoms
+        from mitlplan.mitl import parse_formula
+        from mitlplan.tba import tba_from_dict, translate_mitl
+        out = tmp_path / "conjunction.json"
+        assert main(["translate", formula, "--alphabet", "a,b,c,d,e,f",
+                     "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        automaton = tba_from_dict(data)
+        assert (len(automaton.locations), len(automaton.edges)) == (
+            len(data["locations"]), len(data["edges"])) == sizes
+        assert automaton.edges == translate_mitl(
+            parse_formula(formula), alphabet=set("abcdef")).edges
+
     def test_propositional_formula_is_clock_free(self, capsys):
         assert main(["translate", "p & q"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -190,6 +209,24 @@ class TestPlanCommand:
                    (tuple(e) for e in data["collective"]["word"]["prefix"]
                     + data["collective"]["word"]["cycle"])]
         assert any({"green", "red"} <= s for s in letters)
+        expected = FIXTURES / "expected" / "two_agent_chain_plan"
+        for name in ("plan.json", "trace.csv"):
+            assert (tmp_path / name).read_bytes() == \
+                (expected / name).read_bytes(), name
+
+    def test_an_old_automaton_file_plans_as_its_formula(self, tmp_path):
+        # the fixture is translate's output of the team formula from when
+        # every location carried the exact letter read there
+        data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
+        assert data["global"] == {"formula": "F (green & red)"}
+        data["global"] = {"tba": fixture("old_format_team_goal.json")}
+        problem = write_json(tmp_path / "old.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        expected = json.loads((FIXTURES / "expected" / "two_agent_chain_plan"
+                               / "plan.json").read_text())
+        for key in ("agents", "collective", "statistics"):
+            assert plan[key] == expected[key], key
 
     def test_malformed_interval_exits_3(self, tmp_path, capsys):
         data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
@@ -393,6 +430,16 @@ class TestMalformedAutomatonFiles:
         problem = self.problem(tmp_path, scope, GOOD_TBA)
         assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("scope", ["agent", "global"])
+    def test_a_file_with_edge_labels_plans(self, tmp_path, scope):
+        labelled = {"clocks": ["x"], "atoms": [],
+                    "locations": [{"name": "l", "initial": "true",
+                                   "accepting": True}],
+                    "edges": [{"from": "l", "to": "l", "label": "!false",
+                               "guard": "x <= 1", "resets": ["x"]}]}
+        problem = self.problem(tmp_path, scope, labelled)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("scope, automaton, names", [
         ("agent", {"clocks": []}, "agents[0].tba: locations: missing"),
         ("agent", {"locations": GOOD_TBA["locations"]},
@@ -410,6 +457,24 @@ class TestMalformedAutomatonFiles:
         ("agent", {**GOOD_TBA, "locations": [
             {**GOOD_TBA["locations"][0], "accepting": "yes"}]},
          "agents[0].tba: locations[0].accepting: expected true or false"),
+        ("global", with_edges({"label": 1}),
+         "global.tba: edges[0].label: expected a string"),
+        ("global", with_edges({"label": "(hot"}),
+         "global.tba: edges[0].label: "),
+        ("agent", with_edges({}, {"label": "F[<=2] true"}),
+         "agents[0].tba: edges[1].label: 'F[<=2] true' is not propositional"),
+        ("global", {**with_edges({"label": "hot"}), "atoms": []},
+         "global.tba: edges[0].label: atoms ['hot'] are not in the file's atoms"),
+        ("agent", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "initial": "X true"}]},
+         "agents[0].tba: locations[0].initial: 'X true' is not propositional"),
+        ("agent", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "initial": 1}]},
+         "agents[0].tba: locations[0].initial: expected a label, true or false"),
+        ("global", {**GOOD_TBA, "atoms": [], "locations": [
+            {**GOOD_TBA["locations"][0], "label": ["hot"]}]},
+         "global.tba: locations[0].label: atoms ['hot'] are not in the "
+         "file's atoms"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):

@@ -121,7 +121,7 @@ class TestAutomatonModel:
         assert again.accepting == automaton.accepting
         assert again.clocks == automaton.clocks
         assert again.edges == automaton.edges
-        assert again.labels == automaton.labels
+        assert again.atoms == automaton.atoms
 
     def test_cmax(self):
         automaton = translate_mitl(parse_formula("F[1/2,6] p"))
@@ -130,10 +130,9 @@ class TestAutomatonModel:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TimedBuchiAutomaton(locations=("a",), initial=frozenset(),
+            TimedBuchiAutomaton(locations=("a",), initial={},
                                 clocks=(), invariants={}, edges=(),
-                                accepting=frozenset(), atoms=frozenset(),
-                                labels={"a": frozenset()})
+                                accepting=frozenset(), atoms=frozenset())
 
 
 class TestTranslate:
@@ -170,6 +169,16 @@ class TestTranslate:
         assert "formula" in info.value.path
         with pytest.raises(UnsupportedFragmentError):
             translate_mitl(parse_formula("G[1,5] F[0,2] p"))  # window not from 0
+
+    def test_size_does_not_grow_with_the_alphabet(self):
+        six = {"recharge1", "recharge2", "meet1A", "meet1B", "meet2A", "meet2B"}
+        alone = translate_mitl(parse_formula("F[<=30] p"), alphabet={"p"})
+        among_six = translate_mitl(parse_formula("F[<=30] p"),
+                                   alphabet=set("pqrstu"))
+        team = translate_mitl(parse_formula(
+            "F[<=30] ((meet1A & meet2A) | (meet1B & meet2B))"), alphabet=six)
+        for automaton in (alone, among_six, team):
+            assert (len(automaton.locations), len(automaton.edges)) == (2, 3)
 
     def test_alphabet_extension(self):
         automaton = translate_mitl(parse_formula("F[0,6] p"),
