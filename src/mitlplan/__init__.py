@@ -14,6 +14,6 @@ from .wts import (CollectiveRun, ModelValidationError, RunValidationError,
                   collective_word_of, grid_system, timed_word_of)
 from .product import GlobalProduct, LocalProduct, TeamProduct
 from .search import (AcceptingLasso, ExplorationLimitError, PlanBundle,
-                     ProductStack, find_accepting_lasso, project_plan)
+                     find_accepting_lasso, project_plan)
 
 __version__ = "0.1.0"

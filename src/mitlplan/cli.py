@@ -23,8 +23,8 @@ from typing import Optional
 from .core import denominator_lcm, format_rational, parse_rational
 from .mitl import (Formula, MitlError, PunctualIntervalError, atoms_of,
                    first_violation, format_formula, parse_formula)
-from .search import (ExplorationLimitError, PlanBundle, ProductStack,
-                     find_accepting_lasso, project_plan)
+from .search import (ExplorationLimitError, PlanBundle, find_accepting_lasso,
+                     project_plan)
 from .tba import (TimedBuchiAutomaton, UnsupportedFragmentError,
                   tba_from_dict, tba_to_dict, translate_mitl)
 from .product import GlobalProduct, LocalProduct, TeamProduct
@@ -168,7 +168,6 @@ class AgentSpec:
     name: str
     system: WeightedTransitionSystem
     formula: Optional[Formula]
-    formula_text: Optional[str]
     automaton: TimedBuchiAutomaton
 
 
@@ -176,14 +175,16 @@ class AgentSpec:
 class PlanningProblem:
     agents: tuple
     global_formula: Optional[Formula]
-    global_formula_text: Optional[str]
     global_automaton: TimedBuchiAutomaton
     state_budget: int
 
 
 def load_model(path: Path) -> dict:
     """Agent name -> transition system, from a model or problem file."""
-    data = _load_json(path)
+    return _systems_of(_load_json(path), path)
+
+
+def _systems_of(data, path: Path) -> dict:
     _check_model_file(data)
     out = {}
     for entry in data["agents"]:
@@ -226,35 +227,50 @@ def _load_automaton(path: Path, where: str) -> TimedBuchiAutomaton:
         raise InputError(f"{where}: {exc}") from exc
 
 
-def _load_agent_automaton(entry: dict, system: WeightedTransitionSystem,
-                          base: Path, where: str):
-    formula = None
+# how _load_specification words its failures for an agent and for the team:
+# formula atoms outside the alphabet, an automaton over another alphabet,
+# neither a formula nor an automaton file
+_AGENT_ERRORS = (
+    "agent {name}: formula atoms {found} are not in the agent's alphabet",
+    "agent {name}: automaton alphabet {found} must equal the agent's "
+    "alphabet {atoms}",
+    "agent {name}: needs a formula or a tba file")
+_TEAM_ERRORS = (
+    "team formula atoms {found} are not in any agent's alphabet",
+    "team automaton alphabet must equal the union of agent alphabets",
+    "a global formula or tba is required")
+
+
+def _load_specification(entry: dict, atoms: frozenset, base: Path,
+                        where: str, errors: tuple):
+    """The formula, or ``None``, and the automaton of an agent or of the
+    team: the entry's formula, over ``atoms`` and translated, or else its
+    automaton file, whose alphabet must be ``atoms``."""
+
+    def error(which: int, found=None) -> InputError:
+        return InputError(errors[which].format(
+            name=entry.get("name"), found=found, atoms=sorted(atoms)))
+
     text = entry.get("formula")
     if text is not None:
         formula = parse_formula(text)
-        unknown = atoms_of(formula) - system.atoms
+        unknown = atoms_of(formula) - atoms
         if unknown:
-            raise InputError(
-                f"agent {entry['name']}: formula atoms {sorted(unknown)} are "
-                f"not in the agent's alphabet")
-        automaton = translate_mitl(formula, alphabet=system.atoms)
-        return formula, text, automaton
+            raise error(0, sorted(unknown))
+        return formula, translate_mitl(formula, alphabet=atoms)
     if "tba" in entry:
         automaton = _load_automaton(base / entry["tba"], f"{where}.tba")
-        if automaton.atoms != system.atoms:
-            raise InputError(
-                f"agent {entry['name']}: automaton alphabet "
-                f"{sorted(automaton.atoms)} must equal the agent's alphabet "
-                f"{sorted(system.atoms)}")
-        return None, None, automaton
-    raise InputError(f"agent {entry['name']}: needs a formula or a tba file")
+        if automaton.atoms != atoms:
+            raise error(1, sorted(automaton.atoms))
+        return None, automaton
+    raise error(2)
 
 
 def load_problem(path: Path) -> PlanningProblem:
     data = _load_json(path)
     _check(data, {"global?": _TEAM, "options?": {"stateBudget?": int}}, "")
     base = path.parent
-    model = load_model(path)
+    model = _systems_of(data, path)
     agents = []
     union_atoms: set[str] = set()
     for i, entry in enumerate(data["agents"]):
@@ -265,37 +281,17 @@ def load_problem(path: Path) -> PlanningProblem:
                 f"agent alphabets must be pairwise disjoint; {sorted(overlap)} "
                 f"appears twice")
         union_atoms |= system.atoms
-        formula, text, automaton = _load_agent_automaton(
-            entry, system, base, f"agents[{i}]")
+        formula, automaton = _load_specification(
+            entry, system.atoms, base, f"agents[{i}]", _AGENT_ERRORS)
         agents.append(AgentSpec(name=entry["name"], system=system,
-                                formula=formula, formula_text=text,
-                                automaton=automaton))
-    global_entry = data.get("global", {})
-    global_formula = None
-    global_text = global_entry.get("formula")
-    if global_text is not None:
-        global_formula = parse_formula(global_text)
-        unknown = atoms_of(global_formula) - union_atoms
-        if unknown:
-            raise InputError(
-                f"team formula atoms {sorted(unknown)} are not in any agent's "
-                f"alphabet")
-        global_automaton = translate_mitl(global_formula,
-                                          alphabet=frozenset(union_atoms))
-    elif "tba" in global_entry:
-        global_automaton = _load_automaton(base / global_entry["tba"],
-                                           "global.tba")
-        if global_automaton.atoms != frozenset(union_atoms):
-            raise InputError(
-                "team automaton alphabet must equal the union of agent "
-                "alphabets")
-    else:
-        raise InputError("a global formula or tba is required")
+                                formula=formula, automaton=automaton))
+    global_formula, global_automaton = _load_specification(
+        data.get("global", {}), frozenset(union_atoms), base, "global",
+        _TEAM_ERRORS)
     options = data.get("options", {})
     return PlanningProblem(
         agents=tuple(agents),
         global_formula=global_formula,
-        global_formula_text=global_text,
         global_automaton=global_automaton,
         state_budget=_positive(options.get("stateBudget", DEFAULT_STATE_BUDGET),
                                "options.stateBudget"),
@@ -364,18 +360,7 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
         statistics = _collect_statistics(locals_, team, global_prod, 0)
         return PlanOutcome("unsatisfiable", None, statistics, tuple(notes))
 
-    stack = ProductStack(
-        agent_names=tuple(agent.name for agent in problem.agents),
-        systems=tuple(agent.system for agent in problem.agents),
-        local_formulas=tuple(agent.formula for agent in problem.agents),
-        local_automata=tuple(agent.automaton for agent in problem.agents),
-        global_formula=problem.global_formula,
-        global_automaton=problem.global_automaton,
-        local_products=tuple(locals_),
-        team_product=team,
-        global_product=global_prod,
-    )
-    bundle = project_plan(lasso, stack, rescale=factor)
+    bundle = project_plan(lasso, problem, factor)
     statistics = _collect_statistics(locals_, team, global_prod, 0)
     statistics["scalingFactor"] = factor
     return PlanOutcome("success", bundle, statistics, tuple(notes))

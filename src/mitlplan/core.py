@@ -144,14 +144,6 @@ class TimeInterval:
             return value <= self.upper
         return value < self.upper
 
-    def above_upper(self, value: Fraction) -> bool:
-        """True once ``value`` lies strictly past every point of the interval."""
-        if self.upper is INFINITY:
-            return False
-        if self.upper_closed:
-            return value > self.upper
-        return value >= self.upper
-
     @property
     def unbounded(self) -> bool:
         return self.upper is INFINITY

@@ -18,7 +18,7 @@ from .core import LassoTimedWord
 from .mitl import Formula, first_violation, format_formula
 # kept importable from here: the benchmark's tracer test reads it
 from .mitl import satisfies  # noqa: F401
-from .tba import TimedBuchiAutomaton, accepts_lasso
+from .tba import accepts_lasso
 from .wts import (CollectiveRun, TimedRun, collective_word_of,
                   timed_word_of)
 
@@ -154,21 +154,6 @@ def _assemble(path, path_index, seed, closing_steps):
 
 
 @dataclass
-class ProductStack:
-    """Everything the projection needs to peel a global lasso apart."""
-
-    agent_names: tuple
-    systems: tuple  # WeightedTransitionSystem per agent
-    local_formulas: tuple  # Formula or None per agent
-    local_automata: tuple  # TimedBuchiAutomaton per agent
-    global_formula: object  # Formula or None
-    global_automaton: TimedBuchiAutomaton
-    local_products: tuple
-    team_product: object
-    global_product: object
-
-
-@dataclass
 class FormulaVerdict:
     description: str
     satisfied: bool
@@ -195,12 +180,12 @@ class ProjectionError(Exception):
     input."""
 
 
-def project_plan(lasso: AcceptingLasso, stack: ProductStack,
-                 rescale: int = 1) -> PlanBundle:
+def project_plan(lasso: AcceptingLasso, problem, factor: int) -> PlanBundle:
     """Peel a global-product lasso into per-agent runs, rebuild all words,
-    and re-validate every formula and automaton against them.
+    and re-validate every formula and automaton of ``problem`` (a
+    ``cli.PlanningProblem``) against them.
 
-    ``rescale`` is the factor the products' durations were multiplied by;
+    ``factor`` is the one the products' durations were multiplied by;
     every stamp is divided back by it into an exact rational.
     """
     states = lasso.path_states()
@@ -211,10 +196,11 @@ def project_plan(lasso: AcceptingLasso, stack: ProductStack,
     stamps = [0]
     for w in weights:
         stamps.append(stamps[-1] + w)
-    stamps = [Fraction(t, rescale) for t in stamps]
-    period = Fraction(lasso.cycle_weight, rescale)
+    stamps = [Fraction(t, factor) for t in stamps]
+    period = Fraction(lasso.cycle_weight, factor)
 
-    n = len(stack.agent_names)
+    agents = problem.agents
+    names = tuple(agent.name for agent in agents)
     vectors = [tuple(component.region for component in ts.components)
                for ts in team_states]
 
@@ -226,7 +212,7 @@ def project_plan(lasso: AcceptingLasso, stack: ProductStack,
                                cycle=collective_cycle, period=period)
 
     runs = []
-    for k in range(n):
+    for k, name in enumerate(names):
         prefix = []
         cycle = []
         # agent k is at a state of its own run where its offset is zero,
@@ -243,33 +229,33 @@ def project_plan(lasso: AcceptingLasso, stack: ProductStack,
                 cycle.append(entry)
         if not cycle:
             raise ProjectionError(
-                f"agent {stack.agent_names[k]} never completes a transition "
-                f"inside the cycle")
+                f"agent {name} never completes a transition inside the cycle")
         runs.append(TimedRun(prefix=tuple(prefix), cycle=tuple(cycle),
                              period=period))
 
-    words = tuple(timed_word_of(stack.systems[k], runs[k]) for k in range(n))
-    collective_word = collective_word_of(stack.systems, collective)
+    words = tuple(timed_word_of(agent.system, run)
+                  for agent, run in zip(agents, runs))
+    collective_word = collective_word_of(
+        [agent.system for agent in agents], collective)
 
     verdicts = []
-    for k in range(n):
-        name = stack.agent_names[k]
-        formula = stack.local_formulas[k]
-        if formula is not None:
-            verdicts.append(_formula_verdict(f"{name}: {format_formula(formula)}",
-                                             words[k], formula))
+    for agent, word in zip(agents, words):
+        if agent.formula is not None:
+            verdicts.append(_formula_verdict(
+                f"{agent.name}: {format_formula(agent.formula)}", word,
+                agent.formula))
         verdicts.append(FormulaVerdict(
-            description=f"{name}: timed automaton membership",
-            satisfied=accepts_lasso(stack.local_automata[k], words[k])))
-    if stack.global_formula is not None:
+            description=f"{agent.name}: timed automaton membership",
+            satisfied=accepts_lasso(agent.automaton, word)))
+    if problem.global_formula is not None:
         verdicts.append(_formula_verdict(
-            f"team: {format_formula(stack.global_formula)}",
-            collective_word, stack.global_formula))
+            f"team: {format_formula(problem.global_formula)}",
+            collective_word, problem.global_formula))
     verdicts.append(FormulaVerdict(
         description="team: timed automaton membership",
-        satisfied=accepts_lasso(stack.global_automaton, collective_word)))
+        satisfied=accepts_lasso(problem.global_automaton, collective_word)))
 
-    bundle = PlanBundle(agent_names=stack.agent_names, runs=tuple(runs),
+    bundle = PlanBundle(agent_names=names, runs=tuple(runs),
                         words=words, collective_run=collective,
                         collective_word=collective_word,
                         verdicts=tuple(verdicts))

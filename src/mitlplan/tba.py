@@ -12,9 +12,11 @@ step elapses the gap to the next position, checks the source invariant,
 the edge's label on the next letter and its guard on the elapsed
 valuation, applies the resets, and checks the target invariant.
 :meth:`TimedBuchiAutomaton.step` is that step, for every product built on
-an automaton.  A clock above the automaton's largest constant ``cmax`` is
-kept at ``cmax + 1``: such a clock satisfies exactly the constraints any
-larger value does, so the products stay finite.
+an automaton; it yields each move once, in the order of the sorted edges,
+so the products never sort or deduplicate its moves.  A clock above the
+automaton's largest constant ``cmax`` is kept at ``cmax + 1``: such a clock
+satisfies exactly the constraints any larger value does, so the products
+stay finite.
 """
 
 from __future__ import annotations
@@ -398,10 +400,10 @@ class TimedBuchiAutomaton:
 
     def step(self, location: str, valuation: tuple, elapse, letter: frozenset[str],
              cmax) -> list:
-        """The ``(target, landed valuation)`` pairs, in edge order, of the
-        step out of ``location`` on edges whose label holds on ``letter``
-        after ``elapse`` time units, as the module describes it; ``cmax`` is
-        at least :meth:`cmax`."""
+        """The distinct ``(target, landed valuation)`` pairs of the step out
+        of ``location`` on edges whose label holds on ``letter`` after
+        ``elapse`` time units, as the module describes it, each at its first
+        edge in edge order; ``cmax`` is at least :meth:`cmax`."""
         table = self._step_tables.get(location)
         if table is None:
             table = self._step_tables[location] = (
@@ -426,7 +428,9 @@ class TimedBuchiAutomaton:
                 landed = tuple([0 if slot in resets else value
                                 for slot, value in enumerate(saturated)])
             if target_invariant is None or target_invariant(landed):
-                out.append((target, landed))
+                move = (target, landed)
+                if move not in out:
+                    out.append(move)
         return out
 
     def _edges_reading(self, location: str, letter: frozenset[str]) -> tuple:

@@ -33,7 +33,8 @@ class WeightedTransitionSystem:
         self.states = tuple(sorted(self.states))
         self.initial = frozenset(self.initial)
         self.atoms = frozenset(self.atoms)
-        self.transitions = tuple(sorted(self.transitions))
+        declared = set(self.transitions)
+        self.transitions = tuple(sorted(declared))
         known = set(self.states)
         if not self.initial:
             raise ModelValidationError("at least one initial state is required")
@@ -45,7 +46,7 @@ class WeightedTransitionSystem:
             if pair not in self.weights:
                 raise ModelValidationError(f"transition without weight: {pair}")
         for pair, weight in self.weights.items():
-            if pair not in set(self.transitions):
+            if pair not in declared:
                 raise ModelValidationError(f"weight for undeclared transition: {pair}")
             if weight <= 0:
                 raise ModelValidationError(
@@ -57,10 +58,11 @@ class WeightedTransitionSystem:
             if not label <= self.atoms:
                 raise ModelValidationError(f"label of {state} uses undeclared atoms")
             self.labels[state] = label
+        # sorted, each target once, as the transitions are
         out: dict[str, list] = {s: [] for s in self.states}
         for source, target in self.transitions:
             out[source].append(target)
-        self._successors = {s: tuple(sorted(ts)) for s, ts in out.items()}
+        self._successors = {s: tuple(ts) for s, ts in out.items()}
 
     def label_of(self, state: str) -> frozenset[str]:
         return self.labels[state]
@@ -128,9 +130,6 @@ class CollectiveRun(LassoSequence):
         object.__setattr__(self, "cycle", cycle)
         super().__post_init__()
 
-    def vector_at(self, index: int) -> tuple:
-        return self.payload_at(index)
-
 
 def timed_word_of(system: WeightedTransitionSystem, run: TimedRun) -> LassoTimedWord:
     """Apply the labeling pointwise; stamps carry over unchanged."""
@@ -158,13 +157,6 @@ def collective_run(runs) -> CollectiveRun:
     for run in runs:
         if run.stamp_at(0) != 0:
             raise RunValidationError("all runs must start at time zero")
-    if len(runs) == 1:
-        only = runs[0]
-        return CollectiveRun(
-            prefix=tuple(((s,), t) for s, t in only.prefix),
-            cycle=tuple(((s,), t) for s, t in only.cycle),
-            period=only.period)
-
     # per run, in integer time under one factor: the state at each position
     # of prefix + cycle, and the time to the next arrival with its position
     factor = denominator_lcm(t for run in runs for t in run.time_values())

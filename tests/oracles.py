@@ -250,10 +250,10 @@ def label_holds(label, letter) -> bool:
 
 
 def reference_step(automaton, location, valuation, elapse, letter, cmax):
-    """The ``(target, landed valuation)`` pairs of one step, in edge order:
-    elapse, source invariant, edge label on the target letter, guard,
-    resets, saturation of clocks above ``cmax`` at ``cmax + 1``, target
-    invariant."""
+    """The ``(target, landed valuation)`` pairs of one step, each listed
+    once, at its first edge in edge order: elapse, source invariant, edge
+    label on the target letter, guard, resets, saturation of clocks above
+    ``cmax`` at ``cmax + 1``, target invariant."""
     elapsed = {clock: value + elapse
                for clock, value in zip(automaton.clocks, valuation)}
     if not evaluate_constraint(automaton.invariants[location], elapsed):
@@ -267,9 +267,10 @@ def reference_step(automaton, location, valuation, elapse, letter, cmax):
         landed = {clock: 0 if clock in edge.resets
                   else value if value <= cmax else cmax + 1
                   for clock, value in elapsed.items()}
-        if evaluate_constraint(automaton.invariants[edge.target], landed):
-            out.append((edge.target,
-                        tuple(landed[clock] for clock in automaton.clocks)))
+        move = (edge.target, tuple(landed[clock] for clock in automaton.clocks))
+        if (evaluate_constraint(automaton.invariants[edge.target], landed)
+                and move not in out):
+            out.append(move)
     return out
 
 

@@ -244,12 +244,11 @@ def _self_loop_instances():
 def _pipeline_problem(systems, formulas, fg):
     agents = tuple(
         AgentSpec(name=f"agent{k}", system=system, formula=formula,
-                  formula_text=None,
                   automaton=translate_mitl(formula, alphabet=system.atoms))
         for k, (system, formula) in enumerate(zip(systems, formulas)))
     union = frozenset().union(*(system.atoms for system in systems))
     return PlanningProblem(
-        agents=agents, global_formula=fg, global_formula_text=None,
+        agents=agents, global_formula=fg,
         global_automaton=translate_mitl(fg, alphabet=union),
         state_budget=400_000)
 
@@ -369,13 +368,11 @@ class TestCriterion7ScalingInvariance:
             system = agent.system.scaled(factor)
             scaled_agents.append(AgentSpec(
                 name=agent.name, system=system, formula=formula,
-                formula_text=None,
                 automaton=translate_mitl(formula, alphabet=system.atoms)))
         union = frozenset().union(*(a.system.atoms for a in scaled_agents))
         gf = _scale_formula(base.global_formula, factor)
         doubled = PlanningProblem(
             agents=tuple(scaled_agents), global_formula=gf,
-            global_formula_text=None,
             global_automaton=translate_mitl(gf, alphabet=union),
             state_budget=base.state_budget)
         original = solve(base)

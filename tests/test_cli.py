@@ -380,6 +380,28 @@ class TestMalformedProblemFiles:
         assert "Traceback" not in err
         assert not (tmp_path / "plan.json").exists()
 
+    @pytest.mark.parametrize("data, message", [
+        (with_agent(formula="F hot"),
+         "agent solo: formula atoms ['hot'] are not in the agent's alphabet"),
+        (with_agent(atoms=["p"], formula=None, tba="goal.json"),
+         "agent solo: automaton alphabet [] must equal the agent's alphabet "
+         "['p']"),
+        (with_agent(formula=None),
+         "agent solo: needs a formula or a tba file"),
+        ({**with_agent(), "global": {"formula": "F hot"}},
+         "team formula atoms ['hot'] are not in any agent's alphabet"),
+        ({**with_agent(atoms=["p"]), "global": {"tba": "goal.json"}},
+         "team automaton alphabet must equal the union of agent alphabets"),
+        ({**with_agent(), "global": {}},
+         "a global formula or tba is required"),
+    ])
+    def test_a_specification_that_does_not_fit_exits_3(self, tmp_path, capsys,
+                                                        data, message):
+        write_json(tmp_path / "goal.json", GOOD_TBA)  # over no atoms
+        problem = write_json(tmp_path / "problem.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_a_file_that_still_sets_scale_plans(self, tmp_path):
         problem = write_json(tmp_path / "problem.json",
                              {**with_agent(), "options": {"scale": False}})

@@ -18,13 +18,12 @@ def make_problem(systems, names, formulas, global_formula, budget=1_000_000):
     for system, name, text in zip(systems, names, formulas):
         formula = parse_formula(text)
         agents.append(AgentSpec(
-            name=name, system=system, formula=formula, formula_text=text,
+            name=name, system=system, formula=formula,
             automaton=translate_mitl(formula, alphabet=system.atoms)))
     union = frozenset().union(*(s.atoms for s in systems))
     return PlanningProblem(
         agents=tuple(agents),
         global_formula=parse_formula(global_formula),
-        global_formula_text=global_formula,
         global_automaton=translate_mitl(parse_formula(global_formula),
                                         alphabet=union),
         state_budget=budget,

@@ -8,12 +8,14 @@ import pytest
 
 from mitlplan.core import LassoTimedWord
 from mitlplan.mitl import Atom, parse_formula, satisfies
-from mitlplan.tba import (AndConstraint, Compare, NotConstraint,
-                          TimedBuchiAutomaton, TrueConstraint,
+from mitlplan.product import LocalProduct, LocalState
+from mitlplan.tba import (TRUE, TRUE_LABEL, AndConstraint, Compare, Edge,
+                          NotConstraint, TimedBuchiAutomaton, TrueConstraint,
                           UnsupportedFragmentError, accepts_lasso,
                           empty_tba, format_constraint,
                           intersect, parse_constraint, tba_from_dict,
                           tba_to_dict, translate_mitl, universal_tba)
+from mitlplan.wts import WeightedTransitionSystem
 from oracles import (evaluate_constraint, random_automaton,
                      random_fragment_formula, random_lasso_word,
                      reference_step)
@@ -109,6 +111,31 @@ class TestStepKernel:
                                    for _, landed in got for value in landed)
                         compared += bool(got)
         assert compared > 400
+
+    def test_two_edges_with_one_effect_are_one_move(self):
+        # l -> m on a and on b, with the same guard and resets: the letter
+        # {a, b} enables both edges, which land in the same state
+        guard = parse_constraint("x <= 5")
+        automaton = TimedBuchiAutomaton(
+            locations=("l", "m"), initial={"l": TRUE_LABEL}, clocks=("x",),
+            invariants={},
+            edges=(Edge("l", guard, frozenset(), "m", Atom("a")),
+                   Edge("l", guard, frozenset(), "m", Atom("b")),
+                   Edge("m", TRUE, frozenset(), "m")),
+            accepting=frozenset({"m"}), atoms=frozenset({"a", "b"}))
+        both = frozenset({"a", "b"})
+        assert automaton.step("l", (0,), 1, both, 5) == [("m", (1,))]
+        assert automaton.step("l", (0,), 1, frozenset({"b"}), 5) == [("m", (1,))]
+        system = WeightedTransitionSystem(
+            states=("s", "t"), initial=frozenset({"s"}),
+            transitions=(("s", "t"), ("t", "t")),
+            weights={("s", "t"): 1, ("t", "t"): 1}, atoms=both,
+            labels={"s": both, "t": both})
+        product = LocalProduct(system, automaton)
+        (initial,) = product.initial_states()
+        assert product.successors(initial) == (
+            (1, LocalState("t", "m", (1,))),)
+        assert product.explored_edges == 1
 
 
 class TestAutomatonModel:

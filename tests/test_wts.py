@@ -56,6 +56,24 @@ class TestModelValidation:
                 transitions=(("a", "zz"),), weights={("a", "zz"): Q(1)},
                 atoms=frozenset(), labels={})
 
+    def test_weight_on_an_undeclared_transition(self):
+        with pytest.raises(ModelValidationError) as info:
+            WeightedTransitionSystem(
+                states=("a", "b"), initial=frozenset({"a"}),
+                transitions=(("a", "b"),),
+                weights={("a", "b"): Q(1), ("b", "a"): Q(1)},
+                atoms=frozenset(), labels={})
+        assert "undeclared transition" in str(info.value)
+
+    def test_a_transition_listed_twice_is_one_successor(self):
+        system = WeightedTransitionSystem(
+            states=("a", "b"), initial=frozenset({"a"}),
+            transitions=(("a", "b"), ("b", "a"), ("a", "b")),
+            weights={("a", "b"): Q(1), ("b", "a"): Q(1)},
+            atoms=frozenset(), labels={})
+        assert system.successors("a") == ("b",)
+        assert system.transitions == (("a", "b"), ("b", "a"))
+
 
 class TestRunValidation:
     def test_stamps_must_match_weights(self):
