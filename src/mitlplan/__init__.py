@@ -2,7 +2,7 @@
 under interval temporal-logic deadlines."""
 
 from .core import (INFINITY, LassoTimedWord, TimeInterval, parse_rational,
-                   format_rational, unroll)
+                   format_rational)
 from .mitl import (Formula, MitlError, MitlSyntaxError, PunctualIntervalError,
                    evaluate_at, first_violation, format_formula, normalize,
                    parse_formula, satisfies)

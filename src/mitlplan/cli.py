@@ -131,7 +131,9 @@ def _load_json(path: Path) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def load_system(entry: dict) -> WeightedTransitionSystem:
+def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
+    """The system of one agent entry; ``where`` names the entry in errors.
+    A transition may be listed again only with the same weight."""
     if "grid" in entry:
         grid = entry["grid"]
         labels = {cell: list(atoms) for cell, atoms in
@@ -149,10 +151,14 @@ def load_system(entry: dict) -> WeightedTransitionSystem:
         atoms |= atom_set
     transitions = []
     weights = {}
-    for item in entry["transitions"]:
+    for i, item in enumerate(entry["transitions"]):
         pair = (item["from"], item["to"])
+        weight = parse_rational(item["weight"])
+        if weights.setdefault(pair, weight) != weight:
+            raise InputError(
+                f"{where}.transitions[{i}]: {pair[0]} -> {pair[1]} is listed "
+                f"before with weight {format_rational(weights[pair])}")
         transitions.append(pair)
-        weights[pair] = parse_rational(item["weight"])
     return WeightedTransitionSystem(
         states=tuple(states),
         initial=frozenset(entry["initial"]),
@@ -187,13 +193,13 @@ def load_model(path: Path) -> dict:
 def _systems_of(data, path: Path) -> dict:
     _check_model_file(data)
     out = {}
-    for entry in data["agents"]:
+    for i, entry in enumerate(data["agents"]):
         name = entry["name"]
         if not name:
             raise InputError(f"{path}: agent entry without a name")
         if name in out:
             raise InputError(f"{path}: duplicate agent name {name!r}")
-        out[name] = load_system(entry)
+        out[name] = load_system(entry, f"agents[{i}]")
     if not out:
         raise InputError(f"{path}: no agents defined")
     return out

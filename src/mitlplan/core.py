@@ -148,11 +148,6 @@ class TimeInterval:
     def unbounded(self) -> bool:
         return self.upper is INFINITY
 
-    def scaled(self, factor: int) -> "TimeInterval":
-        upper = self.upper if self.upper is INFINITY else self.upper * factor
-        return TimeInterval(self.lower * factor, upper,
-                            self.lower_closed, self.upper_closed)
-
 
 UNIT_INTERVAL = TimeInterval(Fraction(0), INFINITY, True, False)  # [0, inf)
 
@@ -251,11 +246,6 @@ class LassoSequence:
             out.extend((payload, stamp + shift) for payload, stamp in self.cycle)
         return tuple(out)
 
-    def with_stamps_scaled(self, factor: int):
-        prefix = tuple((p, t * factor) for p, t in self.prefix)
-        cycle = tuple((p, t * factor) for p, t in self.cycle)
-        return type(self)(prefix, cycle, self.period * factor)
-
 
 class LassoTimedWord(LassoSequence):
     """A lasso-shaped timed word: payloads are sets of atomic propositions."""
@@ -272,7 +262,3 @@ class LassoTimedWord(LassoSequence):
         for atoms, _ in self.prefix + self.cycle:
             out |= atoms
         return frozenset(out)
-
-
-def unroll(word: LassoSequence, count: int) -> tuple:
-    return word.unroll(count)

@@ -1,5 +1,11 @@
-"""MITL formulas: abstract syntax, a concrete-text parser, and a point-wise
-evaluator over lasso timed words.
+"""MITL formulas: abstract syntax, a concrete-text parser and printer, and
+a point-wise evaluator over lasso timed words.
+
+One boolean language serves the whole package.  Formulas have atoms at
+their leaves; the clock guards and invariants of automata are formulas
+built from ``true``, ``!``, ``&`` and :class:`Compare` leaves (``x <= 3``).
+:func:`parse_formula` and :func:`parse_constraint` read the two with one
+parser, and :func:`format_formula` prints both.
 
 The evaluator is the ground-truth oracle for the rest of the pipeline.
 
@@ -36,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (INFINITY, LassoTimedWord, TimeInterval, UNIT_INTERVAL,
-                   denominator_lcm, format_rational, parse_rational)
+                   denominator_lcm, format_rational, int_if_integral,
+                   parse_rational)
 
 
 class MitlError(Exception):
@@ -94,6 +101,25 @@ class Or(Formula):
 class Implies(Formula):
     left: Formula
     right: Formula
+
+
+_RELATIONS = ("<", "<=", ">", ">=", "=")
+
+
+@dataclass(frozen=True)
+class Compare(Formula):
+    """A clock comparison, the leaf of a guard or an invariant."""
+
+    clock: str
+    relation: str  # one of < <= > >= =
+    constant: Fraction  # stored as an int when integral
+
+    def __post_init__(self):
+        if self.relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {self.relation!r}")
+        if self.constant < 0:
+            raise ValueError("clock constants are nonnegative")
+        object.__setattr__(self, "constant", int_if_integral(self.constant))
 
 
 @dataclass(frozen=True)
@@ -234,10 +260,11 @@ class _Tokenizer:
             if self.text.startswith("->", self.pos):
                 out.append(("->", "->", start))
                 self._advance(2)
-            elif self.text.startswith("<=", self.pos):
-                out.append(("<=", "<=", start))
+            elif self.text.startswith(("<=", ">=", "=="), self.pos):
+                text = self.text[self.pos:self.pos + 2]
+                out.append(("=" if text == "==" else text, text, start))
                 self._advance(2)
-            elif ch in "!&|()[],":
+            elif ch in "!&|()[],<>=":
                 out.append((ch, ch, start))
                 self._advance()
             elif ch.isdigit():
@@ -264,11 +291,16 @@ class _Tokenizer:
 
 
 class _Parser:
-    """Recursive descent for: unary (!, X, F, G) > U > & > | > -> ."""
+    """Recursive descent for: unary (!, X, F, G) > U > & > | > -> .
 
-    def __init__(self, text: str):
+    With ``clocks`` set it reads a guard or an invariant instead: ``true``,
+    ``!``, ``&``, parentheses and clock comparisons, where any word
+    followed by a relation names a clock, keywords included."""
+
+    def __init__(self, text: str, clocks=False):
         self.tokens = _Tokenizer(text).tokens()
         self.index = 0
+        self.clocks = clocks
 
     def peek(self):
         return self.tokens[self.index]
@@ -287,10 +319,13 @@ class _Parser:
         raise MitlSyntaxError(message, line, col)
 
     def parse(self) -> Formula:
-        formula = self.implication()
+        formula = self.expression()
         if self.peek()[0] != "end":
             self.error(f"unexpected {self.peek()[1]!r}")
         return formula
+
+    def expression(self) -> Formula:
+        return self.conjunction() if self.clocks else self.implication()
 
     def implication(self) -> Formula:
         left = self.disjunction()
@@ -307,10 +342,11 @@ class _Parser:
         return left
 
     def conjunction(self) -> Formula:
-        left = self.until()
+        operand = self.unary if self.clocks else self.until
+        left = operand()
         while self.peek()[0] == "&":
             self.take()
-            left = And(left, self.until())
+            left = And(left, operand())
         return left
 
     def until(self) -> Formula:
@@ -327,6 +363,13 @@ class _Parser:
         if kind == "!":
             self.take()
             return Not(self.unary())
+        if kind == "(":
+            self.take()
+            inner = self.expression()
+            self.take(")")
+            return inner
+        if self.clocks:
+            return self.clock_leaf()
         if kind == "X":
             self.take()
             return Next(self.maybe_interval(), self.unary())
@@ -336,11 +379,6 @@ class _Parser:
         if kind == "G":
             self.take()
             return Always(self.maybe_interval(), self.unary())
-        if kind == "(":
-            self.take()
-            inner = self.implication()
-            self.take(")")
-            return inner
         if kind == "true":
             self.take()
             return TrueFormula()
@@ -351,6 +389,20 @@ class _Parser:
             return Atom(self.take()[1])
         self.error(f"unexpected {self.peek()[1]!r}" if self.peek()[1]
                    else "unexpected end of input")
+
+    def clock_leaf(self) -> Formula:
+        """``true``, or a comparison: a word, a relation and a constant."""
+        kind, word, _ = self.peek()
+        if (kind == "name" or kind in _KEYWORDS) and \
+                self.tokens[self.index + 1][0] in _RELATIONS:
+            self.take()
+            relation = self.take()[0]
+            return Compare(word, relation, self.rational())
+        if kind == "true":
+            self.take()
+            return TrueFormula()
+        self.error(f"expected a clock comparison, found {word!r}" if word
+                   else "expected a clock comparison, found end of input")
 
     def maybe_interval(self) -> TimeInterval:
         # an open paren starts an interval only when a bound follows;
@@ -405,7 +457,8 @@ class _Parser:
     def rational(self) -> Fraction:
         token = self.take()
         if token[0] != "number":
-            self.error(f"expected a number, found {token[1]!r}", token)
+            self.error(f"expected a number, found {token[1]!r}" if token[1]
+                       else "expected a number, found end of input", token)
         try:
             return parse_rational(token[1])
         except ValueError as exc:
@@ -413,23 +466,20 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
+    """A formula with atoms at its leaves."""
     return _Parser(text).parse()
 
 
+def parse_constraint(text: str) -> Formula:
+    """A clock guard or invariant: ``true``, ``!``, ``&`` and parentheses
+    over clock comparisons ``clock <rel> constant``, where ``rel`` is one of
+    ``< <= > >= =`` (or ``==``) and the constant a nonnegative rational."""
+    return _Parser(text, clocks=True).parse()
+
+
 def format_formula(formula: Formula) -> str:
-    """Print a formula in the concrete syntax; reparsing yields an equal AST."""
-
-    def interval_text(interval):
-        if _is_untimed(interval):
-            return ""
-        return interval.text()
-
-    def wrap(sub):
-        text = format_formula(sub)
-        if isinstance(sub, (And, Or, Implies, Until)):
-            return f"({text})"
-        return text
-
+    """Print a formula, guard or invariant in the concrete syntax;
+    reparsing it with the matching parser yields an equal AST."""
     match formula:
         case Atom(name):
             return name
@@ -437,23 +487,40 @@ def format_formula(formula: Formula) -> str:
             return "true"
         case FalseFormula():
             return "false"
+        case Compare(clock, relation, constant):
+            return f"{clock} {relation} {format_rational(constant)}"
+        case Not(Compare() | TrueFormula() | FalseFormula() as operand):
+            # a leaf other than an atom is bracketed, as in ``!(x <= 3)``
+            return f"!({format_formula(operand)})"
         case Not(operand):
-            return f"!{wrap(operand)}"
+            return f"!{_operand_text(operand)}"
         case And(left, right):
-            return f"{wrap(left)} & {wrap(right)}"
+            return f"{_operand_text(left)} & {_operand_text(right)}"
         case Or(left, right):
-            return f"{wrap(left)} | {wrap(right)}"
+            return f"{_operand_text(left)} | {_operand_text(right)}"
         case Implies(left, right):
-            return f"{wrap(left)} -> {wrap(right)}"
+            return f"{_operand_text(left)} -> {_operand_text(right)}"
         case Next(interval, operand):
-            return f"X{interval_text(interval)} {wrap(operand)}"
+            return f"X{_interval_text(interval)} {_operand_text(operand)}"
         case Eventually(interval, operand):
-            return f"F{interval_text(interval)} {wrap(operand)}"
+            return f"F{_interval_text(interval)} {_operand_text(operand)}"
         case Always(interval, operand):
-            return f"G{interval_text(interval)} {wrap(operand)}"
+            return f"G{_interval_text(interval)} {_operand_text(operand)}"
         case Until(interval, left, right):
-            return f"{wrap(left)} U{interval_text(interval)} {wrap(right)}"
+            return (f"{_operand_text(left)} U{_interval_text(interval)} "
+                    f"{_operand_text(right)}")
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def _operand_text(operand: Formula) -> str:
+    text = format_formula(operand)
+    if isinstance(operand, (And, Or, Implies, Until)):
+        return f"({text})"
+    return text
+
+
+def _interval_text(interval: TimeInterval) -> str:
+    return "" if _is_untimed(interval) else interval.text()
 
 
 # --- evaluation over lasso words ---------------------------------------

@@ -1,6 +1,12 @@
-"""Timed Buchi automata: clock constraints, the automaton model, translation
-of a fragment of the formula language, intersection, and membership of
-lasso timed words.
+"""Timed Buchi automata: the automaton model, translation of a fragment of
+the formula language, intersection, and membership of lasso timed words.
+
+Labels, guards and invariants are all formulas of :mod:`mitlplan.mitl`.  A
+label is propositional over the automaton's atoms; a guard or an
+invariant is a clock constraint, built from ``true``, ``!`` and ``&`` over
+:class:`~mitlplan.mitl.Compare` leaves, read by
+:func:`~mitlplan.mitl.parse_constraint` and printed by
+:func:`~mitlplan.mitl.format_formula` like every other formula.
 
 Automata here are transition-labelled: every edge carries a propositional
 formula over the automaton's atoms, which the letter read on taking the
@@ -25,12 +31,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import (INFINITY, LassoTimedWord, TimeInterval, denominator_lcm,
-                   format_rational, int_if_integral, parse_rational)
-from .mitl import (Always, And, Atom, Eventually, FalseFormula, Formula,
-                   MitlError, Next, Not, TrueFormula, Until, atoms_of,
+from .core import INFINITY, LassoTimedWord, TimeInterval, denominator_lcm
+from .mitl import (Always, And, Atom, Compare, Eventually, FalseFormula,
+                   Formula, MitlError, Next, Not, TrueFormula, Until, atoms_of,
                    evaluate_propositional, format_formula, is_propositional,
-                   normalize, parse_formula)
+                   normalize, parse_constraint, parse_formula)
 
 
 class UnsupportedFragmentError(Exception):
@@ -44,93 +49,57 @@ class UnsupportedFragmentError(Exception):
             f"(supply a hand-written automaton file instead)")
 
 
-# --- clock constraints ---------------------------------------------------
+# --- labels and clock constraints ----------------------------------------
 
-class ClockConstraint:
-    pass
-
-
-@dataclass(frozen=True)
-class TrueConstraint(ClockConstraint):
-    pass
+TRUE = TrueFormula()
 
 
-@dataclass(frozen=True)
-class NotConstraint(ClockConstraint):
-    operand: ClockConstraint
-
-
-@dataclass(frozen=True)
-class AndConstraint(ClockConstraint):
-    left: ClockConstraint
-    right: ClockConstraint
-
-
-@dataclass(frozen=True)
-class Compare(ClockConstraint):
-    clock: str
-    relation: str  # one of < <= > >= =
-    constant: Fraction  # stored as an int when integral
-
-    def __post_init__(self):
-        if self.relation not in ("<", "<=", ">", ">=", "="):
-            raise ValueError(f"unknown relation {self.relation!r}")
-        if self.constant < 0:
-            raise ValueError("clock constants are nonnegative")
-        object.__setattr__(self, "constant", int_if_integral(self.constant))
-
-
-TRUE = TrueConstraint()
-
-
-def constraint_and(*parts: ClockConstraint) -> ClockConstraint:
+def label_and(*parts: Formula) -> Formula:
+    """The conjunction of ``parts``, labels or clock constraints, leaving
+    out those that are true."""
     out = None
     for part in parts:
-        if isinstance(part, TrueConstraint):
+        if isinstance(part, TrueFormula):
             continue
-        out = part if out is None else AndConstraint(out, part)
+        out = part if out is None else And(out, part)
     return out if out is not None else TRUE
 
 
-def comparisons(constraint: ClockConstraint):
+def comparisons(constraint: Formula):
     """The clock comparisons of ``constraint``, left to right."""
     match constraint:
-        case TrueConstraint():
+        case TrueFormula():
             return
-        case NotConstraint(operand):
+        case Not(operand):
             yield from comparisons(operand)
-        case AndConstraint(left, right):
+        case And(left, right):
             yield from comparisons(left)
             yield from comparisons(right)
         case Compare():
             yield constraint
         case _:
-            raise TypeError(constraint)
+            raise TypeError(f"not a clock constraint: {constraint!r}")
 
 
-def map_comparisons(constraint: ClockConstraint, change) -> ClockConstraint:
+def map_comparisons(constraint: Formula, change) -> Formula:
     """``constraint`` with every comparison ``c`` replaced by ``change(c)``."""
     match constraint:
-        case NotConstraint(operand):
-            return NotConstraint(map_comparisons(operand, change))
-        case AndConstraint(left, right):
-            return AndConstraint(map_comparisons(left, change),
-                                 map_comparisons(right, change))
+        case Not(operand):
+            return Not(map_comparisons(operand, change))
+        case And(left, right):
+            return And(map_comparisons(left, change),
+                       map_comparisons(right, change))
         case Compare():
             return change(constraint)
     return constraint
 
 
-def constraint_constants(constraint: ClockConstraint) -> set[Fraction]:
-    return {c.constant for c in comparisons(constraint)}
-
-
-def scale_constraint(constraint: ClockConstraint, factor: int) -> ClockConstraint:
+def scale_constraint(constraint: Formula, factor: int) -> Formula:
     return map_comparisons(constraint, lambda c: Compare(
         c.clock, c.relation, c.constant * factor))
 
 
-def interval_guard(clock: str, interval: TimeInterval) -> ClockConstraint:
+def interval_guard(clock: str, interval: TimeInterval) -> Formula:
     """The constraint "clock value lies in the interval"."""
     parts = []
     if interval.lower > 0 or not interval.lower_closed:
@@ -139,159 +108,41 @@ def interval_guard(clock: str, interval: TimeInterval) -> ClockConstraint:
     if interval.upper is not INFINITY:
         parts.append(Compare(clock, "<=" if interval.upper_closed else "<",
                              interval.upper))
-    return constraint_and(*parts)
-
-
-def outside_interval_guard(clock: str, interval: TimeInterval) -> ClockConstraint:
-    guard = interval_guard(clock, interval)
-    if isinstance(guard, TrueConstraint):
-        return NotConstraint(TRUE)
-    return NotConstraint(guard)
-
-
-def parse_constraint(text: str) -> ClockConstraint:
-    tokens = _constraint_tokens(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def take(kind=None):
-        token = tokens[pos[0]]
-        if kind is not None and token[0] != kind:
-            raise ValueError(f"constraint syntax: expected {kind!r} at {token[1]!r}")
-        pos[0] += 1
-        return token
-
-    def conjunction():
-        left = unary()
-        while peek()[0] == "&":
-            take()
-            left = AndConstraint(left, unary())
-        return left
-
-    def unary():
-        kind, value = peek()
-        if kind == "!":
-            take()
-            return NotConstraint(unary())
-        if kind == "(":
-            take()
-            inner = conjunction()
-            take(")")
-            return inner
-        if kind == "true":
-            take()
-            return TRUE
-        if kind == "name":
-            clock = take()[1]
-            relation = take("rel")[1]
-            constant = parse_rational(take("number")[1])
-            if relation == "==":
-                relation = "="
-            return Compare(clock, relation, constant)
-        raise ValueError(f"constraint syntax: unexpected {value!r}")
-
-    out = conjunction()
-    if peek()[0] != "end":
-        raise ValueError(f"constraint syntax: trailing {peek()[1]!r}")
-    return out
-
-
-def _constraint_tokens(text: str):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith(("<=", ">=", "=="), i):
-            out.append(("rel", text[i:i + 2]))
-            i += 2
-        elif ch in "<>=":
-            out.append(("rel", ch))
-            i += 1
-        elif ch in "!&()":
-            out.append((ch, ch))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in "./"):
-                j += 1
-            out.append(("number", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            out.append(("true" if word == "true" else "name", word))
-            i = j
-        else:
-            raise ValueError(f"constraint syntax: unknown character {ch!r}")
-    out.append(("end", ""))
-    return out
-
-
-def format_constraint(constraint: ClockConstraint) -> str:
-    match constraint:
-        case TrueConstraint():
-            return "true"
-        case NotConstraint(operand):
-            return f"!({format_constraint(operand)})"
-        case AndConstraint(left, right):
-            return f"{format_constraint(left)} & {format_constraint(right)}"
-        case Compare(clock, relation, constant):
-            return f"{clock} {relation} {format_rational(constant)}"
-    raise TypeError(constraint)
+    return label_and(*parts)
 
 
 # --- the automaton model -------------------------------------------------
 
-TRUE_LABEL = TrueFormula()
-
-
-def label_and(*labels: Formula) -> Formula:
-    """The conjunction of ``labels``, leaving out those that are true."""
-    out = None
-    for label in labels:
-        if isinstance(label, TrueFormula):
-            continue
-        out = label if out is None else And(out, label)
-    return out if out is not None else TRUE_LABEL
-
-
 @dataclass(frozen=True, slots=True)  # old-format files hold thousands of edges
 class Edge:
     source: str
-    guard: ClockConstraint
+    guard: Formula  # a clock constraint
     resets: frozenset[str]
     target: str
-    label: Formula = TRUE_LABEL  # propositional, read at the target
+    label: Formula = TRUE  # propositional, read at the target
 
 
 _OPERATORS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
 
 
-def compile_constraint(constraint: ClockConstraint,
+def compile_constraint(constraint: Formula,
                        clocks: tuple[str, ...]) -> Optional[Callable]:
     """A function deciding ``constraint`` on a valuation tuple ordered as
     ``clocks``, or ``None`` for a constraint that always holds: one Python
     expression over the tuple's slots, whose text holds only slot indices,
     operators and the names the constants are bound to."""
-    if isinstance(constraint, TrueConstraint):
+    if isinstance(constraint, TrueFormula):
         return None
     slot = {clock: i for i, clock in enumerate(clocks)}
     names: dict = {}  # constant -> its name in the expression
 
-    def source(part: ClockConstraint) -> str:
+    def source(part: Formula) -> str:
         match part:
-            case TrueConstraint():
+            case TrueFormula():
                 return "True"
-            case NotConstraint(operand):
+            case Not(operand):
                 return f"not ({source(operand)})"
-            case AndConstraint(left, right):
+            case And(left, right):
                 return f"({source(left)}) and ({source(right)})"
             case Compare(clock, relation, constant):
                 name = names.setdefault(constant, f"c{len(names)}")
@@ -308,7 +159,7 @@ class TimedBuchiAutomaton:
     locations: tuple[str, ...]
     initial: dict  # location -> propositional label read at position 0
     clocks: tuple[str, ...]
-    invariants: dict  # location -> ClockConstraint
+    invariants: dict  # location -> clock constraint
     edges: tuple[Edge, ...]
     accepting: frozenset[str]
     atoms: frozenset[str]
@@ -345,10 +196,9 @@ class TimedBuchiAutomaton:
             clocks = {c.clock for c in comparisons(edge.guard)} | set(edge.resets)
             if not clocks <= clock_set:
                 raise ValueError(f"edge uses undeclared clocks: {edge}")
-        self.edges = tuple(sorted(
-            self.edges, key=lambda e: (e.source, e.target, format_constraint(e.guard),
-                                       tuple(sorted(e.resets)),
-                                       format_formula(e.label))))
+        self.edges = tuple(sorted(self.edges, key=lambda e: (
+            e.source, e.target, format_formula(e.guard),
+            tuple(sorted(e.resets)), format_formula(e.label))))
         by_source: dict[str, list[Edge]] = {loc: [] for loc in self.locations}
         for edge in self.edges:
             by_source[edge.source].append(edge)
@@ -444,7 +294,7 @@ class TimedBuchiAutomaton:
             for edge in self._edges_from[location]
             if evaluate_propositional(edge.label, letter))
 
-    def _check(self, constraint: ClockConstraint) -> Optional[Callable]:
+    def _check(self, constraint: Formula) -> Optional[Callable]:
         if constraint not in self._checks:
             self._checks[constraint] = compile_constraint(constraint, self.clocks)
         return self._checks[constraint]
@@ -455,7 +305,7 @@ class TimedBuchiAutomaton:
 def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
     def location(loc: str) -> dict:
         entry = {"name": loc,
-                 "invariant": format_constraint(automaton.invariants[loc]),
+                 "invariant": format_formula(automaton.invariants[loc]),
                  "accepting": loc in automaton.accepting}
         if loc in automaton.initial:
             entry["initial"] = format_formula(automaton.initial[loc])
@@ -470,7 +320,7 @@ def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
                 "from": edge.source,
                 "to": edge.target,
                 "label": format_formula(edge.label),
-                "guard": format_constraint(edge.guard),
+                "guard": format_formula(edge.guard),
                 "resets": sorted(edge.resets),
             }
             for edge in automaton.edges
@@ -487,18 +337,18 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
     that letter becomes the label of every edge into the location and of
     its initial entry.  Without ``atoms`` the alphabet is every atom the
     labels name."""
-    def constraint(entry: dict, key: str, where: str) -> ClockConstraint:
+    def constraint(entry: dict, key: str, where: str) -> Formula:
         try:
             return parse_constraint(entry.get(key, "true"))
-        except ValueError as exc:
-            raise ValueError(f"{where}.{key}: {exc}") from exc
+        except MitlError as exc:
+            raise ValueError(f"{where}.{key}: constraint syntax: {exc}") from exc
 
     named = {}  # field -> the atoms its label names
 
     def label(entry: dict, key: str, where: str) -> Formula:
         text = entry.get(key, "true")
         if text is True:
-            return TRUE_LABEL
+            return TRUE
         try:
             formula = parse_formula(text)
         except MitlError as exc:
@@ -534,12 +384,12 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
              guard=constraint(entry, "guard", f"edges[{i}]"),
              resets=frozenset(entry.get("resets", [])),
              target=entry["to"],
-             label=label_and(edge_label, exact.get(entry["to"], TRUE_LABEL)))
+             label=label_and(edge_label, exact.get(entry["to"], TRUE)))
         for i, (entry, edge_label) in enumerate(zip(data["edges"], edge_labels))
     )
     return TimedBuchiAutomaton(
         locations=tuple(invariants),
-        initial={name: label_and(initial_label, exact.get(name, TRUE_LABEL))
+        initial={name: label_and(initial_label, exact.get(name, TRUE))
                  for name, initial_label in initial.items()},
         clocks=tuple(data.get("clocks", [])),
         invariants=invariants,
@@ -571,7 +421,7 @@ class _Builder:
             self.accepting.add(name)
         return name
 
-    def connect(self, source: str, target: str, label=TRUE_LABEL, guard=TRUE,
+    def connect(self, source: str, target: str, label=TRUE, guard=TRUE,
                 resets=()):
         self.edges.append(Edge(source, guard, frozenset(resets), target, label))
 
@@ -590,7 +440,7 @@ class _Builder:
 def universal_tba(atoms) -> TimedBuchiAutomaton:
     """Accepts every timed word over the alphabet."""
     b = _Builder(frozenset(atoms))
-    any_ = b.location("any", initial=TRUE_LABEL, accepting=True)
+    any_ = b.location("any", initial=TRUE, accepting=True)
     b.connect(any_, any_)
     return b.build()
 
@@ -598,7 +448,7 @@ def universal_tba(atoms) -> TimedBuchiAutomaton:
 def empty_tba(atoms) -> TimedBuchiAutomaton:
     """Accepts no timed word: complete but with an empty accepting set."""
     b = _Builder(frozenset(atoms))
-    dead = b.location("dead", initial=TRUE_LABEL)
+    dead = b.location("dead", initial=TRUE)
     b.connect(dead, dead)
     return b.build()
 
@@ -612,7 +462,7 @@ def _translate_propositional(beta: Formula, b: _Builder) -> None:
 
 def _translate_eventually(interval, beta, b: _Builder) -> None:
     b.clocks.append("x")
-    wait = b.location("wait", initial=TRUE_LABEL)
+    wait = b.location("wait", initial=TRUE)
     done = b.location("done", accepting=True,
                       initial=beta if interval.contains(Fraction(0)) else None)
     b.connect(wait, wait)
@@ -623,14 +473,14 @@ def _translate_eventually(interval, beta, b: _Builder) -> None:
 def _translate_always(interval, beta, b: _Builder) -> None:
     b.clocks.append("x")
     hold = b.location("hold", accepting=True, initial=(
-        beta if interval.contains(Fraction(0)) else TRUE_LABEL))
+        beta if interval.contains(Fraction(0)) else TRUE))
     b.connect(hold, hold, beta, guard=interval_guard("x", interval))
-    b.connect(hold, hold, guard=outside_interval_guard("x", interval))
+    b.connect(hold, hold, guard=Not(interval_guard("x", interval)))
 
 
 def _translate_next(interval, beta, b: _Builder) -> None:
     b.clocks.append("x")
-    first = b.location("first", initial=TRUE_LABEL)
+    first = b.location("first", initial=TRUE)
     second = b.location("second", accepting=True)
     rest = b.location("rest", accepting=True)
     b.connect(first, second, beta, guard=interval_guard("x", interval))
@@ -676,7 +526,7 @@ def _translate_response(window, beta, b: _Builder) -> None:
     b.connect(quiet, quiet, Not(beta))
     b.connect(quiet, windowed, beta, resets=("x",))
     b.connect(windowed, windowed, Not(beta))
-    b.connect(windowed, windowed, beta, guard=outside_interval_guard("x", window),
+    b.connect(windowed, windowed, beta, guard=Not(interval_guard("x", window)),
               resets=("x",))
 
 
@@ -773,7 +623,7 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
     def clock_b(name: str) -> str:
         return f"b_{name}"
 
-    def rename(constraint: ClockConstraint, prefix) -> ClockConstraint:
+    def rename(constraint: Formula, prefix) -> Formula:
         return map_comparisons(constraint, lambda c: Compare(
             prefix(c.clock), c.relation, c.constant))
 
@@ -789,7 +639,7 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
         for flag in (1, 2):
             loc = name(la, lb, flag)
             locations.append(loc)
-            invariants[loc] = constraint_and(rename(a.invariants[la], clock_a),
+            invariants[loc] = label_and(rename(a.invariants[la], clock_a),
                                              rename(b.invariants[lb], clock_b))
             if la in a.initial and lb in b.initial and flag == 1:
                 initial[loc] = label_and(a.initial[la], b.initial[lb])
@@ -805,7 +655,7 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
     for la, lb in pairs:
         for ea in a.edges_from(la):
             for eb in b.edges_from(lb):
-                guard = constraint_and(rename(ea.guard, clock_a),
+                guard = label_and(rename(ea.guard, clock_a),
                                        rename(eb.guard, clock_b))
                 resets = frozenset(clock_a(c) for c in ea.resets) | frozenset(
                     clock_b(c) for c in eb.resets)

@@ -99,9 +99,6 @@ class TimedRun(LassoSequence):
         if self.stamp_at(0) != 0:
             raise RunValidationError("runs start at time zero")
 
-    def state_at(self, index: int) -> str:
-        return self.payload_at(index)
-
     def validate_for(self, system: WeightedTransitionSystem) -> None:
         # every step of prefix + cycle, into the second turn and one more
         events = self.unroll(3)[:len(self.prefix) + len(self.cycle) + 2]

@@ -13,8 +13,9 @@ import random
 from fractions import Fraction
 
 from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
-from mitlplan.mitl import (Always, And, Atom, Eventually, FalseFormula,
-                           Implies, Next, Not, Or, TrueFormula, Until)
+from mitlplan.mitl import (Always, And, Atom, Compare, Eventually,
+                           FalseFormula, Implies, Next, Not, Or, TrueFormula,
+                           Until)
 
 
 # --- brute-force MITL evaluation on a finite unrolling ------------------
@@ -97,6 +98,14 @@ def brute_force_evaluate(word: LassoTimedWord, position: int, formula) -> bool:
         raise TypeError(f)
 
     return ev(formula, position, stamps[position])
+
+
+def stamps_scaled(word: LassoTimedWord, factor: int) -> LassoTimedWord:
+    """``word`` with every stamp and the period multiplied by ``factor``."""
+    return LassoTimedWord(
+        prefix=tuple((letter, t * factor) for letter, t in word.prefix),
+        cycle=tuple((letter, t * factor) for letter, t in word.cycle),
+        period=word.period * factor)
 
 
 # --- random generators ---------------------------------------------------
@@ -216,15 +225,12 @@ def _untimed() -> TimeInterval:
 
 def evaluate_constraint(constraint, valuation) -> bool:
     """``valuation`` maps each clock name to its value."""
-    from mitlplan.tba import (AndConstraint, Compare, NotConstraint,
-                              TrueConstraint)
-
     match constraint:
-        case TrueConstraint():
+        case TrueFormula():
             return True
-        case NotConstraint(operand):
+        case Not(operand):
             return not evaluate_constraint(operand, valuation)
-        case AndConstraint(left, right):
+        case And(left, right):
             return (evaluate_constraint(left, valuation)
                     and evaluate_constraint(right, valuation))
         case Compare(clock, relation, constant):
@@ -275,18 +281,16 @@ def reference_step(automaton, location, valuation, elapse, letter, cmax):
 
 
 def random_clock_constraint(rng: random.Random, clocks, depth=2, max_const=4):
-    from mitlplan.tba import AndConstraint, Compare, NotConstraint, TRUE
-
     pick = rng.randrange(4) if depth else 0
     if pick == 0:
         return Compare(rng.choice(clocks), rng.choice(["<", "<=", ">", ">=", "="]),
                        Fraction(rng.randrange(0, max_const + 1)))
     if pick == 1:
-        return NotConstraint(random_clock_constraint(rng, clocks, depth - 1))
+        return Not(random_clock_constraint(rng, clocks, depth - 1))
     if pick == 2:
-        return AndConstraint(random_clock_constraint(rng, clocks, depth - 1),
-                             random_clock_constraint(rng, clocks, depth - 1))
-    return TRUE
+        return And(random_clock_constraint(rng, clocks, depth - 1),
+                   random_clock_constraint(rng, clocks, depth - 1))
+    return TrueFormula()
 
 
 def exact_letter(letter, atoms):
@@ -302,8 +306,10 @@ def exact_letter(letter, atoms):
 def random_automaton(rng: random.Random, letters, clocks=("x", "y"), size=4):
     """Random invariants, guards, resets and edge labels over two clocks,
     unlike the translator's fixed shapes; a label is a random propositional
-    formula or the exact label of one letter."""
-    from mitlplan.tba import TRUE, Edge, TimedBuchiAutomaton
+    formula or the exact label of one letter.  About a third of the edges
+    are copied under another label, so that two edges enabled on one
+    letter often have one effect."""
+    from mitlplan.tba import Edge, TimedBuchiAutomaton
 
     atoms = frozenset().union(*letters)
 
@@ -312,18 +318,26 @@ def random_automaton(rng: random.Random, letters, clocks=("x", "y"), size=4):
             return random_propositional(rng, atoms)
         return exact_letter(rng.choice(letters), atoms)
 
+    def relabelled(edge):
+        other = label()
+        while other == edge.label:
+            other = label()
+        return Edge(edge.source, edge.guard, edge.resets, edge.target, other)
+
     locations = [f"l{i}" for i in range(size)]
-    edges = tuple(
+    edges = [
         Edge(source, random_clock_constraint(rng, clocks),
              frozenset(c for c in clocks if rng.random() < 0.3), target,
              label())
-        for source in locations for target in locations if rng.random() < 0.6)
+        for source in locations for target in locations if rng.random() < 0.6]
+    edges += [relabelled(edge) for edge in rng.sample(edges, len(edges) // 3)]
     return TimedBuchiAutomaton(
         locations=tuple(locations), initial={locations[0]: label()},
         clocks=tuple(clocks),
         invariants={loc: random_clock_constraint(rng, clocks)
-                    if rng.random() < 0.5 else TRUE for loc in locations},
-        edges=edges, accepting=frozenset({rng.choice(locations)}),
+                    if rng.random() < 0.5 else TrueFormula()
+                    for loc in locations},
+        edges=tuple(edges), accepting=frozenset({rng.choice(locations)}),
         atoms=atoms)
 
 

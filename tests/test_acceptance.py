@@ -307,6 +307,12 @@ class TestCriterion6SoundnessSuite:
                   f"unsatisfiable verdicts confirmed by enumeration")
 
 
+def _scale_interval(interval: TimeInterval, factor: int) -> TimeInterval:
+    upper = interval.upper if interval.unbounded else interval.upper * factor
+    return TimeInterval(interval.lower * factor, upper,
+                        interval.lower_closed, interval.upper_closed)
+
+
 def _scale_formula(formula, factor: int):
     match formula:
         case Atom() :
@@ -317,15 +323,17 @@ def _scale_formula(formula, factor: int):
             return And(_scale_formula(left, factor),
                        _scale_formula(right, factor))
         case Next(interval, operand):
-            return Next(interval.scaled(factor), _scale_formula(operand, factor))
+            return Next(_scale_interval(interval, factor),
+                        _scale_formula(operand, factor))
         case Eventually(interval, operand):
-            return Eventually(interval.scaled(factor),
+            return Eventually(_scale_interval(interval, factor),
                               _scale_formula(operand, factor))
         case Always(interval, operand):
-            return Always(interval.scaled(factor),
+            return Always(_scale_interval(interval, factor),
                           _scale_formula(operand, factor))
         case Until(interval, left, right):
-            return Until(interval.scaled(factor), _scale_formula(left, factor),
+            return Until(_scale_interval(interval, factor),
+                         _scale_formula(left, factor),
                          _scale_formula(right, factor))
     return formula
 

@@ -68,6 +68,29 @@ class TestTranslateCommand:
         assert "hand-written automaton" in err
 
 
+# the formulas of the fixtures and one of each translated shape
+TRANSLATED = {
+    "recurrence_green": "G F[<=10] green",
+    "eventually_red": "F red",
+    "eventually_green_and_red": "F (green & red)",
+    "deadline_recharge1": "F[<=6] recharge1",
+    "deadline_recharge2": "F[<=12] recharge2",
+    "deadline_meet": "F[<=30] ((meet1A & meet2A) | (meet1B & meet2B))",
+    "always_window": "G[2,5] p",
+    "always": "G p",
+    "response": "G(p -> X G[<=3] !p)",
+    "until_window": "p U[1,4] q",
+    "next_window": "X[1,2] p",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATED))
+def test_translate_output_is_pinned(name, capsys):
+    assert main(["translate", TRANSLATED[name]]) == 0
+    expected = FIXTURES / "expected" / "translate" / f"{name}.json"
+    assert capsys.readouterr().out.encode() == expected.read_bytes()
+
+
 class TestCheckCommand:
     def test_response_formula_verdicts(self, capsys):
         code = main([
@@ -126,6 +149,12 @@ class TestCheckCommand:
             "r: G[0,7/3) !hot -> SATISFIED",
             "r: F[1/2,7/3] hot -> SATISFIED",
         ]
+
+    def test_a_clock_comparison_is_no_formula(self, capsys):
+        assert main(["check", "--model", fixture("two_agent_chain_model.json"),
+                     "--runs", fixture("two_agent_chain_runs.json"),
+                     "--formula", "r1: F[<=3] x <= 2"]) == 3
+        assert "unexpected '<='" in capsys.readouterr().err
 
     def test_unknown_scope(self, capsys):
         code = main([
@@ -234,6 +263,13 @@ class TestPlanCommand:
         problem = write_json(tmp_path / "broken.json", data)
         assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 3
         assert "[6,0]" in capsys.readouterr().err
+
+    def test_a_clock_comparison_in_a_formula_exits_3(self, tmp_path, capsys):
+        data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
+        data["agents"][0]["formula"] = "F[<=3] x <= 2"
+        problem = write_json(tmp_path / "broken.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 3
+        assert "unexpected '<='" in capsys.readouterr().err
 
     def test_unsupported_fragment_exits_4(self, tmp_path, capsys):
         data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
@@ -370,6 +406,13 @@ class TestMalformedProblemFiles:
          "options.stateBudget"),
         (with_agent(), ["--state-budget", "-3"], "--state-budget"),
         (with_agent(), ["--state-budget", "0"], "--state-budget"),
+        # s -> t at weight 1 meets the formula, at weight 5 it does not
+        (with_agent(states=["s", "t"], labels={"t": ["g"]},
+                    transitions=[{"from": "s", "to": "t", "weight": "1"},
+                                 {"from": "s", "to": "t", "weight": "5"},
+                                 {"from": "t", "to": "s", "weight": "1"}],
+                    formula="G F[<=3] g"), [],
+         "agents[0].transitions[1]: s -> t is listed before with weight 1"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):
@@ -453,6 +496,19 @@ class TestMalformedAutomatonFiles:
         assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("scope", ["agent", "global"])
+    def test_clocks_may_be_named_like_keywords(self, tmp_path, scope):
+        clocks = ["X", "F", "G", "U", "inf", "false"]
+        named = {"clocks": clocks,
+                 "locations": [{"name": "l", "initial": "true",
+                                "accepting": True,
+                                "invariant": "!(inf > 3) & false <= 5"}],
+                 "edges": [{"from": "l", "to": "l",
+                            "guard": "X <= 1 & (F >= 0 & !(G = 2)) & U < 9",
+                            "resets": clocks}]}
+        problem = self.problem(tmp_path, scope, named)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("scope", ["agent", "global"])
     def test_a_file_with_edge_labels_plans(self, tmp_path, scope):
         labelled = {"clocks": ["x"], "atoms": [],
                     "locations": [{"name": "l", "initial": "true",
@@ -497,6 +553,18 @@ class TestMalformedAutomatonFiles:
             {**GOOD_TBA["locations"][0], "label": ["hot"]}]},
          "global.tba: locations[0].label: atoms ['hot'] are not in the "
          "file's atoms"),
+        # an atom, |, ->, false or a temporal operator is no clock constraint
+        ("global", with_edges({"guard": "p"}),
+         "global.tba: edges[0].guard: constraint syntax"),
+        ("agent", with_edges({"guard": "x <= 1 | x >= 3"}),
+         "agents[0].tba: edges[0].guard: constraint syntax"),
+        ("global", with_edges({"guard": "x <= 1 -> x >= 3"}),
+         "global.tba: edges[0].guard: constraint syntax"),
+        ("agent", with_edges({"guard": "F x <= 1"}),
+         "agents[0].tba: edges[0].guard: constraint syntax"),
+        ("global", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "invariant": "false"}]},
+         "global.tba: locations[0].invariant: constraint syntax"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mitlplan.core import (INFINITY, LassoTimedWord, TimeInterval,
-                           format_rational, parse_rational, unroll)
+                           format_rational, parse_rational)
 
 
 def word(prefix, cycle, period):
@@ -66,7 +66,7 @@ class TestTimeInterval:
 class TestLassoTimedWord:
     def test_unroll_shifts_cycle(self):
         w = word([({"p"}, Q(0))], [({"q"}, Q(1))], 1)
-        assert unroll(w, 2) == (
+        assert w.unroll(2) == (
             (frozenset({"p"}), Q(0)),
             (frozenset({"q"}), Q(1)),
             (frozenset({"q"}), Q(2)),
@@ -74,7 +74,7 @@ class TestLassoTimedWord:
 
     def test_unroll_zero_is_prefix(self):
         w = word([({"p"}, Q(0)), (set(), Q(1))], [({"q"}, Q(2))], 3)
-        assert unroll(w, 0) == w.prefix
+        assert w.unroll(0) == w.prefix
 
     def test_unroll_collective_word_of_worked_example(self):
         # the merged two-agent word: six-position prefix, six-position cycle,
@@ -84,7 +84,7 @@ class TestLassoTimedWord:
         cycle = [({"green", "red"}, Q(5)), ({"red"}, Q(6)), (set(), Q(7)),
                  ({"red"}, Q(15, 2)), ({"red"}, Q(8)), (set(), Q(19, 2))]
         w = word(prefix, cycle, 5)
-        got = unroll(w, 2)
+        got = w.unroll(2)
         stamps = [t for _, t in got]
         assert stamps == [Q(0), Q(1), Q(2), Q(5, 2), Q(3), Q(9, 2),
                           Q(5), Q(6), Q(7), Q(15, 2), Q(8), Q(19, 2),
@@ -96,7 +96,7 @@ class TestLassoTimedWord:
         rng = random.Random(11)
         w = word([({"a"}, Q(0))], [(set(), Q(1, 2)), ({"b"}, Q(2))], Q(5, 2))
         for k in range(4):
-            shorter, longer = unroll(w, k), unroll(w, k + 1)
+            shorter, longer = w.unroll(k), w.unroll(k + 1)
             assert longer[:len(shorter)] == shorter
             assert len(longer) > len(shorter)
 
@@ -112,6 +112,6 @@ class TestLassoTimedWord:
 
     def test_indexing_matches_unroll(self):
         w = word([({"a"}, Q(0))], [({"b"}, Q(1)), (set(), Q(5, 2))], 3)
-        flat = unroll(w, 4)
+        flat = w.unroll(4)
         for i, item in enumerate(flat):
             assert w.item_at(i) == item

@@ -1,0 +1,64 @@
+"""Every function, class and method under ``src/mitlplan`` is used there.
+
+A definition counts as used when its name is read somewhere in the package
+outside the definition itself, as a plain name or as an attribute.  Imports
+do not count, and neither does a recursive call.  A helper that only the
+tests call belongs in ``tests/oracles.py`` or in the test that uses it.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mitlplan"
+
+# name -> why it stays although nothing in the package reads it
+ALLOWED = {
+    "satisfies": "public API, and bench/ reads it",
+    "cycle_length": "bench/ reads it",
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions_and_uses():
+    """Each defined name with where it is defined, and every name read
+    outside a definition of that name."""
+    defined: dict[str, list[str]] = {}
+    used: set[str] = set()
+
+    def visit(node, path, enclosing):
+        if isinstance(node, _DEFINITIONS):
+            defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name):
+            if node.id not in enclosing:
+                used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            if node.attr not in enclosing:
+                used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, enclosing)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path,
+              frozenset())
+    return defined, used
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_definition_is_used_in_the_package():
+    defined, used = _definitions_and_uses()
+    unused = {name: places for name, places in defined.items()
+              if name not in used and name not in ALLOWED
+              and not _is_dunder(name)}
+    assert not unused, f"defined but never used under src/mitlplan: {unused}"
+
+
+def test_the_allowlist_names_only_unused_definitions():
+    defined, used = _definitions_and_uses()
+    for name in ALLOWED:
+        assert name in defined, f"{name} is no longer defined"
+        assert name not in used, f"{name} is used now; drop it from ALLOWED"

@@ -7,18 +7,18 @@ from math import lcm
 import pytest
 
 from mitlplan.core import LassoTimedWord
-from mitlplan.mitl import Atom, parse_formula, satisfies
+from mitlplan.mitl import (And, Atom, Compare, MitlSyntaxError, Not,
+                           TrueFormula, format_formula, parse_constraint,
+                           parse_formula, satisfies)
 from mitlplan.product import LocalProduct, LocalState
-from mitlplan.tba import (TRUE, TRUE_LABEL, AndConstraint, Compare, Edge,
-                          NotConstraint, TimedBuchiAutomaton, TrueConstraint,
+from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton,
                           UnsupportedFragmentError, accepts_lasso,
-                          empty_tba, format_constraint,
-                          intersect, parse_constraint, tba_from_dict,
+                          empty_tba, intersect, tba_from_dict,
                           tba_to_dict, translate_mitl, universal_tba)
 from mitlplan.wts import WeightedTransitionSystem
 from oracles import (evaluate_constraint, random_automaton,
                      random_fragment_formula, random_lasso_word,
-                     reference_step)
+                     reference_step, stamps_scaled)
 
 
 def word(prefix, cycle, period):
@@ -35,17 +35,33 @@ class TestClockConstraints:
     def test_parse_and_format(self):
         text = "x <= 6 & !(y > 2)"
         constraint = parse_constraint(text)
-        assert constraint == AndConstraint(Compare("x", "<=", Q(6)),
-                                           NotConstraint(Compare("y", ">", Q(2))))
-        assert parse_constraint(format_constraint(constraint)) == constraint
-        assert parse_constraint("true") == TrueConstraint()
+        assert constraint == And(Compare("x", "<=", Q(6)),
+                                 Not(Compare("y", ">", Q(2))))
+        assert parse_constraint(format_formula(constraint)) == constraint
+        assert parse_constraint("true") == TrueFormula()
         assert parse_constraint("x < 7/2") == Compare("x", "<", Q(7, 2))
 
     def test_parse_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MitlSyntaxError):
             parse_constraint("x ?? 3")
-        with pytest.raises(ValueError):
+        with pytest.raises(MitlSyntaxError):
             parse_constraint("x <=")
+
+    def test_any_word_before_a_relation_is_a_clock(self):
+        assert parse_constraint("X <= 1 & !(inf > 2) & false == 0") == And(
+            And(Compare("X", "<=", Q(1)), Not(Compare("inf", ">", Q(2)))),
+            Compare("false", "=", Q(0)))
+
+    @pytest.mark.parametrize("text", [
+        "p", "x <= 1 | x >= 3", "x <= 1 -> y < 2", "false", "F x <= 1",
+        "X[1,2] x <= 1", "!p"])
+    def test_only_clock_constraints_parse_as_guards(self, text):
+        with pytest.raises(MitlSyntaxError):
+            parse_constraint(text)
+
+    def test_a_clock_comparison_is_no_formula(self):
+        with pytest.raises(MitlSyntaxError):
+            parse_formula("F[<=3] x <= 2")
 
     def test_sentinel_semantics(self):
         # a clock saturated at cmax + 1 lies above every constant up to cmax
@@ -66,9 +82,8 @@ class TestClockConstraints:
         big_values = [Q(9, 2), Q(5), Q(100)]
         for constant, relation in itertools.product(constants, relations):
             atom = Compare("x", relation, constant)
-            for shape in (atom, NotConstraint(atom),
-                          AndConstraint(atom, NotConstraint(atom)),
-                          AndConstraint(atom, atom)):
+            for shape in (atom, Not(atom), And(atom, Not(atom)),
+                          And(atom, atom)):
                 for value in big_values:
                     exact = evaluate_constraint(shape, {"x": value})
                     saturated = evaluate_constraint(shape, {"x": cmax + 1})
@@ -117,7 +132,7 @@ class TestStepKernel:
         # {a, b} enables both edges, which land in the same state
         guard = parse_constraint("x <= 5")
         automaton = TimedBuchiAutomaton(
-            locations=("l", "m"), initial={"l": TRUE_LABEL}, clocks=("x",),
+            locations=("l", "m"), initial={"l": TRUE}, clocks=("x",),
             invariants={},
             edges=(Edge("l", guard, frozenset(), "m", Atom("a")),
                    Edge("l", guard, frozenset(), "m", Atom("b")),
@@ -150,6 +165,18 @@ class TestAutomatonModel:
         assert again.edges == automaton.edges
         assert again.atoms == automaton.atoms
 
+    def test_every_automaton_round_trips_through_its_file(self):
+        # nested guards print with the parentheses that read them back
+        rng = random.Random(43)
+        letters = [frozenset(), frozenset({"p"}), frozenset({"q"}),
+                   frozenset({"p", "q"})]
+        for trial in range(60):
+            automaton = (random_automaton(rng, letters) if trial % 2 else
+                         translate_mitl(random_fragment_formula(rng, ["p", "q"]),
+                                        alphabet={"p", "q"}))
+            data = json.loads(json.dumps(tba_to_dict(automaton)))
+            assert tba_from_dict(data) == automaton, trial
+
     def test_cmax(self):
         automaton = translate_mitl(parse_formula("F[1/2,6] p"))
         assert automaton.cmax() == Q(6)
@@ -177,7 +204,7 @@ class TestTranslate:
         waiting = [loc for loc in automaton.locations if loc.startswith("wait")]
         assert waiting
         for loc in waiting:
-            assert "x <= 10" in format_constraint(automaton.invariants[loc])
+            assert "x <= 10" in format_formula(automaton.invariants[loc])
         resetting = [e for e in automaton.edges if "x" in e.resets]
         assert all(e.source.startswith("hit") for e in resetting)
         assert accepts_lasso(automaton, word(
@@ -287,15 +314,11 @@ class TestScalingInvariance:
             formula = random_fragment_formula(rng, ["p"])
             automaton = translate_mitl(formula, alphabet={"p"})
             w = random_lasso_word(rng, ["p"])
-            from math import lcm
             denominators = [w.period.denominator]
             denominators += [t.denominator for _, t in w.prefix + w.cycle]
-            for edge in automaton.edges:
-                from mitlplan.tba import constraint_constants
-                denominators += [c.denominator
-                                 for c in constraint_constants(edge.guard)]
+            denominators += [c.denominator for c in automaton.constants()]
             factor = lcm(*denominators)
-            scaled_word = w.with_stamps_scaled(factor)
+            scaled_word = stamps_scaled(w, factor)
             scaled_automaton = automaton.scaled(factor)
             assert (accepts_lasso(automaton, w)
                     == accepts_lasso(scaled_automaton, scaled_word))

@@ -152,7 +152,7 @@ class TestCollectiveRun:
         # derived by hand: both agents always tie, so every step advances both
         for i in range(10):
             vector, stamp = merged.item_at(i)
-            assert vector == (r1.state_at(i), r1.state_at(i))
+            assert vector == (r1.payload_at(i), r1.payload_at(i))
             assert stamp == r1.stamp_at(i)
 
     def test_stamps_are_union_of_agent_stamps(self):
@@ -194,7 +194,7 @@ class TestCollectiveRun:
         for k, original in enumerate((r1, r2)):
             events = [(v[k], t) for v, t in merged.unroll(4)
                       if t in arrivals[k] or t == 0]
-            expected = [(original.state_at(i), original.stamp_at(i))
+            expected = [(original.payload_at(i), original.stamp_at(i))
                         for i in range(len(events))]
             assert events == expected
 
@@ -246,7 +246,7 @@ def assert_random_merges_match(rng, **system_options):
         for k, original in enumerate((r1, r2)):
             events = [(v[k], t) for v, t in merged_events
                       if t in arrivals[k] or t == 0]
-            expected = [(original.state_at(i), original.stamp_at(i))
+            expected = [(original.payload_at(i), original.stamp_at(i))
                         for i in range(len(events))]
             assert events == expected
         checked += 1
