@@ -131,20 +131,45 @@ def _load_json(path: Path) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _duration(value, where: str):
+    """A positive rational of a model file."""
+    try:
+        duration = parse_rational(value)
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+    if duration <= 0:
+        raise InputError(f"{where}: must be positive, got {value}")
+    return duration
+
+
+def _declared(state: str, states, where: str) -> str:
+    if state not in states:
+        raise InputError(f"{where}: {state!r} is not a declared state")
+    return state
+
+
 def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
     """The system of one agent entry; ``where`` names the entry in errors.
     A transition may be listed again only with the same weight."""
     if "grid" in entry:
         grid = entry["grid"]
-        labels = {cell: list(atoms) for cell, atoms in
-                  grid.get("labels", {}).items()}
-        return grid_system(rows=int(grid["rows"]), cols=int(grid["cols"]),
-                           move_weights={k: parse_rational(v) for k, v in
-                                         grid["moveWeights"].items()},
-                           labels=labels,
-                           initial=entry.get("initial", grid.get("initial", [])))
+        labels = grid.get("labels", {})
+        system = grid_system(
+            rows=_positive(grid["rows"], f"{where}.grid.rows"),
+            cols=_positive(grid["cols"], f"{where}.grid.cols"),
+            move_weights={k: _duration(v, f"{where}.grid.moveWeights.{k}")
+                          for k, v in grid["moveWeights"].items()},
+            labels=labels,
+            initial=entry.get("initial", grid.get("initial", [])))
+        for cell in labels:
+            _declared(cell, system.labels, f"{where}.grid.labels.{cell}")
+        return system
     states = entry["states"]
-    labels = {state: frozenset(atoms)
+    known = set(states)
+    for i, state in enumerate(entry["initial"]):
+        _declared(state, known, f"{where}.initial[{i}]")
+    labels = {_declared(state, known, f"{where}.labels.{state}"):
+              frozenset(atoms)
               for state, atoms in entry.get("labels", {}).items()}
     atoms = set(entry.get("atoms", []))
     for atom_set in labels.values():
@@ -152,11 +177,13 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
     transitions = []
     weights = {}
     for i, item in enumerate(entry["transitions"]):
-        pair = (item["from"], item["to"])
-        weight = parse_rational(item["weight"])
+        here = f"{where}.transitions[{i}]"
+        pair = (_declared(item["from"], known, f"{here}.from"),
+                _declared(item["to"], known, f"{here}.to"))
+        weight = _duration(item["weight"], f"{here}.weight")
         if weights.setdefault(pair, weight) != weight:
             raise InputError(
-                f"{where}.transitions[{i}]: {pair[0]} -> {pair[1]} is listed "
+                f"{here}: {pair[0]} -> {pair[1]} is listed "
                 f"before with weight {format_rational(weights[pair])}")
         transitions.append(pair)
     return WeightedTransitionSystem(
@@ -332,7 +359,7 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
     locals_ = []
     for agent, system, automaton in zip(problem.agents, systems, local_automata):
         local = LocalProduct(system, automaton)
-        if not local.has_initial_states:
+        if not local.initial_states():
             notes.append(
                 f"agent {agent.name}: no initial state matches the automaton; "
                 f"the local specification is unsatisfiable from the start")
@@ -373,21 +400,10 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
 
 
 def _collect_statistics(locals_, team, global_prod, budget_hit) -> dict:
-    stats = {
-        "localLayers": [
-            {"states": local.explored_states, "edges": local.explored_edges,
-             "accepting": local.explored_accepting()}
-            for local in locals_
-        ],
-    }
+    stats = {"localLayers": [local.statistics() for local in locals_]}
     if team is not None:
-        stats["teamLayer"] = {"states": team.explored_states,
-                              "edges": team.explored_edges,
-                              "accepting": team.explored_accepting()}
-    if global_prod is not None:
-        stats["globalLayer"] = {"states": global_prod.explored_states,
-                                "edges": global_prod.explored_edges,
-                                "accepting": global_prod.explored_accepting()}
+        stats["teamLayer"] = team.statistics()
+        stats["globalLayer"] = global_prod.statistics()
     if budget_hit:
         stats["statesAtLimit"] = budget_hit
     return stats
@@ -546,7 +562,11 @@ def _parse_scoped_formulas(items, model, runs):
             raise InputError(f"unknown formula scope {scope!r}")
         if scope != "team" and scope not in runs:
             raise InputError(f"no run given for agent {scope!r}")
-        scoped.append((scope, parse_formula(text)))
+        try:
+            scoped.append((scope, parse_formula(text)))
+        except MitlError as exc:  # its class decides the exit code
+            exc.args = (f"--formula {scope}: {text}: {exc}",)
+            raise
     return scoped
 
 

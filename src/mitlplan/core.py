@@ -163,16 +163,24 @@ class LassoSequence:
     The infinite sequence is ``prefix`` followed by ``cycle`` repeated
     forever, with the k-th repetition's timestamps shifted by
     ``k * period``.  Timestamps are strictly increasing and diverge because
-    ``period > 0``.
+    ``period > 0``.  Each payload is kept as :meth:`payload` converts it,
+    and each stamp as a ``Fraction``.
     """
 
     prefix: tuple
     cycle: tuple
     period: Fraction
 
+    @staticmethod
+    def payload(value):
+        """The payload kept for ``value``; a subclass converts it here."""
+        return value
+
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "cycle", tuple(self.cycle))
+        for name in ("prefix", "cycle"):
+            object.__setattr__(self, name, tuple(
+                (self.payload(value), Fraction(stamp))
+                for value, stamp in getattr(self, name)))
         if not self.cycle:
             raise ValueError("lasso cycle must be nonempty")
         if self.period <= 0:
@@ -250,12 +258,7 @@ class LassoSequence:
 class LassoTimedWord(LassoSequence):
     """A lasso-shaped timed word: payloads are sets of atomic propositions."""
 
-    def __post_init__(self):
-        prefix = tuple((freeze_atoms(a), Fraction(t)) for a, t in self.prefix)
-        cycle = tuple((freeze_atoms(a), Fraction(t)) for a, t in self.cycle)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
-        super().__post_init__()
+    payload = staticmethod(freeze_atoms)
 
     def all_atoms(self) -> frozenset[str]:
         out: set[str] = set()

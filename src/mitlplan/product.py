@@ -1,54 +1,54 @@
-"""The three layered product constructions, generated lazily from their
-initial states.
+"""The product of a labelled weighted graph with a timed automaton, and the
+three layered products of the planner.
 
-Layer 1 pairs one agent's transition system with its specification
-automaton, tracking saturated clock valuations.  Layer 2 interleaves the
-per-agent layer-1 graphs: each step advances time by the smallest
-remaining transition duration among the agents, agents finishing exactly
-then complete their moves, and a round-robin index turns the per-agent
-acceptance sets into a single one.  Layer 3 pairs the team graph with the
-team specification automaton using the two-flag intersection bookkeeping.
-Layers 1 and 3 move their automaton with :meth:`TimedBuchiAutomaton.step`,
-on integer time when the caller scales durations and clock constants to
+A labelled weighted graph gives ``initial_states()``, ``successors(node)``
+as ``(weight, node)`` pairs and ``label_of(node)``: a transition system,
+the team graph, or the positions of a lasso word (``accepts_lasso``).
+:class:`AutomatonProduct` pairs one with an automaton; each step follows
+an edge of weight ``w`` and moves the automaton with
+:meth:`TimedBuchiAutomaton.step`, elapsing ``w`` and reading the letter of
+the edge's target.  Layer 1 pairs one agent's transition system with its
+specification automaton.  Layer 2 interleaves the per-agent layer-1
+graphs: each step advances time by the smallest remaining transition
+duration among the agents, agents finishing exactly then complete their
+moves, and a round-robin index turns the per-agent acceptance sets into a
+single one.  Layer 3 pairs the team graph with the team specification
+automaton using the two-flag intersection bookkeeping.  Time is counted in
+integers when the caller scales durations and clock constants to
 integers, as ``solve`` does.
 
 Successor lists are memoized per state, and state objects are plain value
 tuples.  Successors come in construction order, which is deterministic:
 a system lists each region's successors sorted and once, and ``step``
 yields each automaton move once in the order of the sorted edges, so the
-local and global layers keep their moves as built.  No layer builds the
-same successor twice.  Only the team layer sorts, for the reason given at
+products keep their moves as built.  No layer builds the same successor
+twice.  Only the team layer sorts, for the reason given at
 :meth:`TeamProduct._compute_successors`.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import NamedTuple
 
 from .tba import TimedBuchiAutomaton
 from .wts import WeightedTransitionSystem
 
 
-class LocalState(NamedTuple):
-    region: str
+class ProductState(NamedTuple):
+    node: object       # a node of the graph
     location: str
-    valuation: tuple  # per clock, at most the automaton's cmax + 1
+    valuation: tuple   # per clock, at most the automaton's cmax + 1
+    flag: int          # 0 when the graph has no acceptance of its own
 
 
 class TeamState(NamedTuple):
-    components: tuple  # LocalState per agent
-    targets: tuple     # committed in-flight LocalState per agent, or None
+    components: tuple  # ProductState per agent
+    targets: tuple     # committed in-flight ProductState per agent, or None
     offsets: tuple     # time already spent on the current transition
     turn: int          # round-robin index, 0-based
     letter: frozenset  # atoms of the components' regions, one object each
-
-
-class GlobalState(NamedTuple):
-    team: TeamState
-    location: str
-    valuation: tuple
-    flag: int
 
 
 class _MemoizedGraph:
@@ -67,66 +67,70 @@ class _MemoizedGraph:
     def _compute_successors(self, state):
         raise NotImplementedError
 
-    @property
-    def explored_states(self) -> int:
-        return len(self._successor_cache)
-
-    @property
-    def explored_edges(self) -> int:
-        return sum(len(v) for v in self._successor_cache.values())
-
-    def explored_accepting(self) -> int:
-        return sum(1 for s in self._successor_cache if self.is_accepting(s))
+    def statistics(self) -> dict:
+        """The states expanded so far, their edges, and how many of them
+        accept."""
+        cache = self._successor_cache
+        return {"states": len(cache),
+                "edges": sum(len(v) for v in cache.values()),
+                "accepting": sum(1 for s in cache if self.is_accepting(s))}
 
 
-class LocalProduct(_MemoizedGraph):
-    """States are (region, automaton location, clock valuation); a step
-    moves the system and the automaton synchronously, advancing every
+class AutomatonProduct(_MemoizedGraph):
+    """A labelled weighted graph paired with a timed automaton, as the
+    module describes it; a state accepts at an accepting location."""
+
+    first_flag = 0
+
+    def __init__(self, graph, automaton: TimedBuchiAutomaton):
+        super().__init__()
+        self.graph = graph
+        self.automaton = automaton
+        self.cmax = automaton.cmax()
+
+    def initial_states(self):
+        zero = self.automaton.zero_valuation()
+        return tuple(
+            ProductState(node, location, zero, self.first_flag)
+            for node in self.graph.initial_states()
+            for location in self.automaton.initial_locations(
+                self.graph.label_of(node)))
+
+    def flag_after(self, state: ProductState) -> int:
+        """The flag of every successor of ``state``."""
+        return 0
+
+    def _compute_successors(self, state: ProductState):
+        """In the graph's successor order, and in ``step``'s order among
+        the automaton's moves on one graph successor."""
+        step, label_of = self.automaton.step, self.graph.label_of
+        flag = self.flag_after(state)
+        out = []
+        for weight, node in self.graph.successors(state.node):
+            for location, landed in step(state.location, state.valuation,
+                                         weight, label_of(node), self.cmax):
+                out.append((weight, ProductState(node, location, landed, flag)))
+        return tuple(out)
+
+    def is_accepting(self, state: ProductState) -> bool:
+        return state.location in self.automaton.accepting
+
+
+class LocalProduct(AutomatonProduct):
+    """Layer 1: one agent's transition system paired with its automaton; a
+    step moves the system and the automaton synchronously, advancing every
     clock by the transition's duration."""
 
     def __init__(self, system: WeightedTransitionSystem,
                  automaton: TimedBuchiAutomaton):
-        super().__init__()
         if system.atoms != automaton.atoms:
             raise ValueError(
                 f"system alphabet {sorted(system.atoms)} differs from "
                 f"automaton alphabet {sorted(automaton.atoms)}")
-        self.system = system
-        self.automaton = automaton
-        self.cmax = automaton.cmax()
-        self._initial = self._build_initial()
+        super().__init__(system, automaton)
 
-    def _build_initial(self):
-        zero = self.automaton.zero_valuation()
-        return tuple(
-            LocalState(region, location, zero)
-            for region in sorted(self.system.initial)
-            for location in self.automaton.initial_locations(
-                self.system.label_of(region)))
-
-    @property
-    def has_initial_states(self) -> bool:
-        return bool(self._initial)
-
-    def initial_states(self):
-        return self._initial
-
-    def _compute_successors(self, state: LocalState):
-        system, automaton = self.system, self.automaton
-        out = []
-        for region in system.successors(state.region):
-            duration = system.weight_of(state.region, region)
-            for location, landed in automaton.step(
-                    state.location, state.valuation, duration,
-                    system.label_of(region), self.cmax):
-                out.append((duration, LocalState(region, location, landed)))
-        return tuple(out)
-
-    def is_accepting(self, state: LocalState) -> bool:
-        return state.location in self.automaton.accepting
-
-    def duration_of(self, state: LocalState, target: LocalState):
-        return self.system.weight_of(state.region, target.region)
+    def duration_of(self, state: ProductState, target: ProductState):
+        return self.graph.weight_of(state.node, target.node)
 
 
 class TeamProduct(_MemoizedGraph):
@@ -141,6 +145,9 @@ class TeamProduct(_MemoizedGraph):
     that agent's component is locally accepting.
     """
 
+    # a state carries its letter; read without a Python-level call
+    label_of = staticmethod(attrgetter("letter"))
+
     def __init__(self, locals_):
         super().__init__()
         self.locals = tuple(locals_)
@@ -151,11 +158,11 @@ class TeamProduct(_MemoizedGraph):
         self._interned: dict = {}  # letter -> the one object for it
 
     def _letter(self, components) -> frozenset[str]:
-        regions = tuple([component.region for component in components])
+        regions = tuple([component.node for component in components])
         letter = self._letters.get(regions)
         if letter is None:
             letter = frozenset().union(*(
-                local.system.label_of(region)
+                local.graph.label_of(region)
                 for local, region in zip(self.locals, regions)))
             letter = self._letters[regions] = self._interned.setdefault(
                 letter, letter)
@@ -230,47 +237,27 @@ class TeamProduct(_MemoizedGraph):
                 and self.locals[last].is_accepting(state.components[last]))
 
 
-class GlobalProduct(_MemoizedGraph):
-    """The team graph paired with the team automaton, with two-flag
+class GlobalProduct(AutomatonProduct):
+    """Layer 3: the team graph paired with the team automaton, with two-flag
     intersection bookkeeping: flag 1 waits for a team-accepting state,
     flag 2 waits for an automaton-accepting location, and acceptance is a
     team-accepting state carrying flag 1."""
 
+    first_flag = 1
+
     def __init__(self, team: TeamProduct, automaton: TimedBuchiAutomaton):
-        super().__init__()
         team_atoms = frozenset().union(
-            *(local.system.atoms for local in team.locals))
+            *(local.graph.atoms for local in team.locals))
         if automaton.atoms != team_atoms:
             raise ValueError(
                 f"team alphabet {sorted(team_atoms)} differs from automaton "
                 f"alphabet {sorted(automaton.atoms)}")
-        self.team = team
-        self.automaton = automaton
-        self.cmax = automaton.cmax()
+        super().__init__(team, automaton)
 
-    def initial_states(self):
-        zero = self.automaton.zero_valuation()
-        return tuple(
-            GlobalState(team_state, location, zero, 1)
-            for team_state in self.team.initial_states()
-            for location in self.automaton.initial_locations(team_state.letter))
-
-    def _compute_successors(self, state: GlobalState):
-        """In the team's successor order, and in ``step``'s order among
-        the automaton's moves on one team successor."""
-        automaton = self.automaton
+    def flag_after(self, state: ProductState) -> int:
         if state.flag == 1:
-            flag = 2 if self.team.is_accepting(state.team) else 1
-        else:
-            flag = 1 if state.location in automaton.accepting else 2
-        out = []
-        for step, team_next in self.team.successors(state.team):
-            for location, landed in automaton.step(
-                    state.location, state.valuation, step, team_next.letter,
-                    self.cmax):
-                out.append((step, GlobalState(team_next, location, landed,
-                                              flag)))
-        return tuple(out)
+            return 2 if self.graph.is_accepting(state.node) else 1
+        return 1 if state.location in self.automaton.accepting else 2
 
-    def is_accepting(self, state: GlobalState) -> bool:
-        return state.flag == 1 and self.team.is_accepting(state.team)
+    def is_accepting(self, state: ProductState) -> bool:
+        return state.flag == 1 and self.graph.is_accepting(state.node)

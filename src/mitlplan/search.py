@@ -1,9 +1,10 @@
 """Emptiness search over lazily generated Buchi graphs, and projection of a
 found lasso back to per-agent timed plans.
 
-A graph object provides ``initial_states()``, ``successors(state)``
-yielding ``(edge weight, next state)`` pairs in a deterministic order, and
-``is_accepting(state)``.  The search is the classic two-phase nested
+A graph object, such as those of :mod:`mitlplan.product`, provides
+``initial_states()``, ``successors(state)`` yielding ``(edge weight, next
+state)`` pairs in a deterministic order, and ``is_accepting(state)``; the
+search reads no labels.  The search is the classic two-phase nested
 depth-first search, implemented iteratively so product graphs with very
 long paths cannot overflow the interpreter stack.
 """
@@ -190,7 +191,7 @@ def project_plan(lasso: AcceptingLasso, problem, factor: int) -> PlanBundle:
     """
     states = lasso.path_states()
     weights = lasso.path_weights()
-    team_states = [s.team for s in states]
+    team_states = [s.node for s in states]
     stem_len = len(lasso.stem_states)
 
     stamps = [0]
@@ -201,7 +202,7 @@ def project_plan(lasso: AcceptingLasso, problem, factor: int) -> PlanBundle:
 
     agents = problem.agents
     names = tuple(agent.name for agent in agents)
-    vectors = [tuple(component.region for component in ts.components)
+    vectors = [tuple(component.node for component in ts.components)
                for ts in team_states]
 
     collective_prefix = tuple(

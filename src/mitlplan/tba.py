@@ -17,12 +17,13 @@ starts in an initial location whose label holds at position 0, and each
 step elapses the gap to the next position, checks the source invariant,
 the edge's label on the next letter and its guard on the elapsed
 valuation, applies the resets, and checks the target invariant.
-:meth:`TimedBuchiAutomaton.step` is that step, for every product built on
-an automaton; it yields each move once, in the order of the sorted edges,
-so the products never sort or deduplicate its moves.  A clock above the
-automaton's largest constant ``cmax`` is kept at ``cmax + 1``: such a clock
-satisfies exactly the constraints any larger value does, so the products
-stay finite.
+:meth:`TimedBuchiAutomaton.step` is that step.  Its one caller is
+:class:`~mitlplan.product.AutomatonProduct`, which the planner's products
+and membership of a lasso word share; it yields each move once, in the
+order of the sorted edges, so the products never sort or deduplicate its
+moves.  A clock above the automaton's largest constant ``cmax`` is kept at
+``cmax + 1``: such a clock satisfies exactly the constraints any larger
+value does, so the products stay finite.
 """
 
 from __future__ import annotations
@@ -678,48 +679,34 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
 
 # --- lasso membership -------------------------------------------------------
 
-class WordAutomatonProduct:
-    """The synchronous product of a lasso word with an automaton, exposed as
-    a lazily generated Buchi graph.  States are (word position, location,
-    valuation) with the position reduced into prefix + one cycle; the
-    language is nonempty exactly when the automaton accepts the word.
+class _LassoWordGraph:
+    """The positions of a lasso word as a labelled weighted graph in the
+    sense of :mod:`mitlplan.product`, in integer time under ``factor``:
+    each position of prefix + cycle leads to the next one, reduced into
+    prefix + cycle, by the time between them."""
 
-    Time is counted in integers: the word's stamps and the automaton's
-    constants are multiplied by the lcm of all their denominators.
-    """
-
-    def __init__(self, automaton: TimedBuchiAutomaton, word: LassoTimedWord):
-        if not word.all_atoms() <= automaton.atoms:
-            raise ValueError("word uses atoms outside the automaton alphabet")
-        constants = automaton.constants()
-        factor = denominator_lcm(word.time_values() + list(constants))
-        self.automaton = automaton.scaled(factor)
-        self.cmax = int(max(constants, default=0) * factor)
-        events = word.prefix + word.cycle
-        # per reduced position: the gap to the next position, that
-        # position reduced, and the letter read there
-        self._moves = tuple((gap, j, events[j][0])
-                            for gap, j in word.integer_steps(factor))
-        self._first = events[0][0]
+    def __init__(self, word: LassoTimedWord, factor: int):
+        # lookups by position, without a Python-level call
+        self.label_of = tuple(letter for letter, _ in
+                              word.prefix + word.cycle).__getitem__
+        self.successors = tuple(((gap, j),) for gap, j in
+                                word.integer_steps(factor)).__getitem__
 
     def initial_states(self):
-        zero = self.automaton.zero_valuation()
-        return tuple((0, location, zero) for location in
-                     self.automaton.initial_locations(self._first))
-
-    def successors(self, state):
-        position, location, valuation = state
-        gap, next_position, letter = self._moves[position]
-        return tuple(
-            (gap, (next_position, target, landed)) for target, landed in
-            self.automaton.step(location, valuation, gap, letter, self.cmax))
-
-    def is_accepting(self, state):
-        return state[1] in self.automaton.accepting
+        return (0,)
 
 
 def accepts_lasso(automaton: TimedBuchiAutomaton, word: LassoTimedWord) -> bool:
+    """Whether the product of ``word``'s positions with ``automaton`` has
+    an accepting lasso, in integer time under the lcm of every denominator
+    of the word's stamps and the automaton's constants."""
+    # both modules import this one
+    from .product import AutomatonProduct
     from .search import find_accepting_lasso
 
-    product = WordAutomatonProduct(automaton, word)
+    if not word.all_atoms() <= automaton.atoms:
+        raise ValueError("word uses atoms outside the automaton alphabet")
+    factor = denominator_lcm(word.time_values() + list(automaton.constants()))
+    product = AutomatonProduct(_LassoWordGraph(word, factor),
+                               automaton.scaled(factor))
     return find_accepting_lasso(product) is not None

@@ -21,6 +21,8 @@ class RunValidationError(Exception):
 
 @dataclass
 class WeightedTransitionSystem:
+    """A labelled weighted graph, in the sense of :mod:`mitlplan.product`."""
+
     states: tuple[str, ...]
     initial: frozenset[str]
     transitions: tuple[tuple[str, str], ...]
@@ -58,16 +60,20 @@ class WeightedTransitionSystem:
             if not label <= self.atoms:
                 raise ModelValidationError(f"label of {state} uses undeclared atoms")
             self.labels[state] = label
-        # sorted, each target once, as the transitions are
+        # sorted by target, each target once, as the transitions are
         out: dict[str, list] = {s: [] for s in self.states}
-        for source, target in self.transitions:
-            out[source].append(target)
+        for pair in self.transitions:
+            out[pair[0]].append((self.weights[pair], pair[1]))
         self._successors = {s: tuple(ts) for s, ts in out.items()}
+
+    def initial_states(self) -> tuple[str, ...]:
+        return tuple(sorted(self.initial))
 
     def label_of(self, state: str) -> frozenset[str]:
         return self.labels[state]
 
-    def successors(self, state: str) -> tuple[str, ...]:
+    def successors(self, state: str) -> tuple[tuple, ...]:
+        """The ``(weight, target)`` pairs out of ``state``."""
         return self._successors[state]
 
     def weight_of(self, source: str, target: str) -> Fraction:
@@ -90,11 +96,9 @@ class TimedRun(LassoSequence):
     """A lasso-shaped infinite run: payloads are state names, stamps start
     at zero and advance by the traversed transition's weight."""
 
+    payload = staticmethod(str)
+
     def __post_init__(self):
-        prefix = tuple((str(s), Fraction(t)) for s, t in self.prefix)
-        cycle = tuple((str(s), Fraction(t)) for s, t in self.cycle)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
         super().__post_init__()
         if self.stamp_at(0) != 0:
             raise RunValidationError("runs start at time zero")
@@ -120,12 +124,7 @@ class TimedRun(LassoSequence):
 class CollectiveRun(LassoSequence):
     """A lasso over joint states: payloads are tuples of per-agent states."""
 
-    def __post_init__(self):
-        prefix = tuple((tuple(v), Fraction(t)) for v, t in self.prefix)
-        cycle = tuple((tuple(v), Fraction(t)) for v, t in self.cycle)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
-        super().__post_init__()
+    payload = staticmethod(tuple)
 
 
 def timed_word_of(system: WeightedTransitionSystem, run: TimedRun) -> LassoTimedWord:

@@ -455,8 +455,8 @@ def enumerate_timed_runs(system, max_stem=4, max_cycle=3):
             if len(path) - 1 >= 1 and (last, head) in system.weights:
                 out.append((list(path), total + system.weight_of(last, head)))
             if len(path) - 1 < max_cycle - 1:
-                for nxt in system.successors(last):
-                    walk(path + [nxt], total + system.weight_of(last, nxt))
+                for weight, nxt in system.successors(last):
+                    walk(path + [nxt], total + weight)
 
         walk([head], Fraction(0))
         return out
@@ -467,7 +467,7 @@ def enumerate_timed_runs(system, max_stem=4, max_cycle=3):
         for _ in range(max_stem):
             grown = []
             for path in frontier:
-                for nxt in system.successors(path[-1]):
+                for _, nxt in system.successors(path[-1]):
                     grown.append(path + [nxt])
                     yield path + [nxt]
             frontier = grown

@@ -143,8 +143,8 @@ def _grid_shortest_time(system, start: str, goal: str) -> Q:
             return d
         if d > distances.get(here, INFINITY):
             continue
-        for there in system.successors(here):
-            nd = d + system.weight_of(here, there)
+        for weight, there in system.successors(here):
+            nd = d + weight
             if nd < distances.get(there, INFINITY):
                 distances[there] = nd
                 heappush(queue, (nd, there))

@@ -156,6 +156,14 @@ class TestCheckCommand:
                      "--formula", "r1: F[<=3] x <= 2"]) == 3
         assert "unexpected '<='" in capsys.readouterr().err
 
+    def test_a_formula_that_does_not_parse_is_named(self, capsys):
+        assert main(["check", "--model", fixture("two_agent_chain_model.json"),
+                     "--runs", fixture("two_agent_chain_runs.json"),
+                     "--formula", "r1: true",
+                     "--formula", "r1: F[<=3] x <= 2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: --formula r1: F[<=3] x <= 2: 1:9: unexpected '<='\n")
+
     def test_unknown_scope(self, capsys):
         code = main([
             "check",
@@ -413,6 +421,29 @@ class TestMalformedProblemFiles:
                                  {"from": "t", "to": "s", "weight": "1"}],
                     formula="G F[<=3] g"), [],
          "agents[0].transitions[1]: s -> t is listed before with weight 1"),
+        (with_agent(transitions=[{"from": "s", "to": "s", "weight": "abc"}]),
+         [], "agents[0].transitions[0].weight: not a rational number: 'abc'"),
+        (with_agent(transitions=[{"from": "s", "to": "s", "weight": -2}]),
+         [], "agents[0].transitions[0].weight: must be positive, got -2"),
+        (with_agent(transitions=[{"from": "s", "to": "nowhere",
+                                  "weight": "1"}]), [],
+         "agents[0].transitions[0].to: 'nowhere' is not a declared state"),
+        (with_agent(initial=["zz"]), [],
+         "agents[0].initial[0]: 'zz' is not a declared state"),
+        (with_agent(labels={"zz": ["h"]}), [],
+         "agents[0].labels.zz: 'zz' is not a declared state"),
+        (with_agent(initial=["p1"], grid={
+            "rows": 2, "cols": 2,
+            "moveWeights": {"up": 1, "right": 1, "down": "x", "left": 1}}),
+         [], "agents[0].grid.moveWeights.down: not a rational number: 'x'"),
+        (with_agent(initial=["p1"], grid={
+            "rows": 2, "cols": 2, "labels": {"p9": ["g"]},
+            "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
+         [], "agents[0].grid.labels.p9: 'p9' is not a declared state"),
+        (with_agent(initial=["p1"], grid={
+            "rows": 0, "cols": 2,
+            "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
+         [], "agents[0].grid.rows: must be a positive integer, got 0"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):

@@ -62,3 +62,31 @@ def test_the_allowlist_names_only_unused_definitions():
     for name in ALLOWED:
         assert name in defined, f"{name} is no longer defined"
         assert name not in used, f"{name} is used now; drop it from ALLOWED"
+
+
+def _enclosing_classes(predicate):
+    """The class around each node under the package that satisfies
+    ``predicate``, or ``None`` outside every class."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if predicate(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_one_product_steps_automata_and_builds_product_states():
+    steps = _enclosing_classes(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "step")
+    builds = _enclosing_classes(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "ProductState")
+    assert steps == ["AutomatonProduct"]
+    assert builds and set(builds) == {"AutomatonProduct"}

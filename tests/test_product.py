@@ -37,7 +37,7 @@ def chain_green():
 
 def run_of_local_lasso(system, lasso):
     """Project a layer-1 lasso to the agent's timed run."""
-    states = [s.region for s in lasso.path_states()]
+    states = [s.node for s in lasso.path_states()]
     stamps = [Q(0)]
     for w in lasso.path_weights():
         stamps.append(stamps[-1] + w)
@@ -75,7 +75,7 @@ class TestLocalProduct:
                 continue
             seen.add(state)
             frontier.extend(s for _, s in product.successors(state))
-        assert sorted((s.region, s.location) for s in seen) == [
+        assert sorted((s.node, s.location) for s in seen) == [
             ("a", "any"), ("b", "any")]
 
     def test_guard_beyond_reach_blocks_all_steps(self):
@@ -98,7 +98,7 @@ class TestLocalProduct:
         system = tiny_system({"a": {"p"}, "b": set()})
         automaton = translate_mitl(parse_formula("G[0,5] !p"), alphabet={"p"})
         product = LocalProduct(system, automaton)
-        assert not product.has_initial_states
+        assert not product.initial_states()
         assert find_accepting_lasso(product) is None
 
     def test_correspondence_with_enumerated_runs(self):
@@ -261,7 +261,7 @@ class TestGlobalProduct:
         lasso = find_accepting_lasso(both, 100000)
         assert lasso is not None
         cycle_states = [s for _, s in lasso.cycle_steps]
-        assert any(s.flag == 1 and team.is_accepting(s.team)
+        assert any(s.flag == 1 and team.is_accepting(s.node)
                    for s in cycle_states)
         assert any(s.location in goal.accepting for s in cycle_states)
 
@@ -277,7 +277,8 @@ class TestDeterminism:
             automaton = translate_mitl(parse_formula("G F[0,10] green"))
             product = LocalProduct(system, automaton)
             lasso = find_accepting_lasso(product)
-            return product.explored_states, product.explored_edges, lasso
+            statistics = product.statistics()
+            return statistics["states"], statistics["edges"], lasso
 
         first = build()
         second = build()

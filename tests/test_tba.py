@@ -10,7 +10,7 @@ from mitlplan.core import LassoTimedWord
 from mitlplan.mitl import (And, Atom, Compare, MitlSyntaxError, Not,
                            TrueFormula, format_formula, parse_constraint,
                            parse_formula, satisfies)
-from mitlplan.product import LocalProduct, LocalState
+from mitlplan.product import LocalProduct, ProductState
 from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton,
                           UnsupportedFragmentError, accepts_lasso,
                           empty_tba, intersect, tba_from_dict,
@@ -149,8 +149,8 @@ class TestStepKernel:
         product = LocalProduct(system, automaton)
         (initial,) = product.initial_states()
         assert product.successors(initial) == (
-            (1, LocalState("t", "m", (1,))),)
-        assert product.explored_edges == 1
+            (1, ProductState("t", "m", (1,), 0)),)
+        assert product.statistics()["edges"] == 1
 
 
 class TestAutomatonModel:

@@ -71,7 +71,7 @@ class TestModelValidation:
             transitions=(("a", "b"), ("b", "a"), ("a", "b")),
             weights={("a", "b"): Q(1), ("b", "a"): Q(1)},
             atoms=frozenset(), labels={})
-        assert system.successors("a") == ("b",)
+        assert system.successors("a") == ((1, "b"),)
         assert system.transitions == (("a", "b"), ("b", "a"))
 
 
