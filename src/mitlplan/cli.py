@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -30,7 +31,8 @@ from .tba import (TimedBuchiAutomaton, UnsupportedFragmentError,
 from .product import GlobalProduct, LocalProduct, TeamProduct
 from .wts import (CollectiveRun, ModelValidationError, RunValidationError,
                   TimedRun, WeightedTransitionSystem, collective_run,
-                  collective_word_of, grid_system, timed_word_of)
+                  collective_word_of, grid_cells, grid_system,
+                  timed_word_of)
 
 EXIT_SUCCESS = 0
 EXIT_UNSATISFIABLE = 1
@@ -131,12 +133,25 @@ def _load_json(path: Path) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
+@contextmanager
+def _naming(where: str):
+    """Puts ``where: `` before the message of an input error raised inside;
+    its class, which decides the exit code, stays."""
+    try:
+        yield
+    except (InputError, MitlError, RunValidationError, ValueError) as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
+def _rational(value, where: str):
+    with _naming(where):
+        return parse_rational(value)
+
+
 def _duration(value, where: str):
     """A positive rational of a model file."""
-    try:
-        duration = parse_rational(value)
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    duration = _rational(value, where)
     if duration <= 0:
         raise InputError(f"{where}: must be positive, got {value}")
     return duration
@@ -153,17 +168,21 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
     A transition may be listed again only with the same weight."""
     if "grid" in entry:
         grid = entry["grid"]
+        rows = _positive(grid["rows"], f"{where}.grid.rows")
+        cols = _positive(grid["cols"], f"{where}.grid.cols")
+        cells = set(grid_cells(rows, cols))
         labels = grid.get("labels", {})
-        system = grid_system(
-            rows=_positive(grid["rows"], f"{where}.grid.rows"),
-            cols=_positive(grid["cols"], f"{where}.grid.cols"),
+        for cell in labels:
+            _declared(cell, cells, f"{where}.grid.labels.{cell}")
+        initial, field = ((entry["initial"], "initial") if "initial" in entry
+                          else (grid.get("initial", []), "grid.initial"))
+        for i, cell in enumerate(initial):
+            _declared(cell, cells, f"{where}.{field}[{i}]")
+        return grid_system(
+            rows=rows, cols=cols,
             move_weights={k: _duration(v, f"{where}.grid.moveWeights.{k}")
                           for k, v in grid["moveWeights"].items()},
-            labels=labels,
-            initial=entry.get("initial", grid.get("initial", [])))
-        for cell in labels:
-            _declared(cell, system.labels, f"{where}.grid.labels.{cell}")
-        return system
+            labels=labels, initial=initial)
     states = entry["states"]
     known = set(states)
     for i, state in enumerate(entry["initial"]):
@@ -174,7 +193,6 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
     atoms = set(entry.get("atoms", []))
     for atom_set in labels.values():
         atoms |= atom_set
-    transitions = []
     weights = {}
     for i, item in enumerate(entry["transitions"]):
         here = f"{where}.transitions[{i}]"
@@ -185,11 +203,9 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
             raise InputError(
                 f"{here}: {pair[0]} -> {pair[1]} is listed "
                 f"before with weight {format_rational(weights[pair])}")
-        transitions.append(pair)
     return WeightedTransitionSystem(
         states=tuple(states),
         initial=frozenset(entry["initial"]),
-        transitions=tuple(transitions),
         weights=weights,
         atoms=frozenset(atoms),
         labels={state: labels.get(state, frozenset()) for state in states},
@@ -237,13 +253,14 @@ def load_runs(path: Path) -> dict:
     _check(data, _RUNS, "")
     runs = {}
     for name, entry in data["runs"].items():
-        runs[name] = TimedRun(
-            prefix=tuple((state, parse_rational(stamp))
-                         for state, stamp in entry.get("prefix", [])),
-            cycle=tuple((state, parse_rational(stamp))
-                        for state, stamp in entry.get("cycle", [])),
-            period=parse_rational(entry["period"]),
-        )
+        where = f"runs.{name}"
+        prefix, cycle = [
+            tuple((state, _rational(stamp, f"{where}.{part}[{i}][1]"))
+                  for i, (state, stamp) in enumerate(entry.get(part, [])))
+            for part in ("prefix", "cycle")]
+        period = _rational(entry["period"], f"{where}.period")
+        with _naming(where):
+            runs[name] = TimedRun(prefix=prefix, cycle=cycle, period=period)
     if not runs:
         raise InputError(f"{path}: no runs defined")
     return runs
@@ -253,11 +270,9 @@ def _load_automaton(path: Path, where: str) -> TimedBuchiAutomaton:
     """A hand-written automaton file; an error names ``where`` and the
     field, as in ``global.tba: edges[2].to: missing``."""
     data = _load_json(path)
-    try:
+    with _naming(where):
         _check(data, _TBA, "")
         return tba_from_dict(data)
-    except (InputError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
 
 
 # how _load_specification words its failures for an agent and for the team:
@@ -286,7 +301,8 @@ def _load_specification(entry: dict, atoms: frozenset, base: Path,
 
     text = entry.get("formula")
     if text is not None:
-        formula = parse_formula(text)
+        with _naming(f"{where}.formula"):
+            formula = parse_formula(text)
         unknown = atoms_of(formula) - atoms
         if unknown:
             raise error(0, sorted(unknown))
@@ -562,11 +578,8 @@ def _parse_scoped_formulas(items, model, runs):
             raise InputError(f"unknown formula scope {scope!r}")
         if scope != "team" and scope not in runs:
             raise InputError(f"no run given for agent {scope!r}")
-        try:
+        with _naming(f"--formula {scope}: {text}"):
             scoped.append((scope, parse_formula(text)))
-        except MitlError as exc:  # its class decides the exit code
-            exc.args = (f"--formula {scope}: {text}: {exc}",)
-            raise
     return scoped
 
 

@@ -1,10 +1,11 @@
 """Exact time arithmetic, intervals, and lasso-shaped timed sequences.
 
-Every quantity of time in this package is exact: a ``fractions.Fraction``,
-an ``int`` where the value is integral (see :func:`int_if_integral`), or
-the :data:`INFINITY` sentinel as the upper end of an unbounded interval.
-Floats never enter the pipeline; they appear only in presentation code
-(SVG coordinates).
+Every quantity of time in this package is exact.  Where it is read or
+printed it is a ``fractions.Fraction``, or the :data:`INFINITY` sentinel as
+the upper end of an unbounded interval.  Inside the products, the evaluator
+and the merge it is an ``int``: those multiply every value they read by the
+:func:`denominator_lcm` of all of them.  Floats never enter the pipeline;
+they appear only in presentation code (SVG coordinates).
 """
 
 from __future__ import annotations
@@ -75,16 +76,6 @@ def format_rational(value) -> str:
     if value is INFINITY:
         return "inf"
     return str(value)
-
-
-def int_if_integral(value):
-    """An integral rational as an ``int``, any other value unchanged.
-
-    Model weights and clock constants go through here when they are built,
-    so that the products add and compare plain ``int``s whenever the data
-    allow it.
-    """
-    return int(value) if value.denominator == 1 else value
 
 
 def denominator_lcm(values: Iterable) -> int:

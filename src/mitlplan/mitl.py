@@ -32,7 +32,7 @@ reading; see the README for a worked example.
 The evaluator counts time in integers.  It normalizes the formula once,
 multiplies the word's stamps and the formula's interval endpoints by the
 lcm of all their denominators, and turns each interval into the closed
-range of integer offsets inside it.  ``first_violation`` divides the stamp
+range of integer distances inside it.  ``first_violation`` divides the stamp
 it reports back into the exact ``Fraction`` of the input word.
 """
 
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (INFINITY, LassoTimedWord, TimeInterval, UNIT_INTERVAL,
-                   denominator_lcm, format_rational, int_if_integral,
-                   parse_rational)
+                   denominator_lcm, format_rational, parse_rational)
 
 
 class MitlError(Exception):
@@ -112,14 +111,13 @@ class Compare(Formula):
 
     clock: str
     relation: str  # one of < <= > >= =
-    constant: Fraction  # stored as an int when integral
+    constant: Fraction  # an int in a scaled automaton
 
     def __post_init__(self):
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
         if self.constant < 0:
             raise ValueError("clock constants are nonnegative")
-        object.__setattr__(self, "constant", int_if_integral(self.constant))
 
 
 @dataclass(frozen=True)

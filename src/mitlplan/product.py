@@ -9,13 +9,15 @@ an edge of weight ``w`` and moves the automaton with
 :meth:`TimedBuchiAutomaton.step`, elapsing ``w`` and reading the letter of
 the edge's target.  Layer 1 pairs one agent's transition system with its
 specification automaton.  Layer 2 interleaves the per-agent layer-1
-graphs: each step advances time by the smallest remaining transition
-duration among the agents, agents finishing exactly then complete their
-moves, and a round-robin index turns the per-agent acceptance sets into a
-single one.  Layer 3 pairs the team graph with the team specification
-automaton using the two-flag intersection bookkeeping.  Time is counted in
-integers when the caller scales durations and clock constants to
-integers, as ``solve`` does.
+graphs: each step advances time by the smallest time remaining on the
+agents' moves, agents finishing exactly then complete their moves, and a
+round-robin index turns the per-agent acceptance sets into a single one.
+Layer 3 pairs the team graph with the team specification automaton using
+the two-flag intersection bookkeeping.
+
+Time is an ``int`` in every layer, durations, clock values and the time
+remaining on a move alike: the caller builds the products on the
+``scaled`` copies of the systems and automata, as ``solve`` does.
 
 Successor lists are memoized per state, and state objects are plain value
 tuples.  Successors come in construction order, which is deterministic:
@@ -46,7 +48,7 @@ class ProductState(NamedTuple):
 class TeamState(NamedTuple):
     components: tuple  # ProductState per agent
     targets: tuple     # committed in-flight ProductState per agent, or None
-    offsets: tuple     # time already spent on the current transition
+    remaining: tuple   # time left on the committed move, 0 without one
     turn: int          # round-robin index, 0-based
     letter: frozenset  # atoms of the components' regions, one object each
 
@@ -129,20 +131,17 @@ class LocalProduct(AutomatonProduct):
                 f"automaton alphabet {sorted(automaton.atoms)}")
         super().__init__(system, automaton)
 
-    def duration_of(self, state: ProductState, target: ProductState):
-        return self.graph.weight_of(state.node, target.node)
-
 
 class TeamProduct(_MemoizedGraph):
     """Interleaving of the per-agent products.
 
     A state fixes each agent's current layer-1 state, the layer-1 state it
     is currently moving toward (``None`` when at a boundary), and the time
-    already spent on that move.  Every step advances time by the smallest
-    remaining duration; exactly the agents whose remaining duration equals
-    it complete their moves.  The round-robin index makes acceptance
-    single-set: a state accepts when the index rests on the last agent and
-    that agent's component is locally accepting.
+    remaining on that move, the move's weight when the agent commits to
+    it.  Every step advances time by the smallest remaining time; exactly
+    the agents with that much left complete their moves.  The round-robin
+    index makes acceptance single-set: a state accepts when the index rests
+    on the last agent and that agent's component is locally accepting.
     """
 
     # a state carries its letter; read without a Python-level call
@@ -175,7 +174,7 @@ class TeamProduct(_MemoizedGraph):
             out.append(TeamState(
                 components=tuple(combo),
                 targets=(None,) * self.count,
-                offsets=(0,) * self.count,
+                remaining=(0,) * self.count,
                 turn=0,
                 letter=self._letter(combo),
             ))
@@ -192,9 +191,7 @@ class TeamProduct(_MemoizedGraph):
         options = []
         for k in range(self.count):
             if state.targets[k] is not None:
-                duration = self.locals[k].duration_of(state.components[k],
-                                                      state.targets[k])
-                options.append(((duration, state.targets[k]),))
+                options.append(((state.remaining[k], state.targets[k]),))
             else:
                 moves = self.locals[k].successors(state.components[k])
                 if not moves:
@@ -202,34 +199,35 @@ class TeamProduct(_MemoizedGraph):
                 options.append(moves)
         out = []
         for combo in itertools.product(*options):
-            step = min(duration - offset
-                       for (duration, _), offset in zip(combo, state.offsets))
+            step = min([left for left, _ in combo])
             components = []
             targets = []
-            offsets = []
-            for k, ((duration, target), offset) in enumerate(
-                    zip(combo, state.offsets)):
-                if offset + step == duration:
+            remaining = []
+            for k, (left, target) in enumerate(combo):
+                if left == step:
                     components.append(target)
                     targets.append(None)
-                    offsets.append(0)
+                    remaining.append(0)
                 else:
                     components.append(state.components[k])
                     targets.append(target)
-                    offsets.append(offset + step)
+                    remaining.append(left - step)
             turn = state.turn
             if self.locals[turn].is_accepting(state.components[turn]):
                 turn = (turn + 1) % self.count
             out.append((step, TeamState(tuple(components), tuple(targets),
-                                        tuple(offsets), turn,
+                                        tuple(remaining), turn,
                                         self._letter(components))))
         return tuple(sorted(out, key=self._successor_key))
 
     @staticmethod
     def _successor_key(pair):
-        step, state = pair
+        """The components and the targets: each of a state's successors
+        has its own, since an agent's move is its target, or its
+        component once the move is complete."""
+        _, state = pair
         target_key = tuple((0,) if t is None else (1, t) for t in state.targets)
-        return (state.components, target_key, state.offsets, state.turn, step)
+        return (state.components, target_key)
 
     def is_accepting(self, state: TeamState) -> bool:
         last = self.count - 1

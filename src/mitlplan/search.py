@@ -216,12 +216,12 @@ def project_plan(lasso: AcceptingLasso, problem, factor: int) -> PlanBundle:
     for k, name in enumerate(names):
         prefix = []
         cycle = []
-        # agent k is at a state of its own run where its offset is zero,
-        # which includes position 0: it opens the cycle when the stem is the
-        # initial state alone.  The final path position is excluded: it
-        # repeats the cycle head one period later
+        # agent k is at a state of its own run where it has no move in
+        # flight, which includes position 0: it opens the cycle when the stem
+        # is the initial state alone.  The final path position is excluded:
+        # it repeats the cycle head one period later
         for i in range(len(team_states) - 1):
-            if team_states[i].offsets[k] != 0:
+            if team_states[i].targets[k] is not None:
                 continue
             entry = (vectors[i][k], stamps[i])
             if i < stem_len - 1:

@@ -96,8 +96,10 @@ def map_comparisons(constraint: Formula, change) -> Formula:
 
 
 def scale_constraint(constraint: Formula, factor: int) -> Formula:
+    """``constraint`` with every constant multiplied by ``factor`` into an
+    ``int``; ``factor`` must be a multiple of every denominator."""
     return map_comparisons(constraint, lambda c: Compare(
-        c.clock, c.relation, c.constant * factor))
+        c.clock, c.relation, int(c.constant * factor)))
 
 
 def interval_guard(clock: str, interval: TimeInterval) -> Formula:
@@ -222,8 +224,9 @@ class TimedBuchiAutomaton:
         return (0,) * len(self.clocks)
 
     def scaled(self, factor: int) -> "TimedBuchiAutomaton":
-        if factor == 1:
-            return self
+        """A copy whose constants are multiplied by ``factor`` into
+        ``int``s; ``factor`` is :func:`~mitlplan.core.denominator_lcm` over
+        :meth:`constants`, or a multiple of it."""
         return TimedBuchiAutomaton(
             locations=self.locations,
             initial=self.initial,

@@ -1,5 +1,8 @@
 """Weighted transition systems, their timed runs, and the merge of several
 agents' runs into one collective run for the team.
+
+A duration is a ``Fraction`` as a file gives it, and an ``int`` in the
+:meth:`~WeightedTransitionSystem.scaled` copy that the products read.
 """
 
 from __future__ import annotations
@@ -8,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (LassoSequence, LassoTimedWord, denominator_lcm,
-                   freeze_atoms, int_if_integral)
+                   freeze_atoms)
 
 
 class ModelValidationError(Exception):
@@ -21,12 +24,12 @@ class RunValidationError(Exception):
 
 @dataclass
 class WeightedTransitionSystem:
-    """A labelled weighted graph, in the sense of :mod:`mitlplan.product`."""
+    """A labelled weighted graph, in the sense of :mod:`mitlplan.product`.
+    The keys of ``weights`` are its transitions."""
 
     states: tuple[str, ...]
     initial: frozenset[str]
-    transitions: tuple[tuple[str, str], ...]
-    weights: dict  # (source, target) -> positive rational, int if integral
+    weights: dict  # (source, target) -> positive duration
     atoms: frozenset[str]
     labels: dict  # state -> frozenset of atoms
     _successors: dict = field(default_factory=dict, repr=False)
@@ -35,34 +38,25 @@ class WeightedTransitionSystem:
         self.states = tuple(sorted(self.states))
         self.initial = frozenset(self.initial)
         self.atoms = frozenset(self.atoms)
-        declared = set(self.transitions)
-        self.transitions = tuple(sorted(declared))
         known = set(self.states)
         if not self.initial:
             raise ModelValidationError("at least one initial state is required")
         if not self.initial <= known:
             raise ModelValidationError("initial states must be declared states")
-        for pair in self.transitions:
+        for pair, weight in self.weights.items():
             if pair[0] not in known or pair[1] not in known:
                 raise ModelValidationError(f"transition endpoints undeclared: {pair}")
-            if pair not in self.weights:
-                raise ModelValidationError(f"transition without weight: {pair}")
-        for pair, weight in self.weights.items():
-            if pair not in declared:
-                raise ModelValidationError(f"weight for undeclared transition: {pair}")
             if weight <= 0:
                 raise ModelValidationError(
                     f"transition weights must be positive: {pair} -> {weight}")
-        self.weights = {pair: int_if_integral(weight)
-                        for pair, weight in self.weights.items()}
         for state in self.states:
             label = freeze_atoms(self.labels.get(state, ()))
             if not label <= self.atoms:
                 raise ModelValidationError(f"label of {state} uses undeclared atoms")
             self.labels[state] = label
-        # sorted by target, each target once, as the transitions are
+        # sorted by target
         out: dict[str, list] = {s: [] for s in self.states}
-        for pair in self.transitions:
+        for pair in sorted(self.weights):
             out[pair[0]].append((self.weights[pair], pair[1]))
         self._successors = {s: tuple(ts) for s, ts in out.items()}
 
@@ -76,17 +70,14 @@ class WeightedTransitionSystem:
         """The ``(weight, target)`` pairs out of ``state``."""
         return self._successors[state]
 
-    def weight_of(self, source: str, target: str) -> Fraction:
-        return self.weights[(source, target)]
-
     def scaled(self, factor: int) -> "WeightedTransitionSystem":
-        if factor == 1:
-            return self
+        """A copy whose durations are multiplied by ``factor`` into
+        ``int``s; ``factor`` is :func:`~mitlplan.core.denominator_lcm` over
+        the durations, or a multiple of it."""
         return WeightedTransitionSystem(
             states=self.states,
             initial=self.initial,
-            transitions=self.transitions,
-            weights={pair: w * factor for pair, w in self.weights.items()},
+            weights={pair: int(w * factor) for pair, w in self.weights.items()},
             atoms=self.atoms,
             labels=dict(self.labels),
         )
@@ -111,10 +102,11 @@ class TimedRun(LassoSequence):
                 f"run starts at {events[0][0]}, not an initial state")
         for i, ((here, stamp), (there, arrival)) in enumerate(
                 zip(events, events[1:])):
-            if (here, there) not in system.weights:
+            weight = system.weights.get((here, there))
+            if weight is None:
                 raise RunValidationError(
                     f"step {i}: {here} -> {there} is not a transition")
-            expected = stamp + system.weight_of(here, there)
+            expected = stamp + weight
             if arrival != expected:
                 raise RunValidationError(
                     f"step {i}: arrival at {there} stamped {arrival}, "
@@ -208,13 +200,17 @@ def collective_word_of(systems, run: CollectiveRun) -> LassoTimedWord:
     )
 
 
-def grid_system(rows: int, cols: int, move_weights: dict, labels: dict,
-                initial, name_prefix: str = "p") -> WeightedTransitionSystem:
-    """A rows-by-cols workspace with 4-neighbor moves.
+def grid_cells(rows: int, cols: int) -> list[str]:
+    """The cells of a rows-by-cols grid, numbered row by row starting from
+    1 at the top-left: ``p1`` ... ``pN``."""
+    return [f"p{n}" for n in range(1, rows * cols + 1)]
 
-    Cells are numbered row by row starting from 1 at the top-left, named
-    ``p1`` ... ``pN``.  ``move_weights`` maps ``up``/``right``/``down``/
-    ``left`` to positive durations.
+
+def grid_system(rows: int, cols: int, move_weights: dict, labels: dict,
+                initial) -> WeightedTransitionSystem:
+    """A rows-by-cols workspace of :func:`grid_cells` with 4-neighbor
+    moves.  ``move_weights`` maps ``up``/``right``/``down``/``left`` to
+    positive durations.
     """
     if rows < 1 or cols < 1:
         raise ModelValidationError("grid needs positive dimensions")
@@ -222,20 +218,14 @@ def grid_system(rows: int, cols: int, move_weights: dict, labels: dict,
     for key in directions:
         if key not in move_weights:
             raise ModelValidationError(f"grid move weight missing: {key}")
-
-    def cell(row: int, col: int) -> str:
-        return f"{name_prefix}{row * cols + col + 1}"
-
-    states = [cell(r, c) for r in range(rows) for c in range(cols)]
-    transitions = []
+    states = grid_cells(rows, cols)
     weights = {}
     for r in range(rows):
         for c in range(cols):
             for direction, (dr, dc) in directions.items():
                 r2, c2 = r + dr, c + dc
                 if 0 <= r2 < rows and 0 <= c2 < cols:
-                    pair = (cell(r, c), cell(r2, c2))
-                    transitions.append(pair)
+                    pair = (states[r * cols + c], states[r2 * cols + c2])
                     weights[pair] = Fraction(move_weights[direction])
     atoms: set[str] = set()
     for cell_labels in labels.values():
@@ -243,7 +233,6 @@ def grid_system(rows: int, cols: int, move_weights: dict, labels: dict,
     return WeightedTransitionSystem(
         states=tuple(states),
         initial=frozenset(initial),
-        transitions=tuple(transitions),
         weights=weights,
         atoms=frozenset(atoms),
         labels={state: frozenset(labels.get(state, ())) for state in states},

@@ -433,7 +433,6 @@ def random_agent_system(rng: random.Random, atom: str, max_states=3,
     return WeightedTransitionSystem(
         states=tuple(states),
         initial=frozenset({rng.choice(states)}),
-        transitions=tuple(pairs),
         weights=chosen,
         atoms=frozenset({atom}),
         labels={s: (frozenset({atom}) if s in labeled else frozenset())
@@ -453,7 +452,7 @@ def enumerate_timed_runs(system, max_stem=4, max_cycle=3):
         def walk(path, total):
             last = path[-1]
             if len(path) - 1 >= 1 and (last, head) in system.weights:
-                out.append((list(path), total + system.weight_of(last, head)))
+                out.append((list(path), total + system.weights[last, head]))
             if len(path) - 1 < max_cycle - 1:
                 for weight, nxt in system.successors(last):
                     walk(path + [nxt], total + weight)
@@ -478,11 +477,11 @@ def enumerate_timed_runs(system, max_stem=4, max_cycle=3):
             for cycle_states, period in cycles_from(head):
                 stamps = [Fraction(0)]
                 for here, there in zip(stem, stem[1:]):
-                    stamps.append(stamps[-1] + system.weight_of(here, there))
+                    stamps.append(stamps[-1] + system.weights[here, there])
                 cycle_stamps = [stamps[-1]]
                 for here, there in zip(cycle_states, cycle_states[1:]):
                     cycle_stamps.append(cycle_stamps[-1]
-                                        + system.weight_of(here, there))
+                                        + system.weights[here, there])
                 prefix = tuple(zip(stem[:-1], stamps[:-1]))
                 cycle = tuple(zip(cycle_states, cycle_stamps))
                 runs.append(TimedRun(prefix=prefix, cycle=cycle, period=period))

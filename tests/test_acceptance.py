@@ -236,7 +236,7 @@ def _self_loop_instances():
             (Q(1, 2), ("a",), parse_formula("G F[<=1/2] a"), true)):
         loop = WeightedTransitionSystem(
             states=("s",), initial=frozenset({"s"}),
-            transitions=(("s", "s"),), weights={("s", "s"): weight},
+            weights={("s", "s"): weight},
             atoms=frozenset(atoms), labels={"s": set(atoms)})
         yield (loop,), (formula,), team
 

@@ -444,6 +444,19 @@ class TestMalformedProblemFiles:
             "rows": 0, "cols": 2,
             "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
          [], "agents[0].grid.rows: must be a positive integer, got 0"),
+        (with_agent(initial=["p999"], grid={
+            "rows": 2, "cols": 2,
+            "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
+         [], "agents[0].initial[0]: 'p999' is not a declared state"),
+        (with_agent(initial=None, grid={
+            "rows": 2, "cols": 2, "initial": ["p1", "p5"],
+            "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
+         [], "agents[0].grid.initial[1]: 'p5' is not a declared state"),
+        (with_agent(formula="F[<=3] x <= 2"), [],
+         "agents[0].formula: 1:9: unexpected '<='"),
+        (with_agent(formula="F[<=3"), [], "agents[0].formula: 1:"),
+        ({**with_agent(), "global": {"formula": "F[<=3] x <= 2"}}, [],
+         "global.formula: 1:9: unexpected '<='"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):
@@ -453,6 +466,28 @@ class TestMalformedProblemFiles:
         assert names in err
         assert "Traceback" not in err
         assert not (tmp_path / "plan.json").exists()
+
+    @pytest.mark.parametrize("data, names", [
+        (with_agent(formula="F[2,2] true"), "agents[0].formula"),
+        ({**with_agent(), "global": {"formula": "G[1,1] true"}},
+         "global.formula")])
+    def test_a_punctual_interval_exits_4_naming_the_field(self, tmp_path,
+                                                           capsys, data,
+                                                           names):
+        problem = write_json(tmp_path / "problem.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {names}: ")
+
+    def test_a_transition_listed_twice_is_one_successor(self, tmp_path):
+        from mitlplan.cli import load_model
+        agent = with_agent(states=["s", "t"], transitions=[
+            {"from": "s", "to": "t", "weight": "1"},
+            {"from": "t", "to": "s", "weight": "2"},
+            {"from": "s", "to": "t", "weight": "1"}])["agents"][0]
+        model = load_model(write_json(tmp_path / "model.json",
+                                      {"agents": [agent]}))
+        assert model["solo"].successors("s") == ((1, "t"),)
+        assert model["solo"].successors("t") == ((2, "s"),)
 
     @pytest.mark.parametrize("data, message", [
         (with_agent(formula="F hot"),
@@ -486,6 +521,17 @@ class TestMalformedProblemFiles:
         ({"runs": {"r1": {"cycle": [["p1", "0"]]}}}, "runs.r1.period: missing"),
         ({"runs": {"r1": {"cycle": [["p1"]], "period": "1"}}},
          "runs.r1.cycle[0]"),
+        ({"runs": {"r1": {"cycle": [["p1", "abc"]], "period": "1"}}},
+         "error: runs.r1.cycle[0][1]: not a rational number: 'abc'\n"),
+        ({"runs": {"r2": {"prefix": [["p1", "0"]], "cycle": [["p2", "1/0"]],
+                          "period": "1"}}},
+         "error: runs.r2.cycle[0][1]: not a rational number: '1/0'\n"),
+        ({"runs": {"r2": {"cycle": [["p1", "0"]], "period": "x"}}},
+         "error: runs.r2.period: not a rational number: 'x'\n"),
+        ({"runs": {"r1": {"cycle": [["p1", "0"]], "period": "0"}}},
+         "error: runs.r1: lasso period must be positive: 0\n"),
+        ({"runs": {"r1": {"cycle": [["p1", "1"]], "period": "1"}}},
+         "error: runs.r1: runs start at time zero\n"),
     ])
     def test_malformed_runs_exit_3(self, tmp_path, capsys, runs, names):
         path = write_json(tmp_path / "runs.json", runs)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+from mitlplan import cli
 from mitlplan.mitl import parse_formula, satisfies
-from mitlplan.product import GlobalProduct, LocalProduct, TeamProduct
+from mitlplan.product import GlobalProduct, LocalProduct, TeamProduct, TeamState
 from mitlplan.search import find_accepting_lasso
 from mitlplan.tba import translate_mitl, universal_tba
 from mitlplan.wts import (TimedRun, WeightedTransitionSystem,
@@ -20,7 +22,7 @@ def tiny_system(labels, weights=None, atoms=None):
         atom_set |= set(label)
     return WeightedTransitionSystem(
         states=tuple(states), initial=frozenset({states[0]}),
-        transitions=tuple(weights), weights=dict(weights),
+        weights=dict(weights),
         atoms=frozenset(atom_set),
         labels={s: frozenset(labels.get(s, ())) for s in states})
 
@@ -28,7 +30,6 @@ def tiny_system(labels, weights=None, atoms=None):
 def chain_green():
     return WeightedTransitionSystem(
         states=("p1", "p2", "p3"), initial=frozenset({"p1"}),
-        transitions=(("p1", "p2"), ("p2", "p1"), ("p2", "p3"), ("p3", "p2")),
         weights={("p1", "p2"): Q(1), ("p2", "p1"): Q(2),
                  ("p2", "p3"): Q(3, 2), ("p3", "p2"): Q(1, 2)},
         atoms=frozenset({"green"}),
@@ -154,8 +155,8 @@ class TestTeamProduct:
         assert steps
         for weight, state in steps:
             assert weight == Q(1)
-            assert state.offsets[0] == Q(0)   # agent 1 completed
-            assert state.offsets[1] == Q(1)   # agent 2 is one unit in
+            assert state.remaining[0] == 0   # agent 1 completed
+            assert state.remaining[1] == 1   # agent 2 has one unit left
             assert state.targets[0] is None
             assert state.targets[1] is not None
 
@@ -169,13 +170,13 @@ class TestTeamProduct:
         assert steps
         for weight, state in steps:
             assert weight == Q(2)
-            assert state.offsets == (Q(0), Q(0))
+            assert state.remaining == (0, 0)
             assert state.targets == (None, None)
 
     def test_deadlocked_agent_makes_the_state_edgeless(self):
         stuck = WeightedTransitionSystem(
             states=("a", "b"), initial=frozenset({"a"}),
-            transitions=(("a", "b"),), weights={("a", "b"): Q(1)},
+            weights={("a", "b"): Q(1)},
             atoms=frozenset(), labels={})
         team = TeamProduct([LocalProduct(stuck, universal_tba(frozenset()))])
         initial = team.initial_states()[0]
@@ -187,7 +188,6 @@ class TestTeamProduct:
         g1 = chain_green()
         g2 = WeightedTransitionSystem(
             states=("q1", "q2"), initial=frozenset({"q1"}),
-            transitions=(("q1", "q2"), ("q2", "q1")),
             weights={("q1", "q2"): Q(2), ("q2", "q1"): Q(2)},
             atoms=frozenset({"red"}), labels={"q1": set(), "q2": {"red"}})
         locals_ = [
@@ -207,7 +207,6 @@ class TestTeamProduct:
         g1 = chain_green()
         g2 = WeightedTransitionSystem(
             states=("q1", "q2"), initial=frozenset({"q1"}),
-            transitions=(("q1", "q2"), ("q2", "q1")),
             weights={("q1", "q2"): Q(1, 2), ("q2", "q1"): Q(2)},
             atoms=frozenset({"red"}), labels={"q1": set(), "q2": {"red"}})
         locals_ = [LocalProduct(g1, universal_tba({"green"})),
@@ -226,7 +225,7 @@ class TestTeamProduct:
         completion_stamps = set()
         for k in range(2):
             for i in range(1, len(events)):
-                if events[i].offsets[k] == 0:
+                if events[i].remaining[k] == 0:
                     completion_stamps.add(stamps[i])
         assert completion_stamps == set(stamps[1:])
 
@@ -285,3 +284,49 @@ class TestDeterminism:
         assert first[:2] == second[:2]
         assert first[2].stem_states == second[2].stem_states
         assert first[2].cycle_steps == second[2].cycle_steps
+
+
+def _times(state):
+    """Every clock value and remaining time held in a product state."""
+    if isinstance(state, TeamState):
+        for left, target in zip(state.remaining, state.targets):
+            assert (left == 0) == (target is None)
+            yield left
+        for part in state.components + state.targets:
+            if part is not None:
+                yield from _times(part)
+    else:
+        yield from state.valuation
+        if isinstance(state.node, TeamState):
+            yield from _times(state.node)
+
+
+class TestIntegerTime:
+    @pytest.mark.parametrize("name, factor", [
+        ("two_agent_chain_plan.json", 2),  # weights in halves
+        ("grid_meet.json", 1)])
+    def test_every_layer_counts_time_in_ints(self, monkeypatch, name, factor):
+        built = []
+
+        class Recorded(GlobalProduct):
+            def __init__(self, team, automaton):
+                super().__init__(team, automaton)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "GlobalProduct", Recorded)
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        outcome = cli.solve(cli.load_problem(fixtures / name))
+        assert outcome.status == "success"
+        assert outcome.statistics["scalingFactor"] == factor
+        (global_product,) = built
+        team = global_product.graph
+        weights = values = 0
+        for layer in (global_product, team, *team.locals):
+            for state, successors in layer._successor_cache.items():
+                for weight, successor in ((0, state), *successors):
+                    assert type(weight) is int
+                    weights += 1
+                    for value in _times(successor):
+                        assert type(value) is int
+                        values += 1
+        assert weights > 100 and values > 100

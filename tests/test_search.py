@@ -33,14 +33,12 @@ def make_problem(systems, names, formulas, global_formula, budget=1_000_000):
 def corridor_systems():
     t1 = WeightedTransitionSystem(
         states=("p1", "p2", "p3"), initial=frozenset({"p1"}),
-        transitions=(("p1", "p2"), ("p2", "p1"), ("p2", "p3"), ("p3", "p2")),
         weights={("p1", "p2"): Q(1), ("p2", "p1"): Q(2),
                  ("p2", "p3"): Q(3, 2), ("p3", "p2"): Q(1, 2)},
         atoms=frozenset({"green"}),
         labels={"p1": {"green"}, "p2": set(), "p3": set()})
     t2 = WeightedTransitionSystem(
         states=("p1", "p2", "p3"), initial=frozenset({"p1"}),
-        transitions=(("p1", "p2"), ("p2", "p1"), ("p2", "p3"), ("p3", "p2")),
         weights={("p1", "p2"): Q(2), ("p2", "p1"): Q(3, 2),
                  ("p2", "p3"): Q(1, 2), ("p3", "p2"): Q(2)},
         atoms=frozenset({"red"}),

@@ -143,7 +143,6 @@ class TestStepKernel:
         assert automaton.step("l", (0,), 1, frozenset({"b"}), 5) == [("m", (1,))]
         system = WeightedTransitionSystem(
             states=("s", "t"), initial=frozenset({"s"}),
-            transitions=(("s", "t"), ("t", "t")),
             weights={("s", "t"): 1, ("t", "t"): 1}, atoms=both,
             labels={"s": both, "t": both})
         product = LocalProduct(system, automaton)

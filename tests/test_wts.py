@@ -12,14 +12,12 @@ from mitlplan.wts import (ModelValidationError,
 def chain_pair():
     t1 = WeightedTransitionSystem(
         states=("p1", "p2", "p3"), initial=frozenset({"p1"}),
-        transitions=(("p1", "p2"), ("p2", "p1"), ("p2", "p3"), ("p3", "p2")),
         weights={("p1", "p2"): Q(1), ("p2", "p1"): Q(2),
                  ("p2", "p3"): Q(3, 2), ("p3", "p2"): Q(1, 2)},
         atoms=frozenset({"green"}),
         labels={"p1": {"green"}, "p2": set(), "p3": set()})
     t2 = WeightedTransitionSystem(
         states=("p1", "p2", "p3"), initial=frozenset({"p1"}),
-        transitions=(("p1", "p2"), ("p2", "p1"), ("p2", "p3"), ("p3", "p2")),
         weights={("p1", "p2"): Q(2), ("p2", "p1"): Q(3, 2),
                  ("p2", "p3"): Q(1, 2), ("p3", "p2"): Q(2)},
         atoms=frozenset({"red"}),
@@ -40,39 +38,21 @@ class TestModelValidation:
         with pytest.raises(ModelValidationError):
             WeightedTransitionSystem(
                 states=("a", "b"), initial=frozenset({"a"}),
-                transitions=(("a", "b"),), weights={("a", "b"): Q(0)},
+                weights={("a", "b"): Q(0)},
                 atoms=frozenset(), labels={})
 
     def test_initial_required(self):
         with pytest.raises(ModelValidationError):
             WeightedTransitionSystem(states=("a",), initial=frozenset(),
-                                     transitions=(), weights={},
+                                     weights={},
                                      atoms=frozenset(), labels={})
 
     def test_undeclared_endpoints(self):
         with pytest.raises(ModelValidationError):
             WeightedTransitionSystem(
                 states=("a",), initial=frozenset({"a"}),
-                transitions=(("a", "zz"),), weights={("a", "zz"): Q(1)},
+                weights={("a", "zz"): Q(1)},
                 atoms=frozenset(), labels={})
-
-    def test_weight_on_an_undeclared_transition(self):
-        with pytest.raises(ModelValidationError) as info:
-            WeightedTransitionSystem(
-                states=("a", "b"), initial=frozenset({"a"}),
-                transitions=(("a", "b"),),
-                weights={("a", "b"): Q(1), ("b", "a"): Q(1)},
-                atoms=frozenset(), labels={})
-        assert "undeclared transition" in str(info.value)
-
-    def test_a_transition_listed_twice_is_one_successor(self):
-        system = WeightedTransitionSystem(
-            states=("a", "b"), initial=frozenset({"a"}),
-            transitions=(("a", "b"), ("b", "a"), ("a", "b")),
-            weights={("a", "b"): Q(1), ("b", "a"): Q(1)},
-            atoms=frozenset(), labels={})
-        assert system.successors("a") == ((1, "b"),)
-        assert system.transitions == (("a", "b"), ("b", "a"))
 
 
 class TestRunValidation:
@@ -119,7 +99,7 @@ class TestTimedWordOf:
     def test_self_loop_system(self):
         system = WeightedTransitionSystem(
             states=("s",), initial=frozenset({"s"}),
-            transitions=(("s", "s"),), weights={("s", "s"): Q(3, 2)},
+            weights={("s", "s"): Q(3, 2)},
             atoms=frozenset({"p"}), labels={"s": {"p"}})
         run = TimedRun(prefix=(), cycle=(("s", Q(0)),), period=Q(3, 2))
         w = timed_word_of(system, run)
@@ -225,7 +205,7 @@ def assert_random_merges_match(rng, **system_options):
         while len(systems) < 2:
             system = random_agent_system(rng, f"m{len(systems)}",
                                          **system_options)
-            if all(a != b for a, b in system.transitions):
+            if all(a != b for a, b in system.weights):
                 systems.append(system)
         candidate_runs = []
         for system in systems:
@@ -286,10 +266,10 @@ class TestGrid:
             move_weights={"up": Q(1), "right": Q(1), "down": Q(2), "left": Q(2)},
             labels={"p9": ["recharge1"]}, initial=["p4"])
         assert len(system.states) == 21
-        assert system.weight_of("p4", "p11") == Q(2)   # down
-        assert system.weight_of("p11", "p10") == Q(2)  # left
-        assert system.weight_of("p16", "p17") == Q(1)  # right
-        assert system.weight_of("p20", "p13") == Q(1)  # up
+        assert system.weights["p4", "p11"] == Q(2)   # down
+        assert system.weights["p11", "p10"] == Q(2)  # left
+        assert system.weights["p16", "p17"] == Q(1)  # right
+        assert system.weights["p20", "p13"] == Q(1)  # up
         assert ("p7", "p8") not in system.weights      # no wraparound
         assert system.label_of("p9") == frozenset({"recharge1"})
 
@@ -306,5 +286,5 @@ class TestGrid:
                   Q(12), Q(13), Q(14)]
         total = Q(0)
         for (here, there), expected in zip(zip(route, route[1:]), stamps[1:]):
-            total += system.weight_of(here, there)
+            total += system.weights[here, there]
             assert total == expected
