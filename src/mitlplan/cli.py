@@ -174,6 +174,9 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
         labels = grid.get("labels", {})
         for cell in labels:
             _declared(cell, cells, f"{where}.grid.labels.{cell}")
+        if "initial" in entry and "initial" in grid:
+            raise InputError(f"{where}.grid.initial: the start cells are "
+                             f"given in {where}.initial already")
         initial, field = ((entry["initial"], "initial") if "initial" in entry
                           else (grid.get("initial", []), "grid.initial"))
         for i, cell in enumerate(initial):

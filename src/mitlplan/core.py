@@ -17,7 +17,7 @@ from typing import Iterable
 
 
 class Infinite:
-    """Sentinel for an unbounded time value.  Compares above every rational."""
+    """Sentinel for an unbounded time value."""
 
     _instance = None
 
@@ -28,29 +28,6 @@ class Infinite:
 
     def __repr__(self):
         return "inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("mitlplan-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
 
 
 INFINITY = Infinite()
@@ -138,6 +115,16 @@ class TimeInterval:
     @property
     def unbounded(self) -> bool:
         return self.upper is INFINITY
+
+    @property
+    def zero_based(self) -> bool:
+        """Whether the interval starts at 0, included."""
+        return self.lower == 0 and self.lower_closed
+
+    @property
+    def untimed(self) -> bool:
+        """Whether the interval is ``[0, inf)``, which constrains nothing."""
+        return self.zero_based and self.unbounded
 
 
 UNIT_INTERVAL = TimeInterval(Fraction(0), INFINITY, True, False)  # [0, inf)

@@ -5,7 +5,9 @@ One boolean language serves the whole package.  Formulas have atoms at
 their leaves; the clock guards and invariants of automata are formulas
 built from ``true``, ``!``, ``&`` and :class:`Compare` leaves (``x <= 3``).
 :func:`parse_formula` and :func:`parse_constraint` read the two with one
-parser, and :func:`format_formula` prints both.
+parser, and :func:`format_formula` prints both.  :func:`compile_formula`
+is the one decider of both: the automata's labels, guards and invariants
+and the evaluator's propositional subformulas.
 
 The evaluator is the ground-truth oracle for the rest of the pipeline.
 
@@ -32,14 +34,18 @@ reading; see the README for a worked example.
 The evaluator counts time in integers.  It normalizes the formula once,
 multiplies the word's stamps and the formula's interval endpoints by the
 lcm of all their denominators, and turns each interval into the closed
-range of integer distances inside it.  ``first_violation`` divides the stamp
-it reports back into the exact ``Fraction`` of the input word.
+range of integer distances inside it.  Each maximal propositional
+subformula is decided once per position of prefix + cycle, and only the
+temporal operators and the connectives above them are walked per
+judgment.  ``first_violation`` divides the stamp it reports back into the
+exact ``Fraction`` of the input word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .core import (INFINITY, LassoTimedWord, TimeInterval, UNIT_INTERVAL,
                    denominator_lcm, format_rational, parse_rational)
@@ -196,36 +202,54 @@ def is_propositional(formula: Formula) -> bool:
             return False
 
 
-def evaluate_propositional(formula: Formula, atoms: frozenset[str]) -> bool:
-    match formula:
-        case Atom(name):
-            return name in atoms
-        case TrueFormula():
-            return True
-        case FalseFormula():
-            return False
-        case Not(operand):
-            return not evaluate_propositional(operand, atoms)
-        case And(left, right):
-            return (evaluate_propositional(left, atoms)
-                    and evaluate_propositional(right, atoms))
-        case Or(left, right):
-            return (evaluate_propositional(left, atoms)
-                    or evaluate_propositional(right, atoms))
-        case Implies(left, right):
-            return ((not evaluate_propositional(left, atoms))
-                    or evaluate_propositional(right, atoms))
-    raise ValueError(f"not propositional: {formula!r}")
+_OPERATORS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
+
+
+def compile_formula(formula: Formula, clocks: tuple[str, ...] = ()) -> Optional[Callable]:
+    """A function deciding ``formula``, or ``None`` for ``true``, which
+    always holds.  A propositional formula is decided on a letter, the set
+    of atoms that hold; a clock constraint on a valuation tuple ordered as
+    ``clocks``.
+
+    The function is one Python expression over its argument ``v``, whose
+    text holds only operators, slot indices and the names that atoms and
+    constants are bound to, so no atom or constant is read as code."""
+    if isinstance(formula, TrueFormula):
+        return None
+    slot = {clock: i for i, clock in enumerate(clocks)}
+    names: dict = {}  # atom or constant -> its name in the expression
+
+    def bound(value) -> str:
+        return names.setdefault(value, f"c{len(names)}")
+
+    def source(part: Formula) -> str:
+        match part:
+            case Atom(name):
+                return f"{bound(name)} in v"
+            case TrueFormula():
+                return "True"
+            case FalseFormula():
+                return "False"
+            case Not(operand):
+                return f"not ({source(operand)})"
+            case And(left, right):
+                return f"({source(left)}) and ({source(right)})"
+            case Or(left, right):
+                return f"({source(left)}) or ({source(right)})"
+            case Implies(left, right):
+                return f"not ({source(left)}) or ({source(right)})"
+            case Compare(clock, relation, constant):
+                return f"v[{slot[clock]}] {_OPERATORS[relation]} {bound(constant)}"
+        raise TypeError(f"not a label or a clock constraint: {part!r}")
+
+    body = source(formula)
+    return eval(f"lambda v: {body}",
+                {name: value for value, name in names.items()})
 
 
 # --- concrete syntax ---------------------------------------------------
 
 _KEYWORDS = {"U", "X", "F", "G", "true", "false", "inf"}
-
-
-def _is_untimed(interval: TimeInterval) -> bool:
-    return (interval.lower == 0 and interval.lower_closed
-            and interval.upper is INFINITY)
 
 
 class _Tokenizer:
@@ -518,7 +542,7 @@ def _operand_text(operand: Formula) -> str:
 
 
 def _interval_text(interval: TimeInterval) -> str:
-    return "" if _is_untimed(interval) else interval.text()
+    return "" if interval.untimed else interval.text()
 
 
 # --- evaluation over lasso words ---------------------------------------
@@ -526,18 +550,21 @@ def _interval_text(interval: TimeInterval) -> str:
 class _Node:
     """One subformula of the normalized tree, as the evaluator reads it.
 
-    ``kind`` is the formula class.  A temporal node's interval is in the
+    ``kind`` is the formula class, or :class:`Formula` for a maximal
+    propositional subformula, whose ``truth`` lists its value at each
+    position of prefix + cycle.  A temporal node's interval is in the
     evaluator's integer time and closed at both ends: ``low`` is the least
     offset inside it, ``high`` the greatest or ``None`` when unbounded.
     """
 
-    __slots__ = ("kind", "atom", "operands", "interval", "low", "high", "memo")
+    __slots__ = ("kind", "operands", "interval", "low", "high", "truth",
+                 "memo")
 
-    def __init__(self, kind, operands=(), atom=None, interval=None):
+    def __init__(self, kind, operands=(), interval=None, truth=None):
         self.kind = kind
-        self.atom = atom
         self.operands = operands
         self.interval = interval
+        self.truth = truth
         self.low = self.high = None
         self.memo = {}  # (position, anchor) -> truth, on temporal nodes
 
@@ -550,27 +577,29 @@ class _Node:
             self.high = upper if interval.upper_closed else upper - 1
 
 
-def _build(formula: Formula, nodes: dict) -> _Node:
-    """The node of a normalized formula; equal subformulas share a node,
-    and so its memo."""
+def _build(formula: Formula, nodes: dict, letters: list) -> _Node:
+    """The node of a normalized formula over a word whose prefix + cycle
+    reads ``letters``; equal subformulas share a node, and so its memo."""
     node = nodes.get(formula)
     if node is not None:
         return node
     match formula:
-        case Atom(name):
-            node = _Node(Atom, atom=name)
-        case TrueFormula() | FalseFormula():
-            node = _Node(type(formula))
+        case _ if is_propositional(formula):
+            check = compile_formula(formula)
+            node = _Node(Formula, truth=[check is None or check(letter)
+                                         for letter in letters])
         case Not(operand):
-            node = _Node(Not, (_build(operand, nodes),))
+            node = _Node(Not, (_build(operand, nodes, letters),))
         case And(left, right):
-            node = _Node(And, (_build(left, nodes), _build(right, nodes)))
+            node = _Node(And, (_build(left, nodes, letters),
+                               _build(right, nodes, letters)))
         case Next(interval, operand) | Eventually(interval, operand) | \
                 Always(interval, operand):
-            node = _Node(type(formula), (_build(operand, nodes),),
+            node = _Node(type(formula), (_build(operand, nodes, letters),),
                          interval=interval)
         case Until(interval, left, right):
-            node = _Node(Until, (_build(left, nodes), _build(right, nodes)),
+            node = _Node(Until, (_build(left, nodes, letters),
+                                 _build(right, nodes, letters)),
                          interval=interval)
         case _:
             raise TypeError(f"not a normalized formula: {formula!r}")
@@ -583,14 +612,15 @@ class _Evaluator:
 
     The word's stamps and the formula's interval endpoints are multiplied
     by one factor, the lcm of all their denominators, so every anchor and
-    every offset ``t(j) - a`` is an ``int``.  Stamps and letters are read
-    from lists over prefix + cycle; positions past them are reduced into
-    the cycle.
+    every offset ``t(j) - a`` is an ``int``.  Stamps and the truth of each
+    propositional node are read from lists over prefix + cycle; positions
+    past them are reduced into the cycle.
     """
 
     def __init__(self, word: LassoTimedWord, formula: Formula):
         nodes: dict = {}
-        self.root = _build(normalize(formula), nodes)
+        self.root = _build(normalize(formula), nodes,
+                           [letter for letter, _ in word.prefix + word.cycle])
         temporal = [node for node in nodes.values()
                     if node.interval is not None]
         self.factor = denominator_lcm(word.time_values() + [
@@ -600,7 +630,6 @@ class _Evaluator:
         for node in temporal:
             node.scale(self.factor)
         self.stamps, self.period = word.integer_timeline(self.factor)
-        self.letters = [letter for letter, _ in word.prefix + word.cycle]
         self.loop = word.prefix_length
         self.size = len(self.stamps)
 
@@ -610,25 +639,18 @@ class _Evaluator:
         turns, slot = divmod(j - self.loop, self.size - self.loop)
         return self.stamps[self.loop + slot] + turns * self.period
 
-    def letter(self, j: int) -> frozenset[str]:
-        if j < self.size:
-            return self.letters[j]
-        slot = (j - self.loop) % (self.size - self.loop)
-        return self.letters[self.loop + slot]
-
     def holds(self, node: _Node, i: int, anchor: int) -> bool:
+        truth = node.truth
+        if truth is not None:
+            if i >= self.size:
+                i = self.loop + (i - self.loop) % (self.size - self.loop)
+            return truth[i]
         kind = node.kind
-        if kind is Atom:
-            return node.atom in self.letter(i)
         if kind is Not:
             return not self.holds(node.operands[0], i, anchor)
         if kind is And:
             left, right = node.operands
             return self.holds(left, i, anchor) and self.holds(right, i, anchor)
-        if kind is TrueFormula:
-            return True
-        if kind is FalseFormula:
-            return False
         key = (i, anchor)
         truth = node.memo.get(key)
         if truth is None:

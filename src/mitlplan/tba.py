@@ -6,7 +6,9 @@ label is propositional over the automaton's atoms; a guard or an
 invariant is a clock constraint, built from ``true``, ``!`` and ``&`` over
 :class:`~mitlplan.mitl.Compare` leaves, read by
 :func:`~mitlplan.mitl.parse_constraint` and printed by
-:func:`~mitlplan.mitl.format_formula` like every other formula.
+:func:`~mitlplan.mitl.format_formula` like every other formula.  An
+automaton decides each distinct one with the predicate that
+:func:`~mitlplan.mitl.compile_formula` builds, on its first use.
 
 Automata here are transition-labelled: every edge carries a propositional
 formula over the automaton's atoms, which the letter read on taking the
@@ -32,10 +34,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import INFINITY, LassoTimedWord, TimeInterval, denominator_lcm
+from .core import LassoTimedWord, TimeInterval, denominator_lcm
 from .mitl import (Always, And, Atom, Compare, Eventually, FalseFormula,
                    Formula, MitlError, Next, Not, TrueFormula, Until, atoms_of,
-                   evaluate_propositional, format_formula, is_propositional,
+                   compile_formula, format_formula, is_propositional,
                    normalize, parse_constraint, parse_formula)
 
 
@@ -108,7 +110,7 @@ def interval_guard(clock: str, interval: TimeInterval) -> Formula:
     if interval.lower > 0 or not interval.lower_closed:
         parts.append(Compare(clock, ">=" if interval.lower_closed else ">",
                              interval.lower))
-    if interval.upper is not INFINITY:
+    if not interval.unbounded:
         parts.append(Compare(clock, "<=" if interval.upper_closed else "<",
                              interval.upper))
     return label_and(*parts)
@@ -123,38 +125,6 @@ class Edge:
     resets: frozenset[str]
     target: str
     label: Formula = TRUE  # propositional, read at the target
-
-
-_OPERATORS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
-
-
-def compile_constraint(constraint: Formula,
-                       clocks: tuple[str, ...]) -> Optional[Callable]:
-    """A function deciding ``constraint`` on a valuation tuple ordered as
-    ``clocks``, or ``None`` for a constraint that always holds: one Python
-    expression over the tuple's slots, whose text holds only slot indices,
-    operators and the names the constants are bound to."""
-    if isinstance(constraint, TrueFormula):
-        return None
-    slot = {clock: i for i, clock in enumerate(clocks)}
-    names: dict = {}  # constant -> its name in the expression
-
-    def source(part: Formula) -> str:
-        match part:
-            case TrueFormula():
-                return "True"
-            case Not(operand):
-                return f"not ({source(operand)})"
-            case And(left, right):
-                return f"({source(left)}) and ({source(right)})"
-            case Compare(clock, relation, constant):
-                name = names.setdefault(constant, f"c{len(names)}")
-                return f"v[{slot[clock]}] {_OPERATORS[relation]} {name}"
-        raise TypeError(f"not a clock constraint: {part!r}")
-
-    body = source(constraint)
-    return eval(f"lambda v: {body}",
-                {name: constant for constant, name in names.items()})
 
 
 @dataclass
@@ -243,14 +213,9 @@ class TimedBuchiAutomaton:
         """The initial locations whose label holds on ``letter`` and whose
         invariant admits the zero valuation, in name order."""
         zero = self.zero_valuation()
-        out = []
-        for location in sorted(self.initial):
-            if not evaluate_propositional(self.initial[location], letter):
-                continue
-            check = self._check(self.invariants[location])
-            if check is None or check(zero):
-                out.append(location)
-        return tuple(out)
+        return tuple(location for location in sorted(self.initial)
+                     if self._holds(self.initial[location], letter)
+                     and self._holds(self.invariants[location], zero))
 
     def step(self, location: str, valuation: tuple, elapse, letter: frozenset[str],
              cmax) -> list:
@@ -296,12 +261,20 @@ class TimedBuchiAutomaton:
              frozenset(slot[clock] for clock in edge.resets),
              self._check(self.invariants[edge.target]))
             for edge in self._edges_from[location]
-            if evaluate_propositional(edge.label, letter))
+            if self._holds(edge.label, letter))
 
-    def _check(self, constraint: Formula) -> Optional[Callable]:
-        if constraint not in self._checks:
-            self._checks[constraint] = compile_constraint(constraint, self.clocks)
-        return self._checks[constraint]
+    def _check(self, formula: Formula) -> Optional[Callable]:
+        """A label, guard or invariant compiled once per automaton, on its
+        first use."""
+        if formula not in self._checks:
+            self._checks[formula] = compile_formula(formula, self.clocks)
+        return self._checks[formula]
+
+    def _holds(self, formula: Formula, value) -> bool:
+        """Whether a label holds on a letter, or a guard or an invariant
+        on a valuation tuple."""
+        check = self._check(formula)
+        return check is None or check(value)
 
 
 # --- JSON external format -------------------------------------------------
@@ -512,7 +485,7 @@ def _translate_recurrence(interval, beta, b: _Builder) -> None:
     b.clocks.append("x")
     upper_ok = (interval_guard("x", TimeInterval(Fraction(0), interval.upper,
                                                  True, interval.upper_closed))
-                if interval.upper is not INFINITY else TRUE)
+                if not interval.unbounded else TRUE)
     wait = b.location("wait", initial=Not(beta), invariant=upper_ok)
     hit = b.location("hit", initial=beta, accepting=True)
     b.connect(wait, wait, Not(beta))
@@ -532,14 +505,6 @@ def _translate_response(window, beta, b: _Builder) -> None:
     b.connect(windowed, windowed, Not(beta))
     b.connect(windowed, windowed, beta, guard=Not(interval_guard("x", window)),
               resets=("x",))
-
-
-def _is_zero_based(interval: TimeInterval) -> bool:
-    return interval.lower == 0 and interval.lower_closed
-
-
-def _is_untimed(interval: TimeInterval) -> bool:
-    return _is_zero_based(interval) and interval.upper is INFINITY
 
 
 def translate_mitl(formula: Formula, alphabet=None) -> TimedBuchiAutomaton:
@@ -581,15 +546,15 @@ def _translate(formula: Formula, atoms: frozenset[str], path: str) -> TimedBuchi
             _translate_eventually(interval, operand, b)
             return b.build()
         case Always(outer, Eventually(inner, operand)) if (
-                _is_untimed(outer) and is_propositional(operand)
-                and _is_zero_based(inner)):
+                outer.untimed and is_propositional(operand)
+                and inner.zero_based):
             b = _Builder(atoms)
             _translate_recurrence(inner, operand, b)
             return b.build()
         case Always(outer, Not(And(beta, Not(Next(step, Always(window, Not(beta2))))))) if (
-                _is_untimed(outer) and _is_untimed(step)
+                outer.untimed and step.untimed
                 and is_propositional(beta) and beta == beta2
-                and _is_zero_based(window) and window.upper is not INFINITY):
+                and window.zero_based and not window.unbounded):
             # normalized form of G(beta -> X G[0,c] !beta)
             b = _Builder(atoms)
             _translate_response(window, beta, b)

@@ -145,13 +145,17 @@ def random_interval(rng: random.Random, bounded=True, max_const=4,
 
 
 def random_bounded_formula(rng: random.Random, atoms, depth=2,
-                           denominators=(1, 2)):
-    """Interval endpoints are drawn over ``denominators``."""
+                           denominators=(1, 2), constants=False):
+    """Interval endpoints are drawn over ``denominators``; with
+    ``constants`` a third of the leaves are ``true`` or ``false``."""
     atoms = sorted(atoms)
     if depth == 0 or rng.random() < 0.25:
+        if constants and rng.random() < 1 / 3:
+            return rng.choice([TrueFormula(), FalseFormula()])
         return Atom(rng.choice(atoms))
     pick = rng.randrange(8)
-    sub = lambda: random_bounded_formula(rng, atoms, depth - 1, denominators)
+    sub = lambda: random_bounded_formula(rng, atoms, depth - 1, denominators,
+                                         constants)
     interval = lambda: random_interval(rng, denominators=denominators)
     if pick == 0:
         return Not(sub())

@@ -141,14 +141,14 @@ def _grid_shortest_time(system, start: str, goal: str) -> Q:
         d, here = heappop(queue)
         if here == goal:
             return d
-        if d > distances.get(here, INFINITY):
+        if d > distances[here]:
             continue
         for weight, there in system.successors(here):
             nd = d + weight
-            if nd < distances.get(there, INFINITY):
+            if there not in distances or nd < distances[there]:
                 distances[there] = nd
                 heappush(queue, (nd, there))
-    return INFINITY
+    raise AssertionError(f"{goal} is unreachable from {start}")
 
 
 class TestCriterion4NegativeControl:

@@ -265,6 +265,27 @@ class TestPlanCommand:
         for key in ("agents", "collective", "statistics"):
             assert plan[key] == expected[key], key
 
+    def test_atoms_named_like_code_plan_as_the_corridor(self, tmp_path):
+        # v and c0 hold where green does, not, True and lambda where red
+        # does: compiled labels must bind these names, not splice them
+        data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
+        r1, r2 = data["agents"]
+        r1["labels"], r1["formula"] = {"p1": ["v", "c0"]}, "G F[<=10] (v & c0)"
+        r2["labels"] = {"p3": ["not", "True", "lambda"]}
+        r2["formula"] = "F (not & (True | lambda))"
+        data["global"] = {
+            "formula": "F (c0 & (v -> c0) & not & !(True -> !lambda))"}
+        problem = write_json(tmp_path / "code_names.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        expected = json.loads((FIXTURES / "expected" / "two_agent_chain_plan"
+                               / "plan.json").read_text())
+        assert all(v["satisfied"] for v in plan["verdicts"])
+        assert [agent["run"] for agent in plan["agents"]] == \
+            [agent["run"] for agent in expected["agents"]]
+        assert plan["collective"]["run"] == expected["collective"]["run"]
+        assert plan["statistics"] == expected["statistics"]
+
     def test_malformed_interval_exits_3(self, tmp_path, capsys):
         data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
         data["agents"][0]["formula"] = "F[6,0] green"
@@ -457,6 +478,11 @@ class TestMalformedProblemFiles:
         (with_agent(formula="F[<=3"), [], "agents[0].formula: 1:"),
         ({**with_agent(), "global": {"formula": "F[<=3] x <= 2"}}, [],
          "global.formula: 1:9: unexpected '<='"),
+        (with_agent(initial=["p1"], grid={
+            "rows": 2, "cols": 2, "initial": ["p999"],
+            "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
+         [], "agents[0].grid.initial: the start cells are given in "
+             "agents[0].initial already"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):

@@ -64,29 +64,41 @@ def test_the_allowlist_names_only_unused_definitions():
         assert name not in used, f"{name} is used now; drop it from ALLOWED"
 
 
-def _enclosing_classes(predicate):
-    """The class around each node under the package that satisfies
-    ``predicate``, or ``None`` outside every class."""
+def _enclosing(predicate, kind=ast.ClassDef):
+    """The innermost definition of ``kind`` around each node under the
+    package that satisfies ``predicate``, as ``module.name``, or ``None``
+    outside every such definition."""
     found = []
 
-    def visit(node, owner):
-        if isinstance(node, ast.ClassDef):
-            owner = node.name
+    def visit(node, path, owner):
+        if isinstance(node, kind):
+            owner = f"{path.stem}.{node.name}"
         if predicate(node):
             found.append(owner)
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, path, owner)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), None)
+        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
     return found
 
 
+def _calls(name):
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
 def test_one_product_steps_automata_and_builds_product_states():
-    steps = _enclosing_classes(
+    steps = _enclosing(
         lambda node: isinstance(node, ast.Attribute) and node.attr == "step")
-    builds = _enclosing_classes(
-        lambda node: isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name) and node.func.id == "ProductState")
-    assert steps == ["AutomatonProduct"]
-    assert builds and set(builds) == {"AutomatonProduct"}
+    builds = _enclosing(_calls("ProductState"))
+    assert steps == ["product.AutomatonProduct"]
+    assert builds and set(builds) == {"product.AutomatonProduct"}
+
+
+def test_one_compiler_decides_every_boolean_formula():
+    # labels, guards, invariants and the evaluator's propositional
+    # subformulas are all decided by the code that compile_formula builds
+    assert _enclosing(_calls("eval"), ast.FunctionDef) == \
+        ["mitl.compile_formula"]

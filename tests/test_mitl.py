@@ -7,9 +7,11 @@ from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
 from mitlplan.mitl import (Always, And, Atom, Eventually,
                            Implies, MitlSyntaxError, Next, Not, Or,
                            PunctualIntervalError, TrueFormula, Until,
-                           evaluate_at, first_violation, format_formula,
-                           normalize, parse_formula, satisfies)
-from oracles import brute_force_evaluate, random_bounded_formula, random_lasso_word
+                           compile_formula, evaluate_at, first_violation,
+                           format_formula, normalize, parse_formula, satisfies)
+from oracles import (brute_force_evaluate, evaluate_constraint, label_holds,
+                     random_bounded_formula, random_clock_constraint,
+                     random_lasso_word, random_propositional)
 
 
 def word(prefix, cycle, period):
@@ -158,6 +160,44 @@ class TestEvaluator:
         assert first_violation(AGENT1_WORD, parse_formula("G F[<=10] green")) is None
 
 
+# names a compiler that spliced them into code text would break or alias
+CODE_NAMES = ["v", "c0", "not", "True", "lambda"]
+
+
+def _letters(atoms):
+    return [frozenset(a for k, a in enumerate(atoms) if bits >> k & 1)
+            for bits in range(2 ** len(atoms))]
+
+
+class TestCompileFormula:
+    def test_labels_agree_with_the_brute_force_on_every_letter(self):
+        rng = random.Random(31)
+        labels = [random_propositional(rng, CODE_NAMES, depth=3)
+                  for _ in range(120)]
+        labels += [parse_formula(text) for text in (
+            "v", "c0 & !not", "True | lambda", "lambda -> v", "!(c0 -> True)",
+            "true", "false", "false | v", "!true & c0", "not -> false")]
+        for label in labels:
+            check = compile_formula(label)
+            for letter in _letters(CODE_NAMES):
+                got = True if check is None else check(letter)
+                assert got == label_holds(label, letter), \
+                    (format_formula(label), sorted(letter))
+
+    def test_clock_constraints_agree_with_the_reference(self):
+        rng = random.Random(32)
+        clocks = ("c0", "lambda", "v")
+        for _ in range(200):
+            constraint = random_clock_constraint(rng, clocks, depth=3)
+            check = compile_formula(constraint, clocks)
+            for _ in range(10):
+                values = [Q(rng.randrange(0, 11), rng.choice([1, 2]))
+                          for _ in clocks]
+                got = True if check is None else check(tuple(values))
+                assert got == evaluate_constraint(
+                    constraint, dict(zip(clocks, values)))
+
+
 class TestProperties:
     def test_brute_force_agreement_on_bounded_formulas(self):
         rng = random.Random(2024)
@@ -170,6 +210,19 @@ class TestProperties:
             assert evaluate_at(w, position, phi) == expected
             checked += 1
         assert checked == 220
+
+    def test_brute_force_agreement_with_constants_past_the_cycle(self):
+        # true and false leaves, at positions the evaluator reduces into
+        # the cycle before it reads a propositional node's truth
+        rng = random.Random(2027)
+        for _ in range(150):
+            w = random_lasso_word(rng, ["p", "q"])
+            phi = random_bounded_formula(rng, ["p", "q"], depth=2,
+                                         constants=True)
+            size = w.prefix_length + w.cycle_length
+            for position in (size, size + rng.randrange(1, 2 * size + 2)):
+                expected = brute_force_evaluate(w, position, phi)
+                assert evaluate_at(w, position, phi) == expected
 
     def test_brute_force_agreement_at_mixed_denominators(self):
         # stamps in thirds, interval bounds in halves, fifths and sevenths:
