@@ -8,43 +8,40 @@ Commands:
 - ``simulate``   merge runs into the collective trace and export it
 
 Exit codes: 0 success, 1 unsatisfiable, 2 exploration budget exhausted,
-3 parse or validation error, 4 formula outside the supported fragment.
+else the ``exit_code`` of the :class:`~mitlplan.core.InputError` that
+stopped the command: 3 for malformed input, 4 for a formula outside the
+supported fragment.  Any other exception is a bug and shows its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import denominator_lcm, format_rational, parse_rational
-from .mitl import (Formula, MitlError, PunctualIntervalError, atoms_of,
-                   first_violation, format_formula, parse_formula)
+from .core import (InputError, denominator_lcm, format_rational, naming,
+                   parse_rational)
+from .mitl import (Formula, atoms_of, first_violation, format_formula,
+                   parse_formula)
 from .search import (ExplorationLimitError, PlanBundle, find_accepting_lasso,
                      project_plan)
-from .tba import (TimedBuchiAutomaton, UnsupportedFragmentError,
-                  tba_from_dict, tba_to_dict, translate_mitl)
+from .tba import (TimedBuchiAutomaton, tba_from_dict, tba_to_dict,
+                  translate_mitl)
 from .product import GlobalProduct, LocalProduct, TeamProduct
-from .wts import (CollectiveRun, ModelValidationError, RunValidationError,
-                  TimedRun, WeightedTransitionSystem, collective_run,
-                  collective_word_of, grid_cells, grid_system,
+from .wts import (CollectiveRun, TimedRun, WeightedTransitionSystem,
+                  collective_run, collective_word_of, grid_cells, grid_system,
                   timed_word_of)
 
 EXIT_SUCCESS = 0
 EXIT_UNSATISFIABLE = 1
 EXIT_EXPLORATION_LIMIT = 2
-EXIT_INVALID_INPUT = 3
-EXIT_UNSUPPORTED_FRAGMENT = 4
 
 DEFAULT_STATE_BUDGET = 5_000_000
-
-
-class InputError(Exception):
-    """Malformed file contents or inconsistent problem definition."""
 
 
 # --- the shape of input files -------------------------------------------------
@@ -124,6 +121,8 @@ def _positive(value, where: str) -> int:
 # --- loading ---------------------------------------------------------------
 
 def _load_json(path: Path) -> dict:
+    if "\0" in str(path):  # open() would raise a ValueError
+        raise InputError(f"{str(path)!r}: a path cannot hold a NUL byte")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -131,21 +130,12 @@ def _load_json(path: Path) -> dict:
         raise InputError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
-
-
-@contextmanager
-def _naming(where: str):
-    """Puts ``where: `` before the message of an input error raised inside;
-    its class, which decides the exit code, stays."""
-    try:
-        yield
-    except (InputError, MitlError, RunValidationError, ValueError) as exc:
-        exc.args = (f"{where}: {exc}",)
-        raise
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
 
 
 def _rational(value, where: str):
-    with _naming(where):
+    with naming(where):
         return parse_rational(value)
 
 
@@ -163,6 +153,15 @@ def _declared(state: str, states, where: str) -> str:
     return state
 
 
+def _initial(states: list, known, where: str) -> list:
+    """The start states of an agent: at least one, each declared."""
+    if not states:
+        raise InputError(f"{where}: at least one initial state is required")
+    for i, state in enumerate(states):
+        _declared(state, known, f"{where}[{i}]")
+    return states
+
+
 def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
     """The system of one agent entry; ``where`` names the entry in errors.
     A transition may be listed again only with the same weight."""
@@ -177,19 +176,17 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
         if "initial" in entry and "initial" in grid:
             raise InputError(f"{where}.grid.initial: the start cells are "
                              f"given in {where}.initial already")
-        initial, field = ((entry["initial"], "initial") if "initial" in entry
-                          else (grid.get("initial", []), "grid.initial"))
-        for i, cell in enumerate(initial):
-            _declared(cell, cells, f"{where}.{field}[{i}]")
+        field = "grid.initial" if "initial" in grid else "initial"
         return grid_system(
             rows=rows, cols=cols,
             move_weights={k: _duration(v, f"{where}.grid.moveWeights.{k}")
                           for k, v in grid["moveWeights"].items()},
-            labels=labels, initial=initial)
+            labels=labels,
+            initial=_initial(grid.get("initial", entry.get("initial", [])),
+                             cells, f"{where}.{field}"))
     states = entry["states"]
     known = set(states)
-    for i, state in enumerate(entry["initial"]):
-        _declared(state, known, f"{where}.initial[{i}]")
+    _initial(entry["initial"], known, f"{where}.initial")
     labels = {_declared(state, known, f"{where}.labels.{state}"):
               frozenset(atoms)
               for state, atoms in entry.get("labels", {}).items()}
@@ -262,7 +259,7 @@ def load_runs(path: Path) -> dict:
                   for i, (state, stamp) in enumerate(entry.get(part, [])))
             for part in ("prefix", "cycle")]
         period = _rational(entry["period"], f"{where}.period")
-        with _naming(where):
+        with naming(where):
             runs[name] = TimedRun(prefix=prefix, cycle=cycle, period=period)
     if not runs:
         raise InputError(f"{path}: no runs defined")
@@ -273,7 +270,7 @@ def _load_automaton(path: Path, where: str) -> TimedBuchiAutomaton:
     """A hand-written automaton file; an error names ``where`` and the
     field, as in ``global.tba: edges[2].to: missing``."""
     data = _load_json(path)
-    with _naming(where):
+    with naming(where):
         _check(data, _TBA, "")
         return tba_from_dict(data)
 
@@ -304,7 +301,7 @@ def _load_specification(entry: dict, atoms: frozenset, base: Path,
 
     text = entry.get("formula")
     if text is not None:
-        with _naming(f"{where}.formula"):
+        with naming(f"{where}.formula"):
             formula = parse_formula(text)
         unknown = atoms_of(formula) - atoms
         if unknown:
@@ -474,16 +471,22 @@ def bundle_to_json(bundle: PlanBundle, statistics: dict) -> dict:
 def trace_csv(names, run: CollectiveRun, word) -> str:
     """One row per collective event; the phase column separates the events
     that repeat (shifted by the period) from the one-off opening."""
-    lines = ["time,phase," + ",".join(names) + ",atoms"]
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["time", "phase", *names, "atoms"])
     for phase, events in (("prefix", run.prefix),
                           (f"cycle/{format_rational(run.period)}", run.cycle)):
         for index, (vector, stamp) in enumerate(events):
             offset = (index if phase == "prefix"
                       else len(run.prefix) + index)
             atoms = " ".join(sorted(word.payload_at(offset)))
-            lines.append(f"{format_rational(stamp)},{phase},"
-                         + ",".join(vector) + f",{atoms}")
-    return "\n".join(lines) + "\n"
+            rows.writerow([format_rational(stamp), phase, *vector, atoms])
+    return out.getvalue()
+
+
+def _xml_text(text: str) -> str:
+    """``text`` with the characters that XML reserves in text escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def timeline_svg(names, run: CollectiveRun, word) -> str:
@@ -506,7 +509,8 @@ def timeline_svg(names, run: CollectiveRun, word) -> str:
     ]
     for row, label in enumerate(rows):
         y = lane_height * (row + 1)
-        parts.append(f'<text x="8" y="{y + 4:.1f}">{label}</text>')
+        parts.append(f'<text x="8" y="{y + 4:.1f}">'
+                     f'{_xml_text(label)}</text>')
         parts.append(f'<line x1="{left:.1f}" y1="{y:.1f}" x2="{width - 20:.1f}" '
                      f'y2="{y:.1f}" stroke="#999"/>')
     cut = x_of(run.cycle[0][1])
@@ -519,12 +523,14 @@ def timeline_svg(names, run: CollectiveRun, word) -> str:
         for row, state in enumerate(vector):
             y = lane_height * (row + 1)
             parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#225"/>')
-            parts.append(f'<text x="{x - 8:.1f}" y="{y - 8:.1f}">{state}</text>')
+            parts.append(f'<text x="{x - 8:.1f}" y="{y - 8:.1f}">'
+                         f'{_xml_text(state)}</text>')
         y = lane_height * (len(vector) + 1)
         atoms = " ".join(sorted(word.payload_at(index)))
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#252"/>')
         if atoms:
-            parts.append(f'<text x="{x - 8:.1f}" y="{y - 8:.1f}">{atoms}</text>')
+            parts.append(f'<text x="{x - 8:.1f}" y="{y - 8:.1f}">'
+                         f'{_xml_text(atoms)}</text>')
         parts.append(f'<text x="{x - 6:.1f}" y="{height - 6:.1f}">'
                      f'{format_rational(stamp)}</text>')
     parts.append("</svg>")
@@ -532,9 +538,12 @@ def timeline_svg(names, run: CollectiveRun, word) -> str:
 
 
 def _write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc}") from exc
 
 
 # --- commands ---------------------------------------------------------------
@@ -581,7 +590,7 @@ def _parse_scoped_formulas(items, model, runs):
             raise InputError(f"unknown formula scope {scope!r}")
         if scope != "team" and scope not in runs:
             raise InputError(f"no run given for agent {scope!r}")
-        with _naming(f"--formula {scope}: {text}"):
+        with naming(f"--formula {scope}: {text}"):
             scoped.append((scope, parse_formula(text)))
     return scoped
 
@@ -648,8 +657,16 @@ def command_translate(args) -> int:
     return EXIT_SUCCESS
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as an input error; the subcommands' parsers
+    are of this class too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mitlplan",
         description="Timed plan synthesis for agent teams under interval "
                     "temporal deadlines")
@@ -687,17 +704,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (PunctualIntervalError, UnsupportedFragmentError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED_FRAGMENT
-    except (InputError, MitlError, ModelValidationError, RunValidationError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

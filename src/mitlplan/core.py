@@ -1,4 +1,5 @@
-"""Exact time arithmetic, intervals, and lasso-shaped timed sequences.
+"""Exact time arithmetic, intervals, lasso-shaped timed sequences, and the
+one error for malformed input.
 
 Every quantity of time in this package is exact.  Where it is read or
 printed it is a ``fractions.Fraction``, or the :data:`INFINITY` sentinel as
@@ -6,14 +7,37 @@ the upper end of an unbounded interval.  Inside the products, the evaluator
 and the merge it is an ``int``: those multiply every value they read by the
 :func:`denominator_lcm` of all of them.  Floats never enter the pipeline;
 they appear only in presentation code (SVG coordinates).
+
+Every check that input can reach raises :class:`InputError`; a plain
+``ValueError`` is a check that only a bug can fail.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
+
+
+class InputError(ValueError):
+    """The input is malformed; the message names the field.  The command
+    line exits with ``exit_code``: 3, or 4 for a formula outside the
+    supported fragment."""
+
+    exit_code = 3
+
+
+@contextmanager
+def naming(where: str):
+    """Puts ``where: `` before the message of an input error raised inside;
+    its class, which decides the exit code, stays."""
+    try:
+        yield
+    except InputError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 class Infinite:
@@ -43,9 +67,9 @@ def parse_rational(text) -> Fraction:
         try:
             value = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational number: {text!r}") from exc
+            raise InputError(f"not a rational number: {text!r}") from exc
     else:
-        raise ValueError(f"not a rational number: {text!r}")
+        raise InputError(f"not a rational number: {text!r}")
     return value
 
 
@@ -82,12 +106,12 @@ class TimeInterval:
 
     def __post_init__(self):
         if self.lower < 0:
-            raise ValueError(f"interval lower bound must be nonnegative: {self}")
+            raise InputError(f"interval lower bound must be nonnegative: {self}")
         if self.upper is INFINITY:
             if self.upper_closed:
                 object.__setattr__(self, "upper_closed", False)
         elif self.lower >= self.upper:
-            raise ValueError(
+            raise InputError(
                 f"interval requires lower < upper (punctual intervals are "
                 f"not allowed): {self.text()}"
             )
@@ -160,16 +184,16 @@ class LassoSequence:
                 (self.payload(value), Fraction(stamp))
                 for value, stamp in getattr(self, name)))
         if not self.cycle:
-            raise ValueError("lasso cycle must be nonempty")
+            raise InputError("lasso cycle must be nonempty")
         if self.period <= 0:
-            raise ValueError(f"lasso period must be positive: {self.period}")
+            raise InputError(f"lasso period must be positive: {self.period}")
         stamps = [t for _, t in self.prefix] + [t for _, t in self.cycle]
         for a, b in zip(stamps, stamps[1:]):
             if a >= b:
-                raise ValueError(f"timestamps must strictly increase: {a} then {b}")
+                raise InputError(f"timestamps must strictly increase: {a} then {b}")
         wrap_gap = self.cycle[0][1] + self.period - self.cycle[-1][1]
         if wrap_gap <= 0:
-            raise ValueError(
+            raise InputError(
                 "cycle repetition would not advance time: "
                 f"period {self.period} too small for the cycle span"
             )

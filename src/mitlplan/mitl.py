@@ -43,27 +43,27 @@ exact ``Fraction`` of the input word.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import (INFINITY, LassoTimedWord, TimeInterval, UNIT_INTERVAL,
-                   denominator_lcm, format_rational, parse_rational)
+from .core import (INFINITY, InputError, LassoTimedWord, TimeInterval,
+                   UNIT_INTERVAL, denominator_lcm, format_rational,
+                   parse_rational)
 
 
-class MitlError(Exception):
-    pass
-
-
-class MitlSyntaxError(MitlError):
+class MitlSyntaxError(InputError):
     def __init__(self, message, line=1, column=0):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
 
 
-class PunctualIntervalError(MitlError):
+class PunctualIntervalError(InputError):
     """A temporal operator carries a single-point interval, excluded from MITL."""
+
+    exit_code = 4
 
 
 class Formula:
@@ -213,7 +213,11 @@ def compile_formula(formula: Formula, clocks: tuple[str, ...] = ()) -> Optional[
 
     The function is one Python expression over its argument ``v``, whose
     text holds only operators, slot indices and the names that atoms and
-    constants are bound to, so no atom or constant is read as code."""
+    constants are bound to, so no atom or constant is read as code.  It
+    brackets a part only where the part's operator binds less tightly than
+    the one around it, so chains of ``!`` and ``&`` nest no brackets and
+    the text stays under Python's limit of 200 nested brackets for every
+    formula that the parser admits."""
     if isinstance(formula, TrueFormula):
         return None
     slot = {clock: i for i, clock in enumerate(clocks)}
@@ -222,25 +226,29 @@ def compile_formula(formula: Formula, clocks: tuple[str, ...] = ()) -> Optional[
     def bound(value) -> str:
         return names.setdefault(value, f"c{len(names)}")
 
-    def source(part: Formula) -> str:
+    def source(part: Formula, outer: int = 0) -> str:
+        # how tightly the part's operator binds: 0 or, 1 and, 2 not, 3 a leaf
         match part:
             case Atom(name):
-                return f"{bound(name)} in v"
+                text, rank = f"{bound(name)} in v", 3
             case TrueFormula():
-                return "True"
+                text, rank = "True", 3
             case FalseFormula():
-                return "False"
+                text, rank = "False", 3
             case Not(operand):
-                return f"not ({source(operand)})"
+                text, rank = f"not {source(operand, 2)}", 2
             case And(left, right):
-                return f"({source(left)}) and ({source(right)})"
+                text, rank = f"{source(left, 1)} and {source(right, 1)}", 1
             case Or(left, right):
-                return f"({source(left)}) or ({source(right)})"
+                text, rank = f"{source(left)} or {source(right)}", 0
             case Implies(left, right):
-                return f"not ({source(left)}) or ({source(right)})"
+                text, rank = f"not {source(left, 2)} or {source(right)}", 0
             case Compare(clock, relation, constant):
-                return f"v[{slot[clock]}] {_OPERATORS[relation]} {bound(constant)}"
-        raise TypeError(f"not a label or a clock constraint: {part!r}")
+                text, rank = (f"v[{slot[clock]}] {_OPERATORS[relation]} "
+                              f"{bound(constant)}", 3)
+            case _:
+                raise TypeError(f"not a label or a clock constraint: {part!r}")
+        return f"({text})" if rank < outer else text
 
     body = source(formula)
     return eval(f"lambda v: {body}",
@@ -250,6 +258,12 @@ def compile_formula(formula: Formula, clocks: tuple[str, ...] = ()) -> Optional[
 # --- concrete syntax ---------------------------------------------------
 
 _KEYWORDS = {"U", "X", "F", "G", "true", "false", "inf"}
+_UNARY = {"X": Next, "F": Eventually, "G": Always}
+
+# The deepest nesting the parser reads.  It spends about six Python frames
+# on a parenthesis, and compile_formula's text nests brackets no deeper
+# than the tree, under Python's limit of 200.
+MAX_DEPTH = 100
 
 
 class _Tokenizer:
@@ -317,12 +331,19 @@ class _Parser:
 
     With ``clocks`` set it reads a guard or an invariant instead: ``true``,
     ``!``, ``&``, parentheses and clock comparisons, where any word
-    followed by a relation names a clock, keywords included."""
+    followed by a relation names a clock, keywords included.
+
+    A formula whose tree is more than :data:`MAX_DEPTH` levels deep, each
+    ``&`` or ``|`` of a chain counting as one, or that opens more than
+    that many operands and parentheses one inside the other, is a syntax
+    error at the operator or parenthesis where it goes too deep."""
 
     def __init__(self, text: str, clocks=False):
         self.tokens = _Tokenizer(text).tokens()
         self.index = 0
         self.clocks = clocks
+        self.open = 0  # operands being read, each inside the last
+        self.heights: dict = {}  # id of a node built here -> its tree's depth
 
     def peek(self):
         return self.tokens[self.index]
@@ -340,6 +361,30 @@ class _Parser:
         line, col = token[2]
         raise MitlSyntaxError(message, line, col)
 
+    def too_deep(self, token):
+        self.error(f"formula nested deeper than {MAX_DEPTH} levels", token)
+
+    @contextmanager
+    def operand_of(self, token):
+        """Reads the operand of the operator or parenthesis at ``token``,
+        one level further in."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            self.too_deep(token)
+        yield
+        self.open -= 1
+
+    def built(self, formula: Formula, token) -> Formula:
+        """``formula``, the node of the operator at ``token`` over operands
+        that this parser returned, unless its tree is too deep."""
+        height = 1 + max((self.heights.get(id(part), 1)
+                          for part in vars(formula).values()
+                          if isinstance(part, Formula)), default=0)
+        if height > MAX_DEPTH:
+            self.too_deep(token)
+        self.heights[id(formula)] = height
+        return formula
+
     def parse(self) -> Formula:
         formula = self.expression()
         if self.peek()[0] != "end":
@@ -352,55 +397,55 @@ class _Parser:
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.peek()[0] == "->":
-            self.take()
-            return Implies(left, self.implication())
+            token = self.take()
+            with self.operand_of(token):
+                return self.built(Implies(left, self.implication()), token)
         return left
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
         while self.peek()[0] == "|":
-            self.take()
-            left = Or(left, self.conjunction())
+            token = self.take()
+            left = self.built(Or(left, self.conjunction()), token)
         return left
 
     def conjunction(self) -> Formula:
         operand = self.unary if self.clocks else self.until
         left = operand()
         while self.peek()[0] == "&":
-            self.take()
-            left = And(left, operand())
+            token = self.take()
+            left = self.built(And(left, operand()), token)
         return left
 
     def until(self) -> Formula:
         left = self.unary()
         if self.peek()[0] == "U":
-            self.take()
+            token = self.take()
             interval = self.maybe_interval()
-            right = self.until()  # right-associative
-            return Until(interval, left, right)
+            with self.operand_of(token):  # right-associative
+                return self.built(Until(interval, left, self.until()), token)
         return left
 
     def unary(self) -> Formula:
-        kind, _, _ = self.peek()
+        token = self.peek()
+        kind = token[0]
         if kind == "!":
             self.take()
-            return Not(self.unary())
+            with self.operand_of(token):
+                return self.built(Not(self.unary()), token)
         if kind == "(":
             self.take()
-            inner = self.expression()
+            with self.operand_of(token):
+                inner = self.expression()
             self.take(")")
             return inner
         if self.clocks:
             return self.clock_leaf()
-        if kind == "X":
+        if kind in _UNARY:
             self.take()
-            return Next(self.maybe_interval(), self.unary())
-        if kind == "F":
-            self.take()
-            return Eventually(self.maybe_interval(), self.unary())
-        if kind == "G":
-            self.take()
-            return Always(self.maybe_interval(), self.unary())
+            interval = self.maybe_interval()
+            with self.operand_of(token):
+                return self.built(_UNARY[kind](interval, self.unary()), token)
         if kind == "true":
             self.take()
             return TrueFormula()
@@ -473,7 +518,7 @@ class _Parser:
                            token)
         try:
             return TimeInterval(lower, upper, lower_closed, upper_closed)
-        except ValueError as exc:
+        except InputError as exc:
             self.error(f"malformed interval {text}: {exc}", token)
 
     def rational(self) -> Fraction:
@@ -483,7 +528,7 @@ class _Parser:
                        else "expected a number, found end of input", token)
         try:
             return parse_rational(token[1])
-        except ValueError as exc:
+        except InputError as exc:
             self.error(str(exc), token)
 
 

@@ -34,15 +34,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .core import LassoTimedWord, TimeInterval, denominator_lcm
+from .core import (InputError, LassoTimedWord, TimeInterval, denominator_lcm,
+                   naming)
 from .mitl import (Always, And, Atom, Compare, Eventually, FalseFormula,
-                   Formula, MitlError, Next, Not, TrueFormula, Until, atoms_of,
+                   Formula, Next, Not, TrueFormula, Until, atoms_of,
                    compile_formula, format_formula, is_propositional,
                    normalize, parse_constraint, parse_formula)
 
 
-class UnsupportedFragmentError(Exception):
+class UnsupportedFragmentError(InputError):
     """The formula lies outside the automaton-translatable fragment."""
+
+    exit_code = 4
 
     def __init__(self, path: str, subterm):
         self.path = path
@@ -149,26 +152,26 @@ class TimedBuchiAutomaton:
         self.atoms = frozenset(self.atoms)
         known = set(self.locations)
         if not self.initial:
-            raise ValueError("automaton needs at least one initial location")
+            raise InputError("automaton needs at least one initial location")
         if not set(self.initial) <= known:
-            raise ValueError("initial locations must be declared")
+            raise InputError("initial locations must be declared")
         if not self.accepting <= known:
-            raise ValueError("accepting locations must be declared")
+            raise InputError("accepting locations must be declared")
         for label in set(self.initial.values()) | {e.label for e in self.edges}:
             if not is_propositional(label) or not atoms_of(label) <= self.atoms:
-                raise ValueError(f"label {format_formula(label)} is not "
+                raise InputError(f"label {format_formula(label)} is not "
                                  f"propositional over the automaton's atoms")
         clock_set = set(self.clocks)
         for loc in self.locations:
             self.invariants.setdefault(loc, TRUE)
             if not {c.clock for c in comparisons(self.invariants[loc])} <= clock_set:
-                raise ValueError(f"invariant of {loc} uses undeclared clocks")
+                raise InputError(f"invariant of {loc} uses undeclared clocks")
         for edge in self.edges:
             if edge.source not in known or edge.target not in known:
-                raise ValueError(f"edge endpoints must be declared: {edge}")
+                raise InputError(f"edge endpoints must be declared: {edge}")
             clocks = {c.clock for c in comparisons(edge.guard)} | set(edge.resets)
             if not clocks <= clock_set:
-                raise ValueError(f"edge uses undeclared clocks: {edge}")
+                raise InputError(f"edge uses undeclared clocks: {edge}")
         self.edges = tuple(sorted(self.edges, key=lambda e: (
             e.source, e.target, format_formula(e.guard),
             tuple(sorted(e.resets)), format_formula(e.label))))
@@ -315,10 +318,8 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
     its initial entry.  Without ``atoms`` the alphabet is every atom the
     labels name."""
     def constraint(entry: dict, key: str, where: str) -> Formula:
-        try:
+        with naming(f"{where}.{key}: constraint syntax"):
             return parse_constraint(entry.get(key, "true"))
-        except MitlError as exc:
-            raise ValueError(f"{where}.{key}: constraint syntax: {exc}") from exc
 
     named = {}  # field -> the atoms its label names
 
@@ -328,10 +329,10 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
             return TRUE
         try:
             formula = parse_formula(text)
-        except MitlError as exc:
-            raise ValueError(f"{where}.{key}: {exc}") from exc
+        except InputError as exc:  # a punctual interval too exits 3 here
+            raise InputError(f"{where}.{key}: {exc}") from exc
         if not is_propositional(formula):
-            raise ValueError(f"{where}.{key}: {text!r} is not propositional")
+            raise InputError(f"{where}.{key}: {text!r} is not propositional")
         named[f"{where}.{key}"] = atoms_of(formula)
         return formula
 
@@ -349,7 +350,7 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
                       else frozenset().union(*named.values()))
     for where, used in named.items():
         if not used <= atoms:
-            raise ValueError(f"{where}: atoms {sorted(used - atoms)} are not "
+            raise InputError(f"{where}: atoms {sorted(used - atoms)} are not "
                              f"in the file's atoms")
     exact = {name: label_and(*(Atom(a) if a in letter else Not(Atom(a))
                                for a in sorted(atoms)))
@@ -523,7 +524,7 @@ def translate_mitl(formula: Formula, alphabet=None) -> TimedBuchiAutomaton:
     """
     atoms = frozenset(alphabet) if alphabet is not None else atoms_of(formula)
     if not atoms_of(formula) <= atoms:
-        raise ValueError("formula uses atoms outside the declared alphabet")
+        raise InputError("formula uses atoms outside the declared alphabet")
     root = normalize(formula)
     return _translate(root, atoms, "formula")
 

@@ -10,16 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (LassoSequence, LassoTimedWord, denominator_lcm,
-                   freeze_atoms)
-
-
-class ModelValidationError(Exception):
-    pass
-
-
-class RunValidationError(Exception):
-    pass
+from .core import (InputError, LassoSequence, LassoTimedWord,
+                   denominator_lcm, freeze_atoms)
 
 
 @dataclass
@@ -40,19 +32,19 @@ class WeightedTransitionSystem:
         self.atoms = frozenset(self.atoms)
         known = set(self.states)
         if not self.initial:
-            raise ModelValidationError("at least one initial state is required")
+            raise InputError("at least one initial state is required")
         if not self.initial <= known:
-            raise ModelValidationError("initial states must be declared states")
+            raise InputError("initial states must be declared states")
         for pair, weight in self.weights.items():
             if pair[0] not in known or pair[1] not in known:
-                raise ModelValidationError(f"transition endpoints undeclared: {pair}")
+                raise InputError(f"transition endpoints undeclared: {pair}")
             if weight <= 0:
-                raise ModelValidationError(
+                raise InputError(
                     f"transition weights must be positive: {pair} -> {weight}")
         for state in self.states:
             label = freeze_atoms(self.labels.get(state, ()))
             if not label <= self.atoms:
-                raise ModelValidationError(f"label of {state} uses undeclared atoms")
+                raise InputError(f"label of {state} uses undeclared atoms")
             self.labels[state] = label
         # sorted by target
         out: dict[str, list] = {s: [] for s in self.states}
@@ -92,23 +84,23 @@ class TimedRun(LassoSequence):
     def __post_init__(self):
         super().__post_init__()
         if self.stamp_at(0) != 0:
-            raise RunValidationError("runs start at time zero")
+            raise InputError("runs start at time zero")
 
     def validate_for(self, system: WeightedTransitionSystem) -> None:
         # every step of prefix + cycle, into the second turn and one more
         events = self.unroll(3)[:len(self.prefix) + len(self.cycle) + 2]
         if events[0][0] not in system.initial:
-            raise RunValidationError(
+            raise InputError(
                 f"run starts at {events[0][0]}, not an initial state")
         for i, ((here, stamp), (there, arrival)) in enumerate(
                 zip(events, events[1:])):
             weight = system.weights.get((here, there))
             if weight is None:
-                raise RunValidationError(
+                raise InputError(
                     f"step {i}: {here} -> {there} is not a transition")
             expected = stamp + weight
             if arrival != expected:
-                raise RunValidationError(
+                raise InputError(
                     f"step {i}: arrival at {there} stamped {arrival}, "
                     f"expected {expected}")
 
@@ -144,7 +136,7 @@ def collective_run(runs) -> CollectiveRun:
         raise ValueError("at least one run is required")
     for run in runs:
         if run.stamp_at(0) != 0:
-            raise RunValidationError("all runs must start at time zero")
+            raise InputError("all runs must start at time zero")
     # per run, in integer time under one factor: the state at each position
     # of prefix + cycle, and the time to the next arrival with its position
     factor = denominator_lcm(t for run in runs for t in run.time_values())
@@ -184,7 +176,7 @@ def collective_word_of(systems, run: CollectiveRun) -> LassoTimedWord:
         for j in range(i + 1, len(systems)):
             overlap = systems[i].atoms & systems[j].atoms
             if overlap:
-                raise ModelValidationError(
+                raise InputError(
                     f"agent alphabets overlap: {sorted(overlap)}")
 
     def letter(vector):
@@ -213,11 +205,11 @@ def grid_system(rows: int, cols: int, move_weights: dict, labels: dict,
     positive durations.
     """
     if rows < 1 or cols < 1:
-        raise ModelValidationError("grid needs positive dimensions")
+        raise InputError("grid needs positive dimensions")
     directions = {"up": (-1, 0), "right": (0, 1), "down": (1, 0), "left": (0, -1)}
     for key in directions:
         if key not in move_weights:
-            raise ModelValidationError(f"grid move weight missing: {key}")
+            raise InputError(f"grid move weight missing: {key}")
     states = grid_cells(rows, cols)
     weights = {}
     for r in range(rows):

@@ -1,4 +1,6 @@
+import csv
 import json
+import xml.etree.ElementTree as ElementTree
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -232,6 +234,30 @@ class TestSimulateCommand:
         assert rows[0].split(",")[:1] + rows[0].split(",")[2:4] == ["0", "a", "c"]
         assert rows[1].split(",")[0] == "2"
         assert rows[1].split(",")[2:4] == ["b", "d"]
+
+    def test_names_with_commas_and_markup_are_escaped(self, tmp_path):
+        agents = {"r<1>": ("a,b", "<s>"), "q&2": ('"c"', "d")}
+        model = write_json(tmp_path / "model.json", {"agents": [
+            {"name": name, "states": [one, two], "initial": [one],
+             "labels": {two: [f"<{name}>"]},
+             "transitions": [{"from": one, "to": two, "weight": "1"},
+                             {"from": two, "to": one, "weight": "1"}]}
+            for name, (one, two) in agents.items()]})
+        runs = write_json(tmp_path / "runs.json", {"runs": {
+            name: {"cycle": [[one, "0"], [two, "1"]], "period": "2"}
+            for name, (one, two) in agents.items()}})
+        assert main(["simulate", "--model", model, "--runs", runs,
+                     "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "trace.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        # the merge orders agents by name
+        assert rows[:3] == [["time", "phase", "q&2", "r<1>", "atoms"],
+                            ["0", "cycle/2", '"c"', "a,b", ""],
+                            ["1", "cycle/2", "d", "<s>", "<q&2> <r<1>>"]]
+        svg = ElementTree.fromstring((tmp_path / "timeline.svg").read_text())
+        texts = {element.text for element in svg.iter()
+                 if element.tag.endswith("text")}
+        assert {"r<1>", "q&2", "a,b", "<s>", "<q&2> <r<1>>"} <= texts
 
 
 class TestPlanCommand:
@@ -483,6 +509,16 @@ class TestMalformedProblemFiles:
             "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
          [], "agents[0].grid.initial: the start cells are given in "
              "agents[0].initial already"),
+        (with_agent(initial=[]), [],
+         "agents[0].initial: at least one initial state is required"),
+        (with_agent(initial=None, grid={
+            "rows": 2, "cols": 2,
+            "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
+         [], "agents[0].initial: at least one initial state is required"),
+        (with_agent(initial=None, grid={
+            "rows": 2, "cols": 2, "initial": [],
+            "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
+         [], "agents[0].grid.initial: at least one initial state is required"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):
@@ -668,6 +704,21 @@ class TestMalformedAutomatonFiles:
         ("global", {**GOOD_TBA, "locations": [
             {**GOOD_TBA["locations"][0], "invariant": "false"}]},
          "global.tba: locations[0].invariant: constraint syntax"),
+        # a punctual interval in a label is malformed, not unsupported
+        ("agent", with_edges({"label": "F[1,1] green"}),
+         "agents[0].tba: edges[0].label: punctual interval [1,1] is not "
+         "allowed"),
+        ("global", with_edges({"guard": "!" * 150 + "x <= 1"}),
+         "global.tba: edges[0].guard: constraint syntax: 1:100: formula "
+         "nested deeper than 100 levels"),
+        ("agent", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0],
+             "invariant": "(" * 120 + "x <= 1" + ")" * 120}]},
+         "agents[0].tba: locations[0].invariant: constraint syntax: 1:100: "
+         "formula nested deeper than 100 levels"),
+        ("global", with_edges({"label": " & ".join(["true"] * 150)}),
+         "global.tba: edges[0].label: 1:698: formula nested deeper than 100 "
+         "levels"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):
@@ -677,3 +728,96 @@ class TestMalformedAutomatonFiles:
         assert names in err
         assert "Traceback" not in err
         assert not (tmp_path / "plan.json").exists()
+
+
+CHAIN_CHECK = ["check", "--model", fixture("two_agent_chain_model.json"),
+               "--runs", fixture("two_agent_chain_runs.json")]
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize("argv, where", [
+        (["translate", "!" * 250 + "green"], "1:100"),
+        (["translate", "(" * 900], "1:100"),
+        (["translate", " U ".join(["green"] * 1200)], "1:806"),
+        (CHAIN_CHECK + ["--formula", "team: " + " & ".join(["green"] * 300)],
+         "1:798"),
+    ])
+    def test_a_formula_nested_too_deeply_exits_3(self, capsys, argv, where):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith(
+            f"{where}: formula nested deeper than 100 levels\n")
+
+    @pytest.mark.parametrize("formula", [
+        " & ".join(["green"] * 100),
+        " | ".join(["green"] * 100),
+        " -> ".join(["green"] * 100),
+        "!" * 99 + "green",
+        "(" * 99 + "green" + ")" * 99,
+        "F " * 99 + "green",
+        " U[0,9] ".join(["green"] * 100),
+    ])
+    def test_a_formula_100_levels_deep_is_decided(self, capsys, formula):
+        # an | or -> is three levels once normalized, and each decides
+        # the formula through compile_formula's one expression
+        assert main(CHAIN_CHECK + ["--formula", f"team: {formula}"]) == 0
+        assert capsys.readouterr().out.endswith(("SATISFIED\n",
+                                                 "VIOLATED at position 0 "
+                                                 "(time 0)\n"))
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "x.json", "--state-budget", "abc"],
+         "mitlplan plan: argument --state-budget: invalid int value: 'abc'"),
+        (["check", "--runs", "runs.json"],
+         "mitlplan check: the following arguments are required: --model"),
+        ([], "mitlplan: the following arguments are required: command"),
+    ])
+    def test_exit_3(self, capsys, argv, message):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mitlplan")
+
+
+class TestUnreadablePaths:
+    def test_a_directory_as_the_problem_file(self, tmp_path, capsys):
+        assert main(["plan", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path}: cannot read: ")
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000])
+    def test_a_problem_file_that_does_not_decode(self, tmp_path, capsys,
+                                                 content):
+        path = tmp_path / "problem.json"
+        path.write_bytes(content)
+        assert main(["plan", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: cannot read: ")
+
+    def test_a_nul_byte_in_an_automaton_path(self, tmp_path, capsys):
+        problem = write_json(tmp_path / "problem.json",
+                             with_agent(formula=None, tba="goal\u0000.json"))
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("goal\\x00.json': a path cannot hold a NUL byte\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", fixture("two_agent_chain_plan.json")],
+        ["simulate", "--model", fixture("two_agent_chain_model.json"),
+         "--runs", fixture("two_agent_chain_runs.json")],
+    ])
+    def test_an_out_dir_under_a_file(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "out"
+        assert main(argv + ["--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out_dir}")
+        assert ": cannot write: " in err

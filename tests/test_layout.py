@@ -102,3 +102,37 @@ def test_one_compiler_decides_every_boolean_formula():
     # subformulas are all decided by the code that compile_formula builds
     assert _enclosing(_calls("eval"), ast.FunctionDef) == \
         ["mitl.compile_formula"]
+
+
+def test_every_exception_of_the_package_is_an_input_error():
+    # apart from a search that ran out of budget and a plan that fails its
+    # re-validation, which is a bug
+    import importlib
+    from mitlplan.core import InputError
+    others = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"mitlplan.{path.stem}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__
+                    and not issubclass(value, InputError)):
+                others.add(f"{path.stem}.{name}")
+    assert others == {"search.ExplorationLimitError", "search.ProjectionError"}
+
+
+def _caught(handler: ast.ExceptHandler) -> set:
+    """The names of the exception classes ``handler`` catches."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(handler.type)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_main_catches_input_errors_only():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert [_caught(node) for node in ast.walk(main)
+            if isinstance(node, ast.ExceptHandler)] == [{"InputError"}]
+    # ValueError would turn a bug in the program into "invalid input"
+    assert not any("ValueError" in _caught(node) for node in ast.walk(tree)
+                   if isinstance(node, ast.ExceptHandler))

@@ -3,9 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mitlplan.wts import (ModelValidationError,
-                          RunValidationError, TimedRun,
-                          WeightedTransitionSystem, collective_run,
+from mitlplan.core import InputError
+from mitlplan.wts import (TimedRun, WeightedTransitionSystem, collective_run,
                           collective_word_of, grid_system, timed_word_of)
 
 
@@ -35,20 +34,20 @@ def chain_runs():
 
 class TestModelValidation:
     def test_weights_must_be_positive(self):
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(InputError):
             WeightedTransitionSystem(
                 states=("a", "b"), initial=frozenset({"a"}),
                 weights={("a", "b"): Q(0)},
                 atoms=frozenset(), labels={})
 
     def test_initial_required(self):
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(InputError):
             WeightedTransitionSystem(states=("a",), initial=frozenset(),
                                      weights={},
                                      atoms=frozenset(), labels={})
 
     def test_undeclared_endpoints(self):
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(InputError):
             WeightedTransitionSystem(
                 states=("a",), initial=frozenset({"a"}),
                 weights={("a", "zz"): Q(1)},
@@ -60,7 +59,7 @@ class TestRunValidation:
         t1, _ = chain_pair()
         run = TimedRun(prefix=(), period=Q(4),
                        cycle=(("p1", Q(0)), ("p2", Q(2))))  # edge takes 1, not 2
-        with pytest.raises(RunValidationError) as info:
+        with pytest.raises(InputError) as info:
             run.validate_for(t1)
         assert "step 0" in str(info.value)
 
@@ -68,12 +67,12 @@ class TestRunValidation:
         t1, _ = chain_pair()
         run = TimedRun(prefix=(), period=Q(2),
                        cycle=(("p1", Q(0)), ("p3", Q(1))))
-        with pytest.raises(RunValidationError) as info:
+        with pytest.raises(InputError) as info:
             run.validate_for(t1)
         assert "p1 -> p3" in str(info.value)
 
     def test_must_start_at_zero(self):
-        with pytest.raises(RunValidationError):
+        with pytest.raises(InputError):
             TimedRun(prefix=(("p1", Q(1)),), cycle=(("p2", Q(2)),), period=Q(2))
 
 
@@ -247,7 +246,7 @@ class TestCollectiveWord:
     def test_alphabets_must_be_disjoint(self):
         t1, _ = chain_pair()
         merged = collective_run([chain_runs()[0], chain_runs()[0]])
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(InputError):
             collective_word_of([t1, t1], merged)
 
     def test_all_empty_labels(self):
