@@ -644,9 +644,8 @@ def command_simulate(args) -> int:
 
 def command_translate(args) -> int:
     formula = parse_formula(args.formula)
-    alphabet = None
-    if args.alphabet:
-        alphabet = frozenset(a.strip() for a in args.alphabet.split(",") if a.strip())
+    listed = (args.alphabet or "").split(",")
+    alphabet = atoms_of(formula) | {a.strip() for a in listed if a.strip()}
     automaton = translate_mitl(formula, alphabet=alphabet)
     payload = json.dumps(tba_to_dict(automaton), indent=2) + "\n"
     if args.out:

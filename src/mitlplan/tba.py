@@ -31,6 +31,7 @@ value does, so the products stay finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -62,13 +63,16 @@ TRUE = TrueFormula()
 
 def label_and(*parts: Formula) -> Formula:
     """The conjunction of ``parts``, labels or clock constraints, leaving
-    out those that are true."""
-    out = None
-    for part in parts:
-        if isinstance(part, TrueFormula):
-            continue
-        out = part if out is None else And(out, part)
-    return out if out is not None else TRUE
+    out those that are true.  It nests pairs, so its depth grows with the
+    logarithm of the number of parts: an old-format file's exact letter has
+    one part per atom, and every pass over a formula recurses."""
+    parts = [part for part in parts if not isinstance(part, TrueFormula)]
+    if not parts:
+        return TRUE
+    while len(parts) > 1:
+        parts = [And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    return parts[0]
 
 
 def comparisons(constraint: Formula):
@@ -107,16 +111,22 @@ def scale_constraint(constraint: Formula, factor: int) -> Formula:
         c.clock, c.relation, int(c.constant * factor)))
 
 
+def deadline(clock: str, interval: TimeInterval) -> Formula:
+    """The constraint "clock value is within the interval's upper bound",
+    ``true`` when the interval is unbounded."""
+    if interval.unbounded:
+        return TRUE
+    return Compare(clock, "<=" if interval.upper_closed else "<",
+                   interval.upper)
+
+
 def interval_guard(clock: str, interval: TimeInterval) -> Formula:
     """The constraint "clock value lies in the interval"."""
-    parts = []
+    lower = TRUE
     if interval.lower > 0 or not interval.lower_closed:
-        parts.append(Compare(clock, ">=" if interval.lower_closed else ">",
-                             interval.lower))
-    if not interval.unbounded:
-        parts.append(Compare(clock, "<=" if interval.upper_closed else "<",
-                             interval.upper))
-    return label_and(*parts)
+        lower = Compare(clock, ">=" if interval.lower_closed else ">",
+                        interval.lower)
+    return label_and(lower, deadline(clock, interval))
 
 
 # --- the automaton model -------------------------------------------------
@@ -172,9 +182,10 @@ class TimedBuchiAutomaton:
             clocks = {c.clock for c in comparisons(edge.guard)} | set(edge.resets)
             if not clocks <= clock_set:
                 raise InputError(f"edge uses undeclared clocks: {edge}")
+        text = cache(format_formula)  # an intersection repeats its formulas
         self.edges = tuple(sorted(self.edges, key=lambda e: (
-            e.source, e.target, format_formula(e.guard),
-            tuple(sorted(e.resets)), format_formula(e.label))))
+            e.source, e.target, text(e.guard), tuple(sorted(e.resets)),
+            text(e.label))))
         by_source: dict[str, list[Edge]] = {loc: [] for loc in self.locations}
         for edge in self.edges:
             by_source[edge.source].append(edge)
@@ -283,12 +294,14 @@ class TimedBuchiAutomaton:
 # --- JSON external format -------------------------------------------------
 
 def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
+    text = cache(format_formula)
+
     def location(loc: str) -> dict:
         entry = {"name": loc,
-                 "invariant": format_formula(automaton.invariants[loc]),
+                 "invariant": text(automaton.invariants[loc]),
                  "accepting": loc in automaton.accepting}
         if loc in automaton.initial:
-            entry["initial"] = format_formula(automaton.initial[loc])
+            entry["initial"] = text(automaton.initial[loc])
         return entry
 
     return {
@@ -299,8 +312,8 @@ def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
             {
                 "from": edge.source,
                 "to": edge.target,
-                "label": format_formula(edge.label),
-                "guard": format_formula(edge.guard),
+                "label": text(edge.label),
+                "guard": text(edge.guard),
                 "resets": sorted(edge.resets),
             }
             for edge in automaton.edges
@@ -432,6 +445,7 @@ def empty_tba(atoms) -> TimedBuchiAutomaton:
 
 
 def _translate_propositional(beta: Formula, b: _Builder) -> None:
+    """beta: read at position 0, after which every word is accepted."""
     start = b.location("start", initial=beta, accepting=True)
     rest = b.location("rest", accepting=True)
     b.connect(start, rest)
@@ -439,8 +453,15 @@ def _translate_propositional(beta: Formula, b: _Builder) -> None:
 
 
 def _translate_eventually(interval, beta, b: _Builder) -> None:
+    """F[I] beta: the run waits until a beta-position inside the window.
+
+    The clock is never reset, so it reads the time since position 0.
+    ``wait`` carries the deadline as its invariant: once the window has
+    passed, no beta can arrive in time and the run stops there, rather
+    than wait forever without accepting.  The exit guard implies the
+    invariant, so the language is the same."""
     b.clocks.append("x")
-    wait = b.location("wait", initial=TRUE)
+    wait = b.location("wait", initial=TRUE, invariant=deadline("x", interval))
     done = b.location("done", accepting=True,
                       initial=beta if interval.contains(Fraction(0)) else None)
     b.connect(wait, wait)
@@ -449,6 +470,7 @@ def _translate_eventually(interval, beta, b: _Builder) -> None:
 
 
 def _translate_always(interval, beta, b: _Builder) -> None:
+    """G[I] beta: every position inside the window reads beta."""
     b.clocks.append("x")
     hold = b.location("hold", accepting=True, initial=(
         beta if interval.contains(Fraction(0)) else TRUE))
@@ -457,8 +479,12 @@ def _translate_always(interval, beta, b: _Builder) -> None:
 
 
 def _translate_next(interval, beta, b: _Builder) -> None:
+    """X[I] beta: position 1 reads beta, inside the window.
+
+    ``first``, the location of position 0, carries the deadline as its
+    invariant, which its one exit guard implies."""
     b.clocks.append("x")
-    first = b.location("first", initial=TRUE)
+    first = b.location("first", initial=TRUE, invariant=deadline("x", interval))
     second = b.location("second", accepting=True)
     rest = b.location("rest", accepting=True)
     b.connect(first, second, beta, guard=interval_guard("x", interval))
@@ -467,8 +493,13 @@ def _translate_next(interval, beta, b: _Builder) -> None:
 
 
 def _translate_until(interval, left, right, b: _Builder) -> None:
+    """left U[I] right: left holds at each position until a right-position
+    inside the window.
+
+    As for ``F[I]``, ``wait`` carries the deadline as its invariant, which
+    the exit guard implies."""
     b.clocks.append("x")
-    wait = b.location("wait", initial=left)
+    wait = b.location("wait", initial=left, invariant=deadline("x", interval))
     done = b.location("done", accepting=True,
                       initial=right if interval.contains(Fraction(0)) else None)
     b.connect(wait, wait, left)
@@ -481,12 +512,11 @@ def _translate_recurrence(interval, beta, b: _Builder) -> None:
 
     The clock measures time since the first position after the last
     beta-position (everything before then is already discharged); waiting
-    locations may only be entered while a beta could still arrive in time.
+    locations may only be entered while a beta could still arrive in time,
+    so ``wait`` carries the deadline as its invariant and its exit guard.
     """
     b.clocks.append("x")
-    upper_ok = (interval_guard("x", TimeInterval(Fraction(0), interval.upper,
-                                                 True, interval.upper_closed))
-                if not interval.unbounded else TRUE)
+    upper_ok = deadline("x", interval)
     wait = b.location("wait", initial=Not(beta), invariant=upper_ok)
     hit = b.location("hit", initial=beta, accepting=True)
     b.connect(wait, wait, Not(beta))

@@ -171,6 +171,20 @@ class TestCriterion4NegativeControl:
         assert _grid_shortest_time(system, "p4", "p9") > 1
         report(4, "tightened recharge deadline correctly unsatisfiable")
 
+    def test_a_missed_team_deadline_prunes_the_global_layer(self, tmp_path):
+        # the robots cannot meet by time 7; the waiting location's
+        # deadline stops every run there, where without it the search
+        # explored 10,148 global states
+        data = json.loads((FIXTURES / "grid_meet.json").read_text())
+        data["global"]["formula"] = data["global"]["formula"].replace(
+            "F[<=30]", "F[<=7]")
+        tight = tmp_path / "tight.json"
+        tight.write_text(json.dumps(data))
+        assert main(["plan", str(tight), "--out-dir", str(tmp_path)]) == 1
+        outcome = solve(load_problem(tight))
+        assert outcome.status == "unsatisfiable"
+        assert outcome.statistics["globalLayer"]["states"] <= 400
+
 
 class TestCriterion5OracleAutomatonAgreement:
     def test_every_construction_agrees_with_the_evaluator(self):

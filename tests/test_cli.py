@@ -56,6 +56,16 @@ class TestTranslateCommand:
         assert automaton.edges == translate_mitl(
             parse_formula(formula), alphabet=set("abcdef")).edges
 
+    def test_alphabet_adds_to_the_formula_atoms(self, tmp_path):
+        written = []
+        for listed in ("b", "a,b"):
+            out = tmp_path / f"{len(written)}.json"
+            assert main(["translate", "F a", "--alphabet", listed,
+                         "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["atoms"] == ["a", "b"]
+
     def test_propositional_formula_is_clock_free(self, capsys):
         assert main(["translate", "p & q"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -290,6 +300,24 @@ class TestPlanCommand:
                                / "plan.json").read_text())
         for key in ("agents", "collective", "statistics"):
             assert plan[key] == expected[key], key
+
+    @pytest.mark.parametrize("count", [600, 2000])
+    def test_an_old_automaton_file_over_many_atoms_plans(self, tmp_path,
+                                                         count):
+        # each location's exact letter becomes a conjunction over every
+        # atom of the file, one literal per atom
+        data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
+        idle = [f"idle{i}" for i in range(count - 2)]
+        data["agents"][0]["atoms"] = ["green", *idle]
+        automaton = json.loads(Path(fixture("old_format_team_goal.json")).read_text())
+        automaton["atoms"] = ["green", "red", *idle]
+        data["global"] = {"tba": write_json(tmp_path / "goal.json", automaton)}
+        problem = write_json(tmp_path / "old.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        expected = json.loads((FIXTURES / "expected" / "two_agent_chain_plan"
+                               / "plan.json").read_text())
+        assert plan["collective"]["run"] == expected["collective"]["run"]
 
     def test_atoms_named_like_code_plan_as_the_corridor(self, tmp_path):
         # v and c0 hold where green does, not, True and lambda where red

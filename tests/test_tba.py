@@ -197,6 +197,31 @@ class TestTranslate:
         assert not accepts_lasso(automaton, late)
         assert not satisfies(late, parse_formula("F[0,6] p"))
 
+    @pytest.mark.parametrize("text, location, invariant", [
+        ("F[0,6] p", "wait", "x <= 6"),
+        ("F[2,6) p", "wait", "x < 6"),
+        ("F[2,inf) p", "wait", "true"),
+        ("F p", "wait", "true"),
+        ("p U[1,4] q", "wait", "x <= 4"),
+        ("p U(1,4) q", "wait", "x < 4"),
+        ("p U[1,inf) q", "wait", "true"),
+        ("X[1,2] p", "first", "x <= 2"),
+        ("X[1,2) p", "first", "x < 2"),
+        ("X[1,inf) p", "first", "true"),
+    ])
+    def test_waiting_locations_carry_the_deadline(self, text, location,
+                                                  invariant):
+        automaton = translate_mitl(parse_formula(text))
+        assert format_formula(automaton.invariants[location]) == invariant
+        others = set(automaton.locations) - {location}
+        assert all(automaton.invariants[loc] == TRUE for loc in others)
+
+    def test_a_missed_deadline_stops_the_run(self):
+        automaton = translate_mitl(parse_formula("F[0,6] p"))
+        assert automaton.step("wait", (6,), 0, frozenset(), 6) == [("wait", (6,))]
+        assert automaton.step("wait", (6,), 1, frozenset(), 6) == []
+        assert automaton.step("wait", (6,), 1, frozenset({"p"}), 6) == []
+
     def test_recurrence_shape(self):
         automaton = translate_mitl(parse_formula("G F[0,10] p"))
         assert automaton.clocks == ("x",)
