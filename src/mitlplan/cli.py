@@ -381,23 +381,19 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
                 f"the local specification is unsatisfiable from the start")
         locals_.append(local)
 
-    # an agent whose own specification has an empty language makes the team
-    # problem unsatisfiable before any interleaving is explored
-    for agent, local in zip(problem.agents, locals_):
-        try:
-            local_lasso = find_accepting_lasso(local, problem.state_budget)
-        except ExplorationLimitError as exc:
-            statistics = _collect_statistics(locals_, None, None,
-                                             exc.states_explored)
-            return PlanOutcome("exploration-limit", None, statistics,
-                               tuple(notes))
-        if local_lasso is None:
+    try:
+        team = TeamProduct(locals_, problem.state_budget)
+    except ExplorationLimitError as exc:
+        statistics = _collect_statistics(locals_, None, None,
+                                         exc.states_explored)
+        return PlanOutcome("exploration-limit", None, statistics, tuple(notes))
+    # an agent without live states has an empty language of its own, and
+    # leaves the team no initial state
+    for agent, live in zip(problem.agents, team.live):
+        if not live:
             notes.append(f"agent {agent.name}: local specification is "
                          f"unsatisfiable on its own transition system")
-            statistics = _collect_statistics(locals_, None, None, 0)
-            return PlanOutcome("unsatisfiable", None, statistics, tuple(notes))
 
-    team = TeamProduct(locals_)
     global_prod = GlobalProduct(team, global_automaton)
     try:
         lasso = find_accepting_lasso(global_prod, problem.state_budget)
@@ -418,6 +414,8 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
 def _collect_statistics(locals_, team, global_prod, budget_hit) -> dict:
     stats = {"localLayers": [local.statistics() for local in locals_]}
     if team is not None:
+        for entry, live in zip(stats["localLayers"], team.live):
+            entry["live"] = len(live)
         stats["teamLayer"] = team.statistics()
         stats["globalLayer"] = global_prod.statistics()
     if budget_hit:

@@ -67,7 +67,16 @@ class PunctualIntervalError(InputError):
 
 
 class Formula:
-    pass
+    """The base of every formula node.  Each node is a frozen dataclass
+    whose hash is computed once, on first use, and kept on the node (see
+    :func:`_hash_once`); without that every dict or set lookup would walk
+    the whole tree."""
+
+    def __getstate__(self):
+        # a kept hash of a string is only valid in the process that made it
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -149,6 +158,24 @@ class Until(Formula):
     interval: TimeInterval
     left: Formula
     right: Formula
+
+
+def _hash_once(generated):
+    """``generated``, the field-tuple hash that ``dataclass`` writes, computed
+    once per node: the same value, so equality and every set or dict order
+    stay as they were."""
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = generated(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+    return __hash__
+
+
+for _node in Formula.__subclasses__():
+    _node.__hash__ = _hash_once(_node.__hash__)
 
 
 def normalize(formula: Formula) -> Formula:

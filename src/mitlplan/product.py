@@ -9,9 +9,10 @@ an edge of weight ``w`` and moves the automaton with
 :meth:`TimedBuchiAutomaton.step`, elapsing ``w`` and reading the letter of
 the edge's target.  Layer 1 pairs one agent's transition system with its
 specification automaton.  Layer 2 interleaves the per-agent layer-1
-graphs: each step advances time by the smallest time remaining on the
-agents' moves, agents finishing exactly then complete their moves, and a
-round-robin index turns the per-agent acceptance sets into a single one.
+graphs, trimmed to their live states (:func:`search.live_states`): each
+step advances time by the smallest time remaining on the agents' moves,
+agents finishing exactly then complete their moves, and a round-robin
+index turns the per-agent acceptance sets into a single one.
 Layer 3 pairs the team graph with the team specification automaton using
 the two-flag intersection bookkeeping.
 
@@ -34,6 +35,7 @@ import itertools
 from operator import attrgetter
 from typing import NamedTuple
 
+from .search import live_states
 from .tba import TimedBuchiAutomaton
 from .wts import WeightedTransitionSystem
 
@@ -133,7 +135,7 @@ class LocalProduct(AutomatonProduct):
 
 
 class TeamProduct(_MemoizedGraph):
-    """Interleaving of the per-agent products.
+    """Interleaving of the per-agent products, over their live states only.
 
     A state fixes each agent's current layer-1 state, the layer-1 state it
     is currently moving toward (``None`` when at a boundary), and the time
@@ -142,17 +144,28 @@ class TeamProduct(_MemoizedGraph):
     the agents with that much left complete their moves.  The round-robin
     index makes acceptance single-set: a state accepts when the index rests
     on the last agent and that agent's component is locally accepting.
+
+    Team acceptance needs every agent to accept infinitely often, and every
+    state reachable from a local state that is not live is not live either,
+    so no accepting team cycle passes through one: the constructor runs
+    :func:`search.live_states` on each local product (each pass counts
+    against ``state_budget``), and components, targets and initial
+    combinations are drawn from the live states alone.  The pruned
+    subgraphs hold no accepting cycle, so the nested DFS returns the same
+    lasso as on the untrimmed product.
     """
 
     # a state carries its letter; read without a Python-level call
     label_of = staticmethod(attrgetter("letter"))
 
-    def __init__(self, locals_):
+    def __init__(self, locals_, state_budget=None):
         super().__init__()
         self.locals = tuple(locals_)
         if not self.locals:
             raise ValueError("at least one agent is required")
         self.count = len(self.locals)
+        self.live = tuple(live_states(local, state_budget)
+                          for local in self.locals)
         self._letters: dict = {}  # region vector -> its letter
         self._interned: dict = {}  # letter -> the one object for it
 
@@ -168,7 +181,9 @@ class TeamProduct(_MemoizedGraph):
         return letter
 
     def initial_states(self):
-        per_agent = [local.initial_states() for local in self.locals]
+        per_agent = [[state for state in local.initial_states()
+                      if state in live]
+                     for local, live in zip(self.locals, self.live)]
         out = []
         for combo in itertools.product(*per_agent):
             out.append(TeamState(
@@ -193,10 +208,11 @@ class TeamProduct(_MemoizedGraph):
             if state.targets[k] is not None:
                 options.append(((state.remaining[k], state.targets[k]),))
             else:
-                moves = self.locals[k].successors(state.components[k])
-                if not moves:
-                    return ()  # deadlocked agent: the state is edgeless
-                options.append(moves)
+                live = self.live[k]
+                options.append([
+                    move for move in self.locals[k].successors(
+                        state.components[k])
+                    if move[1] in live])
         out = []
         for combo in itertools.product(*options):
             step = min([left for left, _ in combo])

@@ -4,9 +4,11 @@ found lasso back to per-agent timed plans.
 A graph object, such as those of :mod:`mitlplan.product`, provides
 ``initial_states()``, ``successors(state)`` yielding ``(edge weight, next
 state)`` pairs in a deterministic order, and ``is_accepting(state)``; the
-search reads no labels.  The search is the classic two-phase nested
-depth-first search, implemented iteratively so product graphs with very
-long paths cannot overflow the interpreter stack.
+searches read no labels.  :func:`find_accepting_lasso` is the classic
+two-phase nested depth-first search; :func:`live_states` is one pass of
+Tarjan's strongly connected components algorithm that keeps every state
+from which an accepting cycle can be reached.  Both are iterative, so
+product graphs with very long paths cannot overflow the interpreter stack.
 """
 
 from __future__ import annotations
@@ -107,6 +109,64 @@ def find_accepting_lasso(graph, state_budget: Optional[int] = None):
             dropped, _ = path.pop()
             del path_index[dropped]
     return None
+
+
+def live_states(graph, state_budget: Optional[int] = None) -> frozenset:
+    """The reachable states of ``graph`` from which a cycle through an
+    accepting state can be reached: the states that start some accepting
+    run.  Empty exactly when :func:`find_accepting_lasso` returns ``None``.
+
+    One iterative pass of Tarjan's algorithm (as in Couvreur, FM 1999).  A
+    component closes after every component it reaches, so it is live when
+    it is a cycle through an accepting state, or when one of its states has
+    an edge into a live component closed before it.
+    """
+    index = {}        # every state reached, in the order reached
+    low = {}          # lowlink of each state whose component is open
+    open_states = []  # Tarjan's stack, in increasing index
+    live = set()
+
+    def enter(state):
+        index[state] = low[state] = len(index)
+        if state_budget is not None and len(index) > state_budget:
+            raise ExplorationLimitError(len(index))
+        open_states.append(state)
+        return state, iter(graph.successors(state))
+
+    def close(root):
+        component = []
+        while open_states and index[open_states[-1]] >= index[root]:
+            state = open_states.pop()
+            del low[state]
+            component.append(state)
+        # the component is a cycle exactly when one of its edges enters
+        # the root, and every other component it reaches is closed
+        targets = [succ for state in component
+                   for _, succ in graph.successors(state)]
+        if any(succ in live for succ in targets) or (
+                root in targets and any(map(graph.is_accepting, component))):
+            live.update(component)
+
+    for init in graph.initial_states():
+        if init in index:
+            continue
+        stack = [enter(init)]
+        while stack:
+            state, successor_iter = stack[-1]
+            for _, succ in successor_iter:
+                if succ not in index:
+                    stack.append(enter(succ))
+                    break
+                if succ in low:
+                    low[state] = min(low[state], index[succ])
+            else:
+                stack.pop()
+                if low[state] == index[state]:
+                    close(state)
+                elif stack:
+                    caller = stack[-1][0]
+                    low[caller] = min(low[caller], low[state])
+    return frozenset(live)
 
 
 def _red_search(graph, seed, path_index, red):

@@ -371,6 +371,37 @@ class TestPlanCommand:
                      "--out-dir", str(tmp_path), "--state-budget", "3"])
         assert code == 2
 
+    def test_a_missed_team_deadline_is_proven_within_a_small_budget(
+            self, tmp_path, capsys):
+        # the robots cannot meet by time 7.  Each agent's local layer is
+        # trimmed to its live states before the team layer interleaves
+        # them; without that the search needs 329 global states
+        data = json.loads(Path(fixture("grid_meet.json")).read_text())
+        data["global"]["formula"] = data["global"]["formula"].replace(
+            "F[<=30]", "F[<=7]")
+        data["options"]["stateBudget"] = 100
+        problem = write_json(tmp_path / "tight.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.startswith("UNSATISFIABLE")
+
+    def test_the_live_state_pass_counts_against_the_budget(
+            self, tmp_path, capsys):
+        # r1's local product has 47 reachable states
+        from mitlplan.cli import load_problem, solve
+        data = json.loads(Path(fixture("grid_meet.json")).read_text())
+        data["options"]["stateBudget"] = 40
+        problem = write_json(tmp_path / "small.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == \
+            "EXPLORATION LIMIT: stopped after 41 states\n"
+        assert not (tmp_path / "plan.json").exists()
+        outcome = solve(load_problem(Path(problem)))
+        assert outcome.status == "exploration-limit"
+        assert outcome.statistics == {
+            "localLayers": [{"states": 40, "edges": 101, "accepting": 22},
+                            {"states": 0, "edges": 0, "accepting": 0}],
+            "statesAtLimit": 41}
+
     def test_plan_revalidates_under_check(self, tmp_path, capsys):
         assert main(["plan", fixture("two_agent_chain_plan.json"),
                      "--out-dir", str(tmp_path)]) == 0

@@ -1,10 +1,12 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
-from mitlplan.mitl import (Always, And, Atom, Eventually,
+from mitlplan.mitl import (Always, And, Atom, Eventually, Formula,
                            Implies, MitlSyntaxError, Next, Not, Or,
                            PunctualIntervalError, TrueFormula, Until,
                            compile_formula, evaluate_at, first_violation,
@@ -102,6 +104,33 @@ class TestNormalize:
         got = normalize(parse_formula("a | b -> c"))
         assert got == Not(And(Not(And(Not(Atom("a")), Not(Atom("b")))),
                               Not(Atom("c"))))
+
+
+class TestHash:
+    def test_each_node_hashes_once_to_its_field_tuple_hash(self):
+        formula = parse_formula("G[<=3] (a -> F[1,4] (b & !c)) U d")
+        nodes = []
+
+        def walk(node):
+            nodes.append(node)
+            for child in vars(node).values():
+                if isinstance(child, Formula):
+                    walk(child)
+
+        walk(formula)
+        assert hash(formula) == hash(parse_formula(format_formula(formula)))
+        for node in nodes:
+            fields = tuple(getattr(node, f.name)
+                           for f in dataclasses.fields(node))
+            assert node._hash == hash(fields)
+        assert hash(Atom("a")) == hash(("a",))
+
+    def test_a_pickled_formula_hashes_afresh(self):
+        formula = parse_formula("a U[<=2] !b")
+        hash(formula)
+        again = pickle.loads(pickle.dumps(formula))
+        assert "_hash" not in vars(again)
+        assert again == formula and hash(again) == hash(formula)
 
 
 class TestEvaluator:

@@ -173,16 +173,35 @@ class TestTeamProduct:
             assert state.remaining == (0, 0)
             assert state.targets == (None, None)
 
-    def test_deadlocked_agent_makes_the_state_edgeless(self):
+    def test_deadlocked_agent_leaves_the_team_no_initial_state(self):
+        # a run that stops accepts nothing: an agent that deadlocks from
+        # every state has no live state, so the team has none to start in
         stuck = WeightedTransitionSystem(
             states=("a", "b"), initial=frozenset({"a"}),
             weights={("a", "b"): Q(1)},
             atoms=frozenset(), labels={})
-        team = TeamProduct([LocalProduct(stuck, universal_tba(frozenset()))])
-        initial = team.initial_states()[0]
-        (weight, moved), = team.successors(initial)
-        assert team.successors(moved) == ()
+        local = LocalProduct(stuck, universal_tba(frozenset()))
+        team = TeamProduct([local])
+        assert local.statistics()["states"] == 2
+        assert team.live == (frozenset(),)
+        assert team.initial_states() == ()
         assert find_accepting_lasso(team) is None
+
+    def test_a_move_into_a_dead_end_is_never_taken(self):
+        # from a the agent can move on to the dead end c, or back and forth
+        # to b; only the move to b is live
+        branching = WeightedTransitionSystem(
+            states=("a", "b", "c"), initial=frozenset({"a"}),
+            weights={("a", "b"): Q(1), ("b", "a"): Q(1), ("a", "c"): Q(1)},
+            atoms=frozenset(), labels={})
+        local = LocalProduct(branching, universal_tba(frozenset()))
+        team = TeamProduct([local])
+        assert {state.node for state in team.live[0]} == {"a", "b"}
+        (initial,) = team.initial_states()
+        assert [state.components[0].node
+                for _, state in team.successors(initial)] == ["b"]
+        assert [state.node for _, state in local.successors(
+            initial.components[0])] == ["b", "c"]
 
     def test_round_robin_cycle_hits_every_agents_accepting_set(self):
         g1 = chain_green()
@@ -284,6 +303,35 @@ class TestDeterminism:
         assert first[:2] == second[:2]
         assert first[2].stem_states == second[2].stem_states
         assert first[2].cycle_steps == second[2].cycle_steps
+
+
+class TestLiveTrimming:
+    def test_every_team_state_on_grid_meet_is_built_from_live_states(
+            self, monkeypatch):
+        built = []
+
+        class Recorded(TeamProduct):
+            def __init__(self, locals_, state_budget=None):
+                super().__init__(locals_, state_budget)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "TeamProduct", Recorded)
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        outcome = cli.solve(cli.load_problem(fixtures / "grid_meet.json"))
+        assert outcome.status == "success"
+        (team,) = built
+        checked = 0
+        for state, successors in team._successor_cache.items():
+            for _, team_state in ((0, state), *successors):
+                for k, live in enumerate(team.live):
+                    assert team_state.components[k] in live
+                    target = team_state.targets[k]
+                    assert target is None or target in live
+                checked += 1
+        assert checked > 1000
+        # the local layers were explored in full, and trimmed
+        for local, live in zip(team.locals, team.live):
+            assert 0 < len(live) < local.statistics()["states"]
 
 
 def _times(state):

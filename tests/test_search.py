@@ -5,12 +5,16 @@ import pytest
 
 from mitlplan.cli import AgentSpec, PlanningProblem, solve
 from mitlplan.mitl import parse_formula, satisfies
-from mitlplan.search import ExplorationLimitError, find_accepting_lasso
+from mitlplan.core import denominator_lcm
+from mitlplan.product import LocalProduct
+from mitlplan.search import (ExplorationLimitError, find_accepting_lasso,
+                             live_states)
 from mitlplan.tba import accepts_lasso, translate_mitl
 from mitlplan.wts import (WeightedTransitionSystem, collective_run,
                           collective_word_of, timed_word_of)
-from oracles import (ExplicitGraph, enumerate_timed_runs, random_buchi_graph,
-                     scc_has_accepting_cycle)
+from oracles import (ExplicitGraph, enumerate_timed_runs, random_agent_system,
+                     random_automaton, random_buchi_graph,
+                     random_fragment_formula, scc_has_accepting_cycle)
 
 
 def make_problem(systems, names, formulas, global_formula, budget=1_000_000):
@@ -127,6 +131,90 @@ class TestNestedDfs:
         assert first == second
 
 
+def _live_by_oracle(graph):
+    """The reachable states of ``graph`` from which the SCC oracle finds a
+    reachable accepting cycle."""
+    reached = set(graph.initial_states())
+    frontier = list(reached)
+    while frontier:
+        for _, succ in graph.successors(frontier.pop()):
+            if succ not in reached:
+                reached.add(succ)
+                frontier.append(succ)
+    accepting = {state for state in reached if graph.is_accepting(state)}
+
+    def successors(state):
+        return [succ for _, succ in graph.successors(state)]
+
+    return {state for state in reached
+            if scc_has_accepting_cycle([state], successors, accepting)}
+
+
+class TestLiveStates:
+    def test_states_that_reach_an_accepting_cycle(self):
+        # 0 -> 1 -> 2 <-> 3 (3 accepting), 1 -> 4 <-> 5 (no acceptance),
+        # 1 -> 6 (accepting, no cycle)
+        graph = ExplicitGraph(
+            initial=[0],
+            edges={0: [1], 1: [2, 4, 6], 2: [3], 3: [2], 4: [5], 5: [4]},
+            accepting=[3, 6])
+        assert live_states(graph) == {0, 1, 2, 3}
+
+    def test_accepting_self_loop_is_a_cycle(self):
+        graph = ExplicitGraph(initial=[0], edges={0: [1, 2], 1: [1]},
+                              accepting=[1, 2])
+        assert live_states(graph) == {0, 1}
+
+    def test_unreachable_states_are_not_live(self):
+        graph = ExplicitGraph(initial=[0], edges={0: [0], 1: [1]},
+                              accepting=[0, 1])
+        assert live_states(graph) == {0}
+
+    def test_budget_enforced(self):
+        graph = ExplicitGraph(initial=[0],
+                              edges={i: [i + 1] for i in range(100)} | {100: []},
+                              accepting=[])
+        with pytest.raises(ExplorationLimitError) as info:
+            live_states(graph, state_budget=10)
+        assert info.value.states_explored == 11
+        assert live_states(graph, state_budget=101) == frozenset()
+
+    def test_matches_scc_oracle_on_random_graphs(self):
+        rng = random.Random(321)
+        for trial in range(300):
+            _, initial, edges, accepting = random_buchi_graph(rng, 30)
+            graph = ExplicitGraph(initial=initial, edges=edges,
+                                  accepting=accepting)
+            live = live_states(graph)
+            assert live == _live_by_oracle(graph), trial
+            assert (not live) == (find_accepting_lasso(graph) is None)
+
+    def test_matches_scc_oracle_on_random_local_products(self):
+        # small systems whose weights come in halves, paired with random
+        # automata (guards, invariants, resets and labels over two clocks)
+        # and with translated formulas; the random ones are mostly empty
+        rng = random.Random(55)
+        letters = [frozenset(), frozenset({"p"})]
+        nonempty = trimmed = 0
+        for trial in range(200):
+            system = random_agent_system(rng, "p")
+            if trial % 2:
+                automaton = random_automaton(rng, letters, size=3)
+            else:
+                automaton = translate_mitl(
+                    random_fragment_formula(rng, ["p"]), alphabet={"p"})
+            factor = denominator_lcm(
+                [*system.weights.values(), *automaton.constants()])
+            local = LocalProduct(system.scaled(factor),
+                                 automaton.scaled(factor))
+            live = live_states(local)
+            assert live == _live_by_oracle(local), trial
+            assert (not live) == (find_accepting_lasso(local) is None), trial
+            nonempty += bool(live)
+            trimmed += 0 < len(live) < local.statistics()["states"]
+        assert nonempty > 40 and trimmed > 10
+
+
 class TestPlanPipeline:
     def test_corridor_plan_contains_the_joint_visit(self):
         t1, t2 = corridor_systems()
@@ -191,6 +279,20 @@ class TestPlanPipeline:
         runs = enumerate_timed_runs(t2, max_stem=3, max_cycle=3)
         assert not any(satisfies(timed_word_of(t2, run),
                                  parse_formula("F[0,1] red")) for run in runs)
+
+    def test_an_agent_without_live_states_is_named_and_no_team_state_built(
+            self):
+        t1, t2 = corridor_systems()
+        problem = make_problem(
+            [t1, t2], ["r1", "r2"], ["G F[<=10] green", "F[0,1] red"],
+            "F (green & red)")
+        outcome = solve(problem)
+        assert outcome.status == "unsatisfiable"
+        assert outcome.notes == ("agent r2: local specification is "
+                                 "unsatisfiable on its own transition system",)
+        first, second = outcome.statistics["localLayers"]
+        assert first["live"] > 0 and second["live"] == 0
+        assert outcome.statistics["teamLayer"]["states"] == 0
 
     def test_determinism_of_the_full_pipeline(self):
         t1, t2 = corridor_systems()
