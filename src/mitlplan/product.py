@@ -11,10 +11,16 @@ the edge's target.  Layer 1 pairs one agent's transition system with its
 specification automaton.  Layer 2 interleaves the per-agent layer-1
 graphs, trimmed to their live states (:func:`search.live_states`): each
 step advances time by the smallest time remaining on the agents' moves,
-agents finishing exactly then complete their moves, and a round-robin
-index turns the per-agent acceptance sets into a single one.
-Layer 3 pairs the team graph with the team specification automaton using
-the two-flag intersection bookkeeping.
+and agents finishing exactly then complete their moves.  Layer 3 pairs the
+team graph with the team specification automaton.
+
+Acceptance is generalized Büchi: every searched graph gives
+``marks(state)``, a bitmask of the acceptance sets the state belongs to,
+and ``all_marks``, the mask of every set; a run accepts when it visits
+each set infinitely often.  A product with an automaton has one set, its
+accepting locations.  The team layer has bit ``k`` where agent ``k``'s
+component is locally accepting, and the global layer adds bit ``n`` (for
+``n`` agents) at an accepting location of the team automaton.
 
 Time is an ``int`` in every layer, durations, clock values and the time
 remaining on a move alike: the caller builds the products on the
@@ -44,14 +50,12 @@ class ProductState(NamedTuple):
     node: object       # a node of the graph
     location: str
     valuation: tuple   # per clock, at most the automaton's cmax + 1
-    flag: int          # 0 when the graph has no acceptance of its own
 
 
 class TeamState(NamedTuple):
     components: tuple  # ProductState per agent
     targets: tuple     # committed in-flight ProductState per agent, or None
     remaining: tuple   # time left on the committed move, 0 without one
-    turn: int          # round-robin index, 0-based
     letter: frozenset  # atoms of the components' regions, one object each
 
 
@@ -73,18 +77,20 @@ class _MemoizedGraph:
 
     def statistics(self) -> dict:
         """The states expanded so far, their edges, and how many of them
-        accept."""
+        carry every acceptance mark."""
         cache = self._successor_cache
         return {"states": len(cache),
                 "edges": sum(len(v) for v in cache.values()),
-                "accepting": sum(1 for s in cache if self.is_accepting(s))}
+                "accepting": sum(1 for s in cache
+                                 if self.marks(s) == self.all_marks)}
 
 
 class AutomatonProduct(_MemoizedGraph):
     """A labelled weighted graph paired with a timed automaton, as the
-    module describes it; a state accepts at an accepting location."""
+    module describes it; its one acceptance set is the accepting
+    locations."""
 
-    first_flag = 0
+    all_marks = 1
 
     def __init__(self, graph, automaton: TimedBuchiAutomaton):
         super().__init__()
@@ -95,29 +101,24 @@ class AutomatonProduct(_MemoizedGraph):
     def initial_states(self):
         zero = self.automaton.zero_valuation()
         return tuple(
-            ProductState(node, location, zero, self.first_flag)
+            ProductState(node, location, zero)
             for node in self.graph.initial_states()
             for location in self.automaton.initial_locations(
                 self.graph.label_of(node)))
-
-    def flag_after(self, state: ProductState) -> int:
-        """The flag of every successor of ``state``."""
-        return 0
 
     def _compute_successors(self, state: ProductState):
         """In the graph's successor order, and in ``step``'s order among
         the automaton's moves on one graph successor."""
         step, label_of = self.automaton.step, self.graph.label_of
-        flag = self.flag_after(state)
         out = []
         for weight, node in self.graph.successors(state.node):
             for location, landed in step(state.location, state.valuation,
                                          weight, label_of(node), self.cmax):
-                out.append((weight, ProductState(node, location, landed, flag)))
+                out.append((weight, ProductState(node, location, landed)))
         return tuple(out)
 
-    def is_accepting(self, state: ProductState) -> bool:
-        return state.location in self.automaton.accepting
+    def marks(self, state: ProductState) -> int:
+        return int(state.location in self.automaton.accepting)
 
 
 class LocalProduct(AutomatonProduct):
@@ -141,18 +142,16 @@ class TeamProduct(_MemoizedGraph):
     is currently moving toward (``None`` when at a boundary), and the time
     remaining on that move, the move's weight when the agent commits to
     it.  Every step advances time by the smallest remaining time; exactly
-    the agents with that much left complete their moves.  The round-robin
-    index makes acceptance single-set: a state accepts when the index rests
-    on the last agent and that agent's component is locally accepting.
+    the agents with that much left complete their moves.  Agent ``k``'s
+    acceptance set is bit ``k`` of the marks: the states whose ``k``-th
+    component is locally accepting.
 
     Team acceptance needs every agent to accept infinitely often, and every
     state reachable from a local state that is not live is not live either,
     so no accepting team cycle passes through one: the constructor runs
     :func:`search.live_states` on each local product (each pass counts
     against ``state_budget``), and components, targets and initial
-    combinations are drawn from the live states alone.  The pruned
-    subgraphs hold no accepting cycle, so the nested DFS returns the same
-    lasso as on the untrimmed product.
+    combinations are drawn from the live states alone.
     """
 
     # a state carries its letter; read without a Python-level call
@@ -164,6 +163,7 @@ class TeamProduct(_MemoizedGraph):
         if not self.locals:
             raise ValueError("at least one agent is required")
         self.count = len(self.locals)
+        self.all_marks = (1 << self.count) - 1
         self.live = tuple(live_states(local, state_budget)
                           for local in self.locals)
         self._letters: dict = {}  # region vector -> its letter
@@ -190,19 +190,19 @@ class TeamProduct(_MemoizedGraph):
                 components=tuple(combo),
                 targets=(None,) * self.count,
                 remaining=(0,) * self.count,
-                turn=0,
                 letter=self._letter(combo),
             ))
         return tuple(out)
 
     def _compute_successors(self, state: TeamState):
         """Two interleavings never build the same state.  They are sorted
-        all the same, because the nested DFS returns the first lasso in
-        this order and the plan is projected from it: in the order of
-        ``itertools.product`` over the agents' moves, grid_meet's lasso
-        grows from a stem of 110 and a cycle of 40 states to 242 and 106
-        (28,077 global states explored instead of 28,002), and the plans
-        of both fixtures no longer match ``fixtures/expected/``."""
+        all the same, because the search returns the first lasso in this
+        order and the plan is projected from it: in the order of
+        ``itertools.product`` over the agents' moves, the corridor's lasso
+        (``two_agent_chain_plan.json``) grows from 10 prefix and 6 cycle
+        positions of the collective run to 58 and 22, with 82 global states
+        explored instead of 16, and the plans of both fixtures no longer
+        match ``fixtures/expected/``."""
         options = []
         for k in range(self.count):
             if state.targets[k] is not None:
@@ -228,11 +228,8 @@ class TeamProduct(_MemoizedGraph):
                     components.append(state.components[k])
                     targets.append(target)
                     remaining.append(left - step)
-            turn = state.turn
-            if self.locals[turn].is_accepting(state.components[turn]):
-                turn = (turn + 1) % self.count
             out.append((step, TeamState(tuple(components), tuple(targets),
-                                        tuple(remaining), turn,
+                                        tuple(remaining),
                                         self._letter(components))))
         return tuple(sorted(out, key=self._successor_key))
 
@@ -245,19 +242,14 @@ class TeamProduct(_MemoizedGraph):
         target_key = tuple((0,) if t is None else (1, t) for t in state.targets)
         return (state.components, target_key)
 
-    def is_accepting(self, state: TeamState) -> bool:
-        last = self.count - 1
-        return (state.turn == last
-                and self.locals[last].is_accepting(state.components[last]))
+    def marks(self, state: TeamState) -> int:
+        return sum(local.marks(component) << k for k, (local, component)
+                   in enumerate(zip(self.locals, state.components)))
 
 
 class GlobalProduct(AutomatonProduct):
-    """Layer 3: the team graph paired with the team automaton, with two-flag
-    intersection bookkeeping: flag 1 waits for a team-accepting state,
-    flag 2 waits for an automaton-accepting location, and acceptance is a
-    team-accepting state carrying flag 1."""
-
-    first_flag = 1
+    """Layer 3: the team graph paired with the team automaton; the marks
+    are the team's, and bit ``n`` at an accepting location."""
 
     def __init__(self, team: TeamProduct, automaton: TimedBuchiAutomaton):
         team_atoms = frozenset().union(
@@ -267,11 +259,8 @@ class GlobalProduct(AutomatonProduct):
                 f"team alphabet {sorted(team_atoms)} differs from automaton "
                 f"alphabet {sorted(automaton.atoms)}")
         super().__init__(team, automaton)
+        self.all_marks = team.all_marks | 1 << team.count
 
-    def flag_after(self, state: ProductState) -> int:
-        if state.flag == 1:
-            return 2 if self.graph.is_accepting(state.node) else 1
-        return 1 if state.location in self.automaton.accepting else 2
-
-    def is_accepting(self, state: ProductState) -> bool:
-        return state.flag == 1 and self.graph.is_accepting(state.node)
+    def marks(self, state: ProductState) -> int:
+        return (self.graph.marks(state.node)
+                | super().marks(state) << self.graph.count)

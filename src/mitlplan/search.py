@@ -3,12 +3,13 @@ found lasso back to per-agent timed plans.
 
 A graph object, such as those of :mod:`mitlplan.product`, provides
 ``initial_states()``, ``successors(state)`` yielding ``(edge weight, next
-state)`` pairs in a deterministic order, and ``is_accepting(state)``; the
-searches read no labels.  :func:`find_accepting_lasso` is the classic
-two-phase nested depth-first search; :func:`live_states` is one pass of
-Tarjan's strongly connected components algorithm that keeps every state
-from which an accepting cycle can be reached.  Both are iterative, so
-product graphs with very long paths cannot overflow the interpreter stack.
+state)`` pairs in a deterministic order, and generalized Büchi acceptance:
+``marks(state)``, the bitmask of the acceptance sets holding the state, and
+``all_marks``; the searches read no labels.  :func:`find_accepting_lasso`
+and :func:`live_states` are one iterative pass of an SCC-based emptiness
+check: the first stops at the first component that collects every mark,
+the second runs to the end.  Product graphs with very long paths cannot
+overflow the interpreter stack.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ class ExplorationLimitError(Exception):
 
 @dataclass(frozen=True)
 class AcceptingLasso:
-    """A reachable cycle through an accepting state.
+    """A reachable cycle that visits every acceptance set.
 
-    ``stem_states[0]`` is initial, ``stem_states[-1]`` is the accepting
-    cycle head; ``cycle_steps`` walks from the head back to itself.
+    ``stem_states[0]`` is initial, ``stem_states[-1]`` is the cycle head;
+    ``cycle_steps`` walks from the head back to itself.
     """
 
     stem_states: tuple
@@ -67,148 +68,140 @@ class AcceptingLasso:
 
 
 def find_accepting_lasso(graph, state_budget: Optional[int] = None):
-    """Nested DFS emptiness check; returns a lasso or ``None``.
-
-    The outer (blue) search runs in post-order; when an accepting state
-    closes, an inner (red) search looks for any state still on the blue
-    path, which closes an accepting cycle.  Red marks persist across inner
-    searches, keeping the whole procedure linear in the explored graph.
-    """
-    visited = set()
-    red = set()
-
-    for init in graph.initial_states():
-        if init in visited:
-            continue
-        visited.add(init)
-        if state_budget is not None and len(visited) > state_budget:
-            raise ExplorationLimitError(len(visited))
-        path = [(init, None)]
-        path_index = {init: 0}
-        stack = [(init, iter(graph.successors(init)))]
-        while stack:
-            state, successor_iter = stack[-1]
-            advanced = False
-            for weight, succ in successor_iter:
-                if succ not in visited:
-                    visited.add(succ)
-                    if state_budget is not None and len(visited) > state_budget:
-                        raise ExplorationLimitError(len(visited))
-                    path_index[succ] = len(path)
-                    path.append((succ, weight))
-                    stack.append((succ, iter(graph.successors(succ))))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            if graph.is_accepting(state):
-                closing = _red_search(graph, state, path_index, red)
-                if closing is not None:
-                    return _assemble(path, path_index, state, closing)
-            stack.pop()
-            dropped, _ = path.pop()
-            del path_index[dropped]
-    return None
+    """An accepting lasso of ``graph``, or ``None`` when it has none: the
+    first component of :func:`_components` that collects every mark."""
+    return _components(graph, state_budget, True)
 
 
 def live_states(graph, state_budget: Optional[int] = None) -> frozenset:
-    """The reachable states of ``graph`` from which a cycle through an
-    accepting state can be reached: the states that start some accepting
-    run.  Empty exactly when :func:`find_accepting_lasso` returns ``None``.
+    """The reachable states of ``graph`` from which an accepting cycle can
+    be reached: the states that start some accepting run.  Empty exactly
+    when :func:`find_accepting_lasso` returns ``None``."""
+    return _components(graph, state_budget, False)
 
-    One iterative pass of Tarjan's algorithm (as in Couvreur, FM 1999).  A
-    component closes after every component it reaches, so it is live when
-    it is a cycle through an accepting state, or when one of its states has
-    an edge into a live component closed before it.
+
+class _Component:
+    """An open component of :func:`_components`."""
+
+    __slots__ = ("number", "depth", "place", "marks", "live")
+
+    def __init__(self, number, depth, place, marks):
+        self.number = number  # the root's entry number
+        self.depth = depth    # the root's position on the search path
+        self.place = place    # the root's position among the open states
+        self.marks = marks    # the union of its states' marks
+        self.live = False     # an accepting cycle is reachable from it
+
+
+def _components(graph, state_budget, lasso):
+    """One on-the-fly pass of Couvreur's SCC-based emptiness check (FM
+    1999; Gaiser & Schwoon, MEMICS 2009).
+
+    Each open component is known by its root, the state of it entered
+    first, and carries the union of its states' marks.  An edge into an
+    open component merges every component entered since into that one,
+    which then holds a cycle through all of their states; once its marks
+    are ``all_marks`` the cycle can accept.  With ``lasso`` the pass returns
+    the lasso of the first such merge (or ``None``).  Without it the pass
+    runs to the end and returns the live states: a component is live when
+    a merge collected every mark in it, or when it has an edge into a live
+    component, which closed before it.
     """
-    index = {}        # every state reached, in the order reached
-    low = {}          # lowlink of each state whose component is open
-    open_states = []  # Tarjan's stack, in increasing index
+    marks_of, all_marks = graph.marks, graph.all_marks
+    index = {}        # every state reached -> its number, -1 once closed
+    open_states = []  # the states of the open components, in entry order
+    roots = []        # the open components, oldest first
+    path = []         # (state, weight into it, successors left to try)
     live = set()
 
-    def enter(state):
-        index[state] = low[state] = len(index)
+    def enter(state, weight):
+        number = index[state] = len(index)
         if state_budget is not None and len(index) > state_budget:
             raise ExplorationLimitError(len(index))
+        roots.append(_Component(number, len(path), len(open_states),
+                                marks_of(state)))
         open_states.append(state)
-        return state, iter(graph.successors(state))
-
-    def close(root):
-        component = []
-        while open_states and index[open_states[-1]] >= index[root]:
-            state = open_states.pop()
-            del low[state]
-            component.append(state)
-        # the component is a cycle exactly when one of its edges enters
-        # the root, and every other component it reaches is closed
-        targets = [succ for state in component
-                   for _, succ in graph.successors(state)]
-        if any(succ in live for succ in targets) or (
-                root in targets and any(map(graph.is_accepting, component))):
-            live.update(component)
+        path.append((state, weight, iter(graph.successors(state))))
 
     for init in graph.initial_states():
         if init in index:
             continue
-        stack = [enter(init)]
-        while stack:
-            state, successor_iter = stack[-1]
-            for _, succ in successor_iter:
-                if succ not in index:
-                    stack.append(enter(succ))
+        enter(init, None)
+        while path:
+            state, _, successor_iter = path[-1]
+            for weight, succ in successor_iter:
+                number = index.get(succ)
+                if number is None:
+                    enter(succ, weight)
                     break
-                if succ in low:
-                    low[state] = min(low[state], index[succ])
+                if number < 0:
+                    roots[-1].live |= succ in live
+                    continue
+                while roots[-1].number > number:
+                    merged = roots.pop()
+                    roots[-1].marks |= merged.marks
+                    roots[-1].live |= merged.live
+                top = roots[-1]
+                if top.marks == all_marks:
+                    if lasso:
+                        return _lasso(graph, path, index, top)
+                    top.live = True
             else:
-                stack.pop()
-                if low[state] == index[state]:
-                    close(state)
-                elif stack:
-                    caller = stack[-1][0]
-                    low[caller] = min(low[caller], low[state])
-    return frozenset(live)
+                path.pop()
+                if roots[-1].number == index[state]:
+                    closing = roots.pop()
+                    component = open_states[closing.place:]
+                    del open_states[closing.place:]
+                    for closed in component:
+                        index[closed] = -1
+                    if closing.live:
+                        live.update(component)
+                        if roots:
+                            roots[-1].live = True
+    return None if lasso else frozenset(live)
 
 
-def _red_search(graph, seed, path_index, red):
-    """Search from ``seed`` for any state on the blue path; returns the red
-    path as (weight, state) steps ending at that state, or ``None``."""
+def _lasso(graph, path, index, found: _Component) -> AcceptingLasso:
+    """The stem is the search path to the component's root; the cycle runs
+    inside the component from the root, through a nearest state with a
+    mark still missing until none is, and back to the root.  The component
+    is the states of ``index`` numbered from the root's number on."""
+    stem = path[:found.depth + 1]
+    root = stem[-1][0]
+    steps = []
+    here, marks = root, graph.marks(root)
+    while marks != graph.all_marks:
+        steps += _steps_within(graph, here, index, found.number,
+                               lambda state: graph.marks(state) & ~marks)
+        here = steps[-1][1]
+        marks |= graph.marks(here)
+    steps += _steps_within(graph, here, index, found.number,
+                           lambda state: state == root)
+    return AcceptingLasso(stem_states=tuple(s for s, _, _ in stem),
+                          stem_weights=tuple(w for _, w, _ in stem[1:]),
+                          cycle_steps=tuple(steps))
+
+
+def _steps_within(graph, source, index, first, goal) -> list:
+    """The ``(weight, state)`` steps of a shortest path of one step or more
+    from ``source`` to a state meeting ``goal``, inside the strongly
+    connected component of the states that ``index`` numbers ``first`` or
+    later."""
     parent = {}
-    order = [seed]
-    red.add(seed)
-    stack = [(seed, iter(graph.successors(seed)))]
-    while stack:
-        state, successor_iter = stack[-1]
-        advanced = False
-        for weight, succ in successor_iter:
-            if succ in path_index:
+    queue = [source]
+    for state in queue:
+        for weight, succ in graph.successors(state):
+            if index.get(succ, -1) < first or succ in parent:
+                continue
+            if goal(succ):
                 steps = [(weight, succ)]
-                cursor = state
-                while cursor != seed:
-                    w, prev = parent[cursor]
-                    steps.append((w, cursor))
-                    cursor = prev
-                steps.reverse()
-                return tuple(steps)
-            if succ not in red:
-                red.add(succ)
-                parent[succ] = (weight, state)
-                stack.append((succ, iter(graph.successors(succ))))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-    return None
-
-
-def _assemble(path, path_index, seed, closing_steps):
-    hit = closing_steps[-1][1]
-    stem_states = tuple(s for s, _ in path[: path_index[seed] + 1])
-    stem_weights = tuple(w for _, w in path[1: path_index[seed] + 1])
-    blue_segment = tuple(
-        (w, s) for s, w in path[path_index[hit] + 1: path_index[seed] + 1])
-    cycle = tuple(closing_steps) + blue_segment
-    return AcceptingLasso(stem_states=stem_states, stem_weights=stem_weights,
-                          cycle_steps=cycle)
+                while state != source:
+                    weight, previous = parent[state]
+                    steps.append((weight, state))
+                    state = previous
+                return steps[::-1]
+            parent[succ] = (weight, state)
+            queue.append(succ)
 
 
 # --- projection back to timed plans -----------------------------------------

@@ -347,10 +347,11 @@ def random_automaton(rng: random.Random, letters, clocks=("x", "y"), size=4):
 
 # --- Buchi emptiness by SCC decomposition --------------------------------
 
-def scc_has_accepting_cycle(initial, successors, accepting) -> bool:
-    """Tarjan over the reachable graph; true iff some accepting state lies
-    on a cycle (an SCC of size > 1, or a self-loop) reachable from an
-    initial state."""
+def scc_has_accepting_cycle(initial, successors, marks, all_marks) -> bool:
+    """Tarjan over the reachable graph; true iff some cyclic SCC (of size
+    > 1, or a self-loop) reachable from an initial state holds every
+    acceptance set: the union of its states' ``marks`` (a dict of
+    bitmasks, 0 where absent) is ``all_marks``."""
     index = {}
     low = {}
     on_stack = set()
@@ -392,9 +393,11 @@ def scc_has_accepting_cycle(initial, successors, accepting) -> bool:
                     component.append(w)
                     if w == v:
                         break
-                members = set(component)
                 cyclic = len(component) > 1 or v in successors(v)
-                if cyclic and any(s in accepting for s in members):
+                union = 0
+                for s in component:
+                    union |= marks.get(s, 0)
+                if cyclic and union == all_marks:
                     found[0] = True
 
     for init in initial:
@@ -403,7 +406,11 @@ def scc_has_accepting_cycle(initial, successors, accepting) -> bool:
     return found[0]
 
 
-def random_buchi_graph(rng: random.Random, max_states=50):
+def random_buchi_graph(rng: random.Random, max_states=50, sets=1):
+    """A random graph with ``sets`` acceptance sets of up to 5 states each:
+    its states, initial states, edges and marks (state -> bitmask, the
+    states in no set left out).  The sets are drawn last, so a seed's
+    edges, initial states and first set do not depend on ``sets``."""
     n = rng.randrange(2, max_states + 1)
     states = list(range(n))
     edges = {s: [] for s in states}
@@ -413,8 +420,11 @@ def random_buchi_graph(rng: random.Random, max_states=50):
                 edges[s].append(t)
         edges[s].sort()
     initial = sorted(rng.sample(states, rng.randrange(1, 3)))
-    accepting = set(rng.sample(states, rng.randrange(0, min(6, n))))
-    return states, initial, edges, accepting
+    marks = {}
+    for k in range(sets):
+        for s in rng.sample(states, rng.randrange(0, min(6, n))):
+            marks[s] = marks.get(s, 0) | 1 << k
+    return states, initial, edges, marks
 
 
 def random_agent_system(rng: random.Random, atom: str, max_states=3,
@@ -493,12 +503,16 @@ def enumerate_timed_runs(system, max_stem=4, max_cycle=3):
 
 
 class ExplicitGraph:
-    """Adapter giving a plain edge-dict the lazy-graph interface."""
+    """Adapter giving a plain edge-dict and a dict of marks (state ->
+    bitmask of its acceptance sets, 0 where absent) the lazy-graph
+    interface."""
 
-    def __init__(self, initial, edges, accepting, weight=Fraction(1)):
+    def __init__(self, initial, edges, marks, all_marks=1,
+                 weight=Fraction(1)):
         self._initial = list(initial)
         self._edges = edges
-        self._accepting = set(accepting)
+        self._marks = dict(marks)
+        self.all_marks = all_marks
         self._weight = weight
 
     def initial_states(self):
@@ -507,5 +521,5 @@ class ExplicitGraph:
     def successors(self, state):
         return tuple((self._weight, t) for t in self._edges.get(state, ()))
 
-    def is_accepting(self, state):
-        return state in self._accepting
+    def marks(self, state):
+        return self._marks.get(state, 0)

@@ -287,6 +287,17 @@ class TestPlanCommand:
             assert (tmp_path / name).read_bytes() == \
                 (expected / name).read_bytes(), name
 
+    def test_statistics_keep_their_keys(self, tmp_path):
+        assert main(["plan", fixture("two_agent_chain_plan.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+        statistics = json.loads((tmp_path / "plan.json").read_text())["statistics"]
+        assert set(statistics) == {"localLayers", "teamLayer", "globalLayer",
+                                   "scalingFactor"}
+        for layer in statistics["localLayers"]:
+            assert set(layer) == {"states", "edges", "accepting", "live"}
+        for key in ("teamLayer", "globalLayer"):
+            assert set(statistics[key]) == {"states", "edges", "accepting"}
+
     def test_an_old_automaton_file_plans_as_its_formula(self, tmp_path):
         # the fixture is translate's output of the team formula from when
         # every location carried the exact letter read there
@@ -435,8 +446,8 @@ class TestPlanCommand:
         assert {stamp.denominator for stamp in stamps} == {1, 2}
 
     def test_cycle_through_the_initial_state_projects(self, tmp_path, capsys):
-        # the lasso's stem is the initial state alone; its position opens
-        # every agent's cycle, which the team automaton's flag doubles
+        # the lasso's stem is the initial state alone, and its position
+        # opens every agent's cycle: one self-loop of period 1
         problem = write_json(tmp_path / "loop.json", {
             "agents": [{"name": "solo", "states": ["s"], "initial": ["s"],
                         "transitions": [{"from": "s", "to": "s",
@@ -445,8 +456,7 @@ class TestPlanCommand:
             "global": {"formula": "true"}})
         assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
         run = json.loads((tmp_path / "plan.json").read_text())["agents"][0]["run"]
-        assert run == {"prefix": [], "cycle": [["s", "0"], ["s", "1"]],
-                       "period": "2"}
+        assert run == {"prefix": [], "cycle": [["s", "0"]], "period": "1"}
 
     def test_exports_are_pure_functions_of_the_plan(self, tmp_path):
         first = tmp_path / "one"

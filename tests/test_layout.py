@@ -97,6 +97,15 @@ def test_one_product_steps_automata_and_builds_product_states():
     assert builds and set(builds) == {"product.AutomatonProduct"}
 
 
+def test_one_pass_of_the_search_starts_from_the_initial_states():
+    # find_accepting_lasso and live_states are the same SCC pass
+    readers = [owner for owner in _enclosing(
+        lambda node: (isinstance(node, ast.Attribute)
+                      and node.attr == "initial_states"), ast.FunctionDef)
+        if owner is not None and owner.startswith("search.")]
+    assert readers == ["search._components"]
+
+
 def test_one_compiler_decides_every_boolean_formula():
     # labels, guards, invariants and the evaluator's propositional
     # subformulas are all decided by the code that compile_formula builds

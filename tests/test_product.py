@@ -36,6 +36,36 @@ def chain_green():
         labels={"p1": {"green"}, "p2": set(), "p3": set()})
 
 
+def shuttle_red():
+    return WeightedTransitionSystem(
+        states=("q1", "q2"), initial=frozenset({"q1"}),
+        weights={("q1", "q2"): Q(2), ("q2", "q1"): Q(2)},
+        atoms=frozenset({"red"}), labels={"q1": set(), "q2": {"red"}})
+
+
+def recurring_team():
+    """Two agents that each see their colour within a deadline, again and
+    again."""
+    return TeamProduct([
+        LocalProduct(chain_green(), translate_mitl(
+            parse_formula("G F[0,10] green"), alphabet={"green"})),
+        LocalProduct(shuttle_red(), translate_mitl(
+            parse_formula("G F[0,8] red"), alphabet={"red"})),
+    ])
+
+
+def reachable(graph):
+    """Every state of ``graph`` reachable from an initial one."""
+    seen = set(graph.initial_states())
+    frontier = list(seen)
+    while frontier:
+        for _, succ in graph.successors(frontier.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return seen
+
+
 def run_of_local_lasso(system, lasso):
     """Project a layer-1 lasso to the agent's timed run."""
     states = [s.node for s in lasso.path_states()]
@@ -139,11 +169,13 @@ class TestTeamProduct:
         team_lasso = find_accepting_lasso(team)
         assert (local_lasso is None) == (team_lasso is None)
         for state in team.initial_states():
-            assert state.turn == 0
             assert state.components[0] in local.initial_states()
-        # acceptance coincides with the single agent's acceptance
-        probe = team.initial_states()[0]
-        assert team.is_accepting(probe) == local.is_accepting(probe.components[0])
+        # the team's marks are the single agent's acceptance
+        assert team.all_marks == local.all_marks == 1
+        states = reachable(team)
+        assert len(states) > 5
+        for state in states:
+            assert team.marks(state) == local.marks(state.components[0])
 
     def test_smallest_step_completes_only_the_fastest_agent(self):
         fast = tiny_system({"a": set()}, weights={("a", "b"): Q(1), ("b", "a"): Q(1)})
@@ -203,24 +235,14 @@ class TestTeamProduct:
         assert [state.node for _, state in local.successors(
             initial.components[0])] == ["b", "c"]
 
-    def test_round_robin_cycle_hits_every_agents_accepting_set(self):
-        g1 = chain_green()
-        g2 = WeightedTransitionSystem(
-            states=("q1", "q2"), initial=frozenset({"q1"}),
-            weights={("q1", "q2"): Q(2), ("q2", "q1"): Q(2)},
-            atoms=frozenset({"red"}), labels={"q1": set(), "q2": {"red"}})
-        locals_ = [
-            LocalProduct(g1, translate_mitl(parse_formula("G F[0,10] green"),
-                                            alphabet={"green"})),
-            LocalProduct(g2, translate_mitl(parse_formula("G F[0,8] red"),
-                                            alphabet={"red"})),
-        ]
-        team = TeamProduct(locals_)
+    def test_cycle_hits_every_agents_accepting_set(self):
+        team = recurring_team()
+        assert team.all_marks == 0b11
         lasso = find_accepting_lasso(team, 100000)
         assert lasso is not None
         cycle_states = [s for _, s in lasso.cycle_steps]
-        for k, local in enumerate(locals_):
-            assert any(local.is_accepting(s.components[k]) for s in cycle_states)
+        for k, local in enumerate(team.locals):
+            assert any(local.marks(s.components[k]) for s in cycle_states)
 
     def test_time_consistency_with_the_collective_merge(self):
         g1 = chain_green()
@@ -271,17 +293,23 @@ class TestGlobalProduct:
         both = GlobalProduct(team, goal)
         assert find_accepting_lasso(both, 100000) is None
 
-    def test_flag_bookkeeping_requires_both_acceptance_kinds(self):
-        team = self._team()
-        goal = translate_mitl(parse_formula("G F[0,12] green"),
-                              alphabet={"green"})
+    def test_a_cycle_carries_every_agents_mark_and_the_automatons(self):
+        team = recurring_team()
+        goal = translate_mitl(parse_formula("G F[0,12] (green & red)"),
+                              alphabet={"green", "red"})
         both = GlobalProduct(team, goal)
+        assert both.all_marks == 0b111
         lasso = find_accepting_lasso(both, 100000)
         assert lasso is not None
         cycle_states = [s for _, s in lasso.cycle_steps]
-        assert any(s.flag == 1 and team.is_accepting(s.node)
-                   for s in cycle_states)
+        for k, local in enumerate(team.locals):
+            assert any(local.marks(s.node.components[k])
+                       for s in cycle_states)
         assert any(s.location in goal.accepting for s in cycle_states)
+        covered = 0
+        for state in cycle_states:
+            covered |= both.marks(state)
+        assert covered == both.all_marks
 
     def test_alphabet_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -50,10 +50,27 @@ def corridor_systems():
     return t1, t2
 
 
+def one_set(accepting):
+    """The marks of a graph whose one acceptance set is ``accepting``."""
+    return {state: 1 for state in accepting}
+
+
+def random_graphs(rng, count, max_states=50):
+    """``count`` random graphs each with 1, 2 and 3 acceptance sets, as
+    ``(graph, initial, edges, marks)``."""
+    for _ in range(count):
+        for sets in (1, 2, 3):
+            _, initial, edges, marks = random_buchi_graph(rng, max_states,
+                                                          sets)
+            graph = ExplicitGraph(initial=initial, edges=edges, marks=marks,
+                                  all_marks=(1 << sets) - 1)
+            yield graph, initial, edges, marks
+
+
 class TestNestedDfs:
     def test_reachable_accepting_self_loop(self):
         graph = ExplicitGraph(initial=[0], edges={0: [1], 1: [1]},
-                              accepting=[1])
+                              marks=one_set([1]))
         lasso = find_accepting_lasso(graph)
         assert lasso is not None
         assert lasso.stem_states == (0, 1)
@@ -62,50 +79,64 @@ class TestNestedDfs:
 
     def test_accepting_state_without_cycle(self):
         graph = ExplicitGraph(initial=[0], edges={0: [1], 1: [2], 2: []},
-                              accepting=[1])
+                              marks=one_set([1]))
         assert find_accepting_lasso(graph) is None
 
     def test_cycle_must_contain_the_accepting_state(self):
         graph = ExplicitGraph(initial=[0],
-                              edges={0: [1], 1: [0], 2: [2]}, accepting=[2])
+                              edges={0: [1], 1: [0], 2: [2]},
+                              marks=one_set([2]))
         assert find_accepting_lasso(graph) is None
 
     def test_cycle_through_blue_path(self):
-        # cycle closes through a state still on the outer search path
+        # the cycle closes on a state still on the search path; the head is
+        # the root of its component, the state of it entered first
         graph = ExplicitGraph(initial=[0],
                               edges={0: [1], 1: [2], 2: [3], 3: [1]},
-                              accepting=[3])
+                              marks=one_set([3]))
         lasso = find_accepting_lasso(graph)
         assert lasso is not None
         cycle = [s for _, s in lasso.cycle_steps]
         assert set(cycle) == {1, 2, 3}
-        assert lasso.head == 3
+        assert lasso.head == 1
+
+    def test_a_cycle_visits_a_state_of_every_set(self):
+        # 0 <-> 1 <-> 2 with set 0 at 0 and set 1 at 2: the cycle from the
+        # root 0 reaches 2 and comes back
+        graph = ExplicitGraph(initial=[0], edges={0: [1], 1: [0, 2], 2: [1]},
+                              marks={0: 0b01, 2: 0b10}, all_marks=0b11)
+        lasso = find_accepting_lasso(graph)
+        assert lasso.stem_states == (0,)
+        assert [s for _, s in lasso.cycle_steps] == [1, 2, 1, 0]
+
+    def test_sets_on_separate_cycles_do_not_accept(self):
+        graph = ExplicitGraph(initial=[0], edges={0: [1, 2], 1: [1], 2: [2]},
+                              marks={1: 0b01, 2: 0b10}, all_marks=0b11)
+        assert find_accepting_lasso(graph) is None
+        assert live_states(graph) == frozenset()
 
     def test_budget_enforced(self):
         graph = ExplicitGraph(initial=[0],
                               edges={i: [i + 1] for i in range(100)} | {100: []},
-                              accepting=[])
+                              marks={})
         with pytest.raises(ExplorationLimitError) as info:
             find_accepting_lasso(graph, state_budget=10)
         assert info.value.states_explored == 11
 
     def test_matches_scc_oracle_on_random_graphs(self):
         rng = random.Random(123)
-        for _ in range(150):
-            states, initial, edges, accepting = random_buchi_graph(rng)
-            graph = ExplicitGraph(initial=initial, edges=edges,
-                                  accepting=accepting)
+        found = [0, 0, 0, 0]
+        for graph, initial, edges, marks in random_graphs(rng, 150):
             got = find_accepting_lasso(graph) is not None
             expected = scc_has_accepting_cycle(
-                initial, lambda s: edges.get(s, ()), accepting)
+                initial, lambda s: edges.get(s, ()), marks, graph.all_marks)
             assert got == expected
+            found[graph.all_marks.bit_length()] += got
+        assert min(found[1:]) > 10, found
 
     def test_extracted_lasso_is_well_formed(self):
         rng = random.Random(77)
-        for _ in range(80):
-            states, initial, edges, accepting = random_buchi_graph(rng)
-            graph = ExplicitGraph(initial=initial, edges=edges,
-                                  accepting=accepting)
+        for graph, initial, edges, marks in random_graphs(rng, 80):
             lasso = find_accepting_lasso(graph)
             if lasso is None:
                 continue
@@ -114,21 +145,20 @@ class TestNestedDfs:
             for here, there in zip(path, path[1:]):
                 assert there in edges[here]
             cursor = lasso.head
-            touched = []
+            covered = 0
             for _, nxt in lasso.cycle_steps:
                 assert nxt in edges[cursor]
                 cursor = nxt
-                touched.append(nxt)
+                covered |= graph.marks(nxt)
             assert cursor == lasso.head
-            assert any(s in accepting for s in touched)
+            assert covered == graph.all_marks
 
     def test_deterministic_across_runs(self):
         rng = random.Random(9)
-        states, initial, edges, accepting = random_buchi_graph(rng)
-        graph = ExplicitGraph(initial=initial, edges=edges, accepting=accepting)
-        first = find_accepting_lasso(graph)
-        second = find_accepting_lasso(graph)
-        assert first == second
+        for graph, _, _, _ in random_graphs(rng, 1):
+            first = find_accepting_lasso(graph)
+            second = find_accepting_lasso(graph)
+            assert first == second
 
 
 def _live_by_oracle(graph):
@@ -141,13 +171,14 @@ def _live_by_oracle(graph):
             if succ not in reached:
                 reached.add(succ)
                 frontier.append(succ)
-    accepting = {state for state in reached if graph.is_accepting(state)}
+    marks = {state: graph.marks(state) for state in reached}
 
     def successors(state):
         return [succ for _, succ in graph.successors(state)]
 
     return {state for state in reached
-            if scc_has_accepting_cycle([state], successors, accepting)}
+            if scc_has_accepting_cycle([state], successors, marks,
+                                       graph.all_marks)}
 
 
 class TestLiveStates:
@@ -157,23 +188,23 @@ class TestLiveStates:
         graph = ExplicitGraph(
             initial=[0],
             edges={0: [1], 1: [2, 4, 6], 2: [3], 3: [2], 4: [5], 5: [4]},
-            accepting=[3, 6])
+            marks=one_set([3, 6]))
         assert live_states(graph) == {0, 1, 2, 3}
 
     def test_accepting_self_loop_is_a_cycle(self):
         graph = ExplicitGraph(initial=[0], edges={0: [1, 2], 1: [1]},
-                              accepting=[1, 2])
+                              marks=one_set([1, 2]))
         assert live_states(graph) == {0, 1}
 
     def test_unreachable_states_are_not_live(self):
         graph = ExplicitGraph(initial=[0], edges={0: [0], 1: [1]},
-                              accepting=[0, 1])
+                              marks=one_set([0, 1]))
         assert live_states(graph) == {0}
 
     def test_budget_enforced(self):
         graph = ExplicitGraph(initial=[0],
                               edges={i: [i + 1] for i in range(100)} | {100: []},
-                              accepting=[])
+                              marks={})
         with pytest.raises(ExplorationLimitError) as info:
             live_states(graph, state_budget=10)
         assert info.value.states_explored == 11
@@ -181,10 +212,7 @@ class TestLiveStates:
 
     def test_matches_scc_oracle_on_random_graphs(self):
         rng = random.Random(321)
-        for trial in range(300):
-            _, initial, edges, accepting = random_buchi_graph(rng, 30)
-            graph = ExplicitGraph(initial=initial, edges=edges,
-                                  accepting=accepting)
+        for trial, (graph, _, _, _) in enumerate(random_graphs(rng, 300, 30)):
             live = live_states(graph)
             assert live == _live_by_oracle(graph), trial
             assert (not live) == (find_accepting_lasso(graph) is None)

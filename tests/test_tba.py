@@ -148,7 +148,7 @@ class TestStepKernel:
         product = LocalProduct(system, automaton)
         (initial,) = product.initial_states()
         assert product.successors(initial) == (
-            (1, ProductState("t", "m", (1,), 0)),)
+            (1, ProductState("t", "m", (1,))),)
         assert product.statistics()["edges"] == 1
 
 
