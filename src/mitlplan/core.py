@@ -181,7 +181,8 @@ class LassoSequence:
     def __post_init__(self):
         for name in ("prefix", "cycle"):
             object.__setattr__(self, name, tuple(
-                (self.payload(value), Fraction(stamp))
+                (self.payload(value),
+                 stamp if isinstance(stamp, Fraction) else Fraction(stamp))
                 for value, stamp in getattr(self, name)))
         if not self.cycle:
             raise InputError("lasso cycle must be nonempty")

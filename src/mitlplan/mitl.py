@@ -35,14 +35,23 @@ The evaluator counts time in integers.  It normalizes the formula once,
 multiplies the word's stamps and the formula's interval endpoints by the
 lcm of all their denominators, and turns each interval into the closed
 range of integer distances inside it.  Each maximal propositional
-subformula is decided once per position of prefix + cycle, and only the
-temporal operators and the connectives above them are walked per
-judgment.  ``first_violation`` divides the stamp it reports back into the
-exact ``Fraction`` of the input word.
+subformula is decided once per position of prefix + cycle.  A quantifier
+anchors its operand at the operand's own position, so the operand has one
+truth table over prefix + cycle, built once and periodic past the prefix
+(the operand reads only the suffix from its position).  One backward pass
+over the table gives the next-witness index that the quantifier reads:
+the next position at or after each one where the operand is true (for
+``F`` and the right side of ``U``) or false (for ``G`` and the left side
+of ``U``).  A quantifier bisects the stamps for the first position inside
+its window and decides from one entry of each index, so evaluation costs
+O(|word| * |formula| * log |word|) whatever the width of the windows.
+``first_violation`` divides the stamp it reports back into the exact
+``Fraction`` of the input word.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -627,18 +636,26 @@ class _Node:
     position of prefix + cycle.  A temporal node's interval is in the
     evaluator's integer time and closed at both ends: ``low`` is the least
     offset inside it, ``high`` the greatest or ``None`` when unbounded.
+
+    The evaluator fills the other fields when a quantifier first reads the
+    node or a node above it.  ``table`` lists the node's truth at each
+    position of prefix + cycle, anchored at that position's own stamp; a
+    propositional node's table is its ``truth``.  ``next_true[j]``
+    (``next_false[j]``) is the first position at or after ``j`` of the
+    infinite word where the table reads true (false), or ``None`` when
+    there is none.
     """
 
     __slots__ = ("kind", "operands", "interval", "low", "high", "truth",
-                 "memo")
+                 "table", "next_true", "next_false")
 
     def __init__(self, kind, operands=(), interval=None, truth=None):
         self.kind = kind
         self.operands = operands
         self.interval = interval
-        self.truth = truth
+        self.truth = self.table = truth
         self.low = self.high = None
-        self.memo = {}  # (position, anchor) -> truth, on temporal nodes
+        self.next_true = self.next_false = None
 
     def scale(self, factor: int) -> None:
         interval = self.interval
@@ -651,7 +668,7 @@ class _Node:
 
 def _build(formula: Formula, nodes: dict, letters: list) -> _Node:
     """The node of a normalized formula over a word whose prefix + cycle
-    reads ``letters``; equal subformulas share a node, and so its memo."""
+    reads ``letters``; equal subformulas share a node, and so its tables."""
     node = nodes.get(formula)
     if node is not None:
         return node
@@ -684,9 +701,16 @@ class _Evaluator:
 
     The word's stamps and the formula's interval endpoints are multiplied
     by one factor, the lcm of all their denominators, so every anchor and
-    every offset ``t(j) - a`` is an ``int``.  Stamps and the truth of each
-    propositional node are read from lists over prefix + cycle; positions
-    past them are reduced into the cycle.
+    every offset ``t(j) - a`` is an ``int``.  Stamps, tables and indexes
+    are lists over prefix + cycle; positions past them are reduced into
+    the cycle, and an index's positions are shifted by the turns taken.
+
+    A quantifier at ``(i, a)`` finds the first position ``k`` at or after
+    ``i`` stamped ``a + low`` or later, and reads its operand's index at
+    ``k``: ``G`` holds when the next false position is past ``a + high``,
+    ``F`` when the next true one is within it.  ``U`` is ``F`` on its right
+    operand, whose left operand has no false position from ``i`` on before
+    that witness.
     """
 
     def __init__(self, word: LassoTimedWord, formula: Formula):
@@ -704,18 +728,19 @@ class _Evaluator:
         self.stamps, self.period = word.integer_timeline(self.factor)
         self.loop = word.prefix_length
         self.size = len(self.stamps)
+        self.cycle = self.size - self.loop
 
     def stamp(self, j: int) -> int:
         if j < self.size:
             return self.stamps[j]
-        turns, slot = divmod(j - self.loop, self.size - self.loop)
+        turns, slot = divmod(j - self.loop, self.cycle)
         return self.stamps[self.loop + slot] + turns * self.period
 
     def holds(self, node: _Node, i: int, anchor: int) -> bool:
         truth = node.truth
         if truth is not None:
             if i >= self.size:
-                i = self.loop + (i - self.loop) % (self.size - self.loop)
+                i = self.loop + (i - self.loop) % self.cycle
             return truth[i]
         kind = node.kind
         if kind is Not:
@@ -723,66 +748,93 @@ class _Evaluator:
         if kind is And:
             left, right = node.operands
             return self.holds(left, i, anchor) and self.holds(right, i, anchor)
-        key = (i, anchor)
-        truth = node.memo.get(key)
-        if truth is None:
-            truth = node.memo[key] = self._temporal(node, i, anchor)
-        return truth
+        return self._temporal(node, i, anchor)
 
     def _temporal(self, node: _Node, i: int, anchor: int) -> bool:
-        kind, low = node.kind, node.low
+        kind, high = node.kind, node.high
         if kind is Next:
             gap = self.stamp(i + 1) - self.stamp(i)
-            return (low <= gap and (node.high is None or gap <= node.high)
+            return (node.low <= gap and (high is None or gap <= high)
                     and self.holds(node.operands[0], i + 1, anchor))
-        if kind is Eventually:
-            operand = node.operands[0]
-            for j, t in self.window(node, i, anchor):
-                if t - anchor >= low and self.holds(operand, j, t):
-                    return True
-            return False
+        # with no lower bound the window opens at i: an anchor is never
+        # later than the stamp of the position it is judged at
+        low = node.low
+        start = self.first_at(i, anchor + low) if low else i
         if kind is Always:
-            operand = node.operands[0]
-            for j, t in self.window(node, i, anchor):
-                if t - anchor >= low and not self.holds(operand, j, t):
+            miss = self.next_where(node.operands[0], start, False)
+            return miss is None or (high is not None
+                                    and self.stamp(miss) - anchor > high)
+        if kind is Eventually:
+            hit = self.next_where(node.operands[0], start, True)
+        else:  # Until
+            left, right = node.operands
+            hit = self.next_where(right, start, True)
+            if hit is not None:
+                miss = self.next_where(left, i, False)
+                if miss is not None and miss < hit:
                     return False
-            return True
-        left, right = node.operands  # Until
-        for j, t in self.window(node, i, anchor):
-            if t - anchor >= low and self.holds(right, j, t):
-                return True
-            if not self.holds(left, j, t):
-                return False
-        return False
+        return hit is not None and (high is None
+                                    or self.stamp(hit) - anchor <= high)
 
-    def window(self, node: _Node, i: int, anchor: int):
-        """The ``(position, stamp)`` pairs that decide a quantifier anchored
-        at ``anchor``; a pair is inside the interval once its offset
-        reaches ``node.low``.
+    def first_at(self, i: int, time: int) -> int:
+        """The first position at or after ``i`` stamped ``time`` or later."""
+        if self.stamp(i) >= time:
+            return i
+        stamps, loop = self.stamps, self.loop
+        if time <= stamps[-1]:
+            return bisect_left(stamps, time)
+        turns = (time - stamps[loop]) // self.period
+        return turns * self.cycle + bisect_left(
+            stamps, time - turns * self.period, loop)
 
-        Bounded interval: every position until the offset passes the upper
-        bound.  Unbounded interval: positions up to one full cycle past the
-        first position that is both inside the interval and inside the
-        repeating cycle -- beyond that point the truth of the operand is
-        cycle-periodic and the time constraint stays satisfied, so any
-        witness (or violation) there already has a twin inside the window.
-        """
-        high = node.high
-        j = i
-        if high is not None:
-            while (t := self.stamp(j)) - anchor <= high:
-                yield j, t
-                j += 1
-            return
-        horizon = None
-        while True:
-            t = self.stamp(j)
-            if horizon is None and j >= self.loop and t - anchor >= node.low:
-                horizon = j + self.size - self.loop
-            yield j, t
-            if horizon is not None and j >= horizon:
-                return
-            j += 1
+    def next_where(self, node: _Node, j: int, value: bool):
+        """The first position at or after ``j`` where ``node``, anchored at
+        that position, is ``value``; ``None`` if there is none."""
+        index = node.next_true if value else node.next_false
+        if index is None:
+            index = self._index(node, value)
+        if j < self.size:
+            return index[j]
+        turns, slot = divmod(j - self.loop, self.cycle)
+        found = index[self.loop + slot]
+        return None if found is None else found + turns * self.cycle
+
+    def _index(self, node: _Node, value: bool) -> list:
+        """``node.next_true`` or ``node.next_false``, in one backward pass
+        over prefix + cycle that starts from the first such position of
+        the next cycle turn."""
+        table = self.table(node)
+        found = next((j + self.cycle for j in range(self.loop, self.size)
+                      if table[j] == value), None)
+        index = [None] * self.size
+        for j in range(self.size - 1, -1, -1):
+            if table[j] == value:
+                found = j
+            index[j] = found
+        if value:
+            node.next_true = index
+        else:
+            node.next_false = index
+        return index
+
+    def table(self, node: _Node) -> list:
+        """``node.table``, built from its operands' tables where they keep
+        the anchor of their own position: below ``!`` and ``&``."""
+        table = node.table
+        if table is None:
+            kind = node.kind
+            if kind is Not:
+                table = [not v for v in self.table(node.operands[0])]
+            elif kind is And:
+                left, right = node.operands
+                table = [a and b for a, b in zip(self.table(left),
+                                                 self.table(right))]
+            else:
+                temporal = self._temporal
+                table = [temporal(node, j, t)
+                         for j, t in enumerate(self.stamps)]
+            node.table = table
+        return table
 
 
 def evaluate_at(word: LassoTimedWord, position: int, formula: Formula) -> bool:
@@ -811,11 +863,8 @@ def first_violation(word: LassoTimedWord, formula: Formula):
     while node.kind is And:
         left, right = node.operands
         node = right if evaluator.holds(left, 0, anchor) else left
-    position, stamp = 0, anchor
+    position = 0
     if node.kind is Always:
-        operand = node.operands[0]
-        for j, t in evaluator.window(node, 0, anchor):
-            if t - anchor >= node.low and not evaluator.holds(operand, j, t):
-                position, stamp = j, t
-                break
-    return position, Fraction(stamp, evaluator.factor)
+        position = evaluator.next_where(
+            node.operands[0], evaluator.first_at(0, anchor + node.low), False)
+    return position, Fraction(evaluator.stamp(position), evaluator.factor)

@@ -68,9 +68,17 @@ class AcceptingLasso:
 
 
 def find_accepting_lasso(graph, state_budget: Optional[int] = None):
-    """An accepting lasso of ``graph``, or ``None`` when it has none: the
-    first component of :func:`_components` that collects every mark."""
-    return _components(graph, state_budget, True)
+    """An accepting lasso of ``graph``, or ``None`` when it has none: a
+    lasso through the first component of :func:`_components` that collects
+    every mark."""
+    found = _components(graph, state_budget, True)
+    return None if found is None else _lasso(graph, *found)
+
+
+def has_accepting_run(graph, state_budget: Optional[int] = None) -> bool:
+    """Whether :func:`find_accepting_lasso` would find a lasso; the same
+    pass, which builds none."""
+    return _components(graph, state_budget, True) is not None
 
 
 def live_states(graph, state_budget: Optional[int] = None) -> frozenset:
@@ -93,7 +101,7 @@ class _Component:
         self.live = False     # an accepting cycle is reachable from it
 
 
-def _components(graph, state_budget, lasso):
+def _components(graph, state_budget, first):
     """One on-the-fly pass of Couvreur's SCC-based emptiness check (FM
     1999; Gaiser & Schwoon, MEMICS 2009).
 
@@ -101,8 +109,10 @@ def _components(graph, state_budget, lasso):
     first, and carries the union of its states' marks.  An edge into an
     open component merges every component entered since into that one,
     which then holds a cycle through all of their states; once its marks
-    are ``all_marks`` the cycle can accept.  With ``lasso`` the pass returns
-    the lasso of the first such merge (or ``None``).  Without it the pass
+    are ``all_marks`` the cycle can accept.  With ``first`` the pass stops
+    at the first such merge and returns the search path, the entry numbers
+    and that component, from which :func:`_lasso` builds a lasso (or
+    ``None`` when no merge collects every mark).  Without it the pass
     runs to the end and returns the live states: a component is live when
     a merge collected every mark in it, or when it has an edge into a live
     component, which closed before it.
@@ -143,8 +153,8 @@ def _components(graph, state_budget, lasso):
                     roots[-1].live |= merged.live
                 top = roots[-1]
                 if top.marks == all_marks:
-                    if lasso:
-                        return _lasso(graph, path, index, top)
+                    if first:
+                        return path, index, top
                     top.live = True
             else:
                 path.pop()
@@ -158,7 +168,7 @@ def _components(graph, state_budget, lasso):
                         live.update(component)
                         if roots:
                             roots[-1].live = True
-    return None if lasso else frozenset(live)
+    return None if first else frozenset(live)
 
 
 def _lasso(graph, path, index, found: _Component) -> AcceptingLasso:

@@ -701,11 +701,11 @@ def accepts_lasso(automaton: TimedBuchiAutomaton, word: LassoTimedWord) -> bool:
     of the word's stamps and the automaton's constants."""
     # both modules import this one
     from .product import AutomatonProduct
-    from .search import find_accepting_lasso
+    from .search import has_accepting_run
 
     if not word.all_atoms() <= automaton.atoms:
         raise ValueError("word uses atoms outside the automaton alphabet")
     factor = denominator_lcm(word.time_values() + list(automaton.constants()))
     product = AutomatonProduct(_LassoWordGraph(word, factor),
                                automaton.scaled(factor))
-    return find_accepting_lasso(product) is not None
+    return has_accepting_run(product)

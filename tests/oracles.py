@@ -90,6 +90,8 @@ def brute_force_evaluate(word: LassoTimedWord, position: int, formula) -> bool:
                            if interval.contains(stamps[j] - anchor))
             case Until(interval, a, b):
                 for j in range(i, len(letters)):
+                    if stamps[j] - anchor > interval.upper:
+                        return False
                     if interval.contains(stamps[j] - anchor) and ev(b, j, stamps[j]):
                         return True
                     if not ev(a, j, stamps[j]):

@@ -106,6 +106,13 @@ class TestLassoTimedWord:
         with pytest.raises(ValueError):  # wraparound would not advance time
             word([], [(set(), Q(0)), (set(), Q(3))], 2)
 
+    def test_stamps_are_kept_as_fractions(self):
+        stamp = Q(1, 2)
+        w = LassoTimedWord(prefix=((set(), 0),), cycle=((set(), stamp),),
+                           period=Q(1))
+        assert type(w.prefix[0][1]) is Q and w.prefix[0][1] == 0
+        assert w.cycle[0][1] is stamp
+
     def test_indexing_matches_unroll(self):
         w = word([({"a"}, Q(0))], [({"b"}, Q(1)), (set(), Q(5, 2))], 3)
         flat = w.unroll(4)

@@ -9,10 +9,12 @@ from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
 from mitlplan.mitl import (Always, And, Atom, Eventually, Formula,
                            Implies, MitlSyntaxError, Next, Not, Or,
                            PunctualIntervalError, TrueFormula, Until,
-                           compile_formula, evaluate_at, first_violation,
-                           format_formula, normalize, parse_formula, satisfies)
-from oracles import (brute_force_evaluate, evaluate_constraint, label_holds,
-                     random_bounded_formula, random_clock_constraint,
+                           _Evaluator, compile_formula, evaluate_at,
+                           first_violation, format_formula, normalize,
+                           parse_formula, satisfies)
+from oracles import (brute_force_evaluate, evaluate_constraint,
+                     formula_horizon, label_holds, random_bounded_formula,
+                     random_clock_constraint, random_interval,
                      random_lasso_word, random_propositional)
 
 
@@ -188,6 +190,33 @@ class TestEvaluator:
     def test_first_violation_none_when_satisfied(self):
         assert first_violation(AGENT1_WORD, parse_formula("G F[<=10] green")) is None
 
+    def test_first_violation_in_a_later_cycle_turn(self):
+        # the window opens at time 5, in the third turn of the cycle, and
+        # the first failure of the body is the gap position at time 6
+        w = word([({"p"}, Q(0))], [({"p"}, Q(1)), (set(), Q(2))], 2)
+        assert first_violation(w, parse_formula("G[5,8] p")) == (6, Q(6))
+        assert first_violation(w, parse_formula("G[5,8] F[0,1/2] p")) == (6, Q(6))
+        assert first_violation(w, parse_formula("G[5,8] (p | X[0,3] p)")) is None
+
+    def test_quantifier_cost_does_not_grow_with_the_window(self, monkeypatch):
+        # p holds everywhere, so a window scanner reads every position of
+        # every inner window; the tables read each position once
+        w = word([], [({"p"}, Q(t, 2)) for t in range(1200)], 600)
+        calls = []
+        holds = _Evaluator.holds
+
+        def counted(self, node, i, anchor):
+            calls.append(i)
+            return holds(self, node, i, anchor)
+
+        monkeypatch.setattr(_Evaluator, "holds", counted)
+        counts = []
+        for bound in (5, 50):
+            calls.clear()
+            assert satisfies(w, parse_formula(f"G G[<={bound}] p"))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
 
 # names a compiler that spliced them into code text would break or alias
 CODE_NAMES = ["v", "c0", "not", "True", "lambda"]
@@ -265,8 +294,53 @@ class TestProperties:
                 expected = brute_force_evaluate(w, position, phi)
                 assert evaluate_at(w, position, phi) == expected
 
+    def test_brute_force_agreement_at_depth_three_over_many_turns(self):
+        # stamps in units of 1, 1/3 and 1/7 against interval bounds over 1,
+        # 2 and 5; positions 5 and 11 lie past prefix + cycle, and short
+        # cycles put several turns inside the nested windows
+        rng = random.Random(2028)
+        wide = 0
+        for trial in range(300):
+            w = random_lasso_word(rng, ["p", "q"],
+                                  stamp_unit=(Q(1), Q(1, 3), Q(1, 7))[trial % 3])
+            phi = random_bounded_formula(rng, ["p", "q"], depth=3,
+                                         denominators=(1, 2, 5))
+            wide += formula_horizon(phi) >= 2 * w.period
+            for position in (0, 1, 5, 11):
+                expected = brute_force_evaluate(w, position, phi)
+                assert evaluate_at(w, position, phi) == expected, \
+                    (format_formula(phi), w, position)
+        assert wide >= 60
+
+    def test_first_violation_in_later_turns_matches_a_scan(self):
+        # windows open a few periods on, so the first failure lies at a
+        # position of a later cycle turn
+        rng = random.Random(2029)
+        later = 0
+        for _ in range(150):
+            w = random_lasso_word(rng, ["p", "q"], stamp_unit=Q(1, 3))
+            body = random_bounded_formula(rng, ["p", "q"], depth=1,
+                                          denominators=(1, 2, 5))
+            shift = w.period * rng.randrange(1, 4)
+            interval = random_interval(rng, denominators=(1, 2, 5))
+            interval = TimeInterval(interval.lower + shift,
+                                    interval.upper + shift,
+                                    interval.lower_closed,
+                                    interval.upper_closed)
+            expected = None
+            j = 0
+            while w.stamp_at(j) - w.stamp_at(0) <= interval.upper:
+                if (interval.contains(w.stamp_at(j) - w.stamp_at(0))
+                        and not brute_force_evaluate(w, j, body)):
+                    expected = (j, w.stamp_at(j))
+                    break
+                j += 1
+            assert first_violation(w, Always(interval, body)) == expected
+            size = w.prefix_length + w.cycle_length
+            later += expected is not None and expected[0] >= size
+        assert later >= 30
+
     def test_first_violation_matches_a_scan_at_mixed_denominators(self):
-        from oracles import random_interval
         rng = random.Random(2026)
         violated = 0
         for _ in range(150):
@@ -305,7 +379,6 @@ class TestProperties:
             w = random_lasso_word(rng, ["p", "q"])
             body = random_bounded_formula(rng, ["p", "q"], depth=1)
             bounded = rng.random() < 0.5
-            from oracles import random_interval
             interval = random_interval(rng, bounded=bounded)
             left = Always(interval, body)
             right = Not(Eventually(interval, Not(body)))

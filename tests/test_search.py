@@ -8,7 +8,7 @@ from mitlplan.mitl import parse_formula, satisfies
 from mitlplan.core import denominator_lcm
 from mitlplan.product import LocalProduct
 from mitlplan.search import (ExplorationLimitError, find_accepting_lasso,
-                             live_states)
+                             has_accepting_run, live_states)
 from mitlplan.tba import accepts_lasso, translate_mitl
 from mitlplan.wts import (WeightedTransitionSystem, collective_run,
                           collective_word_of, timed_word_of)
@@ -131,6 +131,7 @@ class TestNestedDfs:
             expected = scc_has_accepting_cycle(
                 initial, lambda s: edges.get(s, ()), marks, graph.all_marks)
             assert got == expected
+            assert has_accepting_run(graph) == expected
             found[graph.all_marks.bit_length()] += got
         assert min(found[1:]) > 10, found
 

@@ -280,6 +280,22 @@ class TestAcceptsLasso:
         automaton = translate_mitl(parse_formula("G F[0,10] green"))
         assert accepts_lasso(automaton, AGENT1_WORD)
 
+    def test_membership_builds_no_lasso(self, monkeypatch):
+        from mitlplan import search
+
+        def refuse(*args):
+            raise AssertionError("membership built a lasso")
+
+        monkeypatch.setattr(search, "_lasso", refuse)
+        rng = random.Random(3)
+        for text in ("G F[0,2] p", "F[0,3] q", "G(p -> X G[0,1] !p)"):
+            automaton = translate_mitl(parse_formula(text),
+                                       alphabet={"p", "q"})
+            for _ in range(20):
+                w = random_lasso_word(rng, ["p", "q"])
+                assert accepts_lasso(automaton, w) == satisfies(
+                    w, parse_formula(text))
+
 
 class TestIntersect:
     def test_universal_is_identity(self):
