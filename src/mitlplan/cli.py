@@ -472,11 +472,12 @@ def trace_csv(names, run: CollectiveRun, word) -> str:
     out = io.StringIO()
     rows = csv.writer(out, lineterminator="\n")
     rows.writerow(["time", "phase", *names, "atoms"])
-    for phase, events in (("prefix", run.prefix),
-                          (f"cycle/{format_rational(run.period)}", run.cycle)):
+    for phase, events, start in (
+            ("prefix", run.prefix, 0),
+            (f"cycle/{format_rational(run.period)}", run.cycle,
+             run.prefix_length)):
         for index, (vector, stamp) in enumerate(events):
-            offset = (index if phase == "prefix"
-                      else len(run.prefix) + index)
+            offset = start + index
             atoms = " ".join(sorted(word.payload_at(offset)))
             rows.writerow([format_rational(stamp), phase, *vector, atoms])
     return out.getvalue()
@@ -511,7 +512,7 @@ def timeline_svg(names, run: CollectiveRun, word) -> str:
                      f'{_xml_text(label)}</text>')
         parts.append(f'<line x1="{left:.1f}" y1="{y:.1f}" x2="{width - 20:.1f}" '
                      f'y2="{y:.1f}" stroke="#999"/>')
-    cut = x_of(run.cycle[0][1])
+    cut = x_of(stamps[run.prefix_length])
     parts.append(f'<line x1="{cut:.1f}" y1="20" x2="{cut:.1f}" '
                  f'y2="{height - 10:.1f}" stroke="#c33" stroke-dasharray="4 3"/>')
     parts.append(f'<text x="{cut + 4:.1f}" y="16" fill="#c33">cycle, period '
@@ -594,13 +595,13 @@ def _parse_scoped_formulas(items, model, runs):
 
 
 def _collective_of(model: dict, runs: dict):
+    """The agents' names in order, each agent's word, the collective run
+    and the team's word; building an agent's word validates its run."""
     names = sorted(runs)
-    systems = [model[name] for name in names]
-    for name in names:
-        runs[name].validate_for(model[name])
+    words = {name: timed_word_of(model[name], runs[name]) for name in names}
     merged = collective_run([runs[name] for name in names])
-    word = collective_word_of(systems, merged)
-    return names, merged, word
+    word = collective_word_of([model[name] for name in names], merged)
+    return names, words, merged, word
 
 
 def command_check(args) -> int:
@@ -610,12 +611,9 @@ def command_check(args) -> int:
     if unknown:
         raise InputError(f"runs given for unknown agents: {sorted(unknown)}")
     scoped = _parse_scoped_formulas(args.formula or [], model, runs)
-    names, merged, collective_word = _collective_of(model, runs)
+    _, words, _, collective_word = _collective_of(model, runs)
     for scope, formula in scoped:
-        if scope == "team":
-            word = collective_word
-        else:
-            word = timed_word_of(model[scope], runs[scope])
+        word = collective_word if scope == "team" else words[scope]
         violation = first_violation(word, formula)
         if violation is None:
             print(f"{scope}: {format_formula(formula)} -> SATISFIED")
@@ -632,7 +630,7 @@ def command_simulate(args) -> int:
     unknown = set(runs) - set(model)
     if unknown:
         raise InputError(f"runs given for unknown agents: {sorted(unknown)}")
-    names, merged, word = _collective_of(model, runs)
+    names, _, merged, word = _collective_of(model, runs)
     out_dir = Path(args.out_dir)
     _write(out_dir / "trace.csv", trace_csv(names, merged, word))
     _write(out_dir / "timeline.svg", timeline_svg(names, merged, word))

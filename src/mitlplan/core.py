@@ -3,10 +3,14 @@ one error for malformed input.
 
 Every quantity of time in this package is exact.  Where it is read or
 printed it is a ``fractions.Fraction``, or the :data:`INFINITY` sentinel as
-the upper end of an unbounded interval.  Inside the products, the evaluator
-and the merge it is an ``int``: those multiply every value they read by the
-:func:`denominator_lcm` of all of them.  Floats never enter the pipeline;
-they appear only in presentation code (SVG coordinates).
+the upper end of an unbounded interval.  Everywhere else it is an ``int``.
+A lasso word or run (:class:`LassoSequence`) holds its stamps once, as
+``int`` ticks under the least common denominator of its time, and reads
+them back as ``Fraction``s only when asked.  The merge of runs, the
+evaluator, membership and the products count in ``int``s under one factor:
+the lcm of a word's unit and the :func:`denominator_lcm` of the durations
+and constants they read.  Floats never enter the pipeline; they appear
+only in presentation code (SVG coordinates).
 
 Every check that input can reach raises :class:`InputError`; a plain
 ``ValueError`` is a check that only a bug can fail.
@@ -17,7 +21,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import lt
 from typing import Iterable
 
 
@@ -83,11 +88,23 @@ def denominator_lcm(values: Iterable) -> int:
     """The least factor that makes every one of ``values`` an integer: the
     lcm of their denominators, 1 for no values.
 
-    Code that counts time in integers multiplies every stamp, duration and
+    Code that counts time in integers multiplies every duration and
     constant it reads by such a factor, and divides back with
     ``Fraction(t, factor)``.
     """
     return lcm(*(value.denominator for value in values))
+
+
+def ticks_of(value, unit: int) -> int:
+    """``value``, an ``int`` or a ``Fraction`` whose denominator divides
+    ``unit``, counted in units of ``1 / unit``."""
+    return value.numerator * (unit // value.denominator)
+
+
+def _exact(value):
+    """``value`` as an exact rational: an ``int`` or a ``Fraction`` as it
+    is, anything else through ``Fraction``."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -158,104 +175,174 @@ def freeze_atoms(atoms: Iterable[str]) -> frozenset[str]:
     return frozenset(str(a) for a in atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LassoSequence:
     """An ultimately periodic infinite sequence of (payload, timestamp) pairs.
 
     The infinite sequence is ``prefix`` followed by ``cycle`` repeated
     forever, with the k-th repetition's timestamps shifted by
     ``k * period``.  Timestamps are strictly increasing and diverge because
-    ``period > 0``.  Each payload is kept as :meth:`payload` converts it,
-    and each stamp as a ``Fraction``.
+    ``period > 0``.
+
+    Time is held once, in integers.  ``payloads`` lists the payload of each
+    position of prefix + cycle and ``loop`` is the prefix length; position
+    ``j`` is stamped ``ticks[j] / unit`` and the period is
+    ``period_ticks / unit``, where ``unit`` is the least common denominator
+    of the stamps and the period, so equal sequences have equal fields.
+    :attr:`prefix`, :attr:`cycle`, :attr:`period`, :meth:`item_at`,
+    :meth:`stamp_at` and :meth:`unroll` build exact ``Fraction`` stamps on
+    read.
     """
 
-    prefix: tuple
-    cycle: tuple
-    period: Fraction
+    payloads: tuple
+    loop: int
+    ticks: tuple
+    period_ticks: int
+    unit: int
 
     @staticmethod
     def payload(value):
         """The payload kept for ``value``; a subclass converts it here."""
         return value
 
-    def __post_init__(self):
-        for name in ("prefix", "cycle"):
-            object.__setattr__(self, name, tuple(
-                (self.payload(value),
-                 stamp if isinstance(stamp, Fraction) else Fraction(stamp))
-                for value, stamp in getattr(self, name)))
-        if not self.cycle:
+    def __init__(self, prefix, cycle, period):
+        """From (payload, stamp) pairs and the period: each payload is kept
+        as :meth:`payload` converts it, each stamp read once as an exact
+        rational."""
+        prefix = tuple(prefix)
+        events = prefix + tuple(cycle)
+        stamps = [_exact(t) for _, t in events]
+        period = _exact(period)
+        unit = lcm(period.denominator, *(t.denominator for t in stamps))
+        self._hold(tuple(self.payload(value) for value, _ in events),
+                   len(prefix),
+                   tuple(ticks_of(t, unit) for t in stamps),
+                   ticks_of(period, unit), unit)
+
+    @classmethod
+    def from_ticks(cls, payloads, loop: int, ticks, period_ticks: int,
+                   unit: int):
+        """The sequence whose position ``j`` of prefix + cycle carries
+        ``payloads[j]``, already as :meth:`payload` keeps it, stamped
+        ``ticks[j] / unit``, for code that counts time in ``int``s; the
+        ticks are reduced to the least common denominator."""
+        common = gcd(unit, period_ticks, *ticks)
+        if common > 1:
+            ticks = [t // common for t in ticks]
+            period_ticks //= common
+            unit //= common
+        sequence = cls.__new__(cls)
+        sequence._hold(tuple(payloads), loop, tuple(ticks), period_ticks,
+                       unit)
+        return sequence
+
+    def _hold(self, payloads, loop, ticks, period_ticks, unit) -> None:
+        for name, value in (("payloads", payloads), ("loop", loop),
+                            ("ticks", ticks), ("period_ticks", period_ticks),
+                            ("unit", unit)):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raises :class:`InputError` unless the sequence is a lasso whose
+        time strictly increases; a subclass adds its own checks."""
+        ticks = self.ticks
+        if len(ticks) == self.loop:
             raise InputError("lasso cycle must be nonempty")
-        if self.period <= 0:
+        if self.period_ticks <= 0:
             raise InputError(f"lasso period must be positive: {self.period}")
-        stamps = [t for _, t in self.prefix] + [t for _, t in self.cycle]
-        for a, b in zip(stamps, stamps[1:]):
-            if a >= b:
-                raise InputError(f"timestamps must strictly increase: {a} then {b}")
-        wrap_gap = self.cycle[0][1] + self.period - self.cycle[-1][1]
-        if wrap_gap <= 0:
+        if not all(map(lt, ticks, ticks[1:])):
+            j = next(j for j in range(len(ticks)) if ticks[j] >= ticks[j + 1])
+            raise InputError("timestamps must strictly increase: "
+                             f"{self.stamp_at(j)} then {self.stamp_at(j + 1)}")
+        if ticks[self.loop] + self.period_ticks <= ticks[-1]:
             raise InputError(
                 "cycle repetition would not advance time: "
                 f"period {self.period} too small for the cycle span"
             )
 
     @property
+    def prefix(self) -> tuple:
+        return self._items(0, self.loop)
+
+    @property
+    def cycle(self) -> tuple:
+        return self._items(self.loop, len(self.ticks))
+
+    @property
+    def period(self) -> Fraction:
+        return Fraction(self.period_ticks, self.unit)
+
+    @property
     def prefix_length(self) -> int:
-        return len(self.prefix)
+        return self.loop
 
     @property
     def cycle_length(self) -> int:
-        return len(self.cycle)
+        return len(self.ticks) - self.loop
+
+    def _items(self, start: int, stop: int, shift: int = 0) -> tuple:
+        """The (payload, stamp) pairs of positions ``start`` to ``stop`` of
+        prefix + cycle, ``shift`` ticks later."""
+        payloads, ticks, unit = self.payloads, self.ticks, self.unit
+        return tuple((payloads[j], Fraction(ticks[j] + shift, unit))
+                     for j in range(start, stop))
+
+    def _locate(self, index: int) -> tuple[int, int]:
+        """The position of prefix + cycle that position ``index`` of the
+        infinite sequence repeats, and the cycle turns between them."""
+        if index < 0:
+            raise IndexError(index)
+        if index < len(self.ticks):
+            return index, 0
+        turns, slot = divmod(index - self.loop, self.cycle_length)
+        return self.loop + slot, turns
+
+    def tick_at(self, index: int) -> int:
+        """The stamp at any position, in units of ``1 / unit``."""
+        j, turns = self._locate(index)
+        return self.ticks[j] + turns * self.period_ticks
 
     def item_at(self, index: int) -> tuple:
         """The (payload, timestamp) pair at any position of the infinite sequence."""
-        if index < 0:
-            raise IndexError(index)
-        if index < len(self.prefix):
-            return self.prefix[index]
-        offset = index - len(self.prefix)
-        turns, slot = divmod(offset, len(self.cycle))
-        payload, stamp = self.cycle[slot]
-        return payload, stamp + turns * self.period
+        j, turns = self._locate(index)
+        return self.payloads[j], Fraction(
+            self.ticks[j] + turns * self.period_ticks, self.unit)
 
     def payload_at(self, index: int):
-        return self.item_at(index)[0]
+        return self.payloads[self._locate(index)[0]]
 
     def stamp_at(self, index: int) -> Fraction:
         return self.item_at(index)[1]
 
-    def time_values(self) -> list:
-        """The stamps of prefix + cycle and the period: the values whose
-        :func:`denominator_lcm` makes this sequence's time integral."""
-        return [t for _, t in self.prefix + self.cycle] + [self.period]
-
-    def integer_timeline(self, factor: int) -> tuple[list[int], int]:
-        """The stamps of prefix + cycle and the period, multiplied by
-        ``factor`` into ``int``s; ``factor`` must be a multiple of every
-        denominator among them."""
-        *stamps, period = [value.numerator * (factor // value.denominator)
-                           for value in self.time_values()]
-        return stamps, period
+    def integer_timeline(self, factor: int) -> tuple[tuple, int]:
+        """The stamps of prefix + cycle and the period in units of
+        ``1 / factor``, a multiple of ``unit``: :attr:`ticks` and
+        :attr:`period_ticks` themselves when ``factor`` is ``unit``."""
+        scale = factor // self.unit
+        if scale == 1:
+            return self.ticks, self.period_ticks
+        return tuple(t * scale for t in self.ticks), self.period_ticks * scale
 
     def integer_steps(self, factor: int) -> list[tuple[int, int]]:
         """Per position of prefix + cycle: the time to the next position in
         :meth:`integer_timeline`'s units, and that position reduced into
         prefix + cycle."""
         stamps, period = self.integer_timeline(factor)
-        loop = len(self.prefix)
-        stamps.append(stamps[loop] + period)
-        following = list(range(1, len(stamps) - 1)) + [loop]
-        return [(stamps[i + 1] - stamps[i], j) for i, j in enumerate(following)]
+        loop = self.loop
+        following = stamps[1:] + (stamps[loop] + period,)
+        return [(b - a, j) for a, b, j in zip(
+            stamps, following, [*range(1, len(stamps)), loop])]
 
     def unroll(self, count: int) -> tuple:
         """Prefix followed by ``count`` shifted copies of the cycle."""
         if count < 0:
             raise ValueError("unroll count must be nonnegative")
-        out = list(self.prefix)
+        out = self.prefix
         for turn in range(count):
-            shift = turn * self.period
-            out.extend((payload, stamp + shift) for payload, stamp in self.cycle)
-        return tuple(out)
+            out += self._items(self.loop, len(self.ticks),
+                               turn * self.period_ticks)
+        return out
 
 
 class LassoTimedWord(LassoSequence):
@@ -264,7 +351,4 @@ class LassoTimedWord(LassoSequence):
     payload = staticmethod(freeze_atoms)
 
     def all_atoms(self) -> frozenset[str]:
-        out: set[str] = set()
-        for atoms, _ in self.prefix + self.cycle:
-            out |= atoms
-        return frozenset(out)
+        return frozenset().union(*self.payloads)

@@ -32,9 +32,10 @@ position where ``p`` held, which is the "no revisit within c time units"
 reading; see the README for a worked example.
 
 The evaluator counts time in integers.  It normalizes the formula once,
-multiplies the word's stamps and the formula's interval endpoints by the
-lcm of all their denominators, and turns each interval into the closed
-range of integer distances inside it.  Each maximal propositional
+counts time under the lcm of the word's unit and the denominators of the
+formula's interval endpoints (the word's own ticks when that lcm is its
+unit), and turns each interval into the closed range of integer distances
+inside it.  Each maximal propositional
 subformula is decided once per position of prefix + cycle.  A quantifier
 anchors its operand at the operand's own position, so the operand has one
 truth table over prefix + cycle, built once and periodic past the prefix
@@ -55,11 +56,12 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .core import (INFINITY, InputError, LassoTimedWord, TimeInterval,
                    UNIT_INTERVAL, denominator_lcm, format_rational,
-                   parse_rational)
+                   parse_rational, ticks_of)
 
 
 class MitlSyntaxError(InputError):
@@ -659,10 +661,10 @@ class _Node:
 
     def scale(self, factor: int) -> None:
         interval = self.interval
-        lower = int(interval.lower * factor)
+        lower = ticks_of(interval.lower, factor)
         self.low = lower if interval.lower_closed else lower + 1
         if not interval.unbounded:
-            upper = int(interval.upper * factor)
+            upper = ticks_of(interval.upper, factor)
             self.high = upper if interval.upper_closed else upper - 1
 
 
@@ -699,9 +701,10 @@ def _build(formula: Formula, nodes: dict, letters: list) -> _Node:
 class _Evaluator:
     """One formula over one word, in integer time.
 
-    The word's stamps and the formula's interval endpoints are multiplied
-    by one factor, the lcm of all their denominators, so every anchor and
-    every offset ``t(j) - a`` is an ``int``.  Stamps, tables and indexes
+    The word's ticks and the formula's interval endpoints are counted
+    under one factor, the lcm of the word's unit and the endpoints'
+    denominators, so every anchor and every offset ``t(j) - a`` is an
+    ``int``.  Stamps, tables and indexes
     are lists over prefix + cycle; positions past them are reduced into
     the cycle, and an index's positions are shifted by the turns taken.
 
@@ -715,14 +718,13 @@ class _Evaluator:
 
     def __init__(self, word: LassoTimedWord, formula: Formula):
         nodes: dict = {}
-        self.root = _build(normalize(formula), nodes,
-                           [letter for letter, _ in word.prefix + word.cycle])
+        self.root = _build(normalize(formula), nodes, word.payloads)
         temporal = [node for node in nodes.values()
                     if node.interval is not None]
-        self.factor = denominator_lcm(word.time_values() + [
+        self.factor = lcm(word.unit, denominator_lcm(
             endpoint for node in temporal
             for endpoint in (node.interval.lower, node.interval.upper)
-            if endpoint is not INFINITY])
+            if endpoint is not INFINITY))
         for node in temporal:
             node.scale(self.factor)
         self.stamps, self.period = word.integer_timeline(self.factor)

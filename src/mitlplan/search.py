@@ -249,53 +249,41 @@ def project_plan(lasso: AcceptingLasso, problem, factor: int) -> PlanBundle:
     and re-validate every formula and automaton of ``problem`` (a
     ``cli.PlanningProblem``) against them.
 
-    ``factor`` is the one the products' durations were multiplied by;
-    every stamp is divided back by it into an exact rational.
+    ``factor`` is the one the products' durations were multiplied by; the
+    runs and words count their ticks in units of ``1 / factor``.
     """
     states = lasso.path_states()
     weights = lasso.path_weights()
     team_states = [s.node for s in states]
-    stem_len = len(lasso.stem_states)
+    loop = len(lasso.stem_states) - 1
+    period = lasso.cycle_weight
 
     stamps = [0]
     for w in weights:
         stamps.append(stamps[-1] + w)
-    stamps = [Fraction(t, factor) for t in stamps]
-    period = Fraction(lasso.cycle_weight, factor)
 
     agents = problem.agents
     names = tuple(agent.name for agent in agents)
     vectors = [tuple(component.node for component in ts.components)
                for ts in team_states]
-
-    collective_prefix = tuple(
-        (vectors[i], stamps[i]) for i in range(stem_len - 1))
-    collective_cycle = tuple(
-        (vectors[i], stamps[i]) for i in range(stem_len - 1, len(vectors) - 1))
-    collective = CollectiveRun(prefix=collective_prefix,
-                               cycle=collective_cycle, period=period)
+    # the final path position repeats the cycle head one period later
+    collective = CollectiveRun.from_ticks(vectors[:-1], loop, stamps[:-1],
+                                          period, factor)
 
     runs = []
     for k, name in enumerate(names):
-        prefix = []
-        cycle = []
         # agent k is at a state of its own run where it has no move in
         # flight, which includes position 0: it opens the cycle when the stem
-        # is the initial state alone.  The final path position is excluded:
-        # it repeats the cycle head one period later
-        for i in range(len(team_states) - 1):
-            if team_states[i].targets[k] is not None:
-                continue
-            entry = (vectors[i][k], stamps[i])
-            if i < stem_len - 1:
-                prefix.append(entry)
-            else:
-                cycle.append(entry)
-        if not cycle:
+        # is the initial state alone
+        settled = [i for i in range(len(team_states) - 1)
+                   if team_states[i].targets[k] is None]
+        if settled[-1] < loop:
             raise ProjectionError(
                 f"agent {name} never completes a transition inside the cycle")
-        runs.append(TimedRun(prefix=tuple(prefix), cycle=tuple(cycle),
-                             period=period))
+        runs.append(TimedRun.from_ticks(
+            [vectors[i][k] for i in settled],
+            sum(1 for i in settled if i < loop),
+            [stamps[i] for i in settled], period, factor))
 
     words = tuple(timed_word_of(agent.system, run)
                   for agent, run in zip(agents, runs))

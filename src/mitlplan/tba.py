@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .core import (InputError, LassoTimedWord, TimeInterval, denominator_lcm,
@@ -686,8 +687,7 @@ class _LassoWordGraph:
 
     def __init__(self, word: LassoTimedWord, factor: int):
         # lookups by position, without a Python-level call
-        self.label_of = tuple(letter for letter, _ in
-                              word.prefix + word.cycle).__getitem__
+        self.label_of = word.payloads.__getitem__
         self.successors = tuple(((gap, j),) for gap, j in
                                 word.integer_steps(factor)).__getitem__
 
@@ -697,15 +697,15 @@ class _LassoWordGraph:
 
 def accepts_lasso(automaton: TimedBuchiAutomaton, word: LassoTimedWord) -> bool:
     """Whether the product of ``word``'s positions with ``automaton`` has
-    an accepting lasso, in integer time under the lcm of every denominator
-    of the word's stamps and the automaton's constants."""
+    an accepting lasso, in integer time under the lcm of the word's unit
+    and every denominator of the automaton's constants."""
     # both modules import this one
     from .product import AutomatonProduct
     from .search import has_accepting_run
 
     if not word.all_atoms() <= automaton.atoms:
         raise ValueError("word uses atoms outside the automaton alphabet")
-    factor = denominator_lcm(word.time_values() + list(automaton.constants()))
+    factor = lcm(word.unit, denominator_lcm(automaton.constants()))
     product = AutomatonProduct(_LassoWordGraph(word, factor),
                                automaton.scaled(factor))
     return has_accepting_run(product)

@@ -2,16 +2,19 @@
 agents' runs into one collective run for the team.
 
 A duration is a ``Fraction`` as a file gives it, and an ``int`` in the
-:meth:`~WeightedTransitionSystem.scaled` copy that the products read.
+:meth:`~WeightedTransitionSystem.scaled` copy that the products read.  A
+run keeps its stamps as ``int`` ticks (see
+:class:`~mitlplan.core.LassoSequence`); the merge counts in ticks, and a
+word labelled from a run shares the run's ticks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .core import (InputError, LassoSequence, LassoTimedWord,
-                   denominator_lcm, freeze_atoms)
+from .core import InputError, LassoSequence, LassoTimedWord, freeze_atoms
 
 
 @dataclass
@@ -81,28 +84,30 @@ class TimedRun(LassoSequence):
 
     payload = staticmethod(str)
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.stamp_at(0) != 0:
+    def _check(self) -> None:
+        super()._check()
+        if self.ticks[0] != 0:
             raise InputError("runs start at time zero")
 
     def validate_for(self, system: WeightedTransitionSystem) -> None:
+        here = self.payloads[0]
+        if here not in system.initial:
+            raise InputError(f"run starts at {here}, not an initial state")
         # every step of prefix + cycle, into the second turn and one more
-        events = self.unroll(3)[:len(self.prefix) + len(self.cycle) + 2]
-        if events[0][0] not in system.initial:
-            raise InputError(
-                f"run starts at {events[0][0]}, not an initial state")
-        for i, ((here, stamp), (there, arrival)) in enumerate(
-                zip(events, events[1:])):
+        stamp = self.ticks[0]
+        for i in range(self.prefix_length + self.cycle_length + 1):
+            there, arrival = self.payload_at(i + 1), self.tick_at(i + 1)
             weight = system.weights.get((here, there))
             if weight is None:
                 raise InputError(
                     f"step {i}: {here} -> {there} is not a transition")
-            expected = stamp + weight
-            if arrival != expected:
+            if (arrival - stamp) * weight.denominator != \
+                    weight.numerator * self.unit:
                 raise InputError(
-                    f"step {i}: arrival at {there} stamped {arrival}, "
-                    f"expected {expected}")
+                    f"step {i}: arrival at {there} stamped "
+                    f"{self.stamp_at(i + 1)}, expected "
+                    f"{self.stamp_at(i) + weight}")
+            here, stamp = there, arrival
 
 
 class CollectiveRun(LassoSequence):
@@ -112,13 +117,11 @@ class CollectiveRun(LassoSequence):
 
 
 def timed_word_of(system: WeightedTransitionSystem, run: TimedRun) -> LassoTimedWord:
-    """Apply the labeling pointwise; stamps carry over unchanged."""
+    """Apply the labeling pointwise; the word shares the run's ticks."""
     run.validate_for(system)
-    return LassoTimedWord(
-        prefix=tuple((system.label_of(s), t) for s, t in run.prefix),
-        cycle=tuple((system.label_of(s), t) for s, t in run.cycle),
-        period=run.period,
-    )
+    return LassoTimedWord.from_ticks(map(system.label_of, run.payloads),
+                                     run.loop, run.ticks, run.period_ticks,
+                                     run.unit)
 
 
 def collective_run(runs) -> CollectiveRun:
@@ -129,25 +132,26 @@ def collective_run(runs) -> CollectiveRun:
     collective stamp; everyone else stays in place.  The merged sequence
     is ultimately periodic: the construction closes its cycle at the first
     repeat of (per-agent reduced position, per-agent time to next arrival).
-    Time is counted in integers, under the lcm of the runs' denominators.
+    Time is counted in integers, under the lcm of the runs' units.
     """
     runs = list(runs)
     if not runs:
         raise ValueError("at least one run is required")
     for run in runs:
-        if run.stamp_at(0) != 0:
+        if run.ticks[0] != 0:
             raise InputError("all runs must start at time zero")
     # per run, in integer time under one factor: the state at each position
     # of prefix + cycle, and the time to the next arrival with its position
-    factor = denominator_lcm(t for run in runs for t in run.time_values())
-    states = [[state for state, _ in run.prefix + run.cycle] for run in runs]
+    factor = lcm(*(run.unit for run in runs))
+    states = [run.payloads for run in runs]
     steps = [run.integer_steps(factor) for run in runs]
 
     agents = range(len(runs))
     positions = [0 for _ in runs]
     pending = [steps[k][0][0] for k in agents]
     now = 0
-    events = [(tuple(states[k][0] for k in agents), now)]
+    vectors = [tuple(states[k][0] for k in agents)]
+    ticks = [now]
     seen = {(tuple(positions), tuple(pending)): 0}
     while True:
         step = min(pending)
@@ -157,20 +161,20 @@ def collective_run(runs) -> CollectiveRun:
             if pending[k] == 0:
                 positions[k] = steps[k][positions[k]][1]
                 pending[k] = steps[k][positions[k]][0]
-        events.append((tuple(states[k][positions[k]] for k in agents), now))
         config = (tuple(positions), tuple(pending))
         if config in seen:
             start = seen[config]
-            period = Fraction(now - events[start][1], factor)
-            exact = [(vector, Fraction(t, factor)) for vector, t in events]
-            return CollectiveRun(prefix=tuple(exact[:start]),
-                                 cycle=tuple(exact[start:-1]), period=period)
-        seen[config] = len(events) - 1
+            return CollectiveRun.from_ticks(vectors, start, ticks,
+                                            now - ticks[start], factor)
+        seen[config] = len(ticks)
+        vectors.append(tuple(states[k][positions[k]] for k in agents))
+        ticks.append(now)
 
 
 def collective_word_of(systems, run: CollectiveRun) -> LassoTimedWord:
     """The team's word: at every position, the union of each agent's label
-    at its component state.  Agent alphabets must be pairwise disjoint."""
+    at its component state.  Agent alphabets must be pairwise disjoint.
+    The word shares the run's ticks."""
     systems = list(systems)
     for i in range(len(systems)):
         for j in range(i + 1, len(systems)):
@@ -178,18 +182,13 @@ def collective_word_of(systems, run: CollectiveRun) -> LassoTimedWord:
             if overlap:
                 raise InputError(
                     f"agent alphabets overlap: {sorted(overlap)}")
-
-    def letter(vector):
-        atoms: set[str] = set()
-        for system, state in zip(systems, vector):
-            atoms |= system.label_of(state)
-        return frozenset(atoms)
-
-    return LassoTimedWord(
-        prefix=tuple((letter(v), t) for v, t in run.prefix),
-        cycle=tuple((letter(v), t) for v, t in run.cycle),
-        period=run.period,
-    )
+    # one letter per joint state, however often the run visits it
+    letters = {vector: frozenset().union(*(
+        system.label_of(state) for system, state in zip(systems, vector)))
+        for vector in set(run.payloads)}
+    return LassoTimedWord.from_ticks(map(letters.__getitem__, run.payloads),
+                                     run.loop, run.ticks, run.period_ticks,
+                                     run.unit)
 
 
 def grid_cells(rows: int, cols: int) -> list[str]:

@@ -110,6 +110,52 @@ def stamps_scaled(word: LassoTimedWord, factor: int) -> LassoTimedWord:
         period=word.period * factor)
 
 
+# --- lasso and run checks in Fraction arithmetic --------------------------
+
+def lasso_refusal(prefix, cycle, period):
+    """The message with which a lasso of these (payload, stamp) pairs and
+    this period is refused, or ``None``: the checks applied to the
+    ``Fraction``s as given, in the package's order."""
+    if not cycle:
+        return "lasso cycle must be nonempty"
+    if period <= 0:
+        return f"lasso period must be positive: {period}"
+    stamps = [t for _, t in list(prefix) + list(cycle)]
+    for a, b in zip(stamps, stamps[1:]):
+        if a >= b:
+            return f"timestamps must strictly increase: {a} then {b}"
+    if cycle[0][1] + period - cycle[-1][1] <= 0:
+        return ("cycle repetition would not advance time: "
+                f"period {period} too small for the cycle span")
+    return None
+
+
+def run_refusal(system, prefix, cycle, period):
+    """The message with which a run of these (state, stamp) pairs is
+    refused as a run, or as a run of ``system``, or ``None``: every step of
+    prefix + cycle, into the second turn and one more, must be a
+    transition taking its weight."""
+    refusal = lasso_refusal(prefix, cycle, period)
+    if refusal is not None:
+        return refusal
+    events = list(prefix) + [(s, t + turn * period) for turn in range(3)
+                             for s, t in cycle]
+    if events[0][1] != 0:
+        return "runs start at time zero"
+    if events[0][0] not in system.initial:
+        return f"run starts at {events[0][0]}, not an initial state"
+    steps = len(prefix) + len(cycle) + 1
+    for i, ((here, stamp), (there, arrival)) in enumerate(
+            zip(events[:steps], events[1:])):
+        weight = system.weights.get((here, there))
+        if weight is None:
+            return f"step {i}: {here} -> {there} is not a transition"
+        if arrival != stamp + weight:
+            return (f"step {i}: arrival at {there} stamped {arrival}, "
+                    f"expected {stamp + weight}")
+    return None
+
+
 # --- random generators ---------------------------------------------------
 
 def random_lasso_word(rng: random.Random, atoms, max_prefix=3, max_cycle=3,

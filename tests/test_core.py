@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
-from mitlplan.core import (INFINITY, LassoTimedWord, TimeInterval,
-                           format_rational, parse_rational)
+from mitlplan.core import (INFINITY, InputError, LassoTimedWord,
+                           TimeInterval, format_rational, parse_rational)
+from oracles import lasso_refusal
 
 
 def word(prefix, cycle, period):
@@ -111,10 +113,99 @@ class TestLassoTimedWord:
         w = LassoTimedWord(prefix=((set(), 0),), cycle=((set(), stamp),),
                            period=Q(1))
         assert type(w.prefix[0][1]) is Q and w.prefix[0][1] == 0
-        assert w.cycle[0][1] is stamp
+        assert type(w.cycle[0][1]) is Q and w.cycle[0][1] == stamp
 
     def test_indexing_matches_unroll(self):
         w = word([({"a"}, Q(0))], [({"b"}, Q(1)), (set(), Q(5, 2))], 3)
         flat = w.unroll(4)
         for i, item in enumerate(flat):
             assert w.item_at(i) == item
+
+
+STAMP_UNITS = (Q(1), Q(1, 3), Q(1, 7))
+
+
+def random_pairs(rng, unit):
+    """The prefix, cycle and period of a random lasso whose stamps are
+    multiples of ``unit``, not always starting at zero."""
+    stamps = [unit * rng.randrange(0, 3)]
+    size = rng.randrange(1, 7)
+    for _ in range(size - 1):
+        stamps.append(stamps[-1] + unit * rng.randrange(1, 5))
+    loop = rng.randrange(0, size)
+    events = [(frozenset(rng.sample("pqr", rng.randrange(0, 3))), t)
+              for t in stamps]
+    period = stamps[-1] - stamps[loop] + unit * rng.randrange(1, 5)
+    return events[:loop], events[loop:], period
+
+
+def broken(rng, prefix, cycle, period, unit):
+    """The lasso with one of its checks made to fail, or left valid."""
+    prefix, cycle = list(prefix), list(cycle)
+    kind = rng.randrange(5)
+    if kind == 0:
+        cycle = []
+    elif kind == 1:
+        period = -unit * rng.randrange(0, 3)
+    elif kind == 2:
+        events = prefix + cycle
+        if len(events) > 1:
+            j = rng.randrange(1, len(events))
+            later = events[j - 1][1] + unit * rng.randrange(-1, 1)
+            events[j] = (events[j][0], later)
+        prefix, cycle = events[:len(prefix)], events[len(prefix):]
+    elif kind == 3:
+        period = cycle[-1][1] - cycle[0][1] - unit * rng.randrange(0, 2)
+    return prefix, cycle, period
+
+
+class TestIntegerTimeline:
+    """A lasso keeps its time as ints under its least common denominator
+    and reads exact Fractions back."""
+
+    def test_stamps_read_back_as_given(self):
+        rng = random.Random(15)
+        for trial in range(300):
+            unit = STAMP_UNITS[trial % 3]
+            prefix, cycle, period = random_pairs(rng, unit)
+            w = LassoTimedWord(prefix=prefix, cycle=cycle, period=period)
+            assert w.prefix == tuple(prefix) and w.cycle == tuple(cycle)
+            assert w.period == period
+            assert all(type(t) is Q for _, t in w.unroll(2))
+            assert w.unit == lcm(*(t.denominator for _, t in
+                                   prefix + cycle + [(None, period)]))
+            flat = w.unroll(3)
+            assert [w.item_at(i) for i in range(len(flat))] == list(flat)
+            assert [w.stamp_at(i) for i in range(len(flat))] == \
+                [t for _, t in flat]
+
+    def test_equal_lassos_have_equal_fields(self):
+        rng = random.Random(16)
+        for trial in range(150):
+            unit = STAMP_UNITS[trial % 3]
+            w = LassoTimedWord(*random_pairs(rng, unit))
+            # the same time counted under six times the unit
+            again = LassoTimedWord.from_ticks(
+                w.payloads, w.loop, [6 * t for t in w.ticks],
+                6 * w.period_ticks, 6 * w.unit)
+            assert again == w and hash(again) == hash(w)
+            assert (again.ticks, again.unit) == (w.ticks, w.unit)
+            shifted = LassoTimedWord(prefix=w.prefix, cycle=w.cycle,
+                                     period=w.period + unit)
+            assert shifted != w
+
+    def test_refusals_keep_their_messages(self):
+        rng = random.Random(17)
+        refused = 0
+        for trial in range(600):
+            unit = STAMP_UNITS[trial % 3]
+            prefix, cycle, period = broken(rng, *random_pairs(rng, unit), unit)
+            expected = lasso_refusal(prefix, cycle, period)
+            if expected is None:
+                LassoTimedWord(prefix=prefix, cycle=cycle, period=period)
+                continue
+            refused += 1
+            with pytest.raises(InputError) as caught:
+                LassoTimedWord(prefix=prefix, cycle=cycle, period=period)
+            assert str(caught.value) == expected, trial
+        assert refused > 300

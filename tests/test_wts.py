@@ -4,8 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 from mitlplan.core import InputError
-from mitlplan.wts import (TimedRun, WeightedTransitionSystem, collective_run,
-                          collective_word_of, grid_system, timed_word_of)
+from mitlplan.wts import (CollectiveRun, TimedRun, WeightedTransitionSystem,
+                          collective_run, collective_word_of, grid_system,
+                          timed_word_of)
 
 
 def chain_pair():
@@ -74,6 +75,41 @@ class TestRunValidation:
     def test_must_start_at_zero(self):
         with pytest.raises(InputError):
             TimedRun(prefix=(("p1", Q(1)),), cycle=(("p2", Q(2)),), period=Q(2))
+
+    def test_refusals_keep_their_messages(self):
+        # runs of random systems with one state, stamp or the period
+        # changed, against the checks done in Fraction arithmetic
+        from oracles import (enumerate_timed_runs, random_agent_system,
+                             run_refusal)
+        rng = random.Random(57)
+        refused = 0
+        for trial in range(300):
+            unit = (Q(1), Q(1, 3), Q(1, 7))[trial % 3]
+            system = random_agent_system(rng, "p",
+                                         weights=(unit, 2 * unit, 5 * unit))
+            run = rng.choice(enumerate_timed_runs(system, max_stem=2))
+            events = list(run.prefix + run.cycle)
+            period = run.period
+            j = rng.randrange(len(events))
+            state, stamp = events[j]
+            change = rng.randrange(3)
+            if change == 0:
+                events[j] = (rng.choice(system.states), stamp)
+            elif change == 1:
+                events[j] = (state, stamp + unit * rng.choice((-1, 1)))
+            else:
+                period += unit * rng.choice((-1, 1))
+            prefix, cycle = events[:len(run.prefix)], events[len(run.prefix):]
+            expected = run_refusal(system, prefix, cycle, period)
+            try:
+                TimedRun(prefix=prefix, cycle=cycle,
+                         period=period).validate_for(system)
+            except InputError as exc:
+                assert str(exc) == expected, trial
+                refused += 1
+            else:
+                assert expected is None, trial
+        assert refused > 150
 
 
 class TestTimedWordOf:
@@ -216,6 +252,9 @@ def assert_random_merges_match(rng, **system_options):
             continue
         r1, r2 = candidate_runs
         merged = collective_run([r1, r2])
+        again = CollectiveRun(prefix=merged.prefix, cycle=merged.cycle,
+                              period=merged.period)
+        assert again == merged and hash(again) == hash(merged)
         horizon = 10
         merged_events = merged.unroll(8)[:horizon]
         queue = sorted({r1.stamp_at(i) for i in range(40)}
@@ -287,3 +326,57 @@ class TestGrid:
         for (here, there), expected in zip(zip(route, route[1:]), stamps[1:]):
             total += system.weights[here, there]
             assert total == expected
+
+
+def grid_runs(rng, moves):
+    """Two agents on a 4 x 4 grid, moving at 1/2 and at 1/3 a step: each
+    run takes one move from its initial cell into a closed walk of
+    ``moves[k]`` moves."""
+    systems, runs = [], []
+    for k, (weight, count) in enumerate(zip((Q(1, 2), Q(1, 3)), moves)):
+        start = rng.choice([f"p{n}" for n in range(1, 17)])
+        system = grid_system(
+            4, 4, {move: weight for move in ("up", "right", "down", "left")},
+            labels={f"p{n}": [f"x{k}"] for n in range(1, 17, 2)},
+            initial=[start])
+        path = [start]
+        for _ in range(count // 2 + 1):
+            path.append(rng.choice(system.successors(path[-1]))[1])
+        # out along the path and back to its second cell
+        cycle = path[1:] + path[-2:1:-1]
+        systems.append(system)
+        runs.append(TimedRun(
+            prefix=((start, Q(0)),),
+            cycle=tuple((state, (i + 1) * weight)
+                        for i, state in enumerate(cycle)),
+            period=len(cycle) * weight))
+    return systems, runs
+
+
+class TestIntegerTime:
+    def test_the_merge_builds_no_fraction_per_position(self, monkeypatch):
+        """Validating two runs, merging them and labelling the merge build
+        as many Fractions for walks of 200 and 360 moves as for walks of 20
+        and 36: none per position of the 2,400-position merge."""
+        def team_word(systems, runs):
+            for system, run in zip(systems, runs):
+                run.validate_for(system)
+            return collective_word_of(systems, collective_run(runs))
+
+        new = Q.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        counts, sizes = [], []
+        for moves in ((20, 36), (200, 360)):
+            systems, runs = grid_runs(random.Random(58), moves)
+            built = []
+            with monkeypatch.context() as patch:
+                patch.setattr(Q, "__new__", staticmethod(counting))
+                word = team_word(systems, runs)
+            counts.append(len(built))
+            sizes.append(word.prefix_length + word.cycle_length)
+        assert sizes[1] > 2000 and sizes[1] >= 9 * sizes[0]
+        assert counts[0] == counts[1] <= 2
