@@ -14,6 +14,28 @@ step advances time by the smallest time remaining on the agents' moves,
 and agents finishing exactly then complete their moves.  Layer 3 pairs the
 team graph with the team specification automaton.
 
+The global layer drops every state that can no longer meet a deadline of
+the team automaton, initial or successor.  A deadline of location ``l`` is
+a conjunct ``x <= u`` or ``x < u`` of its invariant; its exits are the
+edges that leave ``l`` or reset ``x`` (:meth:`TimedBuchiAutomaton.deadlines`).
+Every step elapses time, so a run that stays in ``l`` must take an exit
+before ``x`` passes ``u``, and the exit reads a team letter satisfying its
+label.  A lower bound on the time until the team letter carries an atom
+comes from one backward Dijkstra per agent and atom over the agent's
+system (:meth:`WeightedTransitionSystem.distances_to`): 0 when the agent's
+component region carries the atom, ``remaining + dist(target)`` while the
+agent is committed to a move (the letter shows the source region until the
+move completes), ``dist(component)`` otherwise, and the least over the
+agents that own the atom.  A label's bound goes by polarity: a negated
+atom costs 0, a conjunction takes the larger side and a disjunction (``!(!a
+& !b)``) the smaller, ``true`` costs 0 and ``false`` is never reached; any
+other node costs 0.  A state ``(team state, l, v)`` is dead when, for one
+deadline of ``l``, every exit's bound exceeds ``u - v(x)`` (or reaches it,
+for ``<``).  The least exit bound is cached per team state and location.
+A dead state has no accepting continuation, and neither has any state
+reachable from it, so the search meets the other states in the same order
+and returns the same first lasso.
+
 Acceptance is generalized Büchi: every searched graph gives
 ``marks(state)``, a bitmask of the acceptance sets the state belongs to,
 and ``all_marks``, the mask of every set; a run accepts when it visits
@@ -38,9 +60,12 @@ twice.  Only the team layer sorts, for the reason given at
 from __future__ import annotations
 
 import itertools
+from functools import partial
+from math import inf
 from operator import attrgetter
 from typing import NamedTuple
 
+from .mitl import And, Atom, FalseFormula, Formula, Not, TrueFormula
 from .search import live_states
 from .tba import TimedBuchiAutomaton
 from .wts import WeightedTransitionSystem
@@ -249,7 +274,10 @@ class TeamProduct(_MemoizedGraph):
 
 class GlobalProduct(AutomatonProduct):
     """Layer 3: the team graph paired with the team automaton; the marks
-    are the team's, and bit ``n`` at an accepting location."""
+    are the team's, and bit ``n`` at an accepting location.
+
+    It never returns a dead state, initial or successor, as the module
+    describes it; ``pruned`` counts the states it dropped."""
 
     def __init__(self, team: TeamProduct, automaton: TimedBuchiAutomaton):
         team_atoms = frozenset().union(
@@ -260,7 +288,99 @@ class GlobalProduct(AutomatonProduct):
                 f"alphabet {sorted(automaton.atoms)}")
         super().__init__(team, automaton)
         self.all_marks = team.all_marks | 1 << team.count
+        self.pruned = 0
+        self._initial = None
+        # location -> (clock slot, bound, strict, exit bounds) per deadline
+        self._deadlines = {
+            location: tuple(
+                (slot, bound, strict, tuple(map(_time_bound, exits)))
+                for slot, bound, strict, exits in deadlines)
+            for location, deadlines in automaton.deadlines().items()}
+        # atom -> (agent, region -> time to a region carrying it) per owner
+        self._distances = {
+            atom: tuple((k, local.graph.distances_to(atom))
+                        for k, local in enumerate(team.locals)
+                        if atom in local.graph.atoms)
+            for atom in automaton.atoms}
+        # (team state, location) -> (clock slot, latest value, strict) per
+        # deadline
+        self._latest: dict = {}
+
+    def initial_states(self):
+        if self._initial is None:
+            candidates = super().initial_states()
+            self._initial = tuple(
+                state for state in candidates if not self._dead(state))
+            self.pruned += len(candidates) - len(self._initial)
+        return self._initial
+
+    def _compute_successors(self, state: ProductState):
+        out = []
+        for pair in super()._compute_successors(state):
+            if self._dead(pair[1]):
+                self.pruned += 1
+            else:
+                out.append(pair)
+        return tuple(out)
+
+    def _dead(self, state: ProductState) -> bool:
+        """Whether every exit of one of the location's deadlines is further
+        away than the deadline's clock has left."""
+        deadlines = self._deadlines.get(state.location)
+        if deadlines is None:
+            return False
+        key = (state.node, state.location)
+        latest = self._latest.get(key)
+        if latest is None:
+            time_to = partial(self._time_to, state.node)
+            latest = self._latest[key] = tuple(
+                (slot, bound - min([reach(time_to) for reach in exits],
+                                   default=inf), strict)
+                for slot, bound, strict, exits in deadlines)
+        valuation = state.valuation
+        return any(valuation[slot] > value
+                   or strict and valuation[slot] == value
+                   for slot, value, strict in latest)
+
+    def _time_to(self, team: TeamState, atom: str):
+        """A lower bound on the time until the team letter carries
+        ``atom``: the least over the agents that own it.  An agent's letter
+        shows its component's region until its move completes."""
+        best = inf
+        for k, distances in self._distances[atom]:
+            time = distances.get(team.components[k].node, inf)
+            if time and team.targets[k] is not None:
+                time = team.remaining[k] + distances.get(
+                    team.targets[k].node, inf)
+            best = min(best, time)
+        return best
 
     def marks(self, state: ProductState) -> int:
         return (self.graph.marks(state.node)
                 | super().marks(state) << self.graph.count)
+
+    def statistics(self) -> dict:
+        return {**super().statistics(), "pruned": self.pruned}
+
+
+def _time_bound(label: Formula, positive=True):
+    """A lower bound on the time until a letter satisfies ``label``, or
+    falsifies it when ``positive`` is false, as a function of ``time_to``,
+    the bound for one atom.  A negated atom may hold at once; both sides of
+    a conjunction must hold together, and either side of a disjunction
+    will do.  Any other node gives 0."""
+    match label:
+        case Atom(name) if positive:
+            return lambda time_to: time_to(name)
+        case Not(operand):
+            return _time_bound(operand, not positive)
+        case And(left, right):
+            first = _time_bound(left, positive)
+            second = _time_bound(right, positive)
+            combine = max if positive else min
+            return lambda time_to: combine(first(time_to), second(time_to))
+        case TrueFormula() if not positive:
+            return lambda time_to: inf
+        case FalseFormula() if positive:
+            return lambda time_to: inf
+    return lambda time_to: 0

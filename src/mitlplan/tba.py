@@ -92,6 +92,15 @@ def comparisons(constraint: Formula):
             raise TypeError(f"not a clock constraint: {constraint!r}")
 
 
+def _conjuncts(constraint: Formula):
+    """The parts of ``constraint`` joined by its top-level ``&``s."""
+    if isinstance(constraint, And):
+        yield from _conjuncts(constraint.left)
+        yield from _conjuncts(constraint.right)
+    else:
+        yield constraint
+
+
 def map_comparisons(constraint: Formula, change) -> Formula:
     """``constraint`` with every comparison ``c`` replaced by ``change(c)``."""
     match constraint:
@@ -204,6 +213,29 @@ class TimedBuchiAutomaton:
 
     def cmax(self):
         return max(self.constants(), default=0)
+
+    def deadlines(self) -> dict:
+        """Each location whose invariant has a conjunct ``x <= u`` or
+        ``x < u``, with one ``(slot of x, u, strict, exit labels)`` per such
+        conjunct.  The exits are the edges that leave the location or reset
+        ``x``: a run that stays without resetting ``x`` lets ``x`` grow with
+        the time elapsed, so a run whose time diverges must take an exit
+        before ``x`` passes ``u``, and that exit reads a letter satisfying
+        its label."""
+        slot = {clock: i for i, clock in enumerate(self.clocks)}
+        out = {}
+        for location in self.locations:
+            found = tuple(
+                (slot[bound.clock], bound.constant, bound.relation == "<",
+                 tuple(edge.label for edge in self._edges_from[location]
+                       if edge.target != location
+                       or bound.clock in edge.resets))
+                for bound in _conjuncts(self.invariants[location])
+                if isinstance(bound, Compare)
+                and bound.relation in ("<", "<="))
+            if found:
+                out[location] = found
+        return out
 
     def zero_valuation(self) -> tuple:
         return (0,) * len(self.clocks)

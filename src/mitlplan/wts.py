@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 
 from .core import InputError, LassoSequence, LassoTimedWord, freeze_atoms
@@ -64,6 +65,26 @@ class WeightedTransitionSystem:
     def successors(self, state: str) -> tuple[tuple, ...]:
         """The ``(weight, target)`` pairs out of ``state``."""
         return self._successors[state]
+
+    def distances_to(self, atom: str) -> dict:
+        """Each state from which a state labelled ``atom`` can be reached,
+        with the least total weight of a path there: 0 at a labelled state.
+        One backward Dijkstra from the labelled states."""
+        into: dict[str, list] = {}
+        for (source, target), weight in self.weights.items():
+            into.setdefault(target, []).append((weight, source))
+        distances = {}
+        queue = [(0, state) for state in self.states
+                 if atom in self.labels[state]]
+        while queue:
+            distance, state = heappop(queue)
+            if state in distances:
+                continue
+            distances[state] = distance
+            for weight, source in into.get(state, ()):
+                if source not in distances:
+                    heappush(queue, (distance + weight, source))
+        return distances
 
     def scaled(self, factor: int) -> "WeightedTransitionSystem":
         """A copy whose durations are multiplied by ``factor`` into

@@ -16,6 +16,7 @@ from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
 from mitlplan.mitl import (Always, And, Atom, Compare, Eventually,
                            FalseFormula, Implies, Next, Not, Or, TrueFormula,
                            Until)
+from mitlplan.product import AutomatonProduct, GlobalProduct
 
 
 # --- brute-force MITL evaluation on a finite unrolling ------------------
@@ -571,3 +572,11 @@ class ExplicitGraph:
 
     def marks(self, state):
         return self._marks.get(state, 0)
+
+
+class UnprunedGlobalProduct(GlobalProduct):
+    """The global layer without its deadline pruning: every initial state
+    and successor that the team graph and the team automaton build."""
+
+    initial_states = AutomatonProduct.initial_states
+    _compute_successors = AutomatonProduct._compute_successors

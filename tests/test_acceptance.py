@@ -134,6 +134,24 @@ class TestCriterion3GridCaseStudy:
                   f"{explored} product states")
 
 
+    def test_three_robots_meet_within_the_team_deadline(self, tmp_path,
+                                                         capsys):
+        # fixtures/grid_meet_three.json adds a third robot to the case
+        # study; without pruning its global layer has 30,475 states
+        code = main(["plan", str(FIXTURES / "grid_meet_three.json"),
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        verdicts = capsys.readouterr().out.splitlines()[1:]
+        assert len(verdicts) == 8
+        assert all(line.startswith("  [ok] ") for line in verdicts)
+        assert (tmp_path / "trace.csv").read_bytes() == (
+            FIXTURES / "expected" / "grid_meet_three" / "trace.csv"
+        ).read_bytes()
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        assert plan["statistics"]["globalLayer"]["states"] < 5_000
+        report(3, "three robots meet within the team deadline")
+
+
 def _grid_shortest_time(system, start: str, goal: str) -> Q:
     distances = {start: Q(0)}
     queue = [(Q(0), start)]

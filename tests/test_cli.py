@@ -295,8 +295,9 @@ class TestPlanCommand:
                                    "scalingFactor"}
         for layer in statistics["localLayers"]:
             assert set(layer) == {"states", "edges", "accepting", "live"}
-        for key in ("teamLayer", "globalLayer"):
-            assert set(statistics[key]) == {"states", "edges", "accepting"}
+        assert set(statistics["teamLayer"]) == {"states", "edges", "accepting"}
+        assert set(statistics["globalLayer"]) == {"states", "edges",
+                                                  "accepting", "pruned"}
 
     def test_an_old_automaton_file_plans_as_its_formula(self, tmp_path):
         # the fixture is translate's output of the team formula from when
@@ -394,6 +395,22 @@ class TestPlanCommand:
         problem = write_json(tmp_path / "tight.json", data)
         assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().out.startswith("UNSATISFIABLE")
+
+    def test_a_team_deadline_no_initial_state_can_meet_is_noted(
+            self, tmp_path, capsys):
+        # r2 needs 8 time units to reach area A and r1 needs 10 to reach B,
+        # so no initial global state can meet by time 5
+        data = json.loads(Path(fixture("grid_meet.json")).read_text())
+        data["global"]["formula"] = data["global"]["formula"].replace(
+            "F[<=30]", "F[<=5]")
+        problem = write_json(tmp_path / "tight.json", data)
+        out_dir = tmp_path / "out"
+        assert main(["plan", problem, "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("UNSATISFIABLE")
+        assert captured.err == ("note: team: no initial state can meet the "
+                                "team specification's deadline\n")
+        assert not (out_dir / "plan.json").exists()
 
     def test_the_live_state_pass_counts_against_the_budget(
             self, tmp_path, capsys):

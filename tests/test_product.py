@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -9,9 +11,10 @@ from mitlplan.mitl import parse_formula, satisfies
 from mitlplan.product import GlobalProduct, LocalProduct, TeamProduct, TeamState
 from mitlplan.search import find_accepting_lasso
 from mitlplan.tba import translate_mitl, universal_tba
-from mitlplan.wts import (TimedRun, WeightedTransitionSystem,
+from mitlplan.wts import (TimedRun, WeightedTransitionSystem, grid_cells,
                           timed_word_of)
-from oracles import enumerate_timed_runs, random_fragment_formula
+from oracles import (UnprunedGlobalProduct, enumerate_timed_runs,
+                     random_fragment_formula, scc_has_accepting_cycle)
 
 
 def tiny_system(labels, weights=None, atoms=None):
@@ -348,18 +351,109 @@ class TestLiveTrimming:
         outcome = cli.solve(cli.load_problem(fixtures / "grid_meet.json"))
         assert outcome.status == "success"
         (team,) = built
+        # the global layer expands the team layer only below the states it
+        # keeps, so the team graph is expanded here on its own
         checked = 0
-        for state, successors in team._successor_cache.items():
-            for _, team_state in ((0, state), *successors):
-                for k, live in enumerate(team.live):
-                    assert team_state.components[k] in live
-                    target = team_state.targets[k]
-                    assert target is None or target in live
-                checked += 1
+        for team_state in reachable(team):
+            for k, live in enumerate(team.live):
+                assert team_state.components[k] in live
+                target = team_state.targets[k]
+                assert target is None or target in live
+            checked += 1
         assert checked > 1000
         # the local layers were explored in full, and trimmed
         for local, live in zip(team.locals, team.live):
             assert 0 < len(live) < local.statistics()["states"]
+
+
+def random_grid_problem(rng: random.Random) -> dict:
+    """Two robots on grids of at most 3 by 4 cells, with random move
+    weights, recharge and meeting cells and deadlines, and a team
+    specification with a random deadline: a problem file's contents."""
+    agents = []
+    for n in (1, 2):
+        rows, cols = rng.randint(1, 3), rng.randint(2, 4)
+        cells = grid_cells(rows, cols)
+        labels = {}
+        for atom in (f"recharge{n}", f"meet{n}A", f"meet{n}B"):
+            labels.setdefault(rng.choice(cells), []).append(atom)
+        agents.append({
+            "name": f"r{n}",
+            "grid": {"rows": rows, "cols": cols, "labels": labels,
+                     "moveWeights": {
+                         move: rng.choice(["1/2", "1", "2", "3"])
+                         for move in ("up", "right", "down", "left")}},
+            "initial": [rng.choice(cells)],
+            "formula": f"F[<={rng.randint(2, 12)}] recharge{n}"})
+    deadline = rng.randint(1, 16)
+    meet = "((meet1A & meet2A) | (meet1B & meet2B))"
+    team = rng.choice([f"F[<={deadline}] {meet}",
+                       f"G F[<={deadline}] {meet}",
+                       f"!meet1B U[<={deadline}] (meet1A & meet2A)"])
+    return {"agents": agents, "global": {"formula": team}}
+
+
+def _reachable_edges(graph, roots):
+    """The successor states of every state reachable from ``roots``, and
+    the marks of those states."""
+    edges, marks = {}, {}
+    frontier = list(roots)
+    while frontier:
+        state = frontier.pop()
+        if state in edges:
+            continue
+        edges[state] = [succ for _, succ in graph.successors(state)]
+        marks[state] = graph.marks(state)
+        frontier.extend(edges[state])
+    return edges, marks
+
+
+class TestDeadlinePruning:
+    def test_pruned_states_have_no_accepting_run_and_the_lasso_stays(
+            self, tmp_path, monkeypatch):
+        searched = []
+
+        def recorded(graph, state_budget=None):
+            lasso = find_accepting_lasso(graph, state_budget)
+            searched.append((graph, lasso))
+            return lasso
+
+        monkeypatch.setattr(cli, "find_accepting_lasso", recorded)
+        statuses = Counter()
+        dropped_in_all = 0
+        for seed in range(60):
+            path = tmp_path / f"{seed}.json"
+            path.write_text(json.dumps(random_grid_problem(random.Random(seed))))
+            problem = cli.load_problem(path)
+            searched.clear()
+            outcome = cli.solve(problem)
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "GlobalProduct", UnprunedGlobalProduct)
+                unpruned_outcome = cli.solve(problem)
+            (pruned, lasso), (_, unpruned_lasso) = searched
+            assert outcome.status == unpruned_outcome.status, seed
+            assert lasso == unpruned_lasso, seed
+            statuses[outcome.status] += 1
+
+            # the pruned layer keeps the unpruned one's states in order and
+            # drops only states without an accepting run
+            reference = UnprunedGlobalProduct(pruned.graph, pruned.automaton)
+            kept = set(pruned.initial_states())
+            dropped = [state for state in reference.initial_states()
+                       if state not in kept]
+            for state, successors in pruned._successor_cache.items():
+                kept = set(successors)
+                every = reference.successors(state)
+                assert list(successors) == [
+                    pair for pair in every if pair in kept], seed
+                dropped += [pair[1] for pair in every if pair not in kept]
+            assert len(dropped) == pruned.statistics()["pruned"], seed
+            edges, marks = _reachable_edges(reference, dropped)
+            assert not scc_has_accepting_cycle(
+                dropped, edges.__getitem__, marks, reference.all_marks), seed
+            dropped_in_all += len(dropped)
+        assert statuses["success"] >= 10 and statuses["unsatisfiable"] >= 10
+        assert dropped_in_all > 0
 
 
 def _times(state):

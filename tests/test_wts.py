@@ -327,6 +327,26 @@ class TestGrid:
             total += system.weights[here, there]
             assert total == expected
 
+    def test_distances_to_an_atom_are_shortest_path_times(self):
+        system = grid_system(
+            rows=3, cols=7,
+            move_weights={"up": Q(1), "right": Q(1), "down": Q(2), "left": Q(2)},
+            labels={"p9": ["meet"], "p13": ["meet"]}, initial=["p4"])
+        # Bellman-Ford from every cell over the forward moves
+        distances = {state: Q(0) if system.label_of(state) else None
+                     for state in system.states}
+        for _ in system.states:
+            for (here, there), weight in system.weights.items():
+                if distances[there] is not None and (
+                        distances[here] is None
+                        or distances[there] + weight < distances[here]):
+                    distances[here] = distances[there] + weight
+        assert system.distances_to("meet") == distances
+        assert system.distances_to("meet")["p4"] == 4  # down, then left
+        assert grid_system(1, 2, {move: Q(1) for move in
+                                  ("up", "right", "down", "left")},
+                           labels={}, initial=["p1"]).distances_to("x") == {}
+
 
 def grid_runs(rng, moves):
     """Two agents on a 4 x 4 grid, moving at 1/2 and at 1/3 a step: each
