@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from math import lcm
 from pathlib import Path
 from typing import Optional
 
@@ -248,19 +249,90 @@ def _systems_of(data, path: Path) -> dict:
     return out
 
 
-def load_runs(path: Path) -> dict:
-    data = _load_json(path)
+# no limit on the digits that int() reads from text can be set below this
+_PLAIN_LENGTH = sys.int_info.str_digits_check_threshold
+
+
+def _plain_rational(value):
+    """``value`` as a (numerator, denominator) pair when it is a JSON
+    integer, or text of at most ``_PLAIN_LENGTH`` ASCII digits with an
+    optional ``/`` and a nonzero denominator; ``None`` for anything else,
+    which ``parse_rational`` then reads or refuses."""
+    if type(value) is int:  # a JSON true is no number
+        return value, 1
+    if type(value) is not str or not value.isascii() or \
+            len(value) > _PLAIN_LENGTH:
+        return None
+    if value.isdigit():
+        return int(value), 1
+    numerator, _, denominator = value.partition("/")
+    if numerator.isdigit() and denominator.isdigit() and \
+            int(denominator):
+        return int(numerator), int(denominator)
+    return None
+
+
+def _plain_runs(data):
+    """Per run name of a runs file: its states, its prefix length and its
+    stamps as :func:`_plain_rational` pairs, the period last.  ``None``
+    unless every event is a 2-list of a state name and such a stamp, and
+    every period is such a stamp."""
+    runs = data.get("runs") if type(data) is dict else None
+    if type(runs) is not dict:
+        return None
+    plain = {}
+    for name, entry in runs.items():
+        if type(entry) is not dict or "period" not in entry:
+            return None
+        prefix, cycle = entry.get("prefix", []), entry.get("cycle", [])
+        if type(prefix) is not list or type(cycle) is not list:
+            return None
+        events = prefix + cycle
+        if not all(type(event) is list and len(event) == 2
+                   and type(event[0]) is str for event in events):
+            return None
+        stamps = [*map(_plain_rational, [stamp for _, stamp in events]),
+                  _plain_rational(entry["period"])]
+        if None in stamps:
+            return None
+        plain[name] = [state for state, _ in events], len(prefix), stamps
+    return plain
+
+
+def _parsed_runs(data) -> dict:
+    """What :func:`_plain_runs` gives, for any runs file that holds to
+    the schema, each stamp read by ``parse_rational``."""
     _check(data, _RUNS, "")
-    runs = {}
+    parsed = {}
     for name, entry in data["runs"].items():
         where = f"runs.{name}"
-        prefix, cycle = [
-            tuple((state, _rational(stamp, f"{where}.{part}[{i}][1]"))
-                  for i, (state, stamp) in enumerate(entry.get(part, [])))
-            for part in ("prefix", "cycle")]
-        period = _rational(entry["period"], f"{where}.period")
-        with naming(where):
-            runs[name] = TimedRun(prefix=prefix, cycle=cycle, period=period)
+        parts = {part: entry.get(part, []) for part in ("prefix", "cycle")}
+        stamps = [_rational(stamp, f"{where}.{part}[{i}][1]")
+                  for part, events in parts.items()
+                  for i, (_, stamp) in enumerate(events)]
+        stamps.append(_rational(entry["period"], f"{where}.period"))
+        parsed[name] = ([state for events in parts.values()
+                         for state, _ in events], len(parts["prefix"]),
+                        [(q.numerator, q.denominator) for q in stamps])
+    return parsed
+
+
+def load_runs(path: Path) -> dict:
+    """The runs of a runs file by agent name, built from ticks.  A file of
+    plain stamps is read without a ``Fraction``; any other goes through the
+    schema and ``parse_rational``, which word its errors."""
+    data = _load_json(path)
+    plain = _plain_runs(data)
+    if plain is None:
+        plain = _parsed_runs(data)
+    runs = {}
+    for name, (states, loop, stamps) in plain.items():
+        unit = lcm(*(denominator for _, denominator in stamps))
+        *ticks, period = [numerator * (unit // denominator)
+                          for numerator, denominator in stamps]
+        with naming(f"runs.{name}"):
+            runs[name] = TimedRun.from_ticks(states, loop, ticks, period,
+                                             unit)
     if not runs:
         raise InputError(f"{path}: no runs defined")
     return runs
@@ -581,6 +653,10 @@ def command_plan(args) -> int:
 
 
 def _parse_scoped_formulas(items, model, runs):
+    """The (scope, formula) pairs of ``--formula`` options.  A formula's
+    atoms must be in its agent's alphabet, or for the team in the union of
+    the alphabets of the agents with runs, as ``plan`` requires."""
+    team_atoms = frozenset().union(*(model[name].atoms for name in runs))
     scoped = []
     for item in items:
         scope, _, text = item.partition(":")
@@ -593,7 +669,16 @@ def _parse_scoped_formulas(items, model, runs):
         if scope != "team" and scope not in runs:
             raise InputError(f"no run given for agent {scope!r}")
         with naming(f"--formula {scope}: {text}"):
-            scoped.append((scope, parse_formula(text)))
+            formula = parse_formula(text)
+        if scope == "team":
+            unknown, errors = atoms_of(formula) - team_atoms, _TEAM_ERRORS
+        else:
+            unknown = atoms_of(formula) - model[scope].atoms
+            errors = _AGENT_ERRORS
+        if unknown:
+            raise InputError(errors[0].format(name=scope,
+                                              found=sorted(unknown)))
+        scoped.append((scope, formula))
     return scoped
 
 

@@ -298,11 +298,6 @@ class LassoSequence:
         turns, slot = divmod(index - self.loop, self.cycle_length)
         return self.loop + slot, turns
 
-    def tick_at(self, index: int) -> int:
-        """The stamp at any position, in units of ``1 / unit``."""
-        j, turns = self._locate(index)
-        return self.ticks[j] + turns * self.period_ticks
-
     def item_at(self, index: int) -> tuple:
         """The (payload, timestamp) pair at any position of the infinite sequence."""
         j, turns = self._locate(index)

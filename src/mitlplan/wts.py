@@ -4,16 +4,27 @@ agents' runs into one collective run for the team.
 A duration is a ``Fraction`` as a file gives it, and an ``int`` in the
 :meth:`~WeightedTransitionSystem.scaled` copy that the products read.  A
 run keeps its stamps as ``int`` ticks (see
-:class:`~mitlplan.core.LassoSequence`); the merge counts in ticks, and a
-word labelled from a run shares the run's ticks.
+:class:`~mitlplan.core.LassoSequence`), and a word labelled from a run
+shares the run's ticks.
+
+The merge is in closed form, in ticks under the lcm of the runs' units.
+The merged lasso repeats only once every agent is back at the same
+position of its cycle, so its cycle starts at the latest of the agents'
+cycle starts and its period is the lcm of the run periods.  Its stamps
+are the sorted union of the agents' arrivals before the end of that
+first period, and each agent's state at a stamp is the one of its latest
+arrival.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain, repeat
 from math import lcm
+from operator import sub
 
 from .core import InputError, LassoSequence, LassoTimedWord, freeze_atoms
 
@@ -114,21 +125,23 @@ class TimedRun(LassoSequence):
         here = self.payloads[0]
         if here not in system.initial:
             raise InputError(f"run starts at {here}, not an initial state")
-        # every step of prefix + cycle, into the second turn and one more
-        stamp = self.ticks[0]
-        for i in range(self.prefix_length + self.cycle_length + 1):
-            there, arrival = self.payload_at(i + 1), self.tick_at(i + 1)
-            weight = system.weights.get((here, there))
+        # every step of prefix + cycle, and the one into the second turn
+        loop = self.loop
+        payloads = self.payloads + (self.payloads[loop],)
+        ticks = self.ticks + (self.ticks[loop] + self.period_ticks,)
+        weights, unit = system.weights, self.unit
+        for i, (here, there, stamp, arrival) in enumerate(zip(
+                payloads, payloads[1:], ticks, ticks[1:])):
+            weight = weights.get((here, there))
             if weight is None:
                 raise InputError(
                     f"step {i}: {here} -> {there} is not a transition")
             if (arrival - stamp) * weight.denominator != \
-                    weight.numerator * self.unit:
+                    weight.numerator * unit:
                 raise InputError(
                     f"step {i}: arrival at {there} stamped "
                     f"{self.stamp_at(i + 1)}, expected "
                     f"{self.stamp_at(i) + weight}")
-            here, stamp = there, arrival
 
 
 class CollectiveRun(LassoSequence):
@@ -148,12 +161,14 @@ def timed_word_of(system: WeightedTransitionSystem, run: TimedRun) -> LassoTimed
 def collective_run(runs) -> CollectiveRun:
     """Merge individual runs into the team's collective run.
 
-    Repeatedly, the agents whose next arrival time is minimal complete
-    their transitions together and that arrival time becomes the next
-    collective stamp; everyone else stays in place.  The merged sequence
-    is ultimately periodic: the construction closes its cycle at the first
-    repeat of (per-agent reduced position, per-agent time to next arrival).
-    Time is counted in integers, under the lcm of the runs' units.
+    At every arrival of any agent the team takes one position, stamped
+    with that arrival's time, where each agent is at the state of its
+    latest arrival; agents that arrive together share the position.  The
+    merged lasso's cycle starts at the latest of the runs' cycle starts,
+    the first time at which every agent is in its cycle, and its period
+    is the lcm of the run periods: the (per-agent cycle position, time to
+    next arrival) configuration repeats first there.  Time is counted in
+    integers, under the lcm of the runs' units.
     """
     runs = list(runs)
     if not runs:
@@ -161,35 +176,32 @@ def collective_run(runs) -> CollectiveRun:
     for run in runs:
         if run.ticks[0] != 0:
             raise InputError("all runs must start at time zero")
-    # per run, in integer time under one factor: the state at each position
-    # of prefix + cycle, and the time to the next arrival with its position
     factor = lcm(*(run.unit for run in runs))
-    states = [run.payloads for run in runs]
-    steps = [run.integer_steps(factor) for run in runs]
-
-    agents = range(len(runs))
-    positions = [0 for _ in runs]
-    pending = [steps[k][0][0] for k in agents]
-    now = 0
-    vectors = [tuple(states[k][0] for k in agents)]
-    ticks = [now]
-    seen = {(tuple(positions), tuple(pending)): 0}
-    while True:
-        step = min(pending)
-        now += step
-        for k in agents:
-            pending[k] -= step
-            if pending[k] == 0:
-                positions[k] = steps[k][positions[k]][1]
-                pending[k] = steps[k][positions[k]][0]
-        config = (tuple(positions), tuple(pending))
-        if config in seen:
-            start = seen[config]
-            return CollectiveRun.from_ticks(vectors, start, ticks,
-                                            now - ticks[start], factor)
-        seen[config] = len(ticks)
-        vectors.append(tuple(states[k][positions[k]] for k in agents))
-        ticks.append(now)
+    timelines = [run.integer_timeline(factor) for run in runs]
+    start = max(ticks[run.loop] for run, (ticks, _) in zip(runs, timelines))
+    period = lcm(*(period for _, period in timelines))
+    end = start + period
+    # per run, its states and arrivals before ``end``: prefix + cycle, then
+    # shifted copies of the cycle
+    states, arrivals = [], []
+    for run, (ticks, run_period) in zip(runs, timelines):
+        cycle = ticks[run.loop:]
+        turns = range(run_period, end - cycle[0], run_period)
+        unrolled = [*ticks, *(t + shift for shift in turns for t in cycle)]
+        count = bisect_left(unrolled, end)
+        arrivals.append(unrolled[:count])
+        states.append((run.payloads
+                       + run.payloads[run.loop:] * len(turns))[:count])
+    stamps = sorted(set().union(*arrivals))
+    index = dict(zip(stamps, range(len(stamps))))
+    # an agent keeps the state of an arrival until its next one
+    columns = []
+    for own_states, own_arrivals in zip(states, arrivals):
+        at = [*map(index.__getitem__, own_arrivals), len(stamps)]
+        columns.append(chain.from_iterable(map(
+            repeat, own_states, map(sub, at[1:], at))))
+    return CollectiveRun.from_ticks(zip(*columns), index[start], stamps,
+                                    period, factor)
 
 
 def collective_word_of(systems, run: CollectiveRun) -> LassoTimedWord:

@@ -4,7 +4,9 @@ These deliberately share no code with the package's evaluators: the brute
 force unrolls a lasso word into a long finite list and applies the
 semantics clauses literally; the emptiness oracle is Tarjan SCC
 decomposition over a fully materialized graph; the automaton step walks
-each constraint's tree over a clock-name map and scans every edge.
+each constraint's tree over a clock-name map and scans every edge; the
+merge of runs advances the agents one arrival at a time until their
+configuration repeats.
 """
 
 from __future__ import annotations
@@ -155,6 +157,47 @@ def run_refusal(system, prefix, cycle, period):
             return (f"step {i}: arrival at {there} stamped {arrival}, "
                     f"expected {stamp + weight}")
     return None
+
+
+# --- the merge of runs, one event at a time --------------------------------
+
+def stepping_merge(runs):
+    """The collective run of ``runs`` by simulation: repeatedly, the agents
+    whose next arrival time is minimal complete their transitions together
+    and that arrival time becomes the next collective stamp; everyone else
+    stays in place.  The cycle closes at the first repeat of (per-agent
+    reduced position, per-agent time to next arrival).  Counts in
+    integers, under the lcm of the runs' units."""
+    from math import lcm
+
+    from mitlplan.wts import CollectiveRun
+
+    factor = lcm(*(run.unit for run in runs))
+    states = [run.payloads for run in runs]
+    steps = [run.integer_steps(factor) for run in runs]
+    agents = range(len(runs))
+    positions = [0 for _ in runs]
+    pending = [steps[k][0][0] for k in agents]
+    now = 0
+    vectors = [tuple(states[k][0] for k in agents)]
+    ticks = [now]
+    seen = {(tuple(positions), tuple(pending)): 0}
+    while True:
+        step = min(pending)
+        now += step
+        for k in agents:
+            pending[k] -= step
+            if pending[k] == 0:
+                positions[k] = steps[k][positions[k]][1]
+                pending[k] = steps[k][positions[k]][0]
+        config = (tuple(positions), tuple(pending))
+        if config in seen:
+            start = seen[config]
+            return CollectiveRun.from_ticks(vectors, start, ticks,
+                                            now - ticks[start], factor)
+        seen[config] = len(ticks)
+        vectors.append(tuple(states[k][positions[k]] for k in agents))
+        ticks.append(now)
 
 
 # --- random generators ---------------------------------------------------

@@ -176,6 +176,23 @@ class TestCheckCommand:
         assert capsys.readouterr().err == (
             "error: --formula r1: F[<=3] x <= 2: 1:9: unexpected '<='\n")
 
+    @pytest.mark.parametrize("formula, message", [
+        ("r1: F red",
+         "agent r1: formula atoms ['red'] are not in the agent's alphabet"),
+        ("team: F zzz",
+         "team formula atoms ['zzz'] are not in any agent's alphabet"),
+    ])
+    def test_atoms_outside_the_scope_exit_3_as_in_plan(self, capsys, formula,
+                                                       message):
+        # red is r2's atom; the team's alphabet is that of the agents
+        # with runs
+        assert main(["check", "--model", fixture("two_agent_chain_model.json"),
+                     "--runs", fixture("two_agent_chain_runs.json"),
+                     "--formula", "team: F (red & green)",
+                     "--formula", formula]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_unknown_scope(self, capsys):
         code = main([
             "check",
@@ -688,6 +705,115 @@ class TestMalformedProblemFiles:
         err = capsys.readouterr().err
         assert names in err
         assert "Traceback" not in err
+
+
+def chain_runs_with(stamp=None, **entry):
+    """The two_agent_chain run of r1, with ``stamp`` for the arrival at p2
+    or with ``entry``'s fields."""
+    run = {"prefix": [], "period": "5", "cycle": [
+        ["p1", "0"], ["p2", "1"], ["p3", "5/2"], ["p2", "3"]]}
+    if stamp is not None:
+        run["cycle"][1][1] = stamp
+    return {"runs": {"r1": {**run, **entry}}}
+
+
+class TestRunsLoader:
+    @pytest.mark.parametrize("runs, message", [
+        (chain_runs_with(True),
+         "runs.r1.cycle[1][1]: expected a number or a rational string"),
+        (chain_runs_with(-1),
+         "runs.r1: timestamps must strictly increase: 0 then -1"),
+        (chain_runs_with("-1"),
+         "runs.r1: timestamps must strictly increase: 0 then -1"),
+        (chain_runs_with("1/0"),
+         "runs.r1.cycle[1][1]: not a rational number: '1/0'"),
+        (chain_runs_with("\u00b2"),
+         "runs.r1.cycle[1][1]: not a rational number: '\u00b2'"),
+        # a fullwidth 3 reads as 3
+        (chain_runs_with("\uff13"),
+         "runs.r1: timestamps must strictly increase: 3 then 5/2"),
+        # past the digit limit of int(), which Fraction refuses as well
+        pytest.param(chain_runs_with("1" * 5000),
+                     f"runs.r1.cycle[1][1]: not a rational number: "
+                     f"'{'1' * 5000}'", id="5000 digits"),
+        (chain_runs_with(cycle=[["p1", "0", "p2"]]),
+         "runs.r1.cycle[0]: expected a list of 2"),
+        (chain_runs_with(cycle=[["p1", "0"], [2, "1"]]),
+         "runs.r1.cycle[1][0]: expected a string"),
+        ({"runs": {"r1": {"cycle": [["p1", "0"]]}}}, "runs.r1.period: missing"),
+        (chain_runs_with(prefix={}), "runs.r1.prefix: expected a list"),
+        ({"runs": {}}, "{path}: no runs defined"),
+        # the file's shape is checked before any run is built
+        ({"runs": {**chain_runs_with(period="0")["runs"],
+                   "r2": {"cycle": [["p1", True]], "period": "1"}}},
+         "runs.r2.cycle[0][1]: expected a number or a rational string"),
+        ({"runs": {**chain_runs_with(period="0")["runs"],
+                   "r2": {"cycle": [["p1", "0"]], "period": "1"}}},
+         "runs.r1: lasso period must be positive: 0"),
+    ])
+    def test_malformed_runs_keep_their_messages(self, tmp_path, capsys, runs,
+                                                message):
+        path = write_json(tmp_path / "runs.json", runs)
+        assert main(["check", "--model", fixture("two_agent_chain_model.json"),
+                     "--runs", path]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {message.format(path=path)}\n"
+
+    def test_decimal_and_padded_stamps_load_like_plain_ones(self, tmp_path):
+        from mitlplan.cli import load_runs
+        plain, other = (
+            load_runs(Path(write_json(tmp_path / f"{name}.json", {"runs": {
+                "r": {"prefix": [["a", "0"]], "cycle": [["b", half],
+                                                        ["a", three]],
+                      "period": "4"}}})))["r"]
+            for name, half, three in (("plain", "1/2", "3"),
+                                      ("other", "0.5", " 3 ")))
+        assert other == plain
+        assert (plain.ticks, plain.period_ticks, plain.unit) == (
+            (0, 1, 6), 8, 2)
+
+    def test_plain_stamps_build_no_fraction_and_skip_the_schema(
+            self, tmp_path, monkeypatch):
+        """A runs file of about 1,000 stamps, JSON integers and ``n`` and
+        ``p/q`` text, loads without a ``Fraction`` and without the schema
+        walk; a file with one decimal stamp takes both."""
+        from mitlplan import cli
+
+        def stamp(k):  # k/3 in one of the three spellings
+            return k // 3 if k % 6 == 0 else (
+                str(k // 3) if k % 3 == 0 else f"{k}/3")
+
+        events = [[f"s{k % 5}", stamp(k)] for k in range(1000)]
+        entry = {"prefix": events[:10], "cycle": events[10:],
+                 "period": "1000/3"}
+        plain = Path(write_json(tmp_path / "plain.json", {"runs": {
+            "r1": entry, "r2": {"cycle": events, "period": "1000/3"}}}))
+        entry["cycle"][-1][1] = "333.0"
+        decimal = Path(write_json(tmp_path / "decimal.json", {"runs": {
+            "r1": entry}}))
+        new, check = Q.__new__, cli._check
+
+        def counting_fraction(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counting_check(*args):
+            counts["_check"] += 1
+            return check(*args)
+
+        loaded, built = {}, {}
+        for path in (plain, decimal):
+            counts = built[path] = {"Fraction": 0, "_check": 0}
+            with monkeypatch.context() as patch:
+                patch.setattr(Q, "__new__", staticmethod(counting_fraction))
+                patch.setattr(cli, "_check", counting_check)
+                loaded[path] = cli.load_runs(path)
+        assert built[plain] == {"Fraction": 0, "_check": 0}
+        assert min(built[decimal].values()) > 0, built
+        run = loaded[plain]["r1"]
+        assert (run.loop, run.unit, run.period_ticks) == (10, 3, 1000)
+        assert run.ticks == tuple(range(1000))
+        assert loaded[decimal]["r1"] == run
 
 
 GOOD_TBA = {"clocks": ["x"],

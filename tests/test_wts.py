@@ -72,6 +72,23 @@ class TestRunValidation:
             run.validate_for(t1)
         assert "p1 -> p3" in str(info.value)
 
+    @pytest.mark.parametrize("run, message", [
+        # the cycle's last move, p2 -> p1, takes 2; a period of 6 makes it 3
+        (TimedRun(prefix=(), period=Q(6), cycle=(
+            ("p1", Q(0)), ("p2", Q(1)), ("p3", Q(5, 2)), ("p2", Q(3)))),
+         "step 3: arrival at p1 stamped 6, expected 5"),
+        # r2's p3 -> p2 takes 2, not 1/2
+        (TimedRun(prefix=(("p1", Q(0)),), period=Q(3), cycle=(
+            ("p2", Q(2)), ("p3", Q(5, 2)))),
+         "step 2: arrival at p2 stamped 5, expected 9/2"),
+    ])
+    def test_a_wrong_weight_on_the_wrap_step_is_named(self, run, message):
+        # the step from the cycle's last position into the second turn,
+        # step prefix_length + cycle_length - 1
+        with pytest.raises(InputError) as info:
+            run.validate_for(chain_pair()[run.prefix_length])
+        assert str(info.value) == message
+
     def test_must_start_at_zero(self):
         with pytest.raises(InputError):
             TimedRun(prefix=(("p1", Q(1)),), cycle=(("p2", Q(2)),), period=Q(2))
@@ -213,6 +230,30 @@ class TestCollectiveRun:
                         for i in range(len(events))]
             assert events == expected
 
+    def test_closed_form_equals_the_stepping_merge(self):
+        """On random lassos of 1 to 3 runs with stamps in units of 1, 1/2,
+        1/3 and 1/7, the merge equals the event-at-a-time reference and
+        hashes like it."""
+        from oracles import stepping_merge
+        rng = random.Random(59)
+        seen = {"loop at 0": 0, "loop later": 0, "tied": 0}
+        for trial in range(600):
+            runs = [random_run(rng, rng.choice((Q(1), Q(1, 2), Q(1, 3),
+                                                Q(1, 7))))
+                    for _ in range(rng.randrange(1, 4))]
+            merged, expected = collective_run(runs), stepping_merge(runs)
+            assert merged == expected and hash(merged) == hash(expected), \
+                trial
+            seen["loop at 0" if merged.loop == 0 else "loop later"] += 1
+            # the agents' arrivals before the merged cycle's second turn,
+            # against the merged positions there
+            horizon = merged.stamp_at(len(merged.ticks))
+            arrivals = sum(run.loop + sum(-((stamp - horizon) // run.period)
+                                          for _, stamp in run.cycle)
+                           for run in runs)
+            seen["tied"] += arrivals > len(merged.ticks)
+        assert min(seen.values()) > 100, seen
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             collective_run([])
@@ -228,6 +269,20 @@ class TestCollectiveRun:
         # fall where the exact stamps put them
         assert_random_merges_match(random.Random(56),
                                    weights=(Q(1, 3), Q(2, 7)))
+
+
+def random_run(rng, unit):
+    """A run with 1 to 4 cycle positions after no prefix, in half of the
+    draws, or up to 3 prefix positions; its moves and the period's span
+    take 1 to 3 ``unit``s, and state names repeat."""
+    loop, size = rng.choice((0, 0, 0, 1, 2, 3)), rng.randrange(1, 5)
+    stamps = [Q(0)]
+    for _ in range(loop + size - 1):
+        stamps.append(stamps[-1] + unit * rng.randrange(1, 4))
+    events = [(f"s{rng.randrange(3)}", stamp) for stamp in stamps]
+    return TimedRun(prefix=events[:loop], cycle=events[loop:],
+                    period=stamps[-1] - stamps[loop]
+                    + unit * rng.randrange(1, 4))
 
 
 def assert_random_merges_match(rng, **system_options):
