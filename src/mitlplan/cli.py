@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from math import lcm
 from pathlib import Path
 from typing import Optional
@@ -126,13 +127,25 @@ def _load_json(path: Path) -> dict:
         raise InputError(f"{str(path)!r}: a path cannot hold a NUL byte")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_int=partial(_json_int, path))
     except FileNotFoundError as exc:
         raise InputError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: cannot read: {exc}") from exc
+
+
+def _json_int(path: Path, literal: str) -> int:
+    """A JSON integer literal of ``path``; one with more digits than
+    ``int`` reads (``sys.get_int_max_str_digits``) is refused, where
+    ``int`` would raise a ``ValueError``."""
+    limit = sys.get_int_max_str_digits()
+    digits = len(literal) - literal.startswith("-")
+    if limit and digits > limit:
+        raise InputError(f"{path}: an integer of {digits} digits is longer "
+                         f"than the {limit} digits allowed")
+    return int(literal)
 
 
 def _rational(value, where: str):

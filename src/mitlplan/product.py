@@ -49,11 +49,15 @@ remaining on a move alike: the caller builds the products on the
 ``scaled`` copies of the systems and automata, as ``solve`` does.
 
 Successor lists are memoized per state, and state objects are plain value
-tuples.  Successors come in construction order, which is deterministic:
-a system lists each region's successors sorted and once, and ``step``
-yields each automaton move once in the order of the sorted edges, so the
-products keep their moves as built.  No layer builds the same successor
-twice.  Only the team layer sorts, for the reason given at
+tuples.  Below them, :meth:`TimedBuchiAutomaton.step` memoizes the
+automaton's moves per location, letter, valuation and elapse, so the many
+states that ask one question (the positions of a lasso word that read one
+letter with saturated clocks, say) share one tuple of moves.  Successors
+come in construction order, which is deterministic: a system lists each
+region's successors sorted and once, and ``step`` yields each automaton
+move once in the order of the sorted edges, so the products keep their
+moves as built.  No layer builds the same successor twice.  Only the team
+layer sorts, for the reason given at
 :meth:`TeamProduct._compute_successors`.
 """
 
@@ -121,7 +125,6 @@ class AutomatonProduct(_MemoizedGraph):
         super().__init__()
         self.graph = graph
         self.automaton = automaton
-        self.cmax = automaton.cmax()
 
     def initial_states(self):
         zero = self.automaton.zero_valuation()
@@ -138,7 +141,7 @@ class AutomatonProduct(_MemoizedGraph):
         out = []
         for weight, node in self.graph.successors(state.node):
             for location, landed in step(state.location, state.valuation,
-                                         weight, label_of(node), self.cmax):
+                                         weight, label_of(node)):
                 out.append((weight, ProductState(node, location, landed)))
         return tuple(out)
 

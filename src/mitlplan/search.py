@@ -14,6 +14,7 @@ overflow the interpreter stack.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -88,19 +89,6 @@ def live_states(graph, state_budget: Optional[int] = None) -> frozenset:
     return _components(graph, state_budget, False)
 
 
-class _Component:
-    """An open component of :func:`_components`."""
-
-    __slots__ = ("number", "depth", "place", "marks", "live")
-
-    def __init__(self, number, depth, place, marks):
-        self.number = number  # the root's entry number
-        self.depth = depth    # the root's position on the search path
-        self.place = place    # the root's position among the open states
-        self.marks = marks    # the union of its states' marks
-        self.live = False     # an accepting cycle is reachable from it
-
-
 def _components(graph, state_budget, first):
     """One on-the-fly pass of Couvreur's SCC-based emptiness check (FM
     1999; Gaiser & Schwoon, MEMICS 2009).
@@ -111,81 +99,100 @@ def _components(graph, state_budget, first):
     which then holds a cycle through all of their states; once its marks
     are ``all_marks`` the cycle can accept.  With ``first`` the pass stops
     at the first such merge and returns the search path, the entry numbers
-    and that component, from which :func:`_lasso` builds a lasso (or
-    ``None`` when no merge collects every mark).  Without it the pass
-    runs to the end and returns the live states: a component is live when
-    a merge collected every mark in it, or when it has an edge into a live
-    component, which closed before it.
+    and that component's root number and depth on the path, from which
+    :func:`_lasso` builds a lasso (or ``None`` when no merge collects
+    every mark).  Without it the pass runs to the end and returns the live
+    states: a component is live when a merge collected every mark in it,
+    or when it has an edge into a live component, which closed before it.
+
+    The open components are four parallel stacks, oldest first, with no
+    object per state: the root's entry number, the root's place among the
+    open states, the union of the marks, and whether the component is live.
     """
     marks_of, all_marks = graph.marks, graph.all_marks
+    successors = graph.successors
     index = {}        # every state reached -> its number, -1 once closed
     open_states = []  # the states of the open components, in entry order
-    roots = []        # the open components, oldest first
+    numbers = []      # per open component: its root's entry number,
+    places = []       # its root's place in open_states,
+    marks = []        # the union of its states' marks,
+    lives = []        # whether an accepting cycle is reachable from it
     path = []         # (state, weight into it, successors left to try)
     live = set()
-
-    def enter(state, weight):
-        number = index[state] = len(index)
-        if state_budget is not None and len(index) > state_budget:
-            raise ExplorationLimitError(len(index))
-        roots.append(_Component(number, len(path), len(open_states),
-                                marks_of(state)))
-        open_states.append(state)
-        path.append((state, weight, iter(graph.successors(state))))
 
     for init in graph.initial_states():
         if init in index:
             continue
-        enter(init, None)
-        while path:
-            state, _, successor_iter = path[-1]
-            for weight, succ in successor_iter:
-                number = index.get(succ)
-                if number is None:
-                    enter(succ, weight)
-                    break
-                if number < 0:
-                    roots[-1].live |= succ in live
+        state, weight = init, None
+        while state is not None:
+            number = index[state] = len(index)
+            if state_budget is not None and number >= state_budget:
+                raise ExplorationLimitError(number + 1)
+            numbers.append(number)
+            places.append(len(open_states))
+            marks.append(marks_of(state))
+            lives.append(False)
+            open_states.append(state)
+            path.append((state, weight, iter(successors(state))))
+            state = None
+            while path:
+                for weight, succ in path[-1][2]:
+                    number = index.get(succ)
+                    if number is None:
+                        state = succ
+                        break
+                    if number < 0:
+                        if succ in live:
+                            lives[-1] = True
+                        continue
+                    while numbers[-1] > number:
+                        numbers.pop()
+                        places.pop()
+                        merged = marks.pop()
+                        marks[-1] |= merged
+                        if lives.pop():
+                            lives[-1] = True
+                    if marks[-1] == all_marks:
+                        if first:
+                            root = numbers[-1]
+                            # entry numbers increase along the search path
+                            return path, index, root, bisect_left(
+                                path, root, key=lambda entry: index[entry[0]])
+                        lives[-1] = True
+                else:
+                    if numbers[-1] == index[path.pop()[0]]:
+                        numbers.pop()
+                        marks.pop()
+                        place = places.pop()
+                        component = open_states[place:]
+                        del open_states[place:]
+                        for closed in component:
+                            index[closed] = -1
+                        if lives.pop():
+                            live.update(component)
+                            if lives:
+                                lives[-1] = True
                     continue
-                while roots[-1].number > number:
-                    merged = roots.pop()
-                    roots[-1].marks |= merged.marks
-                    roots[-1].live |= merged.live
-                top = roots[-1]
-                if top.marks == all_marks:
-                    if first:
-                        return path, index, top
-                    top.live = True
-            else:
-                path.pop()
-                if roots[-1].number == index[state]:
-                    closing = roots.pop()
-                    component = open_states[closing.place:]
-                    del open_states[closing.place:]
-                    for closed in component:
-                        index[closed] = -1
-                    if closing.live:
-                        live.update(component)
-                        if roots:
-                            roots[-1].live = True
+                break
     return None if first else frozenset(live)
 
 
-def _lasso(graph, path, index, found: _Component) -> AcceptingLasso:
-    """The stem is the search path to the component's root; the cycle runs
-    inside the component from the root, through a nearest state with a
-    mark still missing until none is, and back to the root.  The component
-    is the states of ``index`` numbered from the root's number on."""
-    stem = path[:found.depth + 1]
+def _lasso(graph, path, index, number, depth) -> AcceptingLasso:
+    """The stem is the search path to the component's root, numbered
+    ``number`` and at ``depth`` on the path; the cycle runs inside the
+    component from the root, through a nearest state with a mark still
+    missing until none is, and back to the root.  The component is the
+    states of ``index`` numbered from ``number`` on."""
+    stem = path[:depth + 1]
     root = stem[-1][0]
     steps = []
     here, marks = root, graph.marks(root)
     while marks != graph.all_marks:
-        steps += _steps_within(graph, here, index, found.number,
+        steps += _steps_within(graph, here, index, number,
                                lambda state: graph.marks(state) & ~marks)
         here = steps[-1][1]
         marks |= graph.marks(here)
-    steps += _steps_within(graph, here, index, found.number,
+    steps += _steps_within(graph, here, index, number,
                            lambda state: state == root)
     return AcceptingLasso(stem_states=tuple(s for s, _, _ in stem),
                           stem_weights=tuple(w for _, w, _ in stem[1:]),

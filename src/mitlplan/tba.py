@@ -26,6 +26,14 @@ order of the sorted edges, so the products never sort or deduplicate its
 moves.  A clock above the automaton's largest constant ``cmax`` is kept at
 ``cmax + 1``: such a clock satisfies exactly the constraints any larger
 value does, so the products stay finite.
+
+A step reads only its location, letter, valuation and elapse, and the
+automaton's fixed edges, checks and ``cmax``, so an automaton memoizes its
+moves: per location, the edges that each letter enables, and per such
+letter the moves of each ``(valuation, elapse)`` it was asked for, kept as
+one immutable tuple that every later call returns.  Saturation keeps the
+valuations few, so a product of thousands of states asks a few dozen or a
+few hundred distinct questions.
 """
 
 from __future__ import annotations
@@ -163,6 +171,8 @@ class TimedBuchiAutomaton:
     # filled by the first step out of a location, see step()
     _step_tables: dict = field(default_factory=dict, repr=False, compare=False)
     _checks: dict = field(default_factory=dict, repr=False, compare=False)
+    # filled by the first call of cmax()
+    _cmax: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.locations = tuple(sorted(self.locations))
@@ -212,7 +222,10 @@ class TimedBuchiAutomaton:
                 for c in comparisons(constraint)}
 
     def cmax(self):
-        return max(self.constants(), default=0)
+        """The largest constant, computed on the first call."""
+        if self._cmax is None:
+            self._cmax = max(self.constants(), default=0)
+        return self._cmax
 
     def deadlines(self) -> dict:
         """Each location whose invariant has a conjunct ``x <= u`` or
@@ -264,25 +277,40 @@ class TimedBuchiAutomaton:
                      if self._holds(self.initial[location], letter)
                      and self._holds(self.invariants[location], zero))
 
-    def step(self, location: str, valuation: tuple, elapse, letter: frozenset[str],
-             cmax) -> list:
+    def step(self, location: str, valuation: tuple, elapse,
+             letter: frozenset[str]) -> tuple:
         """The distinct ``(target, landed valuation)`` pairs of the step out
         of ``location`` on edges whose label holds on ``letter`` after
         ``elapse`` time units, as the module describes it, each at its first
-        edge in edge order; ``cmax`` is at least :meth:`cmax`."""
+        edge in edge order, with clocks saturated at :meth:`cmax` ``+ 1``.
+        The moves are memoized per location, letter, valuation and elapse:
+        the tuple is computed on the first call and returned again on every
+        later one."""
         table = self._step_tables.get(location)
         if table is None:
             table = self._step_tables[location] = (
                 self._check(self.invariants[location]), {})
         invariant, by_letter = table
-        edges = by_letter.get(letter)
-        if edges is None:
-            edges = by_letter[letter] = self._edges_reading(location, letter)
+        entry = by_letter.get(letter)
+        if entry is None:
+            entry = by_letter[letter] = (self._edges_reading(location, letter),
+                                         {})
+        edges, memo = entry
+        key = (valuation, elapse)
+        moves = memo.get(key)
+        if moves is None:
+            moves = memo[key] = self._moves(invariant, edges, valuation,
+                                            elapse)
+        return moves
+
+    def _moves(self, invariant, edges, valuation, elapse) -> tuple:
+        """The moves of :meth:`step`, computed."""
         if not edges:
-            return []
+            return ()
         elapsed = tuple([value + elapse for value in valuation])
         if invariant is not None and not invariant(elapsed):
-            return []
+            return ()
+        cmax = self.cmax()
         cap = cmax + 1
         saturated = tuple([value if value <= cmax else cap for value in elapsed])
         out = []
@@ -297,7 +325,7 @@ class TimedBuchiAutomaton:
                 move = (target, landed)
                 if move not in out:
                     out.append(move)
-        return out
+        return tuple(out)
 
     def _edges_reading(self, location: str, letter: frozenset[str]) -> tuple:
         """The edges out of ``location`` whose label holds on ``letter``, as

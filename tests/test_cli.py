@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 import xml.etree.ElementTree as ElementTree
 from fractions import Fraction as Q
 from pathlib import Path
@@ -1013,6 +1014,34 @@ class TestUnreadablePaths:
         assert main(["plan", str(path)]) == 3
         assert capsys.readouterr().err.startswith(
             f"error: {path}: cannot read: ")
+
+    @pytest.mark.parametrize("name, field", [
+        ("two_agent_chain_runs.json", '"period": "5"'),
+        ("two_agent_chain_model.json", '"weight": "1"'),
+    ])
+    def test_an_integer_longer_than_int_reads_exits_3(self, tmp_path, capsys,
+                                                      name, field):
+        # a period or a weight written as a JSON integer of 5,000 digits
+        text = Path(fixture(name)).read_text()
+        assert field in text
+        path = tmp_path / name
+        path.write_text(text.replace(field, field.split(":")[0] + ": "
+                                     + "7" * 5000, 1))
+        argv = ["check", "--model", fixture("two_agent_chain_model.json"),
+                "--runs", fixture("two_agent_chain_runs.json"),
+                "--formula", "team: F green"]
+        argv[argv.index(fixture(name))] = str(path)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: an integer of 5000 digits is longer than the "
+            f"{sys.get_int_max_str_digits()} digits allowed\n")
+
+    def test_an_integer_as_long_as_int_reads_loads(self, tmp_path):
+        from mitlplan.cli import _load_json
+        digits = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text(f'[-{"9" * digits}, 1]')
+        assert _load_json(path) == [-(10 ** digits - 1), 1]
 
     def test_a_nul_byte_in_an_automaton_path(self, tmp_path, capsys):
         problem = write_json(tmp_path / "problem.json",

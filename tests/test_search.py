@@ -244,6 +244,34 @@ class TestLiveStates:
         assert nonempty > 40 and trimmed > 10
 
 
+class TestDeepPaths:
+    """A path of 100,000 states that closes into a cycle over its second
+    half: the pass and the lasso it finds hold the whole path without
+    recursion."""
+
+    LENGTH = 100_000
+
+    def chain(self, marked):
+        last = self.LENGTH - 1
+        edges = {i: [i + 1] for i in range(last)} | {last: [self.LENGTH // 2]}
+        return ExplicitGraph(initial=[0], edges=edges, marks=one_set([marked]))
+
+    def test_a_mark_on_the_cycle_accepts(self):
+        graph = self.chain(marked=3 * self.LENGTH // 4)
+        assert has_accepting_run(graph)
+        assert live_states(graph) == frozenset(range(self.LENGTH))
+        lasso = find_accepting_lasso(graph)
+        assert lasso.stem_states == tuple(range(self.LENGTH // 2 + 1))
+        assert [s for _, s in lasso.cycle_steps] == [
+            *range(self.LENGTH // 2 + 1, self.LENGTH), self.LENGTH // 2]
+
+    def test_a_mark_on_the_stem_does_not(self):
+        graph = self.chain(marked=self.LENGTH // 4)
+        assert not has_accepting_run(graph)
+        assert live_states(graph) == frozenset()
+        assert find_accepting_lasso(graph) is None
+
+
 class TestPlanPipeline:
     def test_corridor_plan_contains_the_joint_visit(self):
         t1, t2 = corridor_systems()

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction as Q
+from functools import cache
 from math import lcm
 
 import pytest
@@ -16,9 +17,9 @@ from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton,
                           empty_tba, intersect, tba_from_dict,
                           tba_to_dict, translate_mitl, universal_tba)
 from mitlplan.wts import WeightedTransitionSystem
-from oracles import (evaluate_constraint, random_automaton,
+from oracles import (evaluate_constraint, label_holds, random_automaton,
                      random_fragment_formula, random_lasso_word,
-                     reference_step, stamps_scaled)
+                     reference_step, scc_has_accepting_cycle, stamps_scaled)
 
 
 def word(prefix, cycle, period):
@@ -93,7 +94,8 @@ class TestClockConstraints:
 class TestStepKernel:
     def test_step_matches_the_reference_step(self):
         # translated and random automata on integer time; valuations below,
-        # at and above cmax, and saturated at cmax + 1; every target letter
+        # at and above cmax, and saturated at cmax + 1; every target letter.
+        # Each key is stepped twice: the second answer comes from the memo
         rng = random.Random(41)
         atoms = ["p", "q"]
         letters = [frozenset(c) for r in range(len(atoms) + 1)
@@ -117,11 +119,16 @@ class TestStepKernel:
                         for _ in automaton.clocks)
                     elapse = rng.randrange(1, cmax + 3)
                     for letter in letters:
-                        got = automaton.step(location, valuation, elapse,
-                                             letter, cmax)
-                        assert got == reference_step(
+                        expected = tuple(reference_step(
                             automaton, location, valuation, elapse, letter,
-                            cmax), (automaton, location, valuation, elapse)
+                            cmax))
+                        got = automaton.step(location, valuation, elapse,
+                                             letter)
+                        again = automaton.step(location, valuation, elapse,
+                                               letter)
+                        assert type(got) is tuple and again is got
+                        assert got == expected, (automaton, location,
+                                                 valuation, elapse)
                         assert all(type(value) is int
                                    for _, landed in got for value in landed)
                         compared += bool(got)
@@ -139,8 +146,8 @@ class TestStepKernel:
                    Edge("m", TRUE, frozenset(), "m")),
             accepting=frozenset({"m"}), atoms=frozenset({"a", "b"}))
         both = frozenset({"a", "b"})
-        assert automaton.step("l", (0,), 1, both, 5) == [("m", (1,))]
-        assert automaton.step("l", (0,), 1, frozenset({"b"}), 5) == [("m", (1,))]
+        assert automaton.step("l", (0,), 1, both) == (("m", (1,)),)
+        assert automaton.step("l", (0,), 1, frozenset({"b"})) == (("m", (1,)),)
         system = WeightedTransitionSystem(
             states=("s", "t"), initial=frozenset({"s"}),
             weights={("s", "t"): 1, ("t", "t"): 1}, atoms=both,
@@ -236,9 +243,9 @@ class TestTranslate:
 
     def test_a_missed_deadline_stops_the_run(self):
         automaton = translate_mitl(parse_formula("F[0,6] p"))
-        assert automaton.step("wait", (6,), 0, frozenset(), 6) == [("wait", (6,))]
-        assert automaton.step("wait", (6,), 1, frozenset(), 6) == []
-        assert automaton.step("wait", (6,), 1, frozenset({"p"}), 6) == []
+        assert automaton.step("wait", (6,), 0, frozenset()) == (("wait", (6,)),)
+        assert automaton.step("wait", (6,), 1, frozenset()) == ()
+        assert automaton.step("wait", (6,), 1, frozenset({"p"})) == ()
 
     def test_recurrence_shape(self):
         automaton = translate_mitl(parse_formula("G F[0,10] p"))
@@ -313,6 +320,69 @@ class TestAcceptsLasso:
                 w = random_lasso_word(rng, ["p", "q"])
                 assert accepts_lasso(automaton, w) == satisfies(
                     w, parse_formula(text))
+
+    def test_nondeterministic_automata_match_the_scc_oracle(self,
+                                                            monkeypatch):
+        # random automata over one atom, whose letters often enable
+        # several moves, on lasso words with cycles of up to 40 positions;
+        # the oracle pairs the word's positions with the automaton by
+        # reference_step and decides the product by Tarjan's SCCs.  Moves
+        # answered by the step memo meet the branching as well
+        calls = {"step": 0, "computed": 0}
+        step, moves = TimedBuchiAutomaton.step, TimedBuchiAutomaton._moves
+
+        def counted(name, method):
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+            return call
+
+        monkeypatch.setattr(TimedBuchiAutomaton, "step", counted("step", step))
+        monkeypatch.setattr(TimedBuchiAutomaton, "_moves",
+                            counted("computed", moves))
+        rng = random.Random(47)
+        letters = [frozenset(), frozenset({"p"})]
+        verdicts = {True: 0, False: 0}
+        branching = 0
+        for trial in range(300):
+            automaton = random_automaton(rng, letters, size=6)
+            w = random_lasso_word(rng, ["p"], max_prefix=5, max_cycle=40)
+            factor = lcm(w.unit, *(c.denominator
+                                   for c in automaton.constants()))
+            scaled = automaton.scaled(factor)
+            cmax = scaled.cmax()
+            gaps = w.integer_steps(factor)
+
+            @cache  # the oracle's pass asks again for each state
+            def successors(state):
+                position, location, valuation = state
+                gap, after = gaps[position]
+                return [(after, target, landed) for target, landed in
+                        reference_step(scaled, location, valuation, gap,
+                                       w.payloads[after], cmax)]
+
+            zero = dict.fromkeys(scaled.clocks, 0)
+            initial = [(0, location, scaled.zero_valuation())
+                       for location in sorted(scaled.initial)
+                       if label_holds(scaled.initial[location], w.payloads[0])
+                       and evaluate_constraint(scaled.invariants[location],
+                                               zero)]
+            marks = dict.fromkeys(initial, 0)
+            queue = list(initial)
+            for state in queue:
+                marks[state] = int(state[1] in scaled.accepting)
+                following = successors(state)
+                branching += len(following) > 1
+                for succ in following:
+                    if succ not in marks:
+                        marks[succ] = 0
+                        queue.append(succ)
+            expected = scc_has_accepting_cycle(initial, successors, marks, 1)
+            assert accepts_lasso(automaton, w) == expected, trial
+            verdicts[expected] += 1
+        assert verdicts[True] > 10 and verdicts[False] > 100
+        assert branching > 200
+        assert calls["computed"] < calls["step"] * 0.8
 
 
 class TestIntersect:
