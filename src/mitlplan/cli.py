@@ -35,9 +35,9 @@ from .search import (ExplorationLimitError, PlanBundle, find_accepting_lasso,
 from .tba import (TimedBuchiAutomaton, tba_from_dict, tba_to_dict,
                   translate_mitl)
 from .product import GlobalProduct, LocalProduct, TeamProduct
-from .wts import (CollectiveRun, TimedRun, WeightedTransitionSystem,
-                  collective_run, collective_word_of, grid_cells, grid_system,
-                  timed_word_of)
+from .wts import (GRID_MOVES, CollectiveRun, TimedRun,
+                  WeightedTransitionSystem, collective_run, collective_word_of,
+                  grid_cells, grid_system, timed_word_of)
 
 EXIT_SUCCESS = 0
 EXIT_UNSATISFIABLE = 1
@@ -47,16 +47,16 @@ DEFAULT_STATE_BUDGET = 5_000_000
 
 
 # --- the shape of input files -------------------------------------------------
-# The loaders read fields without looking, after _check has held the file
-# against its schema: a dict is an object whose "?" keys are optional (keyed
-# by ``str``: any keys), ``[item]`` a list, ``[a, b]`` a pair, and a type or
-# tuple of types a value.
+# The loaders read fields without looking, after _check (for a runs file,
+# _runs_shaped) has held the file against its schema: a dict is an object
+# whose "?" keys are optional (keyed by ``str``: any keys), ``[item]`` a
+# list, ``[a, b]`` a pair, and a type or tuple of types a value.
 
 _RATIONAL = (str, int)
 _INITIAL = (str, bool)  # a label; true or false in files with location labels
 _KINDS = {dict: "an object", list: "a list", str: "a string",
           int: "an integer", bool: "true or false",
-          _RATIONAL: "a number or a rational string",
+          _RATIONAL: "an integer or a rational string",
           _INITIAL: "a label, true or false"}
 _LABELS = {str: [str]}
 _AGENT = {"name": str, "formula?": str, "tba?": str}
@@ -66,7 +66,7 @@ _EXPLICIT_AGENT = {**_AGENT, "states": [str], "initial": [str],
                                     "weight": _RATIONAL}]}
 _GRID_AGENT = {**_AGENT, "initial?": [str],
                "grid": {"rows": int, "cols": int,
-                        "moveWeights": {str: _RATIONAL},
+                        "moveWeights": dict.fromkeys(GRID_MOVES, _RATIONAL),
                         "labels?": _LABELS, "initial?": [str]}}
 _TEAM = {"formula?": str, "tba?": str}
 _RUNS = {"runs": {str: {"prefix?": [[str, _RATIONAL]],
@@ -190,6 +190,11 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
         if "initial" in entry and "initial" in grid:
             raise InputError(f"{where}.grid.initial: the start cells are "
                              f"given in {where}.initial already")
+        for move in grid["moveWeights"]:
+            if move not in GRID_MOVES:
+                raise InputError(f"{where}.grid.moveWeights.{move}: unknown "
+                                 f"direction, expected one of "
+                                 f"{', '.join(GRID_MOVES)}")
         field = "grid.initial" if "initial" in grid else "initial"
         return grid_system(
             rows=rows, cols=cols,
@@ -285,61 +290,42 @@ def _plain_rational(value):
     return None
 
 
-def _plain_runs(data):
-    """Per run name of a runs file: its states, its prefix length and its
-    stamps as :func:`_plain_rational` pairs, the period last.  ``None``
-    unless every event is a 2-list of a state name and such a stamp, and
-    every period is such a stamp."""
+def _runs_shaped(data) -> bool:
+    """Whether ``data`` holds to ``_RUNS``, tested without ``_check``."""
     runs = data.get("runs") if type(data) is dict else None
-    if type(runs) is not dict:
-        return None
-    plain = {}
-    for name, entry in runs.items():
-        if type(entry) is not dict or "period" not in entry:
-            return None
-        prefix, cycle = entry.get("prefix", []), entry.get("cycle", [])
-        if type(prefix) is not list or type(cycle) is not list:
-            return None
-        events = prefix + cycle
-        if not all(type(event) is list and len(event) == 2
-                   and type(event[0]) is str for event in events):
-            return None
-        stamps = [*map(_plain_rational, [stamp for _, stamp in events]),
-                  _plain_rational(entry["period"])]
-        if None in stamps:
-            return None
-        plain[name] = [state for state, _ in events], len(prefix), stamps
-    return plain
-
-
-def _parsed_runs(data) -> dict:
-    """What :func:`_plain_runs` gives, for any runs file that holds to
-    the schema, each stamp read by ``parse_rational``."""
-    _check(data, _RUNS, "")
-    parsed = {}
-    for name, entry in data["runs"].items():
-        where = f"runs.{name}"
-        parts = {part: entry.get(part, []) for part in ("prefix", "cycle")}
-        stamps = [_rational(stamp, f"{where}.{part}[{i}][1]")
-                  for part, events in parts.items()
-                  for i, (_, stamp) in enumerate(events)]
-        stamps.append(_rational(entry["period"], f"{where}.period"))
-        parsed[name] = ([state for events in parts.values()
-                         for state, _ in events], len(parts["prefix"]),
-                        [(q.numerator, q.denominator) for q in stamps])
-    return parsed
+    # by type(), as a JSON true is no stamp
+    return type(runs) is dict and all(
+        type(entry) is dict and type(entry.get("period")) in _RATIONAL
+        and all(type(events) is list and all(
+            type(event) is list and len(event) == 2
+            and type(event[0]) is str and type(event[1]) in _RATIONAL
+            for event in events)
+            for events in (entry.get("prefix", []), entry.get("cycle", [])))
+        for entry in runs.values())
 
 
 def load_runs(path: Path) -> dict:
-    """The runs of a runs file by agent name, built from ticks.  A file of
-    plain stamps is read without a ``Fraction``; any other goes through the
-    schema and ``parse_rational``, which word its errors."""
+    """The runs of a runs file by agent name, built from ticks.  A file
+    that does not hold to the schema is worded by ``_check``; each stamp is
+    read by :func:`_plain_rational`, or else by ``parse_rational`` under
+    its field name."""
     data = _load_json(path)
-    plain = _plain_runs(data)
-    if plain is None:
-        plain = _parsed_runs(data)
+    if not _runs_shaped(data):
+        _check(data, _RUNS, "")
+    read = {}
+    for name, entry in data["runs"].items():
+        where = f"runs.{name}"
+        parts = {part: entry.get(part, []) for part in ("prefix", "cycle")}
+        stamps = [_plain_rational(stamp) or _rational(
+                      stamp, f"{where}.{part}[{i}][1]").as_integer_ratio()
+                  for part, events in parts.items()
+                  for i, (_, stamp) in enumerate(events)]
+        stamps.append(_plain_rational(entry["period"]) or _rational(
+            entry["period"], f"{where}.period").as_integer_ratio())
+        read[name] = ([state for events in parts.values()
+                       for state, _ in events], len(parts["prefix"]), stamps)
     runs = {}
-    for name, (states, loop, stamps) in plain.items():
+    for name, (states, loop, stamps) in read.items():
         unit = lcm(*(denominator for _, denominator in stamps))
         *ticks, period = [numerator * (unit // denominator)
                           for numerator, denominator in stamps]

@@ -26,15 +26,16 @@ system (:meth:`WeightedTransitionSystem.distances_to`): 0 when the agent's
 component region carries the atom, ``remaining + dist(target)`` while the
 agent is committed to a move (the letter shows the source region until the
 move completes), ``dist(component)`` otherwise, and the least over the
-agents that own the atom.  A label's bound goes by polarity: a negated
-atom costs 0, a conjunction takes the larger side and a disjunction (``!(!a
-& !b)``) the smaller, ``true`` costs 0 and ``false`` is never reached; any
-other node costs 0.  A state ``(team state, l, v)`` is dead when, for one
-deadline of ``l``, every exit's bound exceeds ``u - v(x)`` (or reaches it,
-for ``<``).  The least exit bound is cached per team state and location.
-A dead state has no accepting continuation, and neither has any state
-reachable from it, so the search meets the other states in the same order
-and returns the same first lasso.
+agents that own the atom.  A label is normalized first, so that a
+disjunction written with ``|`` (or ``->``) reads as ``!(!a & !b)``, as a
+translated one does.  Its bound goes by polarity: a negated atom costs 0,
+a conjunction takes the larger side and a disjunction the smaller,
+``true`` costs 0 and ``false`` is never reached.  A state ``(team state,
+l, v)`` is dead when, for one deadline of ``l``, every exit's bound
+exceeds ``u - v(x)`` (or reaches it, for ``<``).  The least exit bound
+is cached per team state and location.  A dead state has no accepting
+continuation, and neither has any state reachable from it, so the search
+meets the other states in the same order and returns the same first lasso.
 
 Acceptance is generalized Büchi: every searched graph gives
 ``marks(state)``, a bitmask of the acceptance sets the state belongs to,
@@ -69,7 +70,8 @@ from math import inf
 from operator import attrgetter
 from typing import NamedTuple
 
-from .mitl import And, Atom, FalseFormula, Formula, Not, TrueFormula
+from .mitl import (And, Atom, FalseFormula, Formula, Not, TrueFormula,
+                   normalize)
 from .search import live_states
 from .tba import TimedBuchiAutomaton
 from .wts import WeightedTransitionSystem
@@ -296,7 +298,8 @@ class GlobalProduct(AutomatonProduct):
         # location -> (clock slot, bound, strict, exit bounds) per deadline
         self._deadlines = {
             location: tuple(
-                (slot, bound, strict, tuple(map(_time_bound, exits)))
+                (slot, bound, strict,
+                 tuple(_time_bound(normalize(label)) for label in exits))
                 for slot, bound, strict, exits in deadlines)
             for location, deadlines in automaton.deadlines().items()}
         # atom -> (agent, region -> time to a region carrying it) per owner

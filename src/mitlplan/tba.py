@@ -625,46 +625,35 @@ def _translate(formula: Formula, atoms: frozenset[str], path: str) -> TimedBuchi
         return universal_tba(atoms)
     if isinstance(formula, FalseFormula):
         return empty_tba(atoms)
-    if is_propositional(formula):
-        b = _Builder(atoms)
-        _translate_propositional(formula, b)
-        return b.build()
+    b = _Builder(atoms)
     match formula:
+        case _ if is_propositional(formula):
+            _translate_propositional(formula, b)
         case And(left, right):
             return intersect(_translate(left, atoms, path + ".left"),
                              _translate(right, atoms, path + ".right"))
         case Eventually(interval, operand) if is_propositional(operand):
-            b = _Builder(atoms)
             _translate_eventually(interval, operand, b)
-            return b.build()
         case Always(outer, Eventually(inner, operand)) if (
                 outer.untimed and is_propositional(operand)
                 and inner.zero_based):
-            b = _Builder(atoms)
             _translate_recurrence(inner, operand, b)
-            return b.build()
         case Always(outer, Not(And(beta, Not(Next(step, Always(window, Not(beta2))))))) if (
                 outer.untimed and step.untimed
                 and is_propositional(beta) and beta == beta2
                 and window.zero_based and not window.unbounded):
             # normalized form of G(beta -> X G[0,c] !beta)
-            b = _Builder(atoms)
             _translate_response(window, beta, b)
-            return b.build()
         case Always(interval, operand) if is_propositional(operand):
-            b = _Builder(atoms)
             _translate_always(interval, operand, b)
-            return b.build()
         case Next(interval, operand) if is_propositional(operand):
-            b = _Builder(atoms)
             _translate_next(interval, operand, b)
-            return b.build()
         case Until(interval, left, right) if (is_propositional(left)
                                               and is_propositional(right)):
-            b = _Builder(atoms)
             _translate_until(interval, left, right, b)
-            return b.build()
-    raise UnsupportedFragmentError(path, formula)
+        case _:
+            raise UnsupportedFragmentError(path, formula)
+    return b.build()
 
 
 # --- intersection ----------------------------------------------------------

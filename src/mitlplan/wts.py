@@ -230,23 +230,26 @@ def grid_cells(rows: int, cols: int) -> list[str]:
     return [f"p{n}" for n in range(1, rows * cols + 1)]
 
 
+# direction -> (row step, column step) of a grid move
+GRID_MOVES = {"up": (-1, 0), "right": (0, 1), "down": (1, 0), "left": (0, -1)}
+
+
 def grid_system(rows: int, cols: int, move_weights: dict, labels: dict,
                 initial) -> WeightedTransitionSystem:
     """A rows-by-cols workspace of :func:`grid_cells` with 4-neighbor
-    moves.  ``move_weights`` maps ``up``/``right``/``down``/``left`` to
-    positive durations.
+    moves.  ``move_weights`` maps each of :data:`GRID_MOVES` to a positive
+    duration.
     """
     if rows < 1 or cols < 1:
         raise InputError("grid needs positive dimensions")
-    directions = {"up": (-1, 0), "right": (0, 1), "down": (1, 0), "left": (0, -1)}
-    for key in directions:
+    for key in GRID_MOVES:
         if key not in move_weights:
             raise InputError(f"grid move weight missing: {key}")
     states = grid_cells(rows, cols)
     weights = {}
     for r in range(rows):
         for c in range(cols):
-            for direction, (dr, dc) in directions.items():
+            for direction, (dr, dc) in GRID_MOVES.items():
                 r2, c2 = r + dr, c + dc
                 if 0 <= r2 < rows and 0 <= c2 < cols:
                     pair = (states[r * cols + c], states[r2 * cols + c2])

@@ -623,6 +623,14 @@ class TestMalformedProblemFiles:
             "rows": 2, "cols": 2, "initial": [],
             "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
          [], "agents[0].grid.initial: at least one initial state is required"),
+        (with_agent(initial=["p1"], grid={
+            "rows": 2, "cols": 2,
+            "moveWeights": {"right": 1, "down": 1, "left": 1}}),
+         [], "error: agents[0].grid.moveWeights.up: missing\n"),
+        (with_agent(initial=["p1"], grid={
+            "rows": 2, "cols": 2, "moveWeights": {
+                "up": 1, "right": 1, "down": 1, "left": 1, "diag": "1"}}),
+         [], "error: agents[0].grid.moveWeights.diag: unknown direction"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):
@@ -721,7 +729,7 @@ def chain_runs_with(stamp=None, **entry):
 class TestRunsLoader:
     @pytest.mark.parametrize("runs, message", [
         (chain_runs_with(True),
-         "runs.r1.cycle[1][1]: expected a number or a rational string"),
+         "runs.r1.cycle[1][1]: expected an integer or a rational string"),
         (chain_runs_with(-1),
          "runs.r1: timestamps must strictly increase: 0 then -1"),
         (chain_runs_with("-1"),
@@ -747,10 +755,21 @@ class TestRunsLoader:
         # the file's shape is checked before any run is built
         ({"runs": {**chain_runs_with(period="0")["runs"],
                    "r2": {"cycle": [["p1", True]], "period": "1"}}},
-         "runs.r2.cycle[0][1]: expected a number or a rational string"),
+         "runs.r2.cycle[0][1]: expected an integer or a rational string"),
         ({"runs": {**chain_runs_with(period="0")["runs"],
                    "r2": {"cycle": [["p1", "0"]], "period": "1"}}},
          "runs.r1: lasso period must be positive: 0"),
+        # a shape error anywhere comes before any stamp's, read or refused
+        ({"runs": {**chain_runs_with("0.5")["runs"],
+                   "r2": {"cycle": [["p1", "0"]], "period": 1.5}}},
+         "runs.r2.period: expected an integer or a rational string"),
+        ({"runs": {**chain_runs_with("abc")["runs"],
+                   "r2": {"cycle": [["p1"]], "period": "1"}}},
+         "runs.r2.cycle[0]: expected a list of 2"),
+        # stamp errors come in the order of the walk
+        ({"runs": {**chain_runs_with("abc")["runs"],
+                   "r2": {"cycle": [["p1", "xyz"]], "period": "1"}}},
+         "runs.r1.cycle[1][1]: not a rational number: 'abc'"),
     ])
     def test_malformed_runs_keep_their_messages(self, tmp_path, capsys, runs,
                                                 message):
@@ -777,7 +796,8 @@ class TestRunsLoader:
             self, tmp_path, monkeypatch):
         """A runs file of about 1,000 stamps, JSON integers and ``n`` and
         ``p/q`` text, loads without a ``Fraction`` and without the schema
-        walk; a file with one decimal stamp takes both."""
+        walk; a file with one decimal stamp builds one ``Fraction``, for
+        that stamp, and skips the schema walk too."""
         from mitlplan import cli
 
         def stamp(k):  # k/3 in one of the three spellings
@@ -810,7 +830,7 @@ class TestRunsLoader:
                 patch.setattr(cli, "_check", counting_check)
                 loaded[path] = cli.load_runs(path)
         assert built[plain] == {"Fraction": 0, "_check": 0}
-        assert min(built[decimal].values()) > 0, built
+        assert built[decimal] == {"Fraction": 1, "_check": 0}
         run = loaded[plain]["r1"]
         assert (run.loop, run.unit, run.period_ticks) == (10, 3, 1000)
         assert run.ticks == tuple(range(1000))

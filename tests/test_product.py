@@ -455,6 +455,36 @@ class TestDeadlinePruning:
         assert statuses["success"] >= 10 and statuses["unsatisfiable"] >= 10
         assert dropped_in_all > 0
 
+    def test_a_disjunction_written_with_or_prunes_as_translated(
+            self, tmp_path):
+        """grid_meet's team automaton from ``translate``, and the same file
+        with its exit label written with ``|``, plan to the same bytes,
+        statistics included."""
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        problem = json.loads((fixtures / "grid_meet.json").read_text())
+        goal = problem["global"].pop("formula")
+        atoms = ",".join(sorted(frozenset().union(*(
+            system.atoms for system in
+            cli.load_model(fixtures / "grid_meet.json").values()))))
+        translated = tmp_path / "translated.json"
+        assert cli.main(["translate", goal, "--alphabet", atoms,
+                         "--out", str(translated)]) == 0
+        text = translated.read_text()
+        exit_label = "!(!(meet1A & meet2A) & !(meet1B & meet2B))"
+        assert exit_label in text
+        (tmp_path / "written.json").write_text(text.replace(
+            exit_label, "(meet1A & meet2A) | (meet1B & meet2B)"))
+        plans = []
+        for name in ("translated", "written"):
+            problem["global"]["tba"] = f"{name}.json"
+            path = tmp_path / f"problem_{name}.json"
+            path.write_text(json.dumps(problem))
+            assert cli.main(["plan", str(path),
+                             "--out-dir", str(tmp_path / name)]) == 0
+            plans.append((tmp_path / name / "plan.json").read_bytes())
+        assert plans[0] == plans[1]
+        assert json.loads(plans[0])["statistics"]["globalLayer"]["pruned"] > 0
+
 
 def _times(state):
     """Every clock value and remaining time held in a product state."""
