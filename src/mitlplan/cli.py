@@ -459,9 +459,10 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
                                          exc.states_explored)
         return PlanOutcome("exploration-limit", None, statistics, tuple(notes))
     # an agent without live states has an empty language of its own, and
-    # leaves the team no initial state
-    for agent, live in zip(problem.agents, team.live):
-        if not live:
+    # leaves the team no initial state; one without initial states has its
+    # note already
+    for agent, local, live in zip(problem.agents, locals_, team.live):
+        if not live and local.initial_states():
             notes.append(f"agent {agent.name}: local specification is "
                          f"unsatisfiable on its own transition system")
 

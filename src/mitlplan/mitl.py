@@ -554,10 +554,7 @@ class _Parser:
             if lower > upper:
                 self.error(f"malformed interval {text}: lower bound exceeds upper",
                            token)
-        try:
-            return TimeInterval(lower, upper, lower_closed, upper_closed)
-        except InputError as exc:
-            self.error(f"malformed interval {text}: {exc}", token)
+        return TimeInterval(lower, upper, lower_closed, upper_closed)
 
     def rational(self) -> Fraction:
         token = self.take()

@@ -15,27 +15,31 @@ and agents finishing exactly then complete their moves.  Layer 3 pairs the
 team graph with the team specification automaton.
 
 The global layer drops every state that can no longer meet a deadline of
-the team automaton, initial or successor.  A deadline of location ``l`` is
-a conjunct ``x <= u`` or ``x < u`` of its invariant; its exits are the
-edges that leave ``l`` or reset ``x`` (:meth:`TimedBuchiAutomaton.deadlines`).
-Every step elapses time, so a run that stays in ``l`` must take an exit
-before ``x`` passes ``u``, and the exit reads a team letter satisfying its
-label.  A lower bound on the time until the team letter carries an atom
-comes from one backward Dijkstra per agent and atom over the agent's
-system (:meth:`WeightedTransitionSystem.distances_to`): 0 when the agent's
-component region carries the atom, ``remaining + dist(target)`` while the
-agent is committed to a move (the letter shows the source region until the
-move completes), ``dist(component)`` otherwise, and the least over the
-agents that own the atom.  A label is normalized first, so that a
-disjunction written with ``|`` (or ``->``) reads as ``!(!a & !b)``, as a
-translated one does.  Its bound goes by polarity: a negated atom costs 0,
-a conjunction takes the larger side and a disjunction the smaller,
-``true`` costs 0 and ``false`` is never reached.  A state ``(team state,
-l, v)`` is dead when, for one deadline of ``l``, every exit's bound
-exceeds ``u - v(x)`` (or reaches it, for ``<``).  The least exit bound
-is cached per team state and location.  A dead state has no accepting
-continuation, and neither has any state reachable from it, so the search
-meets the other states in the same order and returns the same first lasso.
+the team automaton, initial or successor.  The rule is read in one place,
+:func:`_deadlines`.  A deadline of location ``l`` is a conjunct of its
+invariant that bounds a clock ``x`` from above, written ``x <= u`` or
+``!(x > u)``, or strictly, ``x < u`` or ``!(x >= u)``; time is an
+``int``, so the latest value of ``x`` it admits is ``u``, or ``u - 1``
+for a strict bound.  Its exits are the edges that leave ``l`` or reset
+``x``.  Every step elapses time, so a run that stays in ``l`` must take an
+exit before ``x`` passes its latest value, and the exit reads a team
+letter satisfying its label.  A lower bound on the time until the team
+letter carries an atom comes from one backward Dijkstra per agent and atom
+over the agent's system (:meth:`WeightedTransitionSystem.distances_to`):
+0 when the agent's component region carries the atom, ``remaining +
+dist(target)`` while the agent is committed to a move (the letter shows
+the source region until the move completes), ``dist(component)``
+otherwise, and the least over the agents that own the atom.  An exit
+label is normalized first, so that a disjunction written with ``|`` (or
+``->``) reads as ``!(!a & !b)``, as a translated one does.  Its bound goes
+by polarity: a negated atom costs 0, a conjunction takes the larger side
+and a disjunction the smaller, ``true`` costs 0 and ``false`` is never
+reached.  A state ``(team state, l, v)`` is dead when, for one deadline of
+``l``, every exit's bound exceeds the latest value less ``v(x)``.  The
+least exit bound is cached per team state and location.  A dead state has
+no accepting continuation, and neither has any state reachable from it,
+so the search meets the other states in the same order and returns the
+same first lasso.
 
 Acceptance is generalized Büchi: every searched graph gives
 ``marks(state)``, a bitmask of the acceptance sets the state belongs to,
@@ -70,8 +74,8 @@ from math import inf
 from operator import attrgetter
 from typing import NamedTuple
 
-from .mitl import (And, Atom, FalseFormula, Formula, Not, TrueFormula,
-                   normalize)
+from .mitl import (And, Atom, Compare, FalseFormula, Formula, Not,
+                   TrueFormula, normalize)
 from .search import live_states
 from .tba import TimedBuchiAutomaton
 from .wts import WeightedTransitionSystem
@@ -295,21 +299,16 @@ class GlobalProduct(AutomatonProduct):
         self.all_marks = team.all_marks | 1 << team.count
         self.pruned = 0
         self._initial = None
-        # location -> (clock slot, bound, strict, exit bounds) per deadline
-        self._deadlines = {
-            location: tuple(
-                (slot, bound, strict,
-                 tuple(_time_bound(normalize(label)) for label in exits))
-                for slot, bound, strict, exits in deadlines)
-            for location, deadlines in automaton.deadlines().items()}
+        # location -> (clock slot, latest value, exit bounds) per deadline
+        self._deadlines = _deadlines(automaton)
         # atom -> (agent, region -> time to a region carrying it) per owner
         self._distances = {
             atom: tuple((k, local.graph.distances_to(atom))
                         for k, local in enumerate(team.locals)
                         if atom in local.graph.atoms)
             for atom in automaton.atoms}
-        # (team state, location) -> (clock slot, latest value, strict) per
-        # deadline
+        # (team state, location) -> (clock slot, latest value from which an
+        # exit is still in time) per deadline
         self._latest: dict = {}
 
     def initial_states(self):
@@ -340,13 +339,11 @@ class GlobalProduct(AutomatonProduct):
         if latest is None:
             time_to = partial(self._time_to, state.node)
             latest = self._latest[key] = tuple(
-                (slot, bound - min([reach(time_to) for reach in exits],
-                                   default=inf), strict)
-                for slot, bound, strict, exits in deadlines)
+                (slot, value - min([reach(time_to) for reach in exits],
+                                   default=inf))
+                for slot, value, exits in deadlines)
         valuation = state.valuation
-        return any(valuation[slot] > value
-                   or strict and valuation[slot] == value
-                   for slot, value, strict in latest)
+        return any(valuation[slot] > value for slot, value in latest)
 
     def _time_to(self, team: TeamState, atom: str):
         """A lower bound on the time until the team letter carries
@@ -367,6 +364,48 @@ class GlobalProduct(AutomatonProduct):
 
     def statistics(self) -> dict:
         return {**super().statistics(), "pruned": self.pruned}
+
+
+def _deadlines(automaton: TimedBuchiAutomaton) -> dict:
+    """Each location whose invariant bounds a clock ``x`` from above in a
+    top-level conjunct, with one ``(slot of x, latest, exit bounds)`` per
+    such conjunct.  ``latest`` is the largest value of ``x`` the conjunct
+    admits in integer time, so ``automaton`` is a scaled one (a strict
+    bound on another constant raises :class:`ValueError`): ``u`` for
+    ``x <= u`` or ``!(x > u)``, and ``u - 1`` for ``x < u`` or
+    ``!(x >= u)``.  The exits are the edges that leave the location or
+    reset ``x``: a run that stays without resetting ``x`` lets ``x`` grow
+    with the time elapsed, so it must take an exit before ``x`` passes
+    ``latest``, and that exit reads a letter satisfying its label.  Each
+    exit label is normalized and compiled by :func:`_time_bound` here,
+    once."""
+    slot = {clock: i for i, clock in enumerate(automaton.clocks)}
+    out = {}
+    for location in automaton.locations:
+        found, parts = [], [automaton.invariants[location]]
+        while parts:
+            match parts.pop():
+                case And(left, right):
+                    parts += (right, left)  # left to right
+                    continue
+                case (Compare(clock, "<=", bound)
+                      | Not(Compare(clock, ">", bound))):
+                    latest = bound
+                case (Compare(clock, "<", bound)
+                      | Not(Compare(clock, ">=", bound))):
+                    if type(bound) is not int:  # u - 1 only in int time
+                        raise ValueError("a strict deadline needs the "
+                                         "scaled automaton")
+                    latest = bound - 1
+                case _:
+                    continue
+            found.append((slot[clock], latest, tuple(
+                _time_bound(normalize(edge.label))
+                for edge in automaton.edges_from(location)
+                if edge.target != location or clock in edge.resets)))
+        if found:
+            out[location] = tuple(found)
+    return out
 
 
 def _time_bound(label: Formula, positive=True):

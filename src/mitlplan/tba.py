@@ -100,15 +100,6 @@ def comparisons(constraint: Formula):
             raise TypeError(f"not a clock constraint: {constraint!r}")
 
 
-def _conjuncts(constraint: Formula):
-    """The parts of ``constraint`` joined by its top-level ``&``s."""
-    if isinstance(constraint, And):
-        yield from _conjuncts(constraint.left)
-        yield from _conjuncts(constraint.right)
-    else:
-        yield constraint
-
-
 def map_comparisons(constraint: Formula, change) -> Formula:
     """``constraint`` with every comparison ``c`` replaced by ``change(c)``."""
     match constraint:
@@ -226,29 +217,6 @@ class TimedBuchiAutomaton:
         if self._cmax is None:
             self._cmax = max(self.constants(), default=0)
         return self._cmax
-
-    def deadlines(self) -> dict:
-        """Each location whose invariant has a conjunct ``x <= u`` or
-        ``x < u``, with one ``(slot of x, u, strict, exit labels)`` per such
-        conjunct.  The exits are the edges that leave the location or reset
-        ``x``: a run that stays without resetting ``x`` lets ``x`` grow with
-        the time elapsed, so a run whose time diverges must take an exit
-        before ``x`` passes ``u``, and that exit reads a letter satisfying
-        its label."""
-        slot = {clock: i for i, clock in enumerate(self.clocks)}
-        out = {}
-        for location in self.locations:
-            found = tuple(
-                (slot[bound.clock], bound.constant, bound.relation == "<",
-                 tuple(edge.label for edge in self._edges_from[location]
-                       if edge.target != location
-                       or bound.clock in edge.resets))
-                for bound in _conjuncts(self.invariants[location])
-                if isinstance(bound, Compare)
-                and bound.relation in ("<", "<="))
-            if found:
-                out[location] = found
-        return out
 
     def zero_valuation(self) -> tuple:
         return (0,) * len(self.clocks)
@@ -513,23 +481,6 @@ def _translate_propositional(beta: Formula, b: _Builder) -> None:
     b.connect(rest, rest)
 
 
-def _translate_eventually(interval, beta, b: _Builder) -> None:
-    """F[I] beta: the run waits until a beta-position inside the window.
-
-    The clock is never reset, so it reads the time since position 0.
-    ``wait`` carries the deadline as its invariant: once the window has
-    passed, no beta can arrive in time and the run stops there, rather
-    than wait forever without accepting.  The exit guard implies the
-    invariant, so the language is the same."""
-    b.clocks.append("x")
-    wait = b.location("wait", initial=TRUE, invariant=deadline("x", interval))
-    done = b.location("done", accepting=True,
-                      initial=beta if interval.contains(Fraction(0)) else None)
-    b.connect(wait, wait)
-    b.connect(wait, done, beta, guard=interval_guard("x", interval))
-    b.connect(done, done)
-
-
 def _translate_always(interval, beta, b: _Builder) -> None:
     """G[I] beta: every position inside the window reads beta."""
     b.clocks.append("x")
@@ -555,10 +506,13 @@ def _translate_next(interval, beta, b: _Builder) -> None:
 
 def _translate_until(interval, left, right, b: _Builder) -> None:
     """left U[I] right: left holds at each position until a right-position
-    inside the window.
+    inside the window; ``F[I] right`` is ``true U[I] right``.
 
-    As for ``F[I]``, ``wait`` carries the deadline as its invariant, which
-    the exit guard implies."""
+    The clock is never reset, so it reads the time since position 0.
+    ``wait`` carries the deadline as its invariant: once the window has
+    passed, no right-position can arrive in time and the run stops there,
+    rather than wait forever without accepting.  The exit guard implies the
+    invariant, so the language is the same."""
     b.clocks.append("x")
     wait = b.location("wait", initial=left, invariant=deadline("x", interval))
     done = b.location("done", accepting=True,
@@ -633,7 +587,7 @@ def _translate(formula: Formula, atoms: frozenset[str], path: str) -> TimedBuchi
             return intersect(_translate(left, atoms, path + ".left"),
                              _translate(right, atoms, path + ".right"))
         case Eventually(interval, operand) if is_propositional(operand):
-            _translate_eventually(interval, operand, b)
+            _translate_until(interval, TRUE, operand, b)
         case Always(outer, Eventually(inner, operand)) if (
                 outer.untimed and is_propositional(operand)
                 and inner.zero_based):

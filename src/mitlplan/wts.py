@@ -173,9 +173,6 @@ def collective_run(runs) -> CollectiveRun:
     runs = list(runs)
     if not runs:
         raise ValueError("at least one run is required")
-    for run in runs:
-        if run.ticks[0] != 0:
-            raise InputError("all runs must start at time zero")
     factor = lcm(*(run.unit for run in runs))
     timelines = [run.integer_timeline(factor) for run in runs]
     start = max(ticks[run.loop] for run, (ticks, _) in zip(runs, timelines))

@@ -2,15 +2,21 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as Q
+from functools import partial
+from math import inf
+from operator import le, lt
 from pathlib import Path
 
 import pytest
 
 from mitlplan import cli
-from mitlplan.mitl import parse_formula, satisfies
-from mitlplan.product import GlobalProduct, LocalProduct, TeamProduct, TeamState
+from mitlplan.mitl import (And, Atom, Compare, Not, normalize,
+                           parse_constraint, parse_formula, satisfies)
+from mitlplan.product import (GlobalProduct, LocalProduct, TeamProduct,
+                              TeamState, _deadlines, _time_bound)
 from mitlplan.search import find_accepting_lasso
-from mitlplan.tba import translate_mitl, universal_tba
+from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton, translate_mitl,
+                          universal_tba)
 from mitlplan.wts import (TimedRun, WeightedTransitionSystem, grid_cells,
                           timed_word_of)
 from oracles import (UnprunedGlobalProduct, enumerate_timed_runs,
@@ -314,6 +320,14 @@ class TestGlobalProduct:
             covered |= both.marks(state)
         assert covered == both.all_marks
 
+    def test_a_strict_deadline_in_rational_time_raises(self):
+        """``x < u`` admits ``u - 1`` and no more in integer time only: the
+        team automaton must be the scaled one."""
+        goal = translate_mitl(parse_formula("F[0,1/2) green"),
+                              alphabet={"green"})
+        with pytest.raises(ValueError, match="scaled automaton"):
+            GlobalProduct(self._team(), goal)
+
     def test_alphabet_mismatch_raises(self):
         with pytest.raises(ValueError):
             GlobalProduct(self._team(), universal_tba({"green", "zz"}))
@@ -390,7 +404,32 @@ def random_grid_problem(rng: random.Random) -> dict:
     team = rng.choice([f"F[<={deadline}] {meet}",
                        f"G F[<={deadline}] {meet}",
                        f"!meet1B U[<={deadline}] (meet1A & meet2A)"])
+    if rng.random() < 0.5:  # an open deadline, x < deadline
+        team = team.replace(f"[<={deadline}]", f"[0,{deadline})")
     return {"agents": agents, "global": {"formula": team}}
+
+
+def _misses_a_deadline(product: GlobalProduct, state) -> bool:
+    """Whether an exit taken at the earliest time that the product's exit
+    bounds allow breaks a deadline of the state's location, read from the
+    invariant's comparisons with their own relations: a translated
+    automaton writes each deadline as ``x <= u`` or ``x < u``."""
+    automaton = product.automaton
+    time_to = partial(product._time_to, state.node)
+    parts = [automaton.invariants[state.location]]
+    for part in parts:
+        if isinstance(part, And):
+            parts += (part.left, part.right)
+        elif isinstance(part, Compare) and part.relation in ("<", "<="):
+            clock = part.clock
+            exits = [_time_bound(normalize(edge.label))(time_to)
+                     for edge in automaton.edges_from(state.location)
+                     if edge.target != state.location or clock in edge.resets]
+            earliest = (state.valuation[automaton.clocks.index(clock)]
+                        + min(exits, default=inf))
+            if not {"<": lt, "<=": le}[part.relation](earliest, part.constant):
+                return True
+    return False
 
 
 def _reachable_edges(graph, roots):
@@ -420,10 +459,11 @@ class TestDeadlinePruning:
 
         monkeypatch.setattr(cli, "find_accepting_lasso", recorded)
         statuses = Counter()
-        dropped_in_all = 0
+        dropped_in_all = dropped_at_open_deadlines = 0
         for seed in range(60):
             path = tmp_path / f"{seed}.json"
-            path.write_text(json.dumps(random_grid_problem(random.Random(seed))))
+            data = random_grid_problem(random.Random(seed))
+            path.write_text(json.dumps(data))
             problem = cli.load_problem(path)
             searched.clear()
             outcome = cli.solve(problem)
@@ -436,30 +476,68 @@ class TestDeadlinePruning:
             statuses[outcome.status] += 1
 
             # the pruned layer keeps the unpruned one's states in order and
-            # drops only states without an accepting run
+            # drops exactly the states that miss a deadline, none of which
+            # has an accepting run
             reference = UnprunedGlobalProduct(pruned.graph, pruned.automaton)
+            built = list(reference.initial_states())
             kept = set(pruned.initial_states())
-            dropped = [state for state in reference.initial_states()
-                       if state not in kept]
+            dropped = [state for state in built if state not in kept]
             for state, successors in pruned._successor_cache.items():
                 kept = set(successors)
                 every = reference.successors(state)
                 assert list(successors) == [
                     pair for pair in every if pair in kept], seed
                 dropped += [pair[1] for pair in every if pair not in kept]
+                built += [pair[1] for pair in every]
             assert len(dropped) == pruned.statistics()["pruned"], seed
+            assert set(dropped) == {
+                state for state in built
+                if _misses_a_deadline(reference, state)}, seed
+            if "[0," in data["global"]["formula"]:
+                dropped_at_open_deadlines += len(dropped)
             edges, marks = _reachable_edges(reference, dropped)
             assert not scc_has_accepting_cycle(
                 dropped, edges.__getitem__, marks, reference.all_marks), seed
             dropped_in_all += len(dropped)
         assert statuses["success"] >= 10 and statuses["unsatisfiable"] >= 10
-        assert dropped_in_all > 0
+        assert dropped_at_open_deadlines > 0
+        assert dropped_in_all > dropped_at_open_deadlines
 
-    def test_a_disjunction_written_with_or_prunes_as_translated(
-            self, tmp_path):
-        """grid_meet's team automaton from ``translate``, and the same file
-        with its exit label written with ``|``, plan to the same bytes,
-        statistics included."""
+    def test_deadlines_name_the_bounded_clock_and_the_exit_labels(self):
+        def exit_bounds(deadlines):
+            time_to = {"p": 5, "q": 7}.get
+            return {location: [
+                (slot, latest, [reach(time_to) for reach in exits])
+                for slot, latest, exits in found]
+                for location, found in deadlines.items()}
+
+        # wait -> done reads p; the self-loop stays.  In halves, the closed
+        # bound admits 12 and the open one 11
+        for window, latest in (("[1/2,6]", 12), ("[1/2,6)", 11)):
+            eventually = translate_mitl(parse_formula(f"F{window} p"))
+            assert exit_bounds(_deadlines(eventually.scaled(2))) == {
+                "wait": [(0, latest, [5])]}
+        # every spelling of an upper bound counts, and no lower bound does;
+        # a self-loop that resets the clock exits
+        automaton = TimedBuchiAutomaton(
+            locations=("a", "b"), initial={"a": TRUE}, clocks=("x", "y"),
+            invariants={
+                "a": parse_constraint("y <= 2 & !(x > 1) & x < 3"),
+                "b": parse_constraint("!(y >= 2) & x >= 1 & !(x < 1)")},
+            edges=(Edge("a", TRUE, frozenset({"x"}), "a", Atom("p")),
+                   Edge("a", TRUE, frozenset(), "a", Not(Atom("p"))),
+                   Edge("a", TRUE, frozenset(), "b", Atom("q")),
+                   Edge("b", TRUE, frozenset({"y"}), "b", Not(Atom("q")))),
+            accepting=frozenset({"b"}), atoms=frozenset({"p", "q"}))
+        assert exit_bounds(_deadlines(automaton.scaled(1))) == {
+            "a": [(1, 2, [7]), (0, 1, [5, 7]), (0, 2, [5, 7])],
+            "b": [(1, 1, [0])]}
+
+    @staticmethod
+    def _plans_from_a_rewritten_team_file(tmp_path, old, new):
+        """grid_meet's ``plan.json``, with its team automaton from
+        ``translate`` and with the same file with ``old`` rewritten as
+        ``new``."""
         fixtures = Path(__file__).resolve().parent.parent / "fixtures"
         problem = json.loads((fixtures / "grid_meet.json").read_text())
         goal = problem["global"].pop("formula")
@@ -470,10 +548,8 @@ class TestDeadlinePruning:
         assert cli.main(["translate", goal, "--alphabet", atoms,
                          "--out", str(translated)]) == 0
         text = translated.read_text()
-        exit_label = "!(!(meet1A & meet2A) & !(meet1B & meet2B))"
-        assert exit_label in text
-        (tmp_path / "written.json").write_text(text.replace(
-            exit_label, "(meet1A & meet2A) | (meet1B & meet2B)"))
+        assert old in text
+        (tmp_path / "written.json").write_text(text.replace(old, new))
         plans = []
         for name in ("translated", "written"):
             problem["global"]["tba"] = f"{name}.json"
@@ -482,8 +558,27 @@ class TestDeadlinePruning:
             assert cli.main(["plan", str(path),
                              "--out-dir", str(tmp_path / name)]) == 0
             plans.append((tmp_path / name / "plan.json").read_bytes())
-        assert plans[0] == plans[1]
-        assert json.loads(plans[0])["statistics"]["globalLayer"]["pruned"] > 0
+        return plans
+
+    def test_a_disjunction_written_with_or_prunes_as_translated(
+            self, tmp_path):
+        """The exit label written with ``|`` plans to the same bytes,
+        statistics included."""
+        translated, written = self._plans_from_a_rewritten_team_file(
+            tmp_path, "!(!(meet1A & meet2A) & !(meet1B & meet2B))",
+            "(meet1A & meet2A) | (meet1B & meet2B)")
+        assert translated == written
+        assert json.loads(written)["statistics"]["globalLayer"]["pruned"] > 0
+
+    def test_a_deadline_written_as_a_negation_prunes_as_translated(
+            self, tmp_path):
+        """The deadline ``x <= 30`` written as ``!(x > 30)`` plans to the
+        same bytes, statistics included."""
+        translated, written = self._plans_from_a_rewritten_team_file(
+            tmp_path, '"invariant": "x <= 30"', '"invariant": "!(x > 30)"')
+        assert translated == written
+        layer = json.loads(written)["statistics"]["globalLayer"]
+        assert (layer["states"], layer["pruned"]) == (39, 26)
 
 
 def _times(state):

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from mitlplan.cli import AgentSpec, PlanningProblem, solve
+from mitlplan.cli import AgentSpec, PlanningProblem, load_problem, solve
 from mitlplan.mitl import parse_formula, satisfies
 from mitlplan.core import denominator_lcm
 from mitlplan.product import LocalProduct
@@ -15,6 +17,8 @@ from mitlplan.wts import (WeightedTransitionSystem, collective_run,
 from oracles import (ExplicitGraph, enumerate_timed_runs, random_agent_system,
                      random_automaton, random_buchi_graph,
                      random_fragment_formula, scc_has_accepting_cycle)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def make_problem(systems, names, formulas, global_formula, budget=1_000_000):
@@ -350,6 +354,17 @@ class TestPlanPipeline:
         first, second = outcome.statistics["localLayers"]
         assert first["live"] > 0 and second["live"] == 0
         assert outcome.statistics["teamLayer"]["states"] == 0
+
+    def test_an_agent_without_initial_states_is_named_once(self, tmp_path):
+        data = json.loads((FIXTURES / "two_agent_chain_plan.json").read_text())
+        data["agents"][1]["formula"] = "red"  # r2 starts in p1, not red
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        outcome = solve(load_problem(path))
+        assert outcome.status == "unsatisfiable"
+        assert outcome.notes == (
+            "agent r2: no initial state matches the automaton; the local "
+            "specification is unsatisfiable from the start",)
 
     def test_determinism_of_the_full_pipeline(self):
         t1, t2 = corridor_systems()

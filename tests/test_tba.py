@@ -188,24 +188,6 @@ class TestAutomatonModel:
         assert automaton.cmax() == Q(6)
         assert translate_mitl(parse_formula("p")).cmax() == Q(0)
 
-    def test_deadlines_name_the_bounded_clock_and_the_exit_labels(self):
-        eventually = translate_mitl(parse_formula("F[1,6] p"))
-        ((slot, bound, strict, exits),) = eventually.deadlines()["wait"]
-        assert (eventually.clocks[slot], bound, strict) == ("x", 6, False)
-        assert exits == (Atom("p"),)  # wait -> done; the self-loop stays
-        assert set(eventually.deadlines()) == {"wait"}
-        # the open bound is strict; a self-loop that resets the clock exits
-        automaton = TimedBuchiAutomaton(
-            locations=("a", "b"), initial={"a": TRUE}, clocks=("x", "y"),
-            invariants={"a": parse_constraint("y <= 2 & !(x > 1) & x < 3")},
-            edges=(Edge("a", TRUE, frozenset({"x"}), "a", Atom("p")),
-                   Edge("a", TRUE, frozenset(), "a", Not(Atom("p"))),
-                   Edge("a", TRUE, frozenset(), "b", Atom("q"))),
-            accepting=frozenset({"b"}), atoms=frozenset({"p", "q"}))
-        assert automaton.deadlines() == {"a": (
-            (1, 2, False, (Atom("q"),)),
-            (0, 3, True, (Atom("p"), Atom("q"))))}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TimedBuchiAutomaton(locations=("a",), initial={},
