@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt
+from operator import lt, sub
 from typing import Iterable
 
 
@@ -326,8 +326,8 @@ class LassoSequence:
         stamps, period = self.integer_timeline(factor)
         loop = self.loop
         following = stamps[1:] + (stamps[loop] + period,)
-        return [(b - a, j) for a, b, j in zip(
-            stamps, following, [*range(1, len(stamps)), loop])]
+        return list(zip(map(sub, following, stamps),
+                        [*range(1, len(stamps)), loop]))
 
     def unroll(self, count: int) -> tuple:
         """Prefix followed by ``count`` shifted copies of the cycle."""

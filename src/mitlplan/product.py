@@ -7,7 +7,11 @@ the team graph, or the positions of a lasso word (``accepts_lasso``).
 :class:`AutomatonProduct` pairs one with an automaton; each step follows
 an edge of weight ``w`` and moves the automaton with
 :meth:`TimedBuchiAutomaton.step`, elapsing ``w`` and reading the letter of
-the edge's target.  Layer 1 pairs one agent's transition system with its
+the edge's target.  The planner's layers build its states one at a time,
+as a graph for the search; membership of a lasso word sweeps it breadth
+first instead, a whole position of the word at a time
+(:meth:`AutomatonProduct.advance`), and builds no state object.  Layer 1
+pairs one agent's transition system with its
 specification automaton.  Layer 2 interleaves the per-agent layer-1
 graphs, trimmed to their live states (:func:`search.live_states`): each
 step advances time by the smallest time remaining on the agents' moves,
@@ -51,13 +55,16 @@ component is locally accepting, and the global layer adds bit ``n`` (for
 
 Time is an ``int`` in every layer, durations, clock values and the time
 remaining on a move alike: the caller builds the products on the
-``scaled`` copies of the systems and automata, as ``solve`` does.
+``scaled`` copies of the systems and automata, as ``solve`` does, and
+:class:`AutomatonProduct` refuses an automaton with another constant, as
+:class:`LocalProduct` refuses a system with another weight.
 
 Successor lists are memoized per state, and state objects are plain value
-tuples.  Below them, :meth:`TimedBuchiAutomaton.step` memoizes the
-automaton's moves per location, letter, valuation and elapse, so the many
-states that ask one question (the positions of a lasso word that read one
-letter with saturated clocks, say) share one tuple of moves.  Successors
+tuples; a sweep memoizes nothing.  Below both,
+:meth:`TimedBuchiAutomaton.step` memoizes the automaton's moves per
+location, letter, valuation and elapse, so the many states that ask one
+question (the positions of a lasso word that read one letter with
+saturated clocks, say) share one tuple of moves.  Successors
 come in construction order, which is deterministic: a system lists each
 region's successors sorted and once, and ``step`` yields each automaton
 move once in the order of the sorted edges, so the products keep their
@@ -129,8 +136,15 @@ class AutomatonProduct(_MemoizedGraph):
 
     def __init__(self, graph, automaton: TimedBuchiAutomaton):
         super().__init__()
+        others = [c for c in automaton.constants() if type(c) is not int]
+        if others:
+            raise ValueError(f"automaton constant {min(others)!r} is not an "
+                             f"int: build the product on the scaled "
+                             f"automaton")
         self.graph = graph
         self.automaton = automaton
+        # the one step of the automaton, for the successors and the sweep
+        self._step = automaton.step
 
     def initial_states(self):
         zero = self.automaton.zero_valuation()
@@ -143,13 +157,42 @@ class AutomatonProduct(_MemoizedGraph):
     def _compute_successors(self, state: ProductState):
         """In the graph's successor order, and in ``step``'s order among
         the automaton's moves on one graph successor."""
-        step, label_of = self.automaton.step, self.graph.label_of
+        step, label_of = self._step, self.graph.label_of
         out = []
         for weight, node in self.graph.successors(state.node):
             for location, landed in step(state.location, state.valuation,
                                          weight, label_of(node)):
                 out.append((weight, ProductState(node, location, landed)))
         return tuple(out)
+
+    def advance(self, sources: dict, count: int) -> dict:
+        """The states ``count`` steps after ``sources``, breadth first and
+        memoizing nothing: a dict from each state to two ``int`` masks,
+        the one of the sources that reach it and the one of those that
+        reach it through an accepting location, counted on arrival.
+        ``sources`` maps states to masks alike; a state is read as a
+        ``(node, location, valuation)`` tuple, and a reached one is such a
+        plain tuple, equal to its :class:`ProductState`.  The states of
+        one step are merged as they arrive, so the work per step is the
+        number of distinct states, not of paths."""
+        step, label_of = self._step, self.graph.label_of
+        successors, accepting = self.graph.successors, self.automaton.accepting
+        for _ in range(count):
+            reached = {}
+            for (node, location, valuation), (reach, passed) in \
+                    sources.items():
+                for weight, target in successors(node):
+                    for move in step(location, valuation, weight,
+                                     label_of(target)):
+                        through = (passed | reach if move[0] in accepting
+                                   else passed)
+                        state = (target, *move)
+                        known = reached.get(state)
+                        reached[state] = ((reach, through) if known is None
+                                          else (known[0] | reach,
+                                                known[1] | through))
+            sources = reached
+        return sources
 
     def marks(self, state: ProductState) -> int:
         return int(state.location in self.automaton.accepting)
@@ -166,6 +209,13 @@ class LocalProduct(AutomatonProduct):
             raise ValueError(
                 f"system alphabet {sorted(system.atoms)} differs from "
                 f"automaton alphabet {sorted(automaton.atoms)}")
+        weights = system.weights
+        others = [pair for pair in weights if type(weights[pair]) is not int]
+        if others:
+            pair = min(others)
+            raise ValueError(f"transition weight {weights[pair]!r} of {pair} "
+                             f"is not an int: build the product on the "
+                             f"scaled system")
         super().__init__(system, automaton)
 
 
@@ -370,15 +420,14 @@ def _deadlines(automaton: TimedBuchiAutomaton) -> dict:
     """Each location whose invariant bounds a clock ``x`` from above in a
     top-level conjunct, with one ``(slot of x, latest, exit bounds)`` per
     such conjunct.  ``latest`` is the largest value of ``x`` the conjunct
-    admits in integer time, so ``automaton`` is a scaled one (a strict
-    bound on another constant raises :class:`ValueError`): ``u`` for
-    ``x <= u`` or ``!(x > u)``, and ``u - 1`` for ``x < u`` or
-    ``!(x >= u)``.  The exits are the edges that leave the location or
-    reset ``x``: a run that stays without resetting ``x`` lets ``x`` grow
-    with the time elapsed, so it must take an exit before ``x`` passes
-    ``latest``, and that exit reads a letter satisfying its label.  Each
-    exit label is normalized and compiled by :func:`_time_bound` here,
-    once."""
+    admits in integer time, so ``automaton`` is a scaled one, as
+    :class:`AutomatonProduct` checks: ``u`` for ``x <= u`` or
+    ``!(x > u)``, and ``u - 1`` for ``x < u`` or ``!(x >= u)``.  The
+    exits are the edges that leave the location or reset ``x``: a run that
+    stays without resetting ``x`` lets ``x`` grow with the time elapsed, so
+    it must take an exit before ``x`` passes ``latest``, and that exit
+    reads a letter satisfying its label.  Each exit label is normalized
+    and compiled by :func:`_time_bound` here, once."""
     slot = {clock: i for i, clock in enumerate(automaton.clocks)}
     out = {}
     for location in automaton.locations:
@@ -393,9 +442,6 @@ def _deadlines(automaton: TimedBuchiAutomaton) -> dict:
                     latest = bound
                 case (Compare(clock, "<", bound)
                       | Not(Compare(clock, ">=", bound))):
-                    if type(bound) is not int:  # u - 1 only in int time
-                        raise ValueError("a strict deadline needs the "
-                                         "scaled automaton")
                     latest = bound - 1
                 case _:
                     continue

@@ -34,6 +34,16 @@ letter the moves of each ``(valuation, elapse)`` it was asked for, kept as
 one immutable tuple that every later call returns.  Saturation keeps the
 valuations few, so a product of thousands of states asks a few dozen or a
 few hundred distinct questions.
+
+Membership of a lasso word (:func:`accepts_lasso`) follows Markey &
+Schnoebelen, "Model checking a path" (CONCUR 2003): every cycle of the
+word's product with an automaton passes the word's loop head, its first
+cycle position, so acceptance depends only on what one turn of the cycle
+does to the product's configurations there.  The SCC pass of
+:mod:`mitlplan.search` runs on a small graph of those configurations,
+:class:`_CycleProfile`, whose edges come from sweeps of the product over
+the prefix and over the cycle, position by position; no product state is
+built per position.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import (InputError, LassoTimedWord, TimeInterval, denominator_lcm,
@@ -691,17 +702,87 @@ class _LassoWordGraph:
     def __init__(self, word: LassoTimedWord, factor: int):
         # lookups by position, without a Python-level call
         self.label_of = word.payloads.__getitem__
-        self.successors = tuple(((gap, j),) for gap, j in
-                                word.integer_steps(factor)).__getitem__
+        self.successors = tuple(zip(  # one (gap, next) pair per position
+            word.integer_steps(factor))).__getitem__
 
     def initial_states(self):
         return (0,)
 
 
+class _CycleProfile:
+    """The cycle-profile graph of a lasso word's product with an automaton,
+    a graph in the sense of :mod:`mitlplan.search`.  A state is a *head*,
+    a state of the product at the loop head (the word's first cycle
+    position), with a flag, which is also its mark.  The initial states
+    are the heads that one sweep over the prefix reaches, unflagged.  The
+    successors of a head are the heads one turn of the cycle later, each
+    flagged when some turn into it arrives at an accepting location on the
+    way, the head it ends at included and the one it starts from not; a
+    turn elapses the word's period.
+
+    Successors come from :meth:`AutomatonProduct.advance` over one turn,
+    in sweeps: every head known but not yet swept joins the same sweep, as
+    one bit of the masks that the sweep carries."""
+
+    all_marks = 1
+    marks = staticmethod(itemgetter(1))
+
+    def __init__(self, product, loop: int, length: int, period: int):
+        self._product = product
+        self._loop, self._length, self._period = loop, length, period
+        self._turns: dict = {}    # swept head -> its successors
+        self._unswept: dict = {}  # heads known but not swept, in order found
+
+    def initial_states(self):
+        start = dict.fromkeys(self._product.initial_states(), (0, 0))
+        heads = self._product.advance(start, self._loop)
+        self._unswept.update(dict.fromkeys(heads))
+        return tuple((head, 0) for head in heads)
+
+    def successors(self, state):
+        turns = self._turns.get(state[0])
+        if turns is None:
+            self._sweep()
+            turns = self._turns[state[0]]
+        return turns
+
+    def _sweep(self):
+        heads = list(self._unswept)
+        self._unswept.clear()
+        reached = self._product.advance(
+            {head: (1 << k, 0) for k, head in enumerate(heads)}, self._length)
+        turns = [[] for _ in heads]
+        period = self._period
+        for head, (reach, passed) in reached.items():
+            while reach:
+                bit = reach & -reach
+                reach ^= bit
+                turns[bit.bit_length() - 1].append(
+                    (period, (head, 1 if passed & bit else 0)))
+        for head, out in zip(heads, turns):
+            self._turns[head] = tuple(out)
+        for head in reached:
+            if head not in self._turns:
+                self._unswept[head] = None
+
+
 def accepts_lasso(automaton: TimedBuchiAutomaton, word: LassoTimedWord) -> bool:
     """Whether the product of ``word``'s positions with ``automaton`` has
     an accepting lasso, in integer time under the lcm of the word's unit
-    and every denominator of the automaton's constants."""
+    and every denominator of the automaton's constants.
+
+    The pass runs on the word's :class:`_CycleProfile`, not on the
+    product.  Every position of the word has one successor, and the last
+    one leads back to the loop head, so every cycle of the product passes
+    the loop head and splits into whole turns of the cycle between heads.
+    A reachable cycle of the product that visits an accepting location is
+    a reachable cycle of heads in which some turn visits one, with every
+    state on it counted on arrival exactly once; that is a reachable cycle
+    of the profile graph through a flagged state.  Conversely, such a
+    cycle of the profile graph spells turns that chain into a cycle of the
+    product, and the turn into the flagged state visits an accepting
+    location: a head is flagged when some turn into it does, and its
+    successors do not depend on the flag."""
     # both modules import this one
     from .product import AutomatonProduct
     from .search import has_accepting_run
@@ -711,4 +792,6 @@ def accepts_lasso(automaton: TimedBuchiAutomaton, word: LassoTimedWord) -> bool:
     factor = lcm(word.unit, denominator_lcm(automaton.constants()))
     product = AutomatonProduct(_LassoWordGraph(word, factor),
                                automaton.scaled(factor))
-    return has_accepting_run(product)
+    return has_accepting_run(_CycleProfile(
+        product, word.loop, word.cycle_length,
+        word.period_ticks * (factor // word.unit)))

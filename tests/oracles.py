@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
 from mitlplan.mitl import (Always, And, Atom, Compare, Eventually,
@@ -496,6 +498,45 @@ def scc_has_accepting_cycle(initial, successors, marks, all_marks) -> bool:
         if init not in index:
             strongconnect(init)
     return found[0]
+
+
+def lasso_product_oracle(automaton, word) -> tuple[bool, int]:
+    """Whether ``word`` has an accepting run of ``automaton``, decided on
+    the whole product of the word's positions with the automaton: each
+    step by :func:`reference_step` under the lcm of the word's unit and
+    the constants' denominators, and the product by
+    :func:`scc_has_accepting_cycle`.  Also the number of product states
+    with more than one successor."""
+    factor = lcm(word.unit, *(c.denominator for c in automaton.constants()))
+    scaled = automaton.scaled(factor)
+    cmax = scaled.cmax()
+    gaps = word.integer_steps(factor)
+
+    @cache  # the oracle's pass asks again for each state
+    def successors(state):
+        position, location, valuation = state
+        gap, after = gaps[position]
+        return [(after, target, landed) for target, landed in
+                reference_step(scaled, location, valuation, gap,
+                               word.payloads[after], cmax)]
+
+    zero = dict.fromkeys(scaled.clocks, 0)
+    initial = [(0, location, scaled.zero_valuation())
+               for location in sorted(scaled.initial)
+               if label_holds(scaled.initial[location], word.payloads[0])
+               and evaluate_constraint(scaled.invariants[location], zero)]
+    marks = dict.fromkeys(initial, 0)
+    branching = 0
+    queue = list(initial)
+    for state in queue:
+        marks[state] = int(state[1] in scaled.accepting)
+        following = successors(state)
+        branching += len(following) > 1
+        for succ in following:
+            if succ not in marks:
+                marks[succ] = 0
+                queue.append(succ)
+    return scc_has_accepting_cycle(initial, successors, marks, 1), branching
 
 
 def random_buchi_graph(rng: random.Random, max_states=50, sets=1):

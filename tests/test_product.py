@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mitlplan import cli
+from mitlplan.core import denominator_lcm
 from mitlplan.mitl import (And, Atom, Compare, Not, normalize,
                            parse_constraint, parse_formula, satisfies)
 from mitlplan.product import (GlobalProduct, LocalProduct, TeamProduct,
@@ -52,14 +53,26 @@ def shuttle_red():
         atoms=frozenset({"red"}), labels={"q1": set(), "q2": {"red"}})
 
 
+def local_product(system, automaton, factor=None):
+    """The layer-1 product in integer time, as ``solve`` builds it: on the
+    ``scaled`` copies of ``system`` and ``automaton``.  ``factor`` must
+    clear every denominator of the weights and the constants, and the
+    agents of one team share it; by default it is the least that does."""
+    least = denominator_lcm([*system.weights.values(),
+                             *automaton.constants()])
+    assert factor is None or factor % least == 0, (factor, least)
+    factor = factor or least
+    return LocalProduct(system.scaled(factor), automaton.scaled(factor))
+
+
 def recurring_team():
     """Two agents that each see their colour within a deadline, again and
-    again."""
+    again; in halves of a time unit, as ``chain_green`` needs."""
     return TeamProduct([
-        LocalProduct(chain_green(), translate_mitl(
-            parse_formula("G F[0,10] green"), alphabet={"green"})),
-        LocalProduct(shuttle_red(), translate_mitl(
-            parse_formula("G F[0,8] red"), alphabet={"red"})),
+        local_product(chain_green(), translate_mitl(
+            parse_formula("G F[0,10] green"), alphabet={"green"}), 2),
+        local_product(shuttle_red(), translate_mitl(
+            parse_formula("G F[0,8] red"), alphabet={"red"}), 2),
     ])
 
 
@@ -75,26 +88,28 @@ def reachable(graph):
     return seen
 
 
-def run_of_local_lasso(system, lasso):
-    """Project a layer-1 lasso to the agent's timed run."""
+def run_of_local_lasso(system, lasso, factor):
+    """Project a layer-1 lasso, built in ticks of ``1 / factor``, to the
+    agent's timed run."""
     states = [s.node for s in lasso.path_states()]
     stamps = [Q(0)]
     for w in lasso.path_weights():
-        stamps.append(stamps[-1] + w)
+        stamps.append(stamps[-1] + Q(w, factor))
     stem_len = len(lasso.stem_states)
     prefix = tuple(zip(states[:stem_len - 1], stamps[:stem_len - 1]))
     cycle = tuple(zip(states[stem_len - 1:-1], stamps[stem_len - 1:-1]))
-    return TimedRun(prefix=prefix, cycle=cycle, period=lasso.cycle_weight)
+    return TimedRun(prefix=prefix, cycle=cycle,
+                    period=Q(lasso.cycle_weight, factor))
 
 
 class TestLocalProduct:
     def test_recurrence_on_the_corridor(self):
         system = chain_green()
         automaton = translate_mitl(parse_formula("G F[0,10] green"))
-        product = LocalProduct(system, automaton)
+        product = local_product(system, automaton, 2)
         lasso = find_accepting_lasso(product)
         assert lasso is not None
-        run = run_of_local_lasso(system, lasso)
+        run = run_of_local_lasso(system, lasso, 2)
         run.validate_for(system)
         word = timed_word_of(system, run)
         assert satisfies(word, parse_formula("G F[0,10] green"))
@@ -106,7 +121,7 @@ class TestLocalProduct:
         # the universal automaton's one location reads every letter, so
         # each region pairs with it once, whatever the region's letter
         system = tiny_system({"a": {"p"}})
-        product = LocalProduct(system, universal_tba({"p"}))
+        product = local_product(system, universal_tba({"p"}))
         seen = set()
         frontier = list(product.initial_states())
         while frontier:
@@ -124,7 +139,7 @@ class TestLocalProduct:
         system = tiny_system({"a": set(), "b": {"p"}},
                              weights={("a", "b"): Q(3), ("b", "a"): Q(3)})
         automaton = translate_mitl(parse_formula("F[0,2] p"), alphabet={"p"})
-        product = LocalProduct(system, automaton)
+        product = local_product(system, automaton)
         for initial in product.initial_states():
             targets = [s for _, s in product.successors(initial)]
             assert all(t.location.startswith("wait") for t in targets)
@@ -137,7 +152,7 @@ class TestLocalProduct:
     def test_incompatible_initials_reported_not_raised(self):
         system = tiny_system({"a": {"p"}, "b": set()})
         automaton = translate_mitl(parse_formula("G[0,5] !p"), alphabet={"p"})
-        product = LocalProduct(system, automaton)
+        product = local_product(system, automaton)
         assert not product.initial_states()
         assert find_accepting_lasso(product) is None
 
@@ -156,13 +171,15 @@ class TestLocalProduct:
             system = systems[trial % len(systems)]
             formula = random_fragment_formula(rng, sorted(system.atoms))
             automaton = translate_mitl(formula, alphabet=system.atoms)
-            product = LocalProduct(system, automaton)
+            factor = denominator_lcm([*system.weights.values(),
+                                      *automaton.constants()])
+            product = local_product(system, automaton, factor)
             product_lasso = find_accepting_lasso(product)
             runs = enumerate_timed_runs(system, max_stem=3, max_cycle=3)
             any_satisfying = any(
                 satisfies(timed_word_of(system, run), formula) for run in runs)
             if product_lasso is not None:
-                run = run_of_local_lasso(system, product_lasso)
+                run = run_of_local_lasso(system, product_lasso, factor)
                 assert satisfies(timed_word_of(system, run), formula)
             if any_satisfying:
                 assert product_lasso is not None, (trial, formula)
@@ -172,7 +189,7 @@ class TestTeamProduct:
     def test_single_agent_degenerates_to_the_local_layer(self):
         system = chain_green()
         automaton = translate_mitl(parse_formula("G F[0,10] green"))
-        local = LocalProduct(system, automaton)
+        local = local_product(system, automaton, 2)
         team = TeamProduct([local])
         local_lasso = find_accepting_lasso(local)
         team_lasso = find_accepting_lasso(team)
@@ -189,8 +206,9 @@ class TestTeamProduct:
     def test_smallest_step_completes_only_the_fastest_agent(self):
         fast = tiny_system({"a": set()}, weights={("a", "b"): Q(1), ("b", "a"): Q(1)})
         slow = tiny_system({"a": set()}, weights={("a", "b"): Q(2), ("b", "a"): Q(2)})
-        team = TeamProduct([LocalProduct(fast, universal_tba(frozenset())),
-                            LocalProduct(slow, universal_tba(frozenset()))])
+        nothing = universal_tba(frozenset())
+        team = TeamProduct([local_product(fast, nothing),
+                            local_product(slow, nothing)])
         initial = team.initial_states()[0]
         steps = team.successors(initial)
         assert steps
@@ -204,8 +222,9 @@ class TestTeamProduct:
     def test_tied_durations_complete_together(self):
         one = tiny_system({"a": set()}, weights={("a", "b"): Q(2), ("b", "a"): Q(2)})
         two = tiny_system({"a": set()}, weights={("a", "b"): Q(2), ("b", "a"): Q(2)})
-        team = TeamProduct([LocalProduct(one, universal_tba(frozenset())),
-                            LocalProduct(two, universal_tba(frozenset()))])
+        nothing = universal_tba(frozenset())
+        team = TeamProduct([local_product(one, nothing),
+                            local_product(two, nothing)])
         initial = team.initial_states()[0]
         steps = team.successors(initial)
         assert steps
@@ -221,7 +240,7 @@ class TestTeamProduct:
             states=("a", "b"), initial=frozenset({"a"}),
             weights={("a", "b"): Q(1)},
             atoms=frozenset(), labels={})
-        local = LocalProduct(stuck, universal_tba(frozenset()))
+        local = local_product(stuck, universal_tba(frozenset()))
         team = TeamProduct([local])
         assert local.statistics()["states"] == 2
         assert team.live == (frozenset(),)
@@ -235,7 +254,7 @@ class TestTeamProduct:
             states=("a", "b", "c"), initial=frozenset({"a"}),
             weights={("a", "b"): Q(1), ("b", "a"): Q(1), ("a", "c"): Q(1)},
             atoms=frozenset(), labels={})
-        local = LocalProduct(branching, universal_tba(frozenset()))
+        local = local_product(branching, universal_tba(frozenset()))
         team = TeamProduct([local])
         assert {state.node for state in team.live[0]} == {"a", "b"}
         (initial,) = team.initial_states()
@@ -259,8 +278,8 @@ class TestTeamProduct:
             states=("q1", "q2"), initial=frozenset({"q1"}),
             weights={("q1", "q2"): Q(1, 2), ("q2", "q1"): Q(2)},
             atoms=frozenset({"red"}), labels={"q1": set(), "q2": {"red"}})
-        locals_ = [LocalProduct(g1, universal_tba({"green"})),
-                   LocalProduct(g2, universal_tba({"red"}))]
+        locals_ = [local_product(g1, universal_tba({"green"}), 2),
+                   local_product(g2, universal_tba({"red"}), 2)]
         team = TeamProduct(locals_)
         # walk a fixed path and rebuild the runs it claims
         state = team.initial_states()[0]
@@ -282,9 +301,10 @@ class TestTeamProduct:
 
 class TestGlobalProduct:
     def _team(self):
+        """In halves of a time unit: the goals below are scaled by 2."""
         g1 = chain_green()
-        local = LocalProduct(g1, translate_mitl(parse_formula("G F[0,10] green"),
-                                                alphabet={"green"}))
+        local = local_product(g1, translate_mitl(
+            parse_formula("G F[0,10] green"), alphabet={"green"}), 2)
         return TeamProduct([local])
 
     def test_universal_goal_reduces_to_team_emptiness(self):
@@ -299,14 +319,14 @@ class TestGlobalProduct:
         # the corridor's fastest green-to-green loop takes 3 time units
         goal = translate_mitl(parse_formula("X[0,1/2] green"),
                               alphabet={"green"})
-        both = GlobalProduct(team, goal)
+        both = GlobalProduct(team, goal.scaled(2))
         assert find_accepting_lasso(both, 100000) is None
 
     def test_a_cycle_carries_every_agents_mark_and_the_automatons(self):
         team = recurring_team()
         goal = translate_mitl(parse_formula("G F[0,12] (green & red)"),
                               alphabet={"green", "red"})
-        both = GlobalProduct(team, goal)
+        both = GlobalProduct(team, goal.scaled(2))
         assert both.all_marks == 0b111
         lasso = find_accepting_lasso(both, 100000)
         assert lasso is not None
@@ -338,7 +358,7 @@ class TestDeterminism:
         def build():
             system = chain_green()
             automaton = translate_mitl(parse_formula("G F[0,10] green"))
-            product = LocalProduct(system, automaton)
+            product = local_product(system, automaton, 2)
             lasso = find_accepting_lasso(product)
             statistics = product.statistics()
             return statistics["states"], statistics["edges"], lasso
@@ -597,6 +617,18 @@ def _times(state):
 
 
 class TestIntegerTime:
+    def test_a_product_refuses_time_that_is_not_an_int(self):
+        # the products count time in ints, and say which value is not one
+        system = chain_green()
+        automaton = translate_mitl(parse_formula("F[0,1/2] green"))
+        with pytest.raises(ValueError, match=r"transition weight "
+                           r"Fraction\(1, 1\) of \('p1', 'p2'\) is not an int"):
+            LocalProduct(system, automaton.scaled(2))
+        with pytest.raises(ValueError, match=r"automaton constant "
+                           r"Fraction\(1, 2\) is not an int.*scaled automaton"):
+            LocalProduct(system.scaled(2), automaton)
+        LocalProduct(system.scaled(2), automaton.scaled(2))
+
     @pytest.mark.parametrize("name, factor", [
         ("two_agent_chain_plan.json", 2),  # weights in halves
         ("grid_meet.json", 1)])

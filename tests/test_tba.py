@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 from fractions import Fraction as Q
-from functools import cache
 from math import lcm
 
 import pytest
@@ -11,15 +10,16 @@ from mitlplan.core import LassoTimedWord
 from mitlplan.mitl import (And, Atom, Compare, MitlSyntaxError, Not,
                            TrueFormula, format_formula, parse_constraint,
                            parse_formula, satisfies)
-from mitlplan.product import LocalProduct, ProductState
+from mitlplan.product import (AutomatonProduct, LocalProduct,
+                              ProductState)
 from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton,
                           UnsupportedFragmentError, accepts_lasso,
                           empty_tba, intersect, tba_from_dict,
                           tba_to_dict, translate_mitl, universal_tba)
 from mitlplan.wts import WeightedTransitionSystem
-from oracles import (evaluate_constraint, label_holds, random_automaton,
-                     random_fragment_formula, random_lasso_word,
-                     reference_step, scc_has_accepting_cycle, stamps_scaled)
+from oracles import (evaluate_constraint, lasso_product_oracle,
+                     random_automaton, random_fragment_formula,
+                     random_lasso_word, reference_step, stamps_scaled)
 
 
 def word(prefix, cycle, period):
@@ -152,7 +152,7 @@ class TestStepKernel:
             states=("s", "t"), initial=frozenset({"s"}),
             weights={("s", "t"): 1, ("t", "t"): 1}, atoms=both,
             labels={"s": both, "t": both})
-        product = LocalProduct(system, automaton)
+        product = LocalProduct(system, automaton.scaled(1))
         (initial,) = product.initial_states()
         assert product.successors(initial) == (
             (1, ProductState("t", "m", (1,))),)
@@ -329,42 +329,152 @@ class TestAcceptsLasso:
         for trial in range(300):
             automaton = random_automaton(rng, letters, size=6)
             w = random_lasso_word(rng, ["p"], max_prefix=5, max_cycle=40)
-            factor = lcm(w.unit, *(c.denominator
-                                   for c in automaton.constants()))
-            scaled = automaton.scaled(factor)
-            cmax = scaled.cmax()
-            gaps = w.integer_steps(factor)
-
-            @cache  # the oracle's pass asks again for each state
-            def successors(state):
-                position, location, valuation = state
-                gap, after = gaps[position]
-                return [(after, target, landed) for target, landed in
-                        reference_step(scaled, location, valuation, gap,
-                                       w.payloads[after], cmax)]
-
-            zero = dict.fromkeys(scaled.clocks, 0)
-            initial = [(0, location, scaled.zero_valuation())
-                       for location in sorted(scaled.initial)
-                       if label_holds(scaled.initial[location], w.payloads[0])
-                       and evaluate_constraint(scaled.invariants[location],
-                                               zero)]
-            marks = dict.fromkeys(initial, 0)
-            queue = list(initial)
-            for state in queue:
-                marks[state] = int(state[1] in scaled.accepting)
-                following = successors(state)
-                branching += len(following) > 1
-                for succ in following:
-                    if succ not in marks:
-                        marks[succ] = 0
-                        queue.append(succ)
-            expected = scc_has_accepting_cycle(initial, successors, marks, 1)
+            expected, branches = lasso_product_oracle(automaton, w)
+            branching += branches
             assert accepts_lasso(automaton, w) == expected, trial
             verdicts[expected] += 1
         assert verdicts[True] > 10 and verdicts[False] > 100
         assert branching > 200
         assert calls["computed"] < calls["step"] * 0.8
+
+
+class TestCycleProfile:
+    """Membership decided on the graph of loop-head configurations."""
+
+    @staticmethod
+    def untimed(edges, accepting, initial="h"):
+        """An automaton without clocks or atoms: ``edges`` are its
+        ``(source, target)`` pairs."""
+        locations = {initial, *accepting}.union(*edges)
+        return TimedBuchiAutomaton(
+            locations=tuple(locations), initial={initial: TRUE}, clocks=(),
+            invariants={},
+            edges=tuple(Edge(source, TRUE, frozenset(), target)
+                        for source, target in edges),
+            accepting=frozenset(accepting), atoms=frozenset())
+
+    def decide(self, automaton, w, expected):
+        assert lasso_product_oracle(automaton, w)[0] == expected
+        assert accepts_lasso(automaton, w) == expected
+
+    @pytest.mark.parametrize("accepting", ["a", "b"])
+    def test_two_paths_to_the_next_head_keep_the_accepting_one(self,
+                                                               accepting):
+        # h reaches h one turn later through a and through b, and only one
+        # of them accepts: the merged head keeps the flag, whichever of the
+        # two paths arrives last
+        automaton = self.untimed(
+            [("h", "a"), ("h", "b"), ("a", "h"), ("b", "h")], {accepting})
+        self.decide(automaton, word([], [(set(), Q(0)), (set(), Q(1))], 2),
+                    True)
+
+    def test_an_accepting_location_at_the_loop_head_alone_accepts(self):
+        automaton = self.untimed([("s", "h"), ("h", "m"), ("m", "h")], {"h"},
+                                 initial="s")
+        self.decide(automaton, word([(set(), Q(0))],
+                                    [(set(), Q(1)), (set(), Q(2))], 2), True)
+
+    def test_an_accepting_path_that_cannot_close_rejects(self):
+        # a accepts but leads nowhere; the turn through b closes unflagged
+        automaton = self.untimed([("h", "a"), ("h", "b"), ("b", "h")], {"a"})
+        self.decide(automaton, word([], [(set(), Q(0)), (set(), Q(1))], 2),
+                    False)
+
+    def test_an_accepting_location_on_the_prefix_alone_rejects(self):
+        automaton = self.untimed([("s", "h"), ("h", "m"), ("m", "h")], {"s"},
+                                 initial="s")
+        self.decide(automaton, word([(set(), Q(0))],
+                                    [(set(), Q(1)), (set(), Q(2))], 2), False)
+
+    def test_slow_cycles_match_the_oracles(self, monkeypatch):
+        # clock constants up to 8 on periods of 1/4 to 2, so that the
+        # loop-head configurations often settle only after several sweeps;
+        # every third word has an empty prefix, and letters range over two
+        # atoms.  Translated formulas are also checked by the evaluator
+        from mitlplan import tba
+
+        sweeps = []
+        sweep = tba._CycleProfile._sweep
+
+        def counted(profile):
+            sweeps[-1] += 1
+            sweep(profile)
+
+        monkeypatch.setattr(tba._CycleProfile, "_sweep", counted)
+        rng = random.Random(59)
+        atoms = ["p", "q"]
+        letters = [frozenset(c) for r in range(len(atoms) + 1)
+                   for c in itertools.combinations(atoms, r)]
+        verdicts = {True: 0, False: 0}
+        empty = paired = 0
+        for trial in range(240):
+            formula = None
+            if trial % 2:
+                automaton = random_automaton(rng, letters)
+            else:
+                formula = random_fragment_formula(rng, atoms)
+                automaton = translate_mitl(formula, alphabet=set(atoms))
+            w = random_lasso_word(rng, atoms,
+                                  max_prefix=0 if trial % 3 == 0 else 3,
+                                  stamp_unit=Q(1, 4))
+            sweeps.append(0)
+            got = accepts_lasso(automaton, w)
+            assert got == lasso_product_oracle(automaton, w)[0], trial
+            if formula is not None:
+                assert got == satisfies(w, formula), (trial, formula)
+            verdicts[got] += 1
+            empty += not w.prefix
+            paired += frozenset(atoms) in w.payloads
+        assert verdicts[True] > 30 and verdicts[False] > 100
+        assert empty > 80 and paired > 70
+        assert sum(count >= 3 for count in sweeps) > 25
+
+    def test_membership_builds_no_product_successors(self, monkeypatch):
+        calls = []
+        compute = AutomatonProduct._compute_successors
+
+        def counted(product, state):
+            calls.append(state)
+            return compute(product, state)
+
+        monkeypatch.setattr(AutomatonProduct, "_compute_successors", counted)
+        rng = random.Random(61)
+        for text in ("G F[0,2] p", "F[0,3] q", "p U[1,4] q"):
+            formula = parse_formula(text)
+            automaton = translate_mitl(formula, alphabet={"p", "q"})
+            for _ in range(20):
+                w = random_lasso_word(rng, ["p", "q"])
+                assert accepts_lasso(automaton, w) == satisfies(w, formula)
+        assert calls == []
+        # the counter sees the planner's products
+        system = WeightedTransitionSystem(
+            states=("s",), initial=frozenset({"s"}), weights={("s", "s"): 1},
+            atoms=frozenset(), labels={})
+        product = LocalProduct(system, universal_tba(frozenset()))
+        product.successors(product.initial_states()[0])
+        assert len(calls) == 1
+
+
+class TestDeepWords:
+    """A word of 100,000 positions whose cycle is its second half: the
+    sweeps hold one position at a time, without recursion."""
+
+    LENGTH = 100_000
+
+    def word(self, marked):
+        half = self.LENGTH // 2
+        events = [(frozenset({"p"}) if i == marked else frozenset(), Q(i))
+                  for i in range(self.LENGTH)]
+        return LassoTimedWord(prefix=tuple(events[:half]),
+                              cycle=tuple(events[half:]), period=Q(half))
+
+    def test_a_mark_on_the_cycle_accepts(self):
+        automaton = translate_mitl(parse_formula("G F p"))
+        assert accepts_lasso(automaton, self.word(3 * self.LENGTH // 4))
+
+    def test_a_mark_on_the_stem_does_not(self):
+        automaton = translate_mitl(parse_formula("G F p"))
+        assert not accepts_lasso(automaton, self.word(self.LENGTH // 4))
 
 
 class TestIntersect:
