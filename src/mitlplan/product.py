@@ -9,7 +9,8 @@ an edge of weight ``w`` and moves the automaton with
 :meth:`TimedBuchiAutomaton.step`, elapsing ``w`` and reading the letter of
 the edge's target.  The planner's layers build its states one at a time,
 as a graph for the search; membership of a lasso word sweeps it breadth
-first instead, a whole position of the word at a time
+first instead, from the configurations at the start of the prefix or at
+the loop head, a whole position of the word at a time
 (:meth:`AutomatonProduct.advance`), and builds no state object.  Layer 1
 pairs one agent's transition system with its
 specification automaton.  Layer 2 interleaves the per-agent layer-1
@@ -167,30 +168,24 @@ class AutomatonProduct(_MemoizedGraph):
 
     def advance(self, sources: dict, count: int) -> dict:
         """The states ``count`` steps after ``sources``, breadth first and
-        memoizing nothing: a dict from each state to two ``int`` masks,
-        the one of the sources that reach it and the one of those that
-        reach it through an accepting location, counted on arrival.
-        ``sources`` maps states to masks alike; a state is read as a
-        ``(node, location, valuation)`` tuple, and a reached one is such a
-        plain tuple, equal to its :class:`ProductState`.  The states of
-        one step are merged as they arrive, so the work per step is the
-        number of distinct states, not of paths."""
+        memoizing nothing: a dict from each state to whether some path to
+        it passes an accepting location, counted on arrival.  ``sources``
+        maps states to such flags alike; a state is read as a ``(node,
+        location, valuation)`` tuple, and a reached one is such a plain
+        tuple, equal to its :class:`ProductState`.  The states of one step
+        are merged as they arrive, their flags by ``or``, so the work per
+        step is the number of distinct states, not of paths."""
         step, label_of = self._step, self.graph.label_of
         successors, accepting = self.graph.successors, self.automaton.accepting
         for _ in range(count):
             reached = {}
-            for (node, location, valuation), (reach, passed) in \
-                    sources.items():
+            for (node, location, valuation), passed in sources.items():
                 for weight, target in successors(node):
                     for move in step(location, valuation, weight,
                                      label_of(target)):
-                        through = (passed | reach if move[0] in accepting
-                                   else passed)
                         state = (target, *move)
-                        known = reached.get(state)
-                        reached[state] = ((reach, through) if known is None
-                                          else (known[0] | reach,
-                                                known[1] | through))
+                        reached[state] = (passed or move[0] in accepting
+                                          or reached.get(state, False))
             sources = reached
         return sources
 

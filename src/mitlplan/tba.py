@@ -41,9 +41,11 @@ word's product with an automaton passes the word's loop head, its first
 cycle position, so acceptance depends only on what one turn of the cycle
 does to the product's configurations there.  The SCC pass of
 :mod:`mitlplan.search` runs on a small graph of those configurations,
-:class:`_CycleProfile`, whose edges come from sweeps of the product over
-the prefix and over the cycle, position by position; no product state is
-built per position.
+:class:`_CycleProfile`.  One sweep of the product over the prefix,
+position by position, gives its initial configurations, and one sweep
+over the cycle from a configuration, when the pass first asks for it,
+gives that configuration's successors; no product state is built per
+position.
 """
 
 from __future__ import annotations
@@ -720,9 +722,9 @@ class _CycleProfile:
     way, the head it ends at included and the one it starts from not; a
     turn elapses the word's period.
 
-    Successors come from :meth:`AutomatonProduct.advance` over one turn,
-    in sweeps: every head known but not yet swept joins the same sweep, as
-    one bit of the masks that the sweep carries."""
+    The successors of a head come from one sweep of
+    :meth:`AutomatonProduct.advance` over one turn, from that head alone,
+    on the first request for either flag; both flags share them."""
 
     all_marks = 1
     marks = staticmethod(itemgetter(1))
@@ -730,40 +732,21 @@ class _CycleProfile:
     def __init__(self, product, loop: int, length: int, period: int):
         self._product = product
         self._loop, self._length, self._period = loop, length, period
-        self._turns: dict = {}    # swept head -> its successors
-        self._unswept: dict = {}  # heads known but not swept, in order found
+        self._turns: dict = {}  # swept head -> its successors
 
     def initial_states(self):
-        start = dict.fromkeys(self._product.initial_states(), (0, 0))
+        start = dict.fromkeys(self._product.initial_states(), False)
         heads = self._product.advance(start, self._loop)
-        self._unswept.update(dict.fromkeys(heads))
         return tuple((head, 0) for head in heads)
 
     def successors(self, state):
-        turns = self._turns.get(state[0])
+        head = state[0]
+        turns = self._turns.get(head)
         if turns is None:
-            self._sweep()
-            turns = self._turns[state[0]]
+            turns = self._turns[head] = tuple(
+                (self._period, (target, int(passed))) for target, passed in
+                self._product.advance({head: False}, self._length).items())
         return turns
-
-    def _sweep(self):
-        heads = list(self._unswept)
-        self._unswept.clear()
-        reached = self._product.advance(
-            {head: (1 << k, 0) for k, head in enumerate(heads)}, self._length)
-        turns = [[] for _ in heads]
-        period = self._period
-        for head, (reach, passed) in reached.items():
-            while reach:
-                bit = reach & -reach
-                reach ^= bit
-                turns[bit.bit_length() - 1].append(
-                    (period, (head, 1 if passed & bit else 0)))
-        for head, out in zip(heads, turns):
-            self._turns[head] = tuple(out)
-        for head in reached:
-            if head not in self._turns:
-                self._unswept[head] = None
 
 
 def accepts_lasso(automaton: TimedBuchiAutomaton, word: LassoTimedWord) -> bool:

@@ -380,6 +380,25 @@ class TestCycleProfile:
         self.decide(automaton, word([], [(set(), Q(0)), (set(), Q(1))], 2),
                     False)
 
+    def test_a_head_that_closes_an_accepting_cycle_alone_is_swept_alone(
+            self, monkeypatch):
+        # the prefix reaches g and h; the pass asks for g's turn first, and
+        # g's turn passes the accepting a and closes, so h is never swept
+        swept = []
+        advance = AutomatonProduct.advance
+
+        def counted(product, sources, count):
+            swept.append(sorted(location for _, location, _ in sources))
+            return advance(product, sources, count)
+
+        monkeypatch.setattr(AutomatonProduct, "advance", counted)
+        automaton = self.untimed([("s", "g"), ("s", "h"), ("g", "a"),
+                                  ("a", "g"), ("h", "b"), ("b", "h")], {"a"},
+                                 initial="s")
+        self.decide(automaton, word([(set(), Q(0))],
+                                    [(set(), Q(1)), (set(), Q(2))], 2), True)
+        assert swept == [["s"], ["g"]]
+
     def test_an_accepting_location_on_the_prefix_alone_rejects(self):
         automaton = self.untimed([("s", "h"), ("h", "m"), ("m", "h")], {"s"},
                                  initial="s")
@@ -388,19 +407,17 @@ class TestCycleProfile:
 
     def test_slow_cycles_match_the_oracles(self, monkeypatch):
         # clock constants up to 8 on periods of 1/4 to 2, so that the
-        # loop-head configurations often settle only after several sweeps;
-        # every third word has an empty prefix, and letters range over two
-        # atoms.  Translated formulas are also checked by the evaluator
-        from mitlplan import tba
+        # membership often sweeps several loop-head configurations; every
+        # third word has an empty prefix, and letters range over two atoms.
+        # Translated formulas are also checked by the evaluator
+        swept = []  # per word, the heads swept over one turn of the cycle
+        advance = AutomatonProduct.advance
 
-        sweeps = []
-        sweep = tba._CycleProfile._sweep
+        def counted(product, sources, count):
+            swept[-1] += 1
+            return advance(product, sources, count)
 
-        def counted(profile):
-            sweeps[-1] += 1
-            sweep(profile)
-
-        monkeypatch.setattr(tba._CycleProfile, "_sweep", counted)
+        monkeypatch.setattr(AutomatonProduct, "advance", counted)
         rng = random.Random(59)
         atoms = ["p", "q"]
         letters = [frozenset(c) for r in range(len(atoms) + 1)
@@ -417,7 +434,7 @@ class TestCycleProfile:
             w = random_lasso_word(rng, atoms,
                                   max_prefix=0 if trial % 3 == 0 else 3,
                                   stamp_unit=Q(1, 4))
-            sweeps.append(0)
+            swept.append(-1)  # the first sweep is over the prefix
             got = accepts_lasso(automaton, w)
             assert got == lasso_product_oracle(automaton, w)[0], trial
             if formula is not None:
@@ -427,7 +444,7 @@ class TestCycleProfile:
             paired += frozenset(atoms) in w.payloads
         assert verdicts[True] > 30 and verdicts[False] > 100
         assert empty > 80 and paired > 70
-        assert sum(count >= 3 for count in sweeps) > 25
+        assert sum(heads >= 3 for heads in swept) > 25
 
     def test_membership_builds_no_product_successors(self, monkeypatch):
         calls = []
