@@ -474,10 +474,11 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
                                          exc.states_explored)
         return PlanOutcome("exploration-limit", None, statistics, tuple(notes))
     if lasso is None:
-        if global_prod.pruned and not global_prod.initial_states():
+        statistics = _collect_statistics(locals_, team, global_prod, 0)
+        if (not global_prod.initial_states()
+                and statistics["globalLayer"]["pruned"]):
             notes.append("team: no initial state can meet the team "
                          "specification's deadline")
-        statistics = _collect_statistics(locals_, team, global_prod, 0)
         return PlanOutcome("unsatisfiable", None, statistics, tuple(notes))
 
     bundle = project_plan(lasso, problem, factor)

@@ -60,8 +60,11 @@ remaining on a move alike: the caller builds the products on the
 :class:`AutomatonProduct` refuses an automaton with another constant, as
 :class:`LocalProduct` refuses a system with another weight.
 
-Successor lists are memoized per state, and state objects are plain value
-tuples; a sweep memoizes nothing.  Below both,
+Only the local layer memoizes successor lists: each is read by every team
+state that holds its state.  The team and global layers build them on each
+expansion and record their number (and how many were dropped), so a state
+counts once in ``statistics()``.  State objects are plain value
+tuples; a sweep memoizes nothing.  Below every layer,
 :meth:`TimedBuchiAutomaton.step` memoizes the automaton's moves per
 location, letter, valuation and elapse, so the many states that ask one
 question (the positions of a lasso word that read one letter with
@@ -69,9 +72,8 @@ saturated clocks, say) share one tuple of moves.  Successors
 come in construction order, which is deterministic: a system lists each
 region's successors sorted and once, and ``step`` yields each automaton
 move once in the order of the sorted edges, so the products keep their
-moves as built.  No layer builds the same successor twice.  Only the team
-layer sorts, for the reason given at
-:meth:`TeamProduct._compute_successors`.
+moves as built.  No expansion builds the same successor twice.  Only the
+team layer sorts, for the reason given at :meth:`TeamProduct.successors`.
 """
 
 from __future__ import annotations
@@ -102,33 +104,7 @@ class TeamState(NamedTuple):
     letter: frozenset  # atoms of the components' regions, one object each
 
 
-class _MemoizedGraph:
-    """Shared successor memoization and statistics."""
-
-    def __init__(self):
-        self._successor_cache: dict = {}
-
-    def successors(self, state):
-        cached = self._successor_cache.get(state)
-        if cached is None:
-            cached = self._compute_successors(state)
-            self._successor_cache[state] = cached
-        return cached
-
-    def _compute_successors(self, state):
-        raise NotImplementedError
-
-    def statistics(self) -> dict:
-        """The states expanded so far, their edges, and how many of them
-        carry every acceptance mark."""
-        cache = self._successor_cache
-        return {"states": len(cache),
-                "edges": sum(len(v) for v in cache.values()),
-                "accepting": sum(1 for s in cache
-                                 if self.marks(s) == self.all_marks)}
-
-
-class AutomatonProduct(_MemoizedGraph):
+class AutomatonProduct:
     """A labelled weighted graph paired with a timed automaton, as the
     module describes it; its one acceptance set is the accepting
     locations."""
@@ -136,7 +112,6 @@ class AutomatonProduct(_MemoizedGraph):
     all_marks = 1
 
     def __init__(self, graph, automaton: TimedBuchiAutomaton):
-        super().__init__()
         others = [c for c in automaton.constants() if type(c) is not int]
         if others:
             raise ValueError(f"automaton constant {min(others)!r} is not an "
@@ -155,7 +130,7 @@ class AutomatonProduct(_MemoizedGraph):
             for location in self.automaton.initial_locations(
                 self.graph.label_of(node)))
 
-    def _compute_successors(self, state: ProductState):
+    def successors(self, state: ProductState):
         """In the graph's successor order, and in ``step``'s order among
         the automaton's moves on one graph successor."""
         step, label_of = self._step, self.graph.label_of
@@ -212,9 +187,19 @@ class LocalProduct(AutomatonProduct):
                              f"is not an int: build the product on the "
                              f"scaled system")
         super().__init__(system, automaton)
+        self._memo: dict = {}  # expanded state -> its successors
+
+    def successors(self, state: ProductState):
+        out = self._memo.get(state)
+        if out is None:
+            out = self._memo[state] = super().successors(state)
+        return out
+
+    def statistics(self) -> dict:
+        return _statistics(self, {s: len(v) for s, v in self._memo.items()})
 
 
-class TeamProduct(_MemoizedGraph):
+class TeamProduct:
     """Interleaving of the per-agent products, over their live states only.
 
     A state fixes each agent's current layer-1 state, the layer-1 state it
@@ -237,7 +222,6 @@ class TeamProduct(_MemoizedGraph):
     label_of = staticmethod(attrgetter("letter"))
 
     def __init__(self, locals_, state_budget=None):
-        super().__init__()
         self.locals = tuple(locals_)
         if not self.locals:
             raise ValueError("at least one agent is required")
@@ -247,6 +231,7 @@ class TeamProduct(_MemoizedGraph):
                           for local in self.locals)
         self._letters: dict = {}  # region vector -> its letter
         self._interned: dict = {}  # letter -> the one object for it
+        self._edges: dict = {}  # expanded state -> its number of successors
 
     def _letter(self, components) -> frozenset[str]:
         regions = tuple([component.node for component in components])
@@ -273,7 +258,7 @@ class TeamProduct(_MemoizedGraph):
             ))
         return tuple(out)
 
-    def _compute_successors(self, state: TeamState):
+    def successors(self, state: TeamState):
         """Two interleavings never build the same state.  They are sorted
         all the same, because the search returns the first lasso in this
         order and the plan is projected from it: in the order of
@@ -310,6 +295,7 @@ class TeamProduct(_MemoizedGraph):
             out.append((step, TeamState(tuple(components), tuple(targets),
                                         tuple(remaining),
                                         self._letter(components))))
+        self._edges[state] = len(out)
         return tuple(sorted(out, key=self._successor_key))
 
     @staticmethod
@@ -325,13 +311,16 @@ class TeamProduct(_MemoizedGraph):
         return sum(local.marks(component) << k for k, (local, component)
                    in enumerate(zip(self.locals, state.components)))
 
+    def statistics(self) -> dict:
+        return _statistics(self, self._edges)
+
 
 class GlobalProduct(AutomatonProduct):
     """Layer 3: the team graph paired with the team automaton; the marks
     are the team's, and bit ``n`` at an accepting location.
 
     It never returns a dead state, initial or successor, as the module
-    describes it; ``pruned`` counts the states it dropped."""
+    describes it; its ``pruned`` statistic counts the states it dropped."""
 
     def __init__(self, team: TeamProduct, automaton: TimedBuchiAutomaton):
         team_atoms = frozenset().union(
@@ -342,8 +331,9 @@ class GlobalProduct(AutomatonProduct):
                 f"alphabet {sorted(automaton.atoms)}")
         super().__init__(team, automaton)
         self.all_marks = team.all_marks | 1 << team.count
-        self.pruned = 0
         self._initial = None
+        self._edges: dict = {}  # expanded state -> its number of successors
+        self._dropped: dict = {}  # expanded state -> its dead successors
         # location -> (clock slot, latest value, exit bounds) per deadline
         self._deadlines = _deadlines(automaton)
         # atom -> (agent, region -> time to a region carrying it) per owner
@@ -361,17 +351,14 @@ class GlobalProduct(AutomatonProduct):
             candidates = super().initial_states()
             self._initial = tuple(
                 state for state in candidates if not self._dead(state))
-            self.pruned += len(candidates) - len(self._initial)
         return self._initial
 
-    def _compute_successors(self, state: ProductState):
-        out = []
-        for pair in super()._compute_successors(state):
-            if self._dead(pair[1]):
-                self.pruned += 1
-            else:
-                out.append(pair)
-        return tuple(out)
+    def successors(self, state: ProductState):
+        built = super().successors(state)
+        out = tuple([pair for pair in built if not self._dead(pair[1])])
+        self._edges[state] = len(out)
+        self._dropped[state] = len(built) - len(out)
+        return out
 
     def _dead(self, state: ProductState) -> bool:
         """Whether every exit of one of the location's deadlines is further
@@ -408,7 +395,16 @@ class GlobalProduct(AutomatonProduct):
                 | super().marks(state) << self.graph.count)
 
     def statistics(self) -> dict:
-        return {**super().statistics(), "pruned": self.pruned}
+        pruned = (len(super().initial_states()) - len(self.initial_states())
+                  + sum(self._dropped.values()))
+        return {**_statistics(self, self._edges), "pruned": pruned}
+
+
+def _statistics(layer, edges: dict) -> dict:
+    """The states expanded so far, their edges, and how many of them carry
+    every acceptance mark, from each expanded state's number of edges."""
+    return {"states": len(edges), "edges": sum(edges.values()), "accepting":
+            sum(layer.marks(state) == layer.all_marks for state in edges)}
 
 
 def _deadlines(automaton: TimedBuchiAutomaton) -> dict:

@@ -20,7 +20,8 @@ from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
 from mitlplan.mitl import (Always, And, Atom, Compare, Eventually,
                            FalseFormula, Implies, Next, Not, Or, TrueFormula,
                            Until)
-from mitlplan.product import AutomatonProduct, GlobalProduct
+from mitlplan.product import (AutomatonProduct, GlobalProduct, LocalProduct,
+                              TeamProduct)
 
 
 # --- brute-force MITL evaluation on a finite unrolling ------------------
@@ -663,4 +664,45 @@ class UnprunedGlobalProduct(GlobalProduct):
     and successor that the team graph and the team automaton build."""
 
     initial_states = AutomatonProduct.initial_states
-    _compute_successors = AutomatonProduct._compute_successors
+    successors = AutomatonProduct.successors
+
+
+class _Memoized:
+    """Mixed in before a layer: every successor list memoized per state,
+    and the statistics walked off the memo, as they were when every layer
+    memoized.  The global layer's ``pruned`` is what the unpruned product
+    builds from the expanded states, initial ones included, less what the
+    layer kept."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.cache = {}
+
+    def successors(self, state):
+        if state not in self.cache:
+            self.cache[state] = super().successors(state)
+        return self.cache[state]
+
+    def statistics(self) -> dict:
+        cache = self.cache
+        out = {"states": len(cache),
+               "edges": sum(len(v) for v in cache.values()),
+               "accepting": sum(1 for s in cache
+                                if self.marks(s) == self.all_marks)}
+        if isinstance(self, GlobalProduct):
+            built = len(AutomatonProduct.initial_states(self)) + sum(
+                len(AutomatonProduct.successors(self, s)) for s in cache)
+            out["pruned"] = built - len(self.initial_states()) - out["edges"]
+        return out
+
+
+class MemoizedLocalProduct(_Memoized, LocalProduct):
+    pass
+
+
+class MemoizedTeamProduct(_Memoized, TeamProduct):
+    pass
+
+
+class MemoizedGlobalProduct(_Memoized, GlobalProduct):
+    pass

@@ -145,3 +145,48 @@ def test_main_catches_input_errors_only():
     # ValueError would turn a bug in the program into "invalid input"
     assert not any("ValueError" in _caught(node) for node in ast.walk(tree)
                    if isinstance(node, ast.ExceptHandler))
+
+
+def _holds_successor_lists(value, depth=2) -> bool:
+    """Whether ``value``, or a container in it down to ``depth`` levels,
+    is a non-empty sequence of ``(weight, state)`` pairs."""
+    from mitlplan.product import ProductState, TeamState
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, (tuple, list, set, frozenset)) or not value:
+        return False
+    if all(isinstance(item, tuple) and len(item) == 2
+           and type(item[0]) is int
+           and isinstance(item[1], (ProductState, TeamState))
+           for item in value):
+        return True
+    return depth > 0 and any(_holds_successor_lists(item, depth - 1)
+                             for item in value)
+
+
+def test_only_the_local_layer_memoizes_successors(monkeypatch):
+    from mitlplan import cli
+    from mitlplan.product import GlobalProduct
+    defined, _ = _definitions_and_uses()
+    assert "_MemoizedGraph" not in defined
+    assert "_compute_successors" not in defined
+    built = []
+
+    class Recorded(GlobalProduct):
+        def __init__(self, team, automaton):
+            super().__init__(team, automaton)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "GlobalProduct", Recorded)
+    problem = cli.load_problem(PACKAGE.parent.parent / "fixtures"
+                               / "grid_meet.json")
+    assert cli.solve(problem).status == "success"
+    (global_product,) = built
+    team = global_product.graph
+    for layer in (global_product, team):
+        holding = [name for name, value in vars(layer).items()
+                   if _holds_successor_lists(value)]
+        assert not holding, f"{type(layer).__name__} keeps {holding}"
+    assert all(any(_holds_successor_lists(value)
+                   for value in vars(local).values())
+               for local in team.locals)

@@ -20,8 +20,10 @@ from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton, translate_mitl,
                           universal_tba)
 from mitlplan.wts import (TimedRun, WeightedTransitionSystem, grid_cells,
                           timed_word_of)
-from oracles import (UnprunedGlobalProduct, enumerate_timed_runs,
-                     random_fragment_formula, scc_has_accepting_cycle)
+from oracles import (MemoizedGlobalProduct, MemoizedLocalProduct,
+                     MemoizedTeamProduct, UnprunedGlobalProduct,
+                     enumerate_timed_runs, random_fragment_formula,
+                     scc_has_accepting_cycle)
 
 
 def tiny_system(labels, weights=None, atoms=None):
@@ -429,6 +431,14 @@ def random_grid_problem(rng: random.Random) -> dict:
     return {"agents": agents, "global": {"formula": team}}
 
 
+def _expanded(layer) -> list:
+    """The states that ``layer`` has expanded so far: the keys of the local
+    layer's memo, or of the record of successor counts that the team and
+    global layers keep instead."""
+    return list(layer._memo if isinstance(layer, LocalProduct)
+                else layer._edges)
+
+
 def _misses_a_deadline(product: GlobalProduct, state) -> bool:
     """Whether an exit taken at the earliest time that the product's exit
     bounds allow breaks a deadline of the state's location, read from the
@@ -502,7 +512,8 @@ class TestDeadlinePruning:
             built = list(reference.initial_states())
             kept = set(pruned.initial_states())
             dropped = [state for state in built if state not in kept]
-            for state, successors in pruned._successor_cache.items():
+            for state in _expanded(pruned):
+                successors = pruned.successors(state)
                 kept = set(successors)
                 every = reference.successors(state)
                 assert list(successors) == [
@@ -649,11 +660,97 @@ class TestIntegerTime:
         team = global_product.graph
         weights = values = 0
         for layer in (global_product, team, *team.locals):
-            for state, successors in layer._successor_cache.items():
-                for weight, successor in ((0, state), *successors):
+            for state in _expanded(layer):
+                for weight, successor in ((0, state),
+                                          *layer.successors(state)):
                     assert type(weight) is int
                     weights += 1
                     for value in _times(successor):
                         assert type(value) is int
                         values += 1
         assert weights > 100 and values > 100
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PLAN_FIXTURES = ("grid_meet.json", "grid_meet_three.json",
+                 "two_agent_chain_plan.json")
+
+
+class TestStatistics:
+    """Only the local layer keeps successor lists; the team and global
+    layers record a count per expanded state.  Their statistics equal those
+    of a reference that memoizes every layer and walks its memos, and stay
+    equal when every expanded state is expanded again."""
+
+    @staticmethod
+    def _layers(monkeypatch, problem, classes=None):
+        """The outcome of ``solve`` and its global, team and local layers,
+        built from ``classes`` when given."""
+        searched = []
+
+        def recorded(graph, state_budget=None):
+            searched.append(graph)
+            return find_accepting_lasso(graph, state_budget)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "find_accepting_lasso", recorded)
+            for name, cls in (classes or {}).items():
+                patched.setattr(cli, name, cls)
+            outcome = cli.solve(problem)
+        (global_product,) = searched
+        team = global_product.graph
+        return outcome, (global_product, team, *team.locals)
+
+    def assert_statistics_match(self, monkeypatch, problem, label):
+        outcome, layers = self._layers(monkeypatch, problem)
+        reference, memoized = self._layers(monkeypatch, problem, {
+            "LocalProduct": MemoizedLocalProduct,
+            "TeamProduct": MemoizedTeamProduct,
+            "GlobalProduct": MemoizedGlobalProduct})
+        assert outcome.status == reference.status, label
+        assert outcome.statistics == reference.statistics, label
+        expected = [layer.statistics() for layer in memoized]
+        assert [layer.statistics() for layer in layers] == expected, label
+        # a state expanded again builds the same successors, and counts once
+        for layer, memo in zip(layers, memoized):
+            for state, successors in memo.cache.items():
+                assert layer.successors(state) == successors, label
+        assert [layer.statistics() for layer in layers] == expected, label
+        return outcome.status, expected
+
+    def test_seeded_grid_problems(self, tmp_path, monkeypatch):
+        statuses = Counter()
+        pruned = 0
+        for seed in range(60):
+            path = tmp_path / f"{seed}.json"
+            path.write_text(json.dumps(
+                random_grid_problem(random.Random(seed))))
+            status, (global_stats, *_) = self.assert_statistics_match(
+                monkeypatch, cli.load_problem(path), seed)
+            statuses[status] += 1
+            pruned += global_stats["pruned"]
+        assert statuses["success"] >= 10 and statuses["unsatisfiable"] >= 10
+        assert pruned > 0
+
+    @pytest.mark.parametrize("name", PLAN_FIXTURES)
+    def test_plan_fixtures(self, monkeypatch, name):
+        status, (global_stats, team_stats, *_) = self.assert_statistics_match(
+            monkeypatch, cli.load_problem(FIXTURES / name), name)
+        assert status == "success"
+        assert global_stats["states"] > 10 and team_stats["edges"] > 10
+
+
+def test_solving_grid_meet_three_stays_small_in_memory():
+    """Without successor lists in the team and global layers, solving
+    grid_meet_three peaks at about 3.7 MiB of Python allocations; it peaked
+    at 8.2 MiB while both layers kept theirs."""
+    import tracemalloc
+    problem = cli.load_problem(FIXTURES / "grid_meet_three.json")
+    tracemalloc.start()
+    try:
+        outcome = cli.solve(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == "success"
+    assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

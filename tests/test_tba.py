@@ -448,13 +448,13 @@ class TestCycleProfile:
 
     def test_membership_builds_no_product_successors(self, monkeypatch):
         calls = []
-        compute = AutomatonProduct._compute_successors
+        compute = AutomatonProduct.successors
 
         def counted(product, state):
             calls.append(state)
             return compute(product, state)
 
-        monkeypatch.setattr(AutomatonProduct, "_compute_successors", counted)
+        monkeypatch.setattr(AutomatonProduct, "successors", counted)
         rng = random.Random(61)
         for text in ("G F[0,2] p", "F[0,3] q", "p U[1,4] q"):
             formula = parse_formula(text)
