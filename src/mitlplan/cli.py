@@ -363,14 +363,16 @@ _TEAM_ERRORS = (
 def _load_specification(entry: dict, atoms: frozenset, base: Path,
                         where: str, errors: tuple):
     """The formula, or ``None``, and the automaton of an agent or of the
-    team: the entry's formula, over ``atoms`` and translated, or else its
-    automaton file, whose alphabet must be ``atoms``."""
+    team: the entry's formula, over ``atoms`` and translated, or its
+    automaton file, whose alphabet must be ``atoms``, but not both."""
 
     def error(which: int, found=None) -> InputError:
         return InputError(errors[which].format(
             name=entry.get("name"), found=found, atoms=sorted(atoms)))
 
     text = entry.get("formula")
+    if text is not None and "tba" in entry:
+        raise InputError(f"{where}: give a formula or a tba file, not both")
     if text is not None:
         with naming(f"{where}.formula"):
             formula = parse_formula(text)
@@ -452,22 +454,17 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
                 f"the local specification is unsatisfiable from the start")
         locals_.append(local)
 
+    team = global_prod = None
     try:
         team = TeamProduct(locals_, problem.state_budget)
-    except ExplorationLimitError as exc:
-        statistics = _collect_statistics(locals_, None, None,
-                                         exc.states_explored)
-        return PlanOutcome("exploration-limit", None, statistics, tuple(notes))
-    # an agent without live states has an empty language of its own, and
-    # leaves the team no initial state; one without initial states has its
-    # note already
-    for agent, local, live in zip(problem.agents, locals_, team.live):
-        if not live and local.initial_states():
-            notes.append(f"agent {agent.name}: local specification is "
-                         f"unsatisfiable on its own transition system")
-
-    global_prod = GlobalProduct(team, global_automaton)
-    try:
+        # an agent without live states has an empty language of its own,
+        # and leaves the team no initial state; one without initial states
+        # has its note already
+        for agent, local, live in zip(problem.agents, locals_, team.live):
+            if not live and local.initial_states():
+                notes.append(f"agent {agent.name}: local specification is "
+                             f"unsatisfiable on its own transition system")
+        global_prod = GlobalProduct(team, global_automaton)
         lasso = find_accepting_lasso(global_prod, problem.state_budget)
     except ExplorationLimitError as exc:
         statistics = _collect_statistics(locals_, team, global_prod,

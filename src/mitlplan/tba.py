@@ -28,12 +28,13 @@ moves.  A clock above the automaton's largest constant ``cmax`` is kept at
 value does, so the products stay finite.
 
 A step reads only its location, letter, valuation and elapse, and the
-automaton's fixed edges, checks and ``cmax``, so an automaton memoizes its
-moves: per location, the edges that each letter enables, and per such
-letter the moves of each ``(valuation, elapse)`` it was asked for, kept as
-one immutable tuple that every later call returns.  Saturation keeps the
+automaton's fixed edges, formulas and ``cmax``, so an automaton memoizes
+its moves in one map from ``(location, letter, valuation, elapse)`` to one
+immutable tuple that every later call returns.  Saturation keeps the
 valuations few, so a product of thousands of states asks a few dozen or a
-few hundred distinct questions.
+few hundred distinct questions.  The memo, the compiled formulas and
+``cmax`` are attributes, not fields: the constructor takes only the
+model, and ``==`` compares only the model.
 
 Membership of a lasso word (:func:`accepts_lasso`) follows Markey &
 Schnoebelen, "Model checking a path" (CONCUR 2003): every cycle of the
@@ -50,12 +51,12 @@ position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (InputError, LassoTimedWord, TimeInterval, denominator_lcm,
                    naming)
@@ -171,12 +172,6 @@ class TimedBuchiAutomaton:
     edges: tuple[Edge, ...]
     accepting: frozenset[str]
     atoms: frozenset[str]
-    _edges_from: dict = field(default_factory=dict, repr=False)
-    # filled by the first step out of a location, see step()
-    _step_tables: dict = field(default_factory=dict, repr=False, compare=False)
-    _checks: dict = field(default_factory=dict, repr=False, compare=False)
-    # filled by the first call of cmax()
-    _cmax: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.locations = tuple(sorted(self.locations))
@@ -214,6 +209,10 @@ class TimedBuchiAutomaton:
         for edge in self.edges:
             by_source[edge.source].append(edge)
         self._edges_from = {loc: tuple(edges) for loc, edges in by_source.items()}
+        # filled on use, see step(), _holds() and cmax()
+        self._memo: dict = {}  # (location, letter, valuation, elapse) -> moves
+        self._checks: dict = {}  # formula -> its predicate
+        self._cmax = None
 
     def edges_from(self, location: str) -> tuple[Edge, ...]:
         return self._edges_from[location]
@@ -264,72 +263,51 @@ class TimedBuchiAutomaton:
         of ``location`` on edges whose label holds on ``letter`` after
         ``elapse`` time units, as the module describes it, each at its first
         edge in edge order, with clocks saturated at :meth:`cmax` ``+ 1``.
-        The moves are memoized per location, letter, valuation and elapse:
-        the tuple is computed on the first call and returned again on every
-        later one."""
-        table = self._step_tables.get(location)
-        if table is None:
-            table = self._step_tables[location] = (
-                self._check(self.invariants[location]), {})
-        invariant, by_letter = table
-        entry = by_letter.get(letter)
-        if entry is None:
-            entry = by_letter[letter] = (self._edges_reading(location, letter),
-                                         {})
-        edges, memo = entry
-        key = (valuation, elapse)
-        moves = memo.get(key)
+        One memo maps ``(location, letter, valuation, elapse)`` to the
+        moves: the tuple is computed on the first call and returned again
+        on every later one."""
+        key = (location, letter, valuation, elapse)
+        moves = self._memo.get(key)
         if moves is None:
-            moves = memo[key] = self._moves(invariant, edges, valuation,
-                                            elapse)
+            moves = self._memo[key] = self._moves(*key)
         return moves
 
-    def _moves(self, invariant, edges, valuation, elapse) -> tuple:
+    def _moves(self, location: str, letter: frozenset[str], valuation: tuple,
+               elapse) -> tuple:
         """The moves of :meth:`step`, computed."""
+        holds = self._holds
+        edges = [edge for edge in self._edges_from[location]
+                 if holds(edge.label, letter)]
         if not edges:
             return ()
         elapsed = tuple([value + elapse for value in valuation])
-        if invariant is not None and not invariant(elapsed):
+        if not holds(self.invariants[location], elapsed):
             return ()
         cmax = self.cmax()
         cap = cmax + 1
         saturated = tuple([value if value <= cmax else cap for value in elapsed])
         out = []
-        for target, guard, resets, target_invariant in edges:
-            if guard is not None and not guard(elapsed):
+        for edge in edges:
+            if not holds(edge.guard, elapsed):
                 continue
             landed = saturated
-            if resets:
-                landed = tuple([0 if slot in resets else value
-                                for slot, value in enumerate(saturated)])
-            if target_invariant is None or target_invariant(landed):
-                move = (target, landed)
-                if move not in out:
-                    out.append(move)
+            if edge.resets:
+                landed = tuple([0 if clock in edge.resets else value
+                                for clock, value in zip(self.clocks, saturated)])
+            move = (edge.target, landed)
+            if holds(self.invariants[edge.target], landed) and move not in out:
+                out.append(move)
         return tuple(out)
-
-    def _edges_reading(self, location: str, letter: frozenset[str]) -> tuple:
-        """The edges out of ``location`` whose label holds on ``letter``, as
-        (target, guard, reset slots, target invariant)."""
-        slot = {clock: i for i, clock in enumerate(self.clocks)}
-        return tuple(
-            (edge.target, self._check(edge.guard),
-             frozenset(slot[clock] for clock in edge.resets),
-             self._check(self.invariants[edge.target]))
-            for edge in self._edges_from[location]
-            if self._holds(edge.label, letter))
-
-    def _check(self, formula: Formula) -> Optional[Callable]:
-        """A label, guard or invariant compiled once per automaton, on its
-        first use."""
-        if formula not in self._checks:
-            self._checks[formula] = compile_formula(formula, self.clocks)
-        return self._checks[formula]
 
     def _holds(self, formula: Formula, value) -> bool:
         """Whether a label holds on a letter, or a guard or an invariant
-        on a valuation tuple."""
-        check = self._check(formula)
+        on a valuation tuple; each formula is compiled once per automaton,
+        on its first use."""
+        try:
+            check = self._checks[formula]
+        except KeyError:
+            check = self._checks[formula] = compile_formula(formula,
+                                                            self.clocks)
         return check is None or check(value)
 
 
@@ -371,7 +349,7 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
     read in it, as a ``label`` list of atoms, and a boolean ``initial``:
     that letter becomes the label of every edge into the location and of
     its initial entry.  Without ``atoms`` the alphabet is every atom the
-    labels name."""
+    labels name.  A location or a clock listed twice is refused."""
     def constraint(entry: dict, key: str, where: str) -> Formula:
         with naming(f"{where}.{key}: constraint syntax"):
             return parse_constraint(entry.get(key, "true"))
@@ -391,6 +369,16 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
         named[f"{where}.{key}"] = atoms_of(formula)
         return formula
 
+    def unique(names: list, where: str) -> None:
+        seen = set()
+        for i, name in enumerate(names):
+            if name in seen:
+                raise InputError(f"{where.format(i)}: {name!r} is listed "
+                                 f"before")
+            seen.add(name)
+
+    unique([entry["name"] for entry in data["locations"]], "locations[{}].name")
+    unique(data.get("clocks", []), "clocks[{}]")
     letters = {}  # location of an old file -> the exact letter read there
     for i, entry in enumerate(data["locations"]):
         if "label" in entry:

@@ -19,7 +19,7 @@ arrival.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, repeat
@@ -39,7 +39,6 @@ class WeightedTransitionSystem:
     weights: dict  # (source, target) -> positive duration
     atoms: frozenset[str]
     labels: dict  # state -> frozenset of atoms
-    _successors: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.states = tuple(sorted(self.states))

@@ -448,6 +448,31 @@ class TestPlanCommand:
                             {"states": 0, "edges": 0, "accepting": 0}],
             "statesAtLimit": 41}
 
+    def test_the_global_search_counts_against_the_budget(
+            self, tmp_path, capsys):
+        # the live-state passes fit in 1,000 states, the global search of
+        # 2,282 states does not
+        from mitlplan.cli import load_problem, solve
+        data = json.loads(Path(fixture("grid_meet_three.json")).read_text())
+        data.setdefault("options", {})["stateBudget"] = 1000
+        problem = write_json(tmp_path / "small.json", data)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == \
+            "EXPLORATION LIMIT: stopped after 1001 states\n"
+        assert not (tmp_path / "plan.json").exists()
+        outcome = solve(load_problem(Path(problem)))
+        assert outcome.status == "exploration-limit"
+        assert outcome.notes == ()
+        assert outcome.statistics == {
+            "localLayers": [
+                {"states": 47, "edges": 119, "accepting": 22, "live": 27},
+                {"states": 57, "edges": 149, "accepting": 26, "live": 31},
+                {"states": 148, "edges": 424, "accepting": 43, "live": 105}],
+            "teamLayer": {"states": 1000, "edges": 8203, "accepting": 0},
+            "globalLayer": {"states": 1000, "edges": 3227, "accepting": 0,
+                            "pruned": 4976},
+            "statesAtLimit": 1001}
+
     def test_plan_revalidates_under_check(self, tmp_path, capsys):
         assert main(["plan", fixture("two_agent_chain_plan.json"),
                      "--out-dir", str(tmp_path)]) == 0
@@ -631,6 +656,11 @@ class TestMalformedProblemFiles:
             "rows": 2, "cols": 2, "moveWeights": {
                 "up": 1, "right": 1, "down": 1, "left": 1, "diag": "1"}}),
          [], "error: agents[0].grid.moveWeights.diag: unknown direction"),
+        # the file is not read: the formula would hide it
+        (with_agent(tba="goal.json"), [],
+         "error: agents[0]: give a formula or a tba file, not both"),
+        ({**with_agent(), "global": {"formula": "true", "tba": "goal.json"}},
+         [], "error: global: give a formula or a tba file, not both"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):
@@ -952,6 +982,15 @@ class TestMalformedAutomatonFiles:
         ("global", with_edges({"label": " & ".join(["true"] * 150)}),
          "global.tba: edges[0].label: 1:698: formula nested deeper than 100 "
          "levels"),
+        # the second entry's invariant would replace the first one's
+        ("global", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "invariant": "x <= 1"},
+            {"name": "m", "label": []},
+            {**GOOD_TBA["locations"][0], "invariant": "x <= 100"}]},
+         "global.tba: locations[2].name: 'l' is listed before"),
+        # two slots of one clock: a guard reads one, a reset sets both
+        ("agent", {**GOOD_TBA, "clocks": ["x", "y", "x"]},
+         "agents[0].tba: clocks[2]: 'x' is listed before"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):

@@ -129,6 +129,23 @@ def test_every_exception_of_the_package_is_an_input_error():
     assert others == {"search.ExplorationLimitError", "search.ProjectionError"}
 
 
+def test_no_dataclass_declares_a_private_field():
+    # a cache is an attribute set in __post_init__: as a field it would be
+    # a constructor parameter, and compared by ==
+    import dataclasses
+    import importlib
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"mitlplan.{path.stem}")
+        for name, value in vars(module).items():
+            if (dataclasses.is_dataclass(value) and isinstance(value, type)
+                    and value.__module__ == module.__name__):
+                private += [f"{path.stem}.{name}.{item.name}"
+                            for item in dataclasses.fields(value)
+                            if item.name.startswith("_")]
+    assert private == []
+
+
 def _caught(handler: ast.ExceptHandler) -> set:
     """The names of the exception classes ``handler`` catches."""
     return {node.id if isinstance(node, ast.Name) else node.attr

@@ -183,6 +183,39 @@ class TestAutomatonModel:
             data = json.loads(json.dumps(tba_to_dict(automaton)))
             assert tba_from_dict(data) == automaton, trial
 
+    def test_an_automaton_that_has_stepped_equals_its_file(self):
+        # the memo and the compiled formulas are no part of the model
+        automaton = translate_mitl(parse_formula("F[<=6] p"))
+        assert automaton.step("wait", (0,), 2, frozenset({"p"})) == (
+            ("done", (2,)), ("wait", (2,)))
+        assert automaton.initial_locations(frozenset()) == ("wait",)
+        assert automaton.cmax() == 6
+        assert automaton == tba_from_dict(tba_to_dict(automaton))
+
+    def test_solving_grid_meet_computes_each_question_once(self,
+                                                           monkeypatch):
+        from pathlib import Path
+        from mitlplan import cli
+        automata, asked, computed = {}, set(), []
+        step, moves = TimedBuchiAutomaton.step, TimedBuchiAutomaton._moves
+
+        def recorded_step(self, location, valuation, elapse, letter):
+            automata[id(self)] = self  # no id is reused while recorded
+            asked.add((id(self), location, letter, valuation, elapse))
+            return step(self, location, valuation, elapse, letter)
+
+        def recorded_moves(self, *question):
+            computed.append((id(self), *question))
+            return moves(self, *question)
+
+        monkeypatch.setattr(TimedBuchiAutomaton, "step", recorded_step)
+        monkeypatch.setattr(TimedBuchiAutomaton, "_moves", recorded_moves)
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        outcome = cli.solve(cli.load_problem(fixtures / "grid_meet.json"))
+        assert outcome.status == "success"
+        assert len(computed) == len(set(computed)) == len(asked) == 162
+        assert set(computed) == asked
+
     def test_cmax(self):
         automaton = translate_mitl(parse_formula("F[1/2,6] p"))
         assert automaton.cmax() == Q(6)
