@@ -680,6 +680,16 @@ def _parse_scoped_formulas(items, model, runs):
     return scoped
 
 
+def _model_and_runs(args):
+    """The model and the runs of ``check`` and ``simulate``."""
+    model = load_model(Path(args.model))
+    runs = load_runs(Path(args.runs))
+    unknown = set(runs) - set(model)
+    if unknown:
+        raise InputError(f"runs given for unknown agents: {sorted(unknown)}")
+    return model, runs
+
+
 def _collective_of(model: dict, runs: dict):
     """The agents' names in order, each agent's word, the collective run
     and the team's word; building an agent's word validates its run."""
@@ -691,11 +701,7 @@ def _collective_of(model: dict, runs: dict):
 
 
 def command_check(args) -> int:
-    model = load_model(Path(args.model))
-    runs = load_runs(Path(args.runs))
-    unknown = set(runs) - set(model)
-    if unknown:
-        raise InputError(f"runs given for unknown agents: {sorted(unknown)}")
+    model, runs = _model_and_runs(args)
     scoped = _parse_scoped_formulas(args.formula or [], model, runs)
     _, words, _, collective_word = _collective_of(model, runs)
     for scope, formula in scoped:
@@ -711,11 +717,7 @@ def command_check(args) -> int:
 
 
 def command_simulate(args) -> int:
-    model = load_model(Path(args.model))
-    runs = load_runs(Path(args.runs))
-    unknown = set(runs) - set(model)
-    if unknown:
-        raise InputError(f"runs given for unknown agents: {sorted(unknown)}")
+    model, runs = _model_and_runs(args)
     names, _, merged, word = _collective_of(model, runs)
     out_dir = Path(args.out_dir)
     _write(out_dir / "trace.csv", trace_csv(names, merged, word))

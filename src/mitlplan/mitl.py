@@ -57,7 +57,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import (INFINITY, InputError, LassoTimedWord, TimeInterval,
                    UNIT_INTERVAL, denominator_lcm, format_rational,
@@ -243,11 +243,10 @@ def is_propositional(formula: Formula) -> bool:
 _OPERATORS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
 
 
-def compile_formula(formula: Formula, clocks: tuple[str, ...] = ()) -> Optional[Callable]:
-    """A function deciding ``formula``, or ``None`` for ``true``, which
-    always holds.  A propositional formula is decided on a letter, the set
-    of atoms that hold; a clock constraint on a valuation tuple ordered as
-    ``clocks``.
+def compile_formula(formula: Formula, clocks: tuple[str, ...] = ()) -> Callable:
+    """A function deciding ``formula``.  A propositional formula is decided
+    on a letter, the set of atoms that hold; a clock constraint on a
+    valuation tuple ordered as ``clocks``.
 
     The function is one Python expression over its argument ``v``, whose
     text holds only operators, slot indices and the names that atoms and
@@ -256,8 +255,6 @@ def compile_formula(formula: Formula, clocks: tuple[str, ...] = ()) -> Optional[
     the one around it, so chains of ``!`` and ``&`` nest no brackets and
     the text stays under Python's limit of 200 nested brackets for every
     formula that the parser admits."""
-    if isinstance(formula, TrueFormula):
-        return None
     slot = {clock: i for i, clock in enumerate(clocks)}
     names: dict = {}  # atom or constant -> its name in the expression
 
@@ -674,8 +671,7 @@ def _build(formula: Formula, nodes: dict, letters: list) -> _Node:
     match formula:
         case _ if is_propositional(formula):
             check = compile_formula(formula)
-            node = _Node(Formula, truth=[check is None or check(letter)
-                                         for letter in letters])
+            node = _Node(Formula, truth=[check(letter) for letter in letters])
         case Not(operand):
             node = _Node(Not, (_build(operand, nodes, letters),))
         case And(left, right):

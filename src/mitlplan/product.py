@@ -81,7 +81,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 from math import inf
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .mitl import (And, Atom, Compare, FalseFormula, Formula, Not,
@@ -99,7 +99,7 @@ class ProductState(NamedTuple):
 
 class TeamState(NamedTuple):
     components: tuple  # ProductState per agent
-    targets: tuple     # committed in-flight ProductState per agent, or None
+    targets: tuple     # in-flight ProductState per agent, () without one
     remaining: tuple   # time left on the committed move, 0 without one
     letter: frozenset  # atoms of the components' regions, one object each
 
@@ -203,12 +203,12 @@ class TeamProduct:
     """Interleaving of the per-agent products, over their live states only.
 
     A state fixes each agent's current layer-1 state, the layer-1 state it
-    is currently moving toward (``None`` when at a boundary), and the time
-    remaining on that move, the move's weight when the agent commits to
-    it.  Every step advances time by the smallest remaining time; exactly
-    the agents with that much left complete their moves.  Agent ``k``'s
-    acceptance set is bit ``k`` of the marks: the states whose ``k``-th
-    component is locally accepting.
+    is currently moving toward (``()`` when at a boundary, which sorts
+    before every state), and the time remaining on that move, the move's
+    weight when the agent commits to it.  Every step advances time by the
+    smallest remaining time; exactly the agents with that much left
+    complete their moves.  Agent ``k``'s acceptance set is bit ``k`` of the
+    marks: the states whose ``k``-th component is locally accepting.
 
     Team acceptance needs every agent to accept infinitely often, and every
     state reachable from a local state that is not live is not live either,
@@ -252,7 +252,7 @@ class TeamProduct:
         for combo in itertools.product(*per_agent):
             out.append(TeamState(
                 components=tuple(combo),
-                targets=(None,) * self.count,
+                targets=((),) * self.count,
                 remaining=(0,) * self.count,
                 letter=self._letter(combo),
             ))
@@ -266,10 +266,12 @@ class TeamProduct:
         (``two_agent_chain_plan.json``) grows from 10 prefix and 6 cycle
         positions of the collective run to 58 and 22, with 82 global states
         explored instead of 16, and the plans of both fixtures no longer
-        match ``fixtures/expected/``."""
+        match ``fixtures/expected/``.  No two successors share both
+        components and targets (an agent's move is its target, or its
+        component once complete), so the states sort by those alone."""
         options = []
         for k in range(self.count):
-            if state.targets[k] is not None:
+            if state.targets[k]:
                 options.append(((state.remaining[k], state.targets[k]),))
             else:
                 live = self.live[k]
@@ -286,7 +288,7 @@ class TeamProduct:
             for k, (left, target) in enumerate(combo):
                 if left == step:
                     components.append(target)
-                    targets.append(None)
+                    targets.append(())
                     remaining.append(0)
                 else:
                     components.append(state.components[k])
@@ -296,16 +298,7 @@ class TeamProduct:
                                         tuple(remaining),
                                         self._letter(components))))
         self._edges[state] = len(out)
-        return tuple(sorted(out, key=self._successor_key))
-
-    @staticmethod
-    def _successor_key(pair):
-        """The components and the targets: each of a state's successors
-        has its own, since an agent's move is its target, or its
-        component once the move is complete."""
-        _, state = pair
-        target_key = tuple((0,) if t is None else (1, t) for t in state.targets)
-        return (state.components, target_key)
+        return tuple(sorted(out, key=itemgetter(1)))
 
     def marks(self, state: TeamState) -> int:
         return sum(local.marks(component) << k for k, (local, component)
@@ -331,7 +324,6 @@ class GlobalProduct(AutomatonProduct):
                 f"alphabet {sorted(automaton.atoms)}")
         super().__init__(team, automaton)
         self.all_marks = team.all_marks | 1 << team.count
-        self._initial = None
         self._edges: dict = {}  # expanded state -> its number of successors
         self._dropped: dict = {}  # expanded state -> its dead successors
         # location -> (clock slot, latest value, exit bounds) per deadline
@@ -347,11 +339,8 @@ class GlobalProduct(AutomatonProduct):
         self._latest: dict = {}
 
     def initial_states(self):
-        if self._initial is None:
-            candidates = super().initial_states()
-            self._initial = tuple(
-                state for state in candidates if not self._dead(state))
-        return self._initial
+        return tuple(state for state in super().initial_states()
+                     if not self._dead(state))
 
     def successors(self, state: ProductState):
         built = super().successors(state)
@@ -384,7 +373,7 @@ class GlobalProduct(AutomatonProduct):
         best = inf
         for k, distances in self._distances[atom]:
             time = distances.get(team.components[k].node, inf)
-            if time and team.targets[k] is not None:
+            if time and team.targets[k]:
                 time = team.remaining[k] + distances.get(
                     team.targets[k].node, inf)
             best = min(best, time)

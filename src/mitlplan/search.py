@@ -283,7 +283,7 @@ def project_plan(lasso: AcceptingLasso, problem, factor: int) -> PlanBundle:
         # flight, which includes position 0: it opens the cycle when the stem
         # is the initial state alone
         settled = [i for i in range(len(team_states) - 1)
-                   if team_states[i].targets[k] is None]
+                   if not team_states[i].targets[k]]
         if settled[-1] < loop:
             raise ProjectionError(
                 f"agent {name} never completes a transition inside the cycle")

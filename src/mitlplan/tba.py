@@ -174,7 +174,6 @@ class TimedBuchiAutomaton:
     atoms: frozenset[str]
 
     def __post_init__(self):
-        self.locations = tuple(sorted(self.locations))
         self.clocks = tuple(sorted(self.clocks))
         self.initial = dict(self.initial)
         self.accepting = frozenset(self.accepting)
@@ -191,16 +190,28 @@ class TimedBuchiAutomaton:
                 raise InputError(f"label {format_formula(label)} is not "
                                  f"propositional over the automaton's atoms")
         clock_set = set(self.clocks)
-        for loc in self.locations:
+
+        def undeclared(where: str, clocks) -> InputError:
+            return InputError(f"{where}: clock {min(clocks - clock_set)!r} "
+                              f"is not declared")
+
+        # in the order given, named as the JSON form names them
+        for i, loc in enumerate(self.locations):
             self.invariants.setdefault(loc, TRUE)
-            if not {c.clock for c in comparisons(self.invariants[loc])} <= clock_set:
-                raise InputError(f"invariant of {loc} uses undeclared clocks")
-        for edge in self.edges:
-            if edge.source not in known or edge.target not in known:
-                raise InputError(f"edge endpoints must be declared: {edge}")
-            clocks = {c.clock for c in comparisons(edge.guard)} | set(edge.resets)
+            clocks = {c.clock for c in comparisons(self.invariants[loc])}
             if not clocks <= clock_set:
-                raise InputError(f"edge uses undeclared clocks: {edge}")
+                raise undeclared(f"locations[{i}].invariant", clocks)
+        for i, edge in enumerate(self.edges):
+            for field, end in (("from", edge.source), ("to", edge.target)):
+                if end not in known:
+                    raise InputError(f"edges[{i}].{field}: {end!r} is not a "
+                                     f"declared location")
+            clocks = {c.clock for c in comparisons(edge.guard)}
+            if not clocks <= clock_set:
+                raise undeclared(f"edges[{i}].guard", clocks)
+            if not edge.resets <= clock_set:
+                raise undeclared(f"edges[{i}].resets", edge.resets)
+        self.locations = tuple(sorted(self.locations))
         text = cache(format_formula)  # an intersection repeats its formulas
         self.edges = tuple(sorted(self.edges, key=lambda e: (
             e.source, e.target, text(e.guard), tuple(sorted(e.resets)),
@@ -308,7 +319,7 @@ class TimedBuchiAutomaton:
         except KeyError:
             check = self._checks[formula] = compile_formula(formula,
                                                             self.clocks)
-        return check is None or check(value)
+        return check(value)
 
 
 # --- JSON external format -------------------------------------------------

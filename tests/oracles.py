@@ -659,6 +659,16 @@ class ExplicitGraph:
         return self._marks.get(state, 0)
 
 
+def team_successor_key(pair):
+    """The team layer's successor order, spelled out field by field: the
+    components, then per agent ``(0,)`` without a move in flight and
+    ``(1, target)`` with one.  It reads neither the remaining times nor the
+    letter."""
+    _, state = pair
+    return (state.components,
+            tuple((1, target) if target else (0,) for target in state.targets))
+
+
 class UnprunedGlobalProduct(GlobalProduct):
     """The global layer without its deadline pruning: every initial state
     and successor that the team graph and the team automaton build."""

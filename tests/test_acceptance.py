@@ -126,7 +126,7 @@ class TestCriterion3GridCaseStudy:
                     + plan["statistics"]["teamLayer"]["states"])
         assert explored < 5_000_000
         # byte for byte the artifacts pinned for this fixture
-        for name in ("plan.json", "trace.csv"):
+        for name in ("plan.json", "trace.csv", "timeline.svg"):
             assert (tmp_path / name).read_bytes() == (
                 FIXTURES / "expected" / "grid_meet" / name).read_bytes(), name
         assert elapsed < 60.0
@@ -144,9 +144,10 @@ class TestCriterion3GridCaseStudy:
         verdicts = capsys.readouterr().out.splitlines()[1:]
         assert len(verdicts) == 8
         assert all(line.startswith("  [ok] ") for line in verdicts)
-        assert (tmp_path / "trace.csv").read_bytes() == (
-            FIXTURES / "expected" / "grid_meet_three" / "trace.csv"
-        ).read_bytes()
+        for name in ("plan.json", "trace.csv", "timeline.svg"):
+            assert (tmp_path / name).read_bytes() == (
+                FIXTURES / "expected" / "grid_meet_three" / name
+            ).read_bytes(), name
         plan = json.loads((tmp_path / "plan.json").read_text())
         assert plan["statistics"]["globalLayer"]["states"] < 5_000
         report(3, "three robots meet within the team deadline")

@@ -72,6 +72,13 @@ class TestTranslateCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["clocks"] == []
 
+    def test_false_translates_to_an_automaton_that_accepts_nothing(
+            self, capsys):
+        assert main(["translate", "false"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [location["accepting"] for location in data["locations"]] == [
+            False]
+
     def test_punctual_interval_is_rejected_as_unsupported(self, capsys):
         assert main(["translate", "F[2,2] p"]) == 4
 
@@ -194,6 +201,21 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("formula, message", [
+        ("F green", "--formula needs the form scope:formula, got 'F green'"),
+        ("r2: F red", "no run given for agent 'r2'"),
+    ])
+    def test_a_formula_without_its_scope_or_run_exits_3(self, tmp_path,
+                                                        capsys, formula,
+                                                        message):
+        runs = json.loads(Path(fixture("two_agent_chain_runs.json")).read_text())
+        del runs["runs"]["r2"]
+        assert main(["check", "--model", fixture("two_agent_chain_model.json"),
+                     "--runs", write_json(tmp_path / "runs.json", runs),
+                     "--formula", formula]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_unknown_scope(self, capsys):
         code = main([
             "check",
@@ -288,6 +310,21 @@ class TestSimulateCommand:
         assert {"r<1>", "q&2", "a,b", "<s>", "<q&2> <r<1>>"} <= texts
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_runs_of_an_agent_the_model_lacks_exit_3(tmp_path, capsys, command):
+    runs = json.loads(Path(fixture("two_agent_chain_runs.json")).read_text())
+    runs["runs"]["r9"] = runs["runs"]["r1"]
+    argv = [command, "--model", fixture("two_agent_chain_model.json"),
+            "--runs", write_json(tmp_path / "runs.json", runs)]
+    if command == "simulate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: runs given for unknown agents: ['r9']\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestPlanCommand:
     def test_corridor_plan_succeeds(self, tmp_path, capsys):
         code = main(["plan", fixture("two_agent_chain_plan.json"),
@@ -301,7 +338,7 @@ class TestPlanCommand:
                     + data["collective"]["word"]["cycle"])]
         assert any({"green", "red"} <= s for s in letters)
         expected = FIXTURES / "expected" / "two_agent_chain_plan"
-        for name in ("plan.json", "trace.csv"):
+        for name in ("plan.json", "trace.csv", "timeline.svg"):
             assert (tmp_path / name).read_bytes() == \
                 (expected / name).read_bytes(), name
 
@@ -661,6 +698,22 @@ class TestMalformedProblemFiles:
          "error: agents[0]: give a formula or a tba file, not both"),
         ({**with_agent(), "global": {"formula": "true", "tba": "goal.json"}},
          [], "error: global: give a formula or a tba file, not both"),
+        (with_agent(name=""), [], "problem.json: agent entry without a name"),
+        ({**with_agent(), "agents": [GOOD_AGENT, GOOD_AGENT]}, [],
+         "problem.json: duplicate agent name 'solo'"),
+        ({**with_agent(), "agents": []}, [], "problem.json: no agents defined"),
+        ({**with_agent(), "agents": [
+            {**GOOD_AGENT, "labels": {"s": ["g"]}},
+            {**GOOD_AGENT, "name": "duo", "labels": {"s": ["g"]}}]}, [],
+         "error: agent alphabets must be pairwise disjoint; ['g'] appears "
+         "twice"),
+        # a position past a line break counts lines and restarts columns
+        (with_agent(formula="true &\n  & true"), [],
+         "agents[0].formula: 2:2: unexpected '&'"),
+        (with_agent(formula="F(<=3] true"), [],
+         "agents[0].formula: 1:2: the <= shorthand requires [<=b]"),
+        (with_agent(formula="F[<=1/0] true"), [],
+         "agents[0].formula: 1:4: not a rational number: '1/0'"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):
@@ -991,6 +1044,16 @@ class TestMalformedAutomatonFiles:
         # two slots of one clock: a guard reads one, a reset sets both
         ("agent", {**GOOD_TBA, "clocks": ["x", "y", "x"]},
          "agents[0].tba: clocks[2]: 'x' is listed before"),
+        # a dangling reference names its field, in file order
+        ("global", with_edges({}, {"to": "zz"}),
+         "global.tba: edges[1].to: 'zz' is not a declared location"),
+        ("agent", with_edges({"guard": "y <= 1"}),
+         "agents[0].tba: edges[0].guard: clock 'y' is not declared"),
+        ("global", with_edges({"resets": ["y"]}),
+         "global.tba: edges[0].resets: clock 'y' is not declared"),
+        ("agent", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "invariant": "y <= 3"}]},
+         "agents[0].tba: locations[0].invariant: clock 'y' is not declared"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):
@@ -1073,6 +1136,13 @@ class TestUnreadablePaths:
         assert main(["plan", str(path)]) == 3
         assert capsys.readouterr().err.startswith(
             f"error: {path}: cannot read: ")
+
+    def test_a_problem_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text('{"agents": [}')
+        assert main(["plan", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: invalid JSON: Expecting value: line 1 column 13")
 
     @pytest.mark.parametrize("name, field", [
         ("two_agent_chain_runs.json", '"period": "5"'),

@@ -190,6 +190,19 @@ class TestEvaluator:
     def test_first_violation_none_when_satisfied(self):
         assert first_violation(AGENT1_WORD, parse_formula("G F[<=10] green")) is None
 
+    def test_first_violation_descends_into_the_failing_conjunct(self):
+        # either side fails; the witness is that side's first in-window
+        # position where p fails, by the brute force
+        w = word([({"p"}, Q(0))], [({"p"}, Q(1)), (set(), Q(2))], 2)
+        for text in ("F[0,3] p & G[5,8] p", "(G[5,8] p) & F[0,3] p"):
+            phi = parse_formula(text)
+            assert not brute_force_evaluate(w, 0, phi)
+            position, stamp = first_violation(w, phi)
+            assert position > 0 and stamp == w.stamp_at(position)
+            window = [i for i in range(position + 1) if w.stamp_at(i) >= 5]
+            assert [brute_force_evaluate(w, i, Atom("p")) for i in window] \
+                == [True] * (len(window) - 1) + [False]
+
     def test_first_violation_in_a_later_cycle_turn(self):
         # the window opens at time 5, in the third turn of the cycle, and
         # the first failure of the body is the gap position at time 6
@@ -238,8 +251,7 @@ class TestCompileFormula:
         for label in labels:
             check = compile_formula(label)
             for letter in _letters(CODE_NAMES):
-                got = True if check is None else check(letter)
-                assert got == label_holds(label, letter), \
+                assert check(letter) == label_holds(label, letter), \
                     (format_formula(label), sorted(letter))
 
     def test_clock_constraints_agree_with_the_reference(self):
@@ -251,8 +263,7 @@ class TestCompileFormula:
             for _ in range(10):
                 values = [Q(rng.randrange(0, 11), rng.choice([1, 2]))
                           for _ in clocks]
-                got = True if check is None else check(tuple(values))
-                assert got == evaluate_constraint(
+                assert check(tuple(values)) == evaluate_constraint(
                     constraint, dict(zip(clocks, values)))
 
 

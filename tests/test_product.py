@@ -23,7 +23,7 @@ from mitlplan.wts import (TimedRun, WeightedTransitionSystem, grid_cells,
 from oracles import (MemoizedGlobalProduct, MemoizedLocalProduct,
                      MemoizedTeamProduct, UnprunedGlobalProduct,
                      enumerate_timed_runs, random_fragment_formula,
-                     scc_has_accepting_cycle)
+                     scc_has_accepting_cycle, team_successor_key)
 
 
 def tiny_system(labels, weights=None, atoms=None):
@@ -218,8 +218,8 @@ class TestTeamProduct:
             assert weight == Q(1)
             assert state.remaining[0] == 0   # agent 1 completed
             assert state.remaining[1] == 1   # agent 2 has one unit left
-            assert state.targets[0] is None
-            assert state.targets[1] is not None
+            assert state.targets[0] == ()
+            assert state.targets[1] != ()
 
     def test_tied_durations_complete_together(self):
         one = tiny_system({"a": set()}, weights={("a", "b"): Q(2), ("b", "a"): Q(2)})
@@ -233,7 +233,7 @@ class TestTeamProduct:
         for weight, state in steps:
             assert weight == Q(2)
             assert state.remaining == (0, 0)
-            assert state.targets == (None, None)
+            assert state.targets == ((), ())
 
     def test_deadlocked_agent_leaves_the_team_no_initial_state(self):
         # a run that stops accepts nothing: an agent that deadlocks from
@@ -394,7 +394,7 @@ class TestLiveTrimming:
             for k, live in enumerate(team.live):
                 assert team_state.components[k] in live
                 target = team_state.targets[k]
-                assert target is None or target in live
+                assert target == () or target in live
             checked += 1
         assert checked > 1000
         # the local layers were explored in full, and trimmed
@@ -534,6 +534,36 @@ class TestDeadlinePruning:
         assert dropped_at_open_deadlines > 0
         assert dropped_in_all > dropped_at_open_deadlines
 
+    def test_team_successors_come_in_the_order_of_components_and_targets(
+            self, tmp_path, monkeypatch):
+        """On every team state the seeded instances expand, the successors
+        are a stable sort by components and targets, and no two of them
+        tie, so the sort never compares remaining times or letters."""
+        searched = []
+
+        def recorded(graph, state_budget=None):
+            searched.append(graph)
+            return find_accepting_lasso(graph, state_budget)
+
+        monkeypatch.setattr(cli, "find_accepting_lasso", recorded)
+        checked = in_flight = 0
+        for seed in range(60):
+            path = tmp_path / f"{seed}.json"
+            path.write_text(json.dumps(random_grid_problem(random.Random(seed))))
+            searched.clear()
+            cli.solve(cli.load_problem(path))
+            (global_product,) = searched
+            team = global_product.graph
+            for state in _expanded(team):
+                successors = list(team.successors(state))
+                keys = [team_successor_key(pair) for pair in successors]
+                assert successors == sorted(successors,
+                                            key=team_successor_key), seed
+                assert len(set(keys)) == len(keys), seed
+                checked += len(successors) > 1
+                in_flight += any(any(s.targets) for _, s in successors)
+        assert checked > 500 and in_flight > 100, (checked, in_flight)
+
     def test_deadlines_name_the_bounded_clock_and_the_exit_labels(self):
         def exit_bounds(deadlines):
             time_to = {"p": 5, "q": 7}.get
@@ -563,6 +593,16 @@ class TestDeadlinePruning:
         assert exit_bounds(_deadlines(automaton.scaled(1))) == {
             "a": [(1, 2, [7]), (0, 1, [5, 7]), (0, 2, [5, 7])],
             "b": [(1, 1, [0])]}
+        # no letter satisfies false or !true, so such an exit is never taken
+        never = TimedBuchiAutomaton(
+            locations=("a", "b"), initial={"a": TRUE}, clocks=("x",),
+            invariants={"a": parse_constraint("x <= 2")},
+            edges=(Edge("a", TRUE, frozenset(), "b", parse_formula("false")),
+                   Edge("a", TRUE, frozenset(), "b", parse_formula("!true")),
+                   Edge("b", TRUE, frozenset(), "b", TRUE)),
+            accepting=frozenset({"b"}), atoms=frozenset())
+        assert exit_bounds(_deadlines(never.scaled(1))) == {
+            "a": [(0, 2, [inf, inf])]}
 
     @staticmethod
     def _plans_from_a_rewritten_team_file(tmp_path, old, new):
@@ -616,10 +656,10 @@ def _times(state):
     """Every clock value and remaining time held in a product state."""
     if isinstance(state, TeamState):
         for left, target in zip(state.remaining, state.targets):
-            assert (left == 0) == (target is None)
+            assert (left == 0) == (target == ())
             yield left
         for part in state.components + state.targets:
-            if part is not None:
+            if part != ():
                 yield from _times(part)
     else:
         yield from state.valuation
