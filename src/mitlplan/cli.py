@@ -249,21 +249,22 @@ class PlanningProblem:
 
 def load_model(path: Path) -> dict:
     """Agent name -> transition system, from a model or problem file."""
-    return _systems_of(_load_json(path), path)
+    return _systems_of(_load_json(path))
 
 
-def _systems_of(data, path: Path) -> dict:
+def _systems_of(data) -> dict:
     _check_model_file(data)
     out = {}
     for i, entry in enumerate(data["agents"]):
         name = entry["name"]
         if not name:
-            raise InputError(f"{path}: agent entry without a name")
+            raise InputError(f"agents[{i}].name: empty agent name")
         if name in out:
-            raise InputError(f"{path}: duplicate agent name {name!r}")
+            raise InputError(f"agents[{i}].name: duplicate agent name "
+                             f"{name!r}")
         out[name] = load_system(entry, f"agents[{i}]")
     if not out:
-        raise InputError(f"{path}: no agents defined")
+        raise InputError("agents: no agents defined")
     return out
 
 
@@ -392,23 +393,23 @@ def load_problem(path: Path) -> PlanningProblem:
     data = _load_json(path)
     _check(data, {"global?": _TEAM, "options?": {"stateBudget?": int}}, "")
     base = path.parent
-    model = _systems_of(data, path)
+    model = _systems_of(data)
     agents = []
-    union_atoms: set[str] = set()
+    owner: dict[str, str] = {}  # atom -> the agent whose alphabet holds it
     for i, entry in enumerate(data["agents"]):
         system = model[entry["name"]]
-        overlap = union_atoms & system.atoms
-        if overlap:
-            raise InputError(
-                f"agent alphabets must be pairwise disjoint; {sorted(overlap)} "
-                f"appears twice")
-        union_atoms |= system.atoms
+        overlap = system.atoms & owner.keys()
+        if overlap:  # the alphabets must be pairwise disjoint
+            atom = min(overlap)
+            raise InputError(f"agents[{i}]: atom {atom!r} also belongs to "
+                             f"agent {owner[atom]!r}")
+        owner.update(dict.fromkeys(system.atoms, entry["name"]))
         formula, automaton = _load_specification(
             entry, system.atoms, base, f"agents[{i}]", _AGENT_ERRORS)
         agents.append(AgentSpec(name=entry["name"], system=system,
                                 formula=formula, automaton=automaton))
     global_formula, global_automaton = _load_specification(
-        data.get("global", {}), frozenset(union_atoms), base, "global",
+        data.get("global", {}), frozenset(owner), base, "global",
         _TEAM_ERRORS)
     options = data.get("options", {})
     return PlanningProblem(

@@ -176,6 +176,7 @@ class TimedBuchiAutomaton:
     def __post_init__(self):
         self.clocks = tuple(sorted(self.clocks))
         self.initial = dict(self.initial)
+        self.invariants = dict(self.invariants)
         self.accepting = frozenset(self.accepting)
         self.atoms = frozenset(self.atoms)
         known = set(self.locations)
@@ -190,6 +191,18 @@ class TimedBuchiAutomaton:
                 raise InputError(f"label {format_formula(label)} is not "
                                  f"propositional over the automaton's atoms")
         clock_set = set(self.clocks)
+        declared: dict = {}  # constraint -> whether it reads declared clocks
+
+        def clocks_of(constraint: Formula) -> set:
+            return {c.clock for c in comparisons(constraint)}
+
+        def fits(constraint: Formula) -> bool:
+            # an intersection shares each distinct constraint among many
+            # locations or edges, so each is read once
+            ok = declared.get(constraint)
+            if ok is None:
+                ok = declared[constraint] = clocks_of(constraint) <= clock_set
+            return ok
 
         def undeclared(where: str, clocks) -> InputError:
             return InputError(f"{where}: clock {min(clocks - clock_set)!r} "
@@ -197,22 +210,23 @@ class TimedBuchiAutomaton:
 
         # in the order given, named as the JSON form names them
         for i, loc in enumerate(self.locations):
-            self.invariants.setdefault(loc, TRUE)
-            clocks = {c.clock for c in comparisons(self.invariants[loc])}
-            if not clocks <= clock_set:
-                raise undeclared(f"locations[{i}].invariant", clocks)
+            invariant = self.invariants.setdefault(loc, TRUE)
+            if not fits(invariant):
+                raise undeclared(f"locations[{i}].invariant",
+                                 clocks_of(invariant))
         for i, edge in enumerate(self.edges):
             for field, end in (("from", edge.source), ("to", edge.target)):
                 if end not in known:
                     raise InputError(f"edges[{i}].{field}: {end!r} is not a "
                                      f"declared location")
-            clocks = {c.clock for c in comparisons(edge.guard)}
-            if not clocks <= clock_set:
-                raise undeclared(f"edges[{i}].guard", clocks)
+            if not fits(edge.guard):
+                raise undeclared(f"edges[{i}].guard", clocks_of(edge.guard))
             if not edge.resets <= clock_set:
                 raise undeclared(f"edges[{i}].resets", edge.resets)
         self.locations = tuple(sorted(self.locations))
-        text = cache(format_formula)  # an intersection repeats its formulas
+        # an intersection shares one object per distinct guard and label,
+        # so each is printed once and found again by identity
+        text = cache(format_formula)
         self.edges = tuple(sorted(self.edges, key=lambda e: (
             e.source, e.target, text(e.guard), tuple(sorted(e.resets)),
             text(e.label))))
@@ -632,59 +646,74 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
     of ``b`` (flag 2), and acceptance is flag 1 at an accepting location of
     ``a``.  A combined edge or initial location reads the conjunction of
     the two labels.
+
+    Each part is built once per call.  The clocks of a source location's
+    invariant and of a source edge's guard and resets are renamed once,
+    per location and per edge.  A location pair's invariant, and an edge
+    pair's guard, resets and label, are built once and shared by its two
+    flag copies.  Every conjunction goes through one memo keyed by its two
+    operands, so equal conjunctions are one object, and the sort, the
+    printer and the compiled checks of the result meet each distinct
+    formula once.
     """
-    def clock_a(name: str) -> str:
-        return f"a_{name}"
+    conjoined: dict = {}  # (left, right) -> their conjunction
 
-    def clock_b(name: str) -> str:
-        return f"b_{name}"
+    def both(left: Formula, right: Formula) -> Formula:
+        key = (left, right)
+        formula = conjoined.get(key)
+        if formula is None:
+            formula = conjoined[key] = label_and(left, right)
+        return formula
 
-    def rename(constraint: Formula, prefix) -> Formula:
-        return map_comparisons(constraint, lambda c: Compare(
-            prefix(c.clock), c.relation, c.constant))
+    def renamed(automaton: TimedBuchiAutomaton, prefix: str):
+        def rename(constraint: Formula) -> Formula:
+            return map_comparisons(constraint, lambda c: Compare(
+                prefix + c.clock, c.relation, c.constant))
 
-    def name(la: str, lb: str, flag: int) -> str:
-        return f"{la}|{lb}|{flag}"
+        invariants = {loc: rename(automaton.invariants[loc])
+                      for loc in automaton.locations}
+        edges = {loc: [(edge, rename(edge.guard),
+                        frozenset(prefix + c for c in edge.resets))
+                       for edge in automaton.edges_from(loc)]
+                 for loc in automaton.locations}
+        return invariants, edges
 
+    invariants_a, edges_a = renamed(a, "a_")
+    invariants_b, edges_b = renamed(b, "b_")
+    # each location pair's two names, flag 1 then flag 2
+    names = {(la, lb): (f"{la}|{lb}|1", f"{la}|{lb}|2")
+             for la in a.locations for lb in b.locations}
     locations = []
     invariants = {}
     initial = {}
     accepting = set()
-    pairs = [(la, lb) for la in a.locations for lb in b.locations]
-    for la, lb in pairs:
-        for flag in (1, 2):
-            loc = name(la, lb, flag)
-            locations.append(loc)
-            invariants[loc] = label_and(rename(a.invariants[la], clock_a),
-                                             rename(b.invariants[lb], clock_b))
-            if la in a.initial and lb in b.initial and flag == 1:
-                initial[loc] = label_and(a.initial[la], b.initial[lb])
-            if flag == 1 and la in a.accepting:
-                accepting.add(loc)
-
-    def next_flag(flag: int, la: str, lb: str) -> int:
-        if flag == 1:
-            return 2 if la in a.accepting else 1
-        return 1 if lb in b.accepting else 2
-
     edges = []
-    for la, lb in pairs:
-        for ea in a.edges_from(la):
-            for eb in b.edges_from(lb):
-                guard = label_and(rename(ea.guard, clock_a),
-                                       rename(eb.guard, clock_b))
-                resets = frozenset(clock_a(c) for c in ea.resets) | frozenset(
-                    clock_b(c) for c in eb.resets)
-                label = label_and(ea.label, eb.label)
-                for flag in (1, 2):
-                    edges.append(Edge(name(la, lb, flag), guard, resets,
-                                      name(ea.target, eb.target,
-                                           next_flag(flag, la, lb)), label))
+    for (la, lb), (one, two) in names.items():
+        locations += (one, two)
+        invariants[one] = invariants[two] = both(invariants_a[la],
+                                                 invariants_b[lb])
+        if la in a.initial and lb in b.initial:
+            initial[one] = both(a.initial[la], b.initial[lb])
+        if la in a.accepting:
+            accepting.add(one)
+        # the flag each copy's edges lead to, as an index into a pair of
+        # names: flag 1 turns to 2 at an accepting location of a, and flag 2
+        # turns to 1 at one of b
+        to_one = 1 if la in a.accepting else 0
+        to_two = 0 if lb in b.accepting else 1
+        for ea, guard_a, resets_a in edges_a[la]:
+            for eb, guard_b, resets_b in edges_b[lb]:
+                guard = both(guard_a, guard_b)
+                resets = resets_a | resets_b
+                label = both(ea.label, eb.label)
+                targets = names[ea.target, eb.target]
+                edges.append(Edge(one, guard, resets, targets[to_one], label))
+                edges.append(Edge(two, guard, resets, targets[to_two], label))
     return TimedBuchiAutomaton(
         locations=tuple(locations),
         initial=initial,
-        clocks=tuple(clock_a(c) for c in a.clocks) + tuple(clock_b(c)
-                                                           for c in b.clocks),
+        clocks=tuple("a_" + c for c in a.clocks) + tuple("b_" + c
+                                                         for c in b.clocks),
         invariants=invariants,
         edges=tuple(edges),
         accepting=frozenset(accepting),

@@ -6,7 +6,8 @@ semantics clauses literally; the emptiness oracle is Tarjan SCC
 decomposition over a fully materialized graph; the automaton step walks
 each constraint's tree over a clock-name map and scans every edge; the
 merge of runs advances the agents one arrival at a time until their
-configuration repeats.
+configuration repeats; the intersection builds every part afresh for each
+location pair, edge pair and flag.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from math import lcm
 
 from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
 from mitlplan.mitl import (Always, And, Atom, Compare, Eventually,
-                           FalseFormula, Implies, Next, Not, Or, TrueFormula,
-                           Until)
+                           FalseFormula, Formula, Implies, Next, Not, Or,
+                           TrueFormula, Until)
 from mitlplan.product import (AutomatonProduct, GlobalProduct, LocalProduct,
                               TeamProduct)
+from mitlplan.tba import (Edge, TimedBuchiAutomaton, label_and,
+                          map_comparisons)
 
 
 # --- brute-force MITL evaluation on a finite unrolling ------------------
@@ -408,8 +411,6 @@ def random_automaton(rng: random.Random, letters, clocks=("x", "y"), size=4):
     formula or the exact label of one letter.  About a third of the edges
     are copied under another label, so that two edges enabled on one
     letter often have one effect."""
-    from mitlplan.tba import Edge, TimedBuchiAutomaton
-
     atoms = frozenset().union(*letters)
 
     def label():
@@ -438,6 +439,79 @@ def random_automaton(rng: random.Random, letters, clocks=("x", "y"), size=4):
                     for loc in locations},
         edges=tuple(edges), accepting=frozenset({rng.choice(locations)}),
         atoms=atoms)
+
+
+# --- intersection by the nested loop ---------------------------------------
+
+def reference_intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutomaton:
+    """Accepts exactly the words accepted by both automata.
+
+    Combined locations are (location of a, location of b, flag); the flag
+    alternates between waiting for an accepting visit of ``a`` (flag 1) and
+    of ``b`` (flag 2), and acceptance is flag 1 at an accepting location of
+    ``a``.  A combined edge or initial location reads the conjunction of
+    the two labels.
+
+    The construction as first written: every part is built afresh for each
+    location pair, edge pair and flag.
+    """
+    def clock_a(name: str) -> str:
+        return f"a_{name}"
+
+    def clock_b(name: str) -> str:
+        return f"b_{name}"
+
+    def rename(constraint: Formula, prefix) -> Formula:
+        return map_comparisons(constraint, lambda c: Compare(
+            prefix(c.clock), c.relation, c.constant))
+
+    def name(la: str, lb: str, flag: int) -> str:
+        return f"{la}|{lb}|{flag}"
+
+    locations = []
+    invariants = {}
+    initial = {}
+    accepting = set()
+    pairs = [(la, lb) for la in a.locations for lb in b.locations]
+    for la, lb in pairs:
+        for flag in (1, 2):
+            loc = name(la, lb, flag)
+            locations.append(loc)
+            invariants[loc] = label_and(rename(a.invariants[la], clock_a),
+                                             rename(b.invariants[lb], clock_b))
+            if la in a.initial and lb in b.initial and flag == 1:
+                initial[loc] = label_and(a.initial[la], b.initial[lb])
+            if flag == 1 and la in a.accepting:
+                accepting.add(loc)
+
+    def next_flag(flag: int, la: str, lb: str) -> int:
+        if flag == 1:
+            return 2 if la in a.accepting else 1
+        return 1 if lb in b.accepting else 2
+
+    edges = []
+    for la, lb in pairs:
+        for ea in a.edges_from(la):
+            for eb in b.edges_from(lb):
+                guard = label_and(rename(ea.guard, clock_a),
+                                       rename(eb.guard, clock_b))
+                resets = frozenset(clock_a(c) for c in ea.resets) | frozenset(
+                    clock_b(c) for c in eb.resets)
+                label = label_and(ea.label, eb.label)
+                for flag in (1, 2):
+                    edges.append(Edge(name(la, lb, flag), guard, resets,
+                                      name(ea.target, eb.target,
+                                           next_flag(flag, la, lb)), label))
+    return TimedBuchiAutomaton(
+        locations=tuple(locations),
+        initial=initial,
+        clocks=tuple(clock_a(c) for c in a.clocks) + tuple(clock_b(c)
+                                                           for c in b.clocks),
+        invariants=invariants,
+        edges=tuple(edges),
+        accepting=frozenset(accepting),
+        atoms=a.atoms | b.atoms,
+    )
 
 
 # --- Buchi emptiness by SCC decomposition --------------------------------

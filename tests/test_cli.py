@@ -101,6 +101,10 @@ TRANSLATED = {
     "response": "G(p -> X G[<=3] !p)",
     "until_window": "p U[1,4] q",
     "next_window": "X[1,2] p",
+    # the two shapes of the translate benchmark, as drawn for its seed 7
+    "conjunction_two": "F[<=2] a & G[<=6] b",
+    "conjunction_three": "G F[<=12] !f & G(!c -> X G[<=9] !!c) & "
+                         "(b U[<=11] !e)",
 }
 
 
@@ -698,15 +702,15 @@ class TestMalformedProblemFiles:
          "error: agents[0]: give a formula or a tba file, not both"),
         ({**with_agent(), "global": {"formula": "true", "tba": "goal.json"}},
          [], "error: global: give a formula or a tba file, not both"),
-        (with_agent(name=""), [], "problem.json: agent entry without a name"),
+        (with_agent(name=""), [], "error: agents[0].name: empty agent name\n"),
         ({**with_agent(), "agents": [GOOD_AGENT, GOOD_AGENT]}, [],
-         "problem.json: duplicate agent name 'solo'"),
-        ({**with_agent(), "agents": []}, [], "problem.json: no agents defined"),
+         "error: agents[1].name: duplicate agent name 'solo'\n"),
+        ({**with_agent(), "agents": []}, [],
+         "error: agents: no agents defined\n"),
         ({**with_agent(), "agents": [
             {**GOOD_AGENT, "labels": {"s": ["g"]}},
             {**GOOD_AGENT, "name": "duo", "labels": {"s": ["g"]}}]}, [],
-         "error: agent alphabets must be pairwise disjoint; ['g'] appears "
-         "twice"),
+         "error: agents[1]: atom 'g' also belongs to agent 'solo'\n"),
         # a position past a line break counts lines and restarts columns
         (with_agent(formula="true &\n  & true"), [],
          "agents[0].formula: 2:2: unexpected '&'"),
@@ -1054,6 +1058,9 @@ class TestMalformedAutomatonFiles:
         ("agent", {**GOOD_TBA, "locations": [
             {**GOOD_TBA["locations"][0], "invariant": "y <= 3"}]},
          "agents[0].tba: locations[0].invariant: clock 'y' is not declared"),
+        # a guard read once for both edges still names the first
+        ("global", with_edges({"guard": "z <= 1"}, {"guard": "z <= 1"}),
+         "global.tba: edges[0].guard: clock 'z' is not declared"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):

@@ -19,7 +19,8 @@ from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton,
 from mitlplan.wts import WeightedTransitionSystem
 from oracles import (evaluate_constraint, lasso_product_oracle,
                      random_automaton, random_fragment_formula,
-                     random_lasso_word, reference_step, stamps_scaled)
+                     random_lasso_word, reference_intersect, reference_step,
+                     stamps_scaled)
 
 
 def word(prefix, cycle, period):
@@ -220,6 +221,25 @@ class TestAutomatonModel:
         automaton = translate_mitl(parse_formula("F[1/2,6] p"))
         assert automaton.cmax() == Q(6)
         assert translate_mitl(parse_formula("p")).cmax() == Q(0)
+
+    def test_construction_copies_its_invariants_argument(self):
+        def build(invariants):
+            return TimedBuchiAutomaton(
+                locations=("l", "m"), initial={"l": TRUE}, clocks=("x",),
+                invariants=invariants, edges=(Edge("l", TRUE, frozenset(), "m"),
+                                              Edge("m", TRUE, frozenset(), "m")),
+                accepting=frozenset({"m"}), atoms=frozenset())
+
+        empty = {}
+        assert build(empty).invariants == {"l": TRUE, "m": TRUE}
+        assert empty == {}
+        shared = {"m": parse_constraint("x <= 2")}
+        one, two = build(shared), build(shared)
+        assert shared == {"m": parse_constraint("x <= 2")}
+        assert one.invariants is not shared
+        assert one.invariants is not two.invariants
+        assert one.invariants == two.invariants == {
+            "l": TRUE, "m": parse_constraint("x <= 2")}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -563,6 +583,51 @@ class TestIntersect:
         w_no = word([], [(set(), Q(0)), ({"p"}, Q(1))], 2)
         assert accepts_lasso(both, w_yes)
         assert not accepts_lasso(both, w_no)
+
+    LETTERS = [frozenset(), frozenset({"p"}), frozenset({"q"}),
+               frozenset({"p", "q"})]
+
+    def draw(self, rng, translated: bool):
+        if translated:
+            return translate_mitl(random_fragment_formula(rng, ["p", "q"]),
+                                  alphabet={"p", "q"})
+        return random_automaton(rng, self.LETTERS)
+
+    def test_matches_the_reference_intersection(self):
+        rng = random.Random(26)
+        for trial in range(120):  # each of the four kinds of pair, in turn
+            a = self.draw(rng, translated=trial % 2)
+            b = self.draw(rng, translated=trial // 2 % 2)
+            both, reference = intersect(a, b), reference_intersect(a, b)
+            assert both == reference, trial
+            assert tba_to_dict(both) == tba_to_dict(reference), trial
+
+    def test_flag_copies_share_their_parts(self):
+        rng = random.Random(27)
+        pairs = [(translate_mitl(parse_formula(
+            "G F[<=12] !f & G(!c -> X G[<=9] !!c)")),
+                  translate_mitl(parse_formula("b U[<=11] !e")))]
+        pairs += [(self.draw(rng, translated=i % 2), self.draw(rng, False))
+                  for i in range(10)]
+        for a, b in pairs:
+            both = intersect(a, b)
+            for la, lb in itertools.product(a.locations, b.locations):
+                assert (both.invariants[f"{la}|{lb}|1"]
+                        is both.invariants[f"{la}|{lb}|2"])
+            # edges alike but for their flags, split by the source's flag
+            copies = {}
+            for edge in both.edges:
+                key = (edge.source[:-1], edge.target[:-1], edge.guard,
+                       edge.resets, edge.label)
+                copies.setdefault(key, {"1": [], "2": []})[
+                    edge.source[-1]].append(
+                    (id(edge.guard), id(edge.resets), id(edge.label)))
+            for one, two in (flags.values() for flags in copies.values()):
+                assert sorted(one) == sorted(two)
+            # and equal guards and labels are one object
+            for part in ("guard", "label"):
+                objects = [getattr(edge, part) for edge in both.edges]
+                assert len(set(map(id, objects))) == len(set(objects)), part
 
 
 class TestOracleAgreement:
