@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import LassoTimedWord
-from .mitl import Formula, first_violation, format_formula
-# kept importable from here: the benchmark's tracer test reads it
-from .mitl import satisfies  # noqa: F401
+from .mitl import format_formula, satisfies
 from .tba import accepts_lasso
 from .wts import (CollectiveRun, TimedRun, collective_word_of,
                   timed_word_of)
@@ -225,25 +222,13 @@ def _steps_within(graph, source, index, first, goal) -> list:
 
 
 @dataclass
-class FormulaVerdict:
-    description: str
-    satisfied: bool
-    violation_position: Optional[int] = None
-    violation_time: Optional[Fraction] = None
-
-
-@dataclass
 class PlanBundle:
     agent_names: tuple
     runs: tuple  # TimedRun per agent
     words: tuple  # LassoTimedWord per agent
     collective_run: CollectiveRun
     collective_word: LassoTimedWord
-    verdicts: tuple  # FormulaVerdict
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(v.satisfied for v in self.verdicts)
+    verdicts: tuple  # the description of each check the plan passed
 
 
 class ProjectionError(Exception):
@@ -254,7 +239,9 @@ class ProjectionError(Exception):
 def project_plan(lasso: AcceptingLasso, problem, factor: int) -> PlanBundle:
     """Peel a global-product lasso into per-agent runs, rebuild all words,
     and re-validate every formula and automaton of ``problem`` (a
-    ``cli.PlanningProblem``) against them.
+    ``cli.PlanningProblem``) against them: each agent's, then the team's.
+    The bundle's ``verdicts`` describe these checks, all of which passed; a
+    failed one raises :class:`ProjectionError`, so no bundle is returned.
 
     ``factor`` is the one the products' durations were multiplied by; the
     runs and words count their ticks in units of ``1 / factor``.
@@ -297,39 +284,22 @@ def project_plan(lasso: AcceptingLasso, problem, factor: int) -> PlanBundle:
     collective_word = collective_word_of(
         [agent.system for agent in agents], collective)
 
-    verdicts = []
-    for agent, word in zip(agents, words):
-        if agent.formula is not None:
-            verdicts.append(_formula_verdict(
-                f"{agent.name}: {format_formula(agent.formula)}", word,
-                agent.formula))
-        verdicts.append(FormulaVerdict(
-            description=f"{agent.name}: timed automaton membership",
-            satisfied=accepts_lasso(agent.automaton, word)))
-    if problem.global_formula is not None:
-        verdicts.append(_formula_verdict(
-            f"team: {format_formula(problem.global_formula)}",
-            collective_word, problem.global_formula))
-    verdicts.append(FormulaVerdict(
-        description="team: timed automaton membership",
-        satisfied=accepts_lasso(problem.global_automaton, collective_word)))
-
-    bundle = PlanBundle(agent_names=names, runs=tuple(runs),
-                        words=words, collective_run=collective,
-                        collective_word=collective_word,
-                        verdicts=tuple(verdicts))
-    if not bundle.all_satisfied:
-        failing = [v.description for v in verdicts if not v.satisfied]
+    checks = [(agent.name, agent.formula, agent.automaton, word)
+              for agent, word in zip(agents, words)]
+    checks.append(("team", problem.global_formula, problem.global_automaton,
+                   collective_word))
+    results = []
+    for name, formula, automaton, word in checks:
+        if formula is not None:
+            results.append((f"{name}: {format_formula(formula)}",
+                            satisfies(word, formula)))
+        results.append((f"{name}: timed automaton membership",
+                        accepts_lasso(automaton, word)))
+    failing = [description for description, passed in results if not passed]
+    if failing:
         raise ProjectionError(
             "projected plan failed re-validation: " + "; ".join(failing))
-    return bundle
-
-
-def _formula_verdict(description: str, word: LassoTimedWord,
-                     formula: Formula) -> FormulaVerdict:
-    violation = first_violation(word, formula)
-    if violation is None:
-        return FormulaVerdict(description=description, satisfied=True)
-    position, stamp = violation
-    return FormulaVerdict(description=description, satisfied=False,
-                          violation_position=position, violation_time=stamp)
+    return PlanBundle(agent_names=names, runs=tuple(runs), words=words,
+                      collective_run=collective,
+                      collective_word=collective_word,
+                      verdicts=tuple(d for d, _ in results))

@@ -44,6 +44,8 @@ class WeightedTransitionSystem:
         self.states = tuple(sorted(self.states))
         self.initial = frozenset(self.initial)
         self.atoms = frozenset(self.atoms)
+        self.weights = dict(self.weights)
+        self.labels = dict(self.labels)
         known = set(self.states)
         if not self.initial:
             raise InputError("at least one initial state is required")
@@ -105,7 +107,7 @@ class WeightedTransitionSystem:
             initial=self.initial,
             weights={pair: int(w * factor) for pair, w in self.weights.items()},
             atoms=self.atoms,
-            labels=dict(self.labels),
+            labels=self.labels,
         )
 
 

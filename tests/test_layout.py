@@ -7,13 +7,15 @@ tests call belongs in ``tests/oracles.py`` or in the test that uses it.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mitlplan"
 
 # name -> why it stays although nothing in the package reads it
 ALLOWED = {
-    "satisfies": "public API, and bench/ reads it",
     "unroll": "bench/ and tests/oracles.py read it",
 }
 
@@ -207,3 +209,17 @@ def test_only_the_local_layer_memoizes_successors(monkeypatch):
     assert all(any(_holds_successor_lists(value)
                    for value in vars(local).values())
                for local in team.locals)
+
+
+def test_every_module_parses_at_the_python_floor():
+    # the stdlib calls the floor needs are checked only by reading the code
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    (floor,) = re.findall(r'^requires-python = ">=(\d+)\.(\d+)[.\d]*"$',
+                          text, re.M)
+    version = tuple(int(part) for part in floor)
+    with pytest.raises(SyntaxError):  # except* is 3.11 syntax
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=version)
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=version)

@@ -8,9 +8,11 @@ import pytest
 from mitlplan.cli import AgentSpec, PlanningProblem, load_problem, solve
 from mitlplan.mitl import parse_formula, satisfies
 from mitlplan.core import denominator_lcm
+from mitlplan import search
 from mitlplan.product import LocalProduct
-from mitlplan.search import (ExplorationLimitError, find_accepting_lasso,
-                             has_accepting_run, live_states)
+from mitlplan.search import (ExplorationLimitError, ProjectionError,
+                             find_accepting_lasso, has_accepting_run,
+                             live_states)
 from mitlplan.tba import accepts_lasso, translate_mitl
 from mitlplan.wts import (WeightedTransitionSystem, collective_run,
                           collective_word_of, timed_word_of)
@@ -277,18 +279,46 @@ class TestDeepPaths:
 
 
 class TestPlanPipeline:
-    def test_corridor_plan_contains_the_joint_visit(self):
+    def corridor_problem(self):
         t1, t2 = corridor_systems()
-        problem = make_problem(
+        return make_problem(
             [t1, t2], ["r1", "r2"],
             ["G F[<=10] green", "F red"],
             "F (green & red)")
-        outcome = solve(problem)
+
+    def test_corridor_plan_contains_the_joint_visit(self):
+        outcome = solve(self.corridor_problem())
         assert outcome.status == "success"
         bundle = outcome.bundle
-        assert bundle.all_satisfied
+        assert bundle.verdicts == (
+            "r1: G F[0,10] green", "r1: timed automaton membership",
+            "r2: F red", "r2: timed automaton membership",
+            "team: F (green & red)", "team: timed automaton membership")
         assert any("green" in atoms and "red" in atoms
                    for atoms, _ in bundle.collective_word.unroll(2))
+
+    def test_a_plan_the_team_automaton_rejects_raises(self, monkeypatch):
+        problem = self.corridor_problem()
+        monkeypatch.setattr(
+            search, "accepts_lasso",
+            lambda automaton, word: (automaton is not problem.global_automaton
+                                     and accepts_lasso(automaton, word)))
+        with pytest.raises(ProjectionError) as raised:
+            solve(problem)
+        assert str(raised.value) == (
+            "projected plan failed re-validation: "
+            "team: timed automaton membership")
+
+    def test_a_plan_violating_one_formula_raises_naming_it(self, monkeypatch):
+        problem = self.corridor_problem()
+        red = problem.agents[1].formula
+        monkeypatch.setattr(
+            search, "satisfies",
+            lambda word, formula: formula is not red and satisfies(word, formula))
+        with pytest.raises(ProjectionError) as raised:
+            solve(problem)
+        assert str(raised.value) == (
+            "projected plan failed re-validation: r2: F red")
 
     def test_single_agent_trivial_goal(self):
         t1, _ = corridor_systems()

@@ -54,6 +54,24 @@ class TestModelValidation:
                 weights={("a", "zz"): Q(1)},
                 atoms=frozenset(), labels={})
 
+    def test_construction_copies_its_weights_and_labels_arguments(self):
+        labels = {"a": ["p"]}
+        weights = {("a", "b"): Q(1), ("b", "a"): Q(2)}
+
+        def build():
+            return WeightedTransitionSystem(
+                states=("a", "b"), initial=frozenset({"a"}), weights=weights,
+                atoms=frozenset({"p"}), labels=labels)
+
+        one, two = build(), build()
+        assert labels == {"a": ["p"]}
+        assert one.labels == {"a": frozenset({"p"}), "b": frozenset()}
+        assert one.labels is not labels
+        assert one.labels is not two.labels
+        assert one.weights == weights
+        assert one.weights is not weights
+        assert one.weights is not two.weights
+
 
 class TestRunValidation:
     def test_stamps_must_match_weights(self):
