@@ -507,24 +507,20 @@ def _lasso_to_json(lasso, payload) -> dict:
     }
 
 
-def _word_payload(atoms) -> list:
-    return sorted(atoms)
-
-
 def bundle_to_json(bundle: PlanBundle, statistics: dict) -> dict:
     agents = []
     for k, name in enumerate(bundle.agent_names):
         agents.append({
             "name": name,
             "run": _lasso_to_json(bundle.runs[k], str),
-            "word": _lasso_to_json(bundle.words[k], _word_payload),
+            "word": _lasso_to_json(bundle.words[k], sorted),
         })
     return {
         "status": "success",
         "agents": agents,
         "collective": {
             "run": _lasso_to_json(bundle.collective_run, list),
-            "word": _lasso_to_json(bundle.collective_word, _word_payload),
+            "word": _lasso_to_json(bundle.collective_word, sorted),
         },
         # a plan is written only when it passed every check: a failed one
         # raises ProjectionError first, so no check has a violation to give

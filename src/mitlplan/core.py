@@ -63,7 +63,11 @@ INFINITY = Infinite()
 
 
 def parse_rational(text) -> Fraction:
-    """Parse an exact nonnegative rational from ``"7/10"``, ``"0.7"`` or ``7``."""
+    """Parse an exact rational from ``"7/10"``, ``"0.7"`` or ``7``.
+
+    Any sign is accepted (``"-1"`` gives ``Fraction(-1)``); the callers
+    check it: ``cli._duration``, :class:`TimeInterval` and the run checks
+    (``TimedRun`` starts at time zero and strictly increases)."""
     if isinstance(text, int):
         value = Fraction(text)
     elif isinstance(text, Fraction):
@@ -82,6 +86,12 @@ def format_rational(value) -> str:
     if value is INFINITY:
         return "inf"
     return str(value)
+
+
+def format_interval(lower, upper, lower_closed: bool, upper_closed: bool) -> str:
+    """An interval as it is written, as in ``[0,5/2)`` or ``(1,inf)``."""
+    return (f"{'[' if lower_closed else '('}{format_rational(lower)},"
+            f"{format_rational(upper)}{']' if upper_closed else ')'}")
 
 
 def denominator_lcm(values: Iterable) -> int:
@@ -134,9 +144,8 @@ class TimeInterval:
             )
 
     def text(self) -> str:
-        lo = "[" if self.lower_closed else "("
-        hi = "]" if self.upper_closed else ")"
-        return f"{lo}{format_rational(self.lower)},{format_rational(self.upper)}{hi}"
+        return format_interval(self.lower, self.upper, self.lower_closed,
+                               self.upper_closed)
 
     def __repr__(self):
         return f"TimeInterval{self.text()}"

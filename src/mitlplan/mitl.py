@@ -52,16 +52,18 @@ O(|word| * |formula| * log |word|) whatever the width of the windows.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable
 
 from .core import (INFINITY, InputError, LassoTimedWord, TimeInterval,
-                   UNIT_INTERVAL, denominator_lcm, format_rational,
-                   parse_rational, ticks_of)
+                   UNIT_INTERVAL, denominator_lcm, format_interval,
+                   format_rational, parse_rational, ticks_of)
 
 
 class MitlSyntaxError(InputError):
@@ -295,74 +297,56 @@ def compile_formula(formula: Formula, clocks: tuple[str, ...] = ()) -> Callable:
 _KEYWORDS = {"U", "X", "F", "G", "true", "false", "inf"}
 _UNARY = {"X": Next, "F": Eventually, "G": Always}
 
-# The deepest nesting the parser reads.  It spends about six Python frames
-# on a parenthesis, and compile_formula's text nests brackets no deeper
+# binary operator -> (precedence, node, right-associative); a guard or an
+# invariant admits "&" alone
+_BINARY = {"->": (0, Implies, True), "|": (1, Or, False),
+           "&": (2, And, False), "U": (3, Until, True)}
+_GUARD_BINARY = {"&": _BINARY["&"]}
+
+# One token, or the white space before it: a symbol, a number (a decimal
+# digit, then digits, "." and "/", for parse_rational to read or refuse),
+# a name or keyword (a letter, a numeric character other than a decimal
+# digit, or "_", then word characters), or any other character.
+_TOKEN = re.compile(r"(\s+)|(->|[<>=]=|[!&|()\[\],<>=])|(\d[\d./]*)"
+                    r"|([^\W\d]\w*)|(.)")
+
+# The deepest nesting the parser reads.  It spends at most two Python
+# frames on a level, and compile_formula's text nests brackets no deeper
 # than the tree, under Python's limit of 200.
 MAX_DEPTH = 100
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 0
-
-    def error(self, message):
-        raise MitlSyntaxError(message, self.line, self.col)
-
-    def _advance(self, n=1):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 0
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def tokens(self):
-        out = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self._advance()
-                continue
-            start = (self.line, self.col)
-            if self.text.startswith("->", self.pos):
-                out.append(("->", "->", start))
-                self._advance(2)
-            elif self.text.startswith(("<=", ">=", "=="), self.pos):
-                text = self.text[self.pos:self.pos + 2]
-                out.append(("=" if text == "==" else text, text, start))
-                self._advance(2)
-            elif ch in "!&|()[],<>=":
-                out.append((ch, ch, start))
-                self._advance()
-            elif ch.isdigit():
-                j = self.pos
-                while j < len(self.text) and (self.text[j].isdigit()
-                                              or self.text[j] in "./"):
-                    j += 1
-                number = self.text[self.pos:j]
-                self._advance(j - self.pos)
-                out.append(("number", number, start))
-            elif ch.isalpha() or ch == "_":
-                j = self.pos
-                while j < len(self.text) and (self.text[j].isalnum()
-                                              or self.text[j] == "_"):
-                    j += 1
-                word = self.text[self.pos:j]
-                self._advance(j - self.pos)
-                kind = word if word in _KEYWORDS else "name"
-                out.append((kind, word, start))
-            else:
-                self.error(f"unknown token {ch!r}")
-        out.append(("end", "", (self.line, self.col)))
-        return out
+def _tokens(text: str) -> list:
+    """The tokens of ``text``, each ``(kind, text, (line, column))``, then
+    an end token; a tab counts as one column."""
+    tokens = []
+    line, start = 1, 0  # the current line and the index it starts at
+    for match in _TOKEN.finditer(text):
+        group, word = match.lastindex, match.group()
+        if group == 1:
+            if "\n" in word:
+                line += word.count("\n")
+                start = match.start() + word.rindex("\n") + 1
+            continue
+        where = (line, match.start() - start)
+        if group == 5:
+            raise MitlSyntaxError(f"unknown token {word!r}", *where)
+        if group == 3:
+            kind = "number"
+        elif group == 4 and word not in _KEYWORDS:
+            kind = "name"
+        else:
+            kind = "=" if word == "==" else word
+        tokens.append((kind, word, where))
+    tokens.append(("end", "", (line, len(text) - start)))
+    return tokens
 
 
 class _Parser:
-    """Recursive descent for: unary (!, X, F, G) > U > & > | > -> .
+    """Precedence climbing over :data:`_BINARY`: unary operands (``!``,
+    ``X``, ``F``, ``G``, parentheses, leaves) joined by ``U`` over ``&``
+    over ``|`` over ``->``, where ``U`` and ``->`` group to the right and
+    ``&`` and ``|`` to the left.
 
     With ``clocks`` set it reads a guard or an invariant instead: ``true``,
     ``!``, ``&``, parentheses and clock comparisons, where any word
@@ -371,12 +355,16 @@ class _Parser:
     A formula whose tree is more than :data:`MAX_DEPTH` levels deep, each
     ``&`` or ``|`` of a chain counting as one, or that opens more than
     that many operands and parentheses one inside the other, is a syntax
-    error at the operator or parenthesis where it goes too deep."""
+    error at the operator or parenthesis where it goes too deep.  The
+    operands opened are those of ``!``, ``X``, ``F``, ``G`` and
+    parentheses, and the right operands of ``->`` and ``U``: the ones the
+    parser recurses into, where a chain of ``&`` or ``|`` is a loop."""
 
     def __init__(self, text: str, clocks=False):
-        self.tokens = _Tokenizer(text).tokens()
+        self.tokens = _tokens(text)
         self.index = 0
         self.clocks = clocks
+        self.binary = _GUARD_BINARY if clocks else _BINARY
         self.open = 0  # operands being read, each inside the last
         self.heights: dict = {}  # id of a node built here -> its tree's depth
 
@@ -426,40 +414,26 @@ class _Parser:
             self.error(f"unexpected {self.peek()[1]!r}")
         return formula
 
-    def expression(self) -> Formula:
-        return self.conjunction() if self.clocks else self.implication()
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            token = self.take()
-            with self.operand_of(token):
-                return self.built(Implies(left, self.implication()), token)
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek()[0] == "|":
-            token = self.take()
-            left = self.built(Or(left, self.conjunction()), token)
-        return left
-
-    def conjunction(self) -> Formula:
-        operand = self.unary if self.clocks else self.until
-        left = operand()
-        while self.peek()[0] == "&":
-            token = self.take()
-            left = self.built(And(left, operand()), token)
-        return left
-
-    def until(self) -> Formula:
+    def expression(self, least: int = 0) -> Formula:
+        """Unary operands joined by the binary operators of precedence
+        ``least`` or more."""
         left = self.unary()
-        if self.peek()[0] == "U":
-            token = self.take()
-            interval = self.maybe_interval()
-            with self.operand_of(token):  # right-associative
-                return self.built(Until(interval, left, self.until()), token)
-        return left
+        while True:
+            token = self.peek()
+            operator = self.binary.get(token[0])
+            if operator is None or operator[0] < least:
+                return left
+            precedence, node, right = operator
+            self.take()
+            if node is Until:
+                node = partial(Until, self.maybe_interval())
+            if right:
+                with self.operand_of(token):
+                    left = self.built(node(left, self.expression(precedence)),
+                                      token)
+            else:
+                left = self.built(node(left, self.expression(precedence + 1)),
+                                  token)
 
     def unary(self) -> Formula:
         token = self.peek()
@@ -540,17 +514,13 @@ class _Parser:
                                    open_token)
 
     def build_interval(self, lower, upper, lower_closed, upper_closed, token):
-        lo = "[" if lower_closed else "("
-        hi = "]" if upper_closed else ")"
-        text = (f"{lo}{format_rational(lower)},"
-                f"{format_rational(upper)}{hi}")
-        if upper is not INFINITY:
+        if upper is not INFINITY and lower >= upper:
+            text = format_interval(lower, upper, lower_closed, upper_closed)
             if lower == upper:
                 raise PunctualIntervalError(
                     f"punctual interval {text} is not allowed on temporal operators")
-            if lower > upper:
-                self.error(f"malformed interval {text}: lower bound exceeds upper",
-                           token)
+            self.error(f"malformed interval {text}: lower bound exceeds upper",
+                       token)
         return TimeInterval(lower, upper, lower_closed, upper_closed)
 
     def rational(self) -> Fraction:

@@ -1,21 +1,24 @@
 import dataclasses
 import pickle
 import random
+from contextlib import contextmanager
+from fractions import Fraction
 from fractions import Fraction as Q
 
 import pytest
 
-from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
-from mitlplan.mitl import (Always, And, Atom, Eventually, Formula,
-                           Implies, MitlSyntaxError, Next, Not, Or,
-                           PunctualIntervalError, TrueFormula, Until,
-                           _Evaluator, compile_formula, evaluate_at,
+from mitlplan.core import (INFINITY, InputError, LassoTimedWord, TimeInterval,
+                           UNIT_INTERVAL, format_rational, parse_rational)
+from mitlplan.mitl import (Always, And, Atom, Compare, Eventually,
+                           FalseFormula, Formula, Implies, MitlSyntaxError,
+                           Next, Not, Or, PunctualIntervalError, TrueFormula,
+                           Until, _Evaluator, compile_formula, evaluate_at,
                            first_violation, format_formula, normalize,
-                           parse_formula, satisfies)
+                           parse_constraint, parse_formula, satisfies)
 from oracles import (brute_force_evaluate, evaluate_constraint,
                      formula_horizon, label_holds, random_bounded_formula,
-                     random_clock_constraint, random_interval,
-                     random_lasso_word, random_propositional)
+                     random_clock_constraint, random_fragment_formula,
+                     random_interval, random_lasso_word, random_propositional)
 
 
 def word(prefix, cycle, period):
@@ -99,6 +102,383 @@ class TestParser:
             parse_formula("p & @")
         assert info.value.line == 1
         assert info.value.column == 4
+        # lines count from 1 and columns from 0, a tab as one column
+        for text, message in (("a &\n  )", "2:2: unexpected ')'"),
+                              ("\n\n", "3:0: unexpected end of input"),
+                              ("p\n\t& @", "2:3: unknown token '@'")):
+            with pytest.raises(MitlSyntaxError) as info:
+                parse_formula(text)
+            assert str(info.value) == message
+
+    def test_interval_messages_print_the_interval_as_written(self):
+        with pytest.raises(MitlSyntaxError, match=r"^1:1: malformed interval "
+                           r"\[3,2\]: lower bound exceeds upper$"):
+            parse_formula("F[3,2] p")
+        with pytest.raises(PunctualIntervalError, match=r"^punctual interval "
+                           r"\(1,1\] is not allowed on temporal operators$"):
+            parse_formula("F(1,1] p")
+
+    def test_numeric_characters_that_are_not_decimal_digits_start_a_name(self):
+        # ``re``'s name rule: a letter, a numeric character other than a
+        # decimal digit, or ``_``, then word characters
+        for text in ("\u00b2", "\u00bd", "\u216b", "p\u00b2"):
+            assert parse_formula(text) == Atom(text)
+
+
+# --- the formula parser as first written -----------------------------------
+#
+# The reference for parse_formula and parse_constraint: the parser that
+# walked the text one character at a time and had one method per
+# precedence level.  It lives here, not in oracles.py, because the
+# benchmark imports oracles.py in every pass, and a larger module to
+# compile raises the pass's peak memory.
+
+# a copy of the package's grammar constants, so that the reference reads
+# the language as it was defined, whatever the package does with them
+_KEYWORDS = {"U", "X", "F", "G", "true", "false", "inf"}
+_UNARY = {"X": Next, "F": Eventually, "G": Always}
+_RELATIONS = ("<", "<=", ">", ">=", "=")
+MAX_DEPTH = 100
+
+
+class _Tokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 0
+
+    def error(self, message):
+        raise MitlSyntaxError(message, self.line, self.col)
+
+    def _advance(self, n=1):
+        for _ in range(n):
+            if self.pos < len(self.text) and self.text[self.pos] == "\n":
+                self.line += 1
+                self.col = 0
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def tokens(self):
+        out = []
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch.isspace():
+                self._advance()
+                continue
+            start = (self.line, self.col)
+            if self.text.startswith("->", self.pos):
+                out.append(("->", "->", start))
+                self._advance(2)
+            elif self.text.startswith(("<=", ">=", "=="), self.pos):
+                text = self.text[self.pos:self.pos + 2]
+                out.append(("=" if text == "==" else text, text, start))
+                self._advance(2)
+            elif ch in "!&|()[],<>=":
+                out.append((ch, ch, start))
+                self._advance()
+            elif ch.isdigit():
+                j = self.pos
+                while j < len(self.text) and (self.text[j].isdigit()
+                                              or self.text[j] in "./"):
+                    j += 1
+                number = self.text[self.pos:j]
+                self._advance(j - self.pos)
+                out.append(("number", number, start))
+            elif ch.isalpha() or ch == "_":
+                j = self.pos
+                while j < len(self.text) and (self.text[j].isalnum()
+                                              or self.text[j] == "_"):
+                    j += 1
+                word = self.text[self.pos:j]
+                self._advance(j - self.pos)
+                kind = word if word in _KEYWORDS else "name"
+                out.append((kind, word, start))
+            else:
+                self.error(f"unknown token {ch!r}")
+        out.append(("end", "", (self.line, self.col)))
+        return out
+
+
+class _Parser:
+    """Recursive descent for: unary (!, X, F, G) > U > & > | > -> .
+
+    With ``clocks`` set it reads a guard or an invariant instead: ``true``,
+    ``!``, ``&``, parentheses and clock comparisons, where any word
+    followed by a relation names a clock, keywords included.
+
+    A formula whose tree is more than :data:`MAX_DEPTH` levels deep, each
+    ``&`` or ``|`` of a chain counting as one, or that opens more than
+    that many operands and parentheses one inside the other, is a syntax
+    error at the operator or parenthesis where it goes too deep."""
+
+    def __init__(self, text: str, clocks=False):
+        self.tokens = _Tokenizer(text).tokens()
+        self.index = 0
+        self.clocks = clocks
+        self.open = 0  # operands being read, each inside the last
+        self.heights: dict = {}  # id of a node built here -> its tree's depth
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def take(self, kind=None):
+        token = self.tokens[self.index]
+        if kind is not None and token[0] != kind:
+            self.error(f"expected {kind!r}, found {token[1]!r}" if token[1]
+                       else f"expected {kind!r}, found end of input", token)
+        self.index += 1
+        return token
+
+    def error(self, message, token=None):
+        token = token or self.peek()
+        line, col = token[2]
+        raise MitlSyntaxError(message, line, col)
+
+    def too_deep(self, token):
+        self.error(f"formula nested deeper than {MAX_DEPTH} levels", token)
+
+    @contextmanager
+    def operand_of(self, token):
+        """Reads the operand of the operator or parenthesis at ``token``,
+        one level further in."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            self.too_deep(token)
+        yield
+        self.open -= 1
+
+    def built(self, formula: Formula, token) -> Formula:
+        """``formula``, the node of the operator at ``token`` over operands
+        that this parser returned, unless its tree is too deep."""
+        height = 1 + max((self.heights.get(id(part), 1)
+                          for part in vars(formula).values()
+                          if isinstance(part, Formula)), default=0)
+        if height > MAX_DEPTH:
+            self.too_deep(token)
+        self.heights[id(formula)] = height
+        return formula
+
+    def parse(self) -> Formula:
+        formula = self.expression()
+        if self.peek()[0] != "end":
+            self.error(f"unexpected {self.peek()[1]!r}")
+        return formula
+
+    def expression(self) -> Formula:
+        return self.conjunction() if self.clocks else self.implication()
+
+    def implication(self) -> Formula:
+        left = self.disjunction()
+        if self.peek()[0] == "->":
+            token = self.take()
+            with self.operand_of(token):
+                return self.built(Implies(left, self.implication()), token)
+        return left
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while self.peek()[0] == "|":
+            token = self.take()
+            left = self.built(Or(left, self.conjunction()), token)
+        return left
+
+    def conjunction(self) -> Formula:
+        operand = self.unary if self.clocks else self.until
+        left = operand()
+        while self.peek()[0] == "&":
+            token = self.take()
+            left = self.built(And(left, operand()), token)
+        return left
+
+    def until(self) -> Formula:
+        left = self.unary()
+        if self.peek()[0] == "U":
+            token = self.take()
+            interval = self.maybe_interval()
+            with self.operand_of(token):  # right-associative
+                return self.built(Until(interval, left, self.until()), token)
+        return left
+
+    def unary(self) -> Formula:
+        token = self.peek()
+        kind = token[0]
+        if kind == "!":
+            self.take()
+            with self.operand_of(token):
+                return self.built(Not(self.unary()), token)
+        if kind == "(":
+            self.take()
+            with self.operand_of(token):
+                inner = self.expression()
+            self.take(")")
+            return inner
+        if self.clocks:
+            return self.clock_leaf()
+        if kind in _UNARY:
+            self.take()
+            interval = self.maybe_interval()
+            with self.operand_of(token):
+                return self.built(_UNARY[kind](interval, self.unary()), token)
+        if kind == "true":
+            self.take()
+            return TrueFormula()
+        if kind == "false":
+            self.take()
+            return FalseFormula()
+        if kind == "name":
+            return Atom(self.take()[1])
+        self.error(f"unexpected {self.peek()[1]!r}" if self.peek()[1]
+                   else "unexpected end of input")
+
+    def clock_leaf(self) -> Formula:
+        """``true``, or a comparison: a word, a relation and a constant."""
+        kind, word, _ = self.peek()
+        if (kind == "name" or kind in _KEYWORDS) and \
+                self.tokens[self.index + 1][0] in _RELATIONS:
+            self.take()
+            relation = self.take()[0]
+            return Compare(word, relation, self.rational())
+        if kind == "true":
+            self.take()
+            return TrueFormula()
+        self.error(f"expected a clock comparison, found {word!r}" if word
+                   else "expected a clock comparison, found end of input")
+
+    def maybe_interval(self) -> TimeInterval:
+        # an open paren starts an interval only when a bound follows;
+        # otherwise it groups a subformula, as in "G(red -> ...)"
+        kind = self.peek()[0]
+        if kind == "(" and self.tokens[self.index + 1][0] not in ("number", "<="):
+            return UNIT_INTERVAL
+        if kind not in ("[", "("):
+            return UNIT_INTERVAL
+        open_token = self.take()
+        lower_closed = open_token[0] == "["
+        if self.peek()[0] == "<=":
+            if not lower_closed:
+                self.error("the <= shorthand requires [<=b]")
+            self.take()
+            bound = self.rational()
+            close = self.take()
+            if close[0] != "]":
+                self.error("the <= shorthand requires [<=b]", close)
+            return self.build_interval(Fraction(0), bound, True, True, open_token)
+        lower = self.rational()
+        self.take(",")
+        if self.peek()[0] == "inf":
+            self.take()
+            upper = INFINITY
+        else:
+            upper = self.rational()
+        close = self.take()
+        if close[0] not in ("]", ")"):
+            self.error(f"expected interval close, found {close[1]!r}", close)
+        upper_closed = close[0] == "]"
+        return self.build_interval(lower, upper, lower_closed, upper_closed,
+                                   open_token)
+
+    def build_interval(self, lower, upper, lower_closed, upper_closed, token):
+        lo = "[" if lower_closed else "("
+        hi = "]" if upper_closed else ")"
+        text = (f"{lo}{format_rational(lower)},"
+                f"{format_rational(upper)}{hi}")
+        if upper is not INFINITY:
+            if lower == upper:
+                raise PunctualIntervalError(
+                    f"punctual interval {text} is not allowed on temporal operators")
+            if lower > upper:
+                self.error(f"malformed interval {text}: lower bound exceeds upper",
+                           token)
+        return TimeInterval(lower, upper, lower_closed, upper_closed)
+
+    def rational(self) -> Fraction:
+        token = self.take()
+        if token[0] != "number":
+            self.error(f"expected a number, found {token[1]!r}" if token[1]
+                       else "expected a number, found end of input", token)
+        try:
+            return parse_rational(token[1])
+        except InputError as exc:
+            self.error(str(exc), token)
+
+
+def reference_parse(text: str, clocks=False) -> Formula:
+    """What ``parse_formula`` (``parse_constraint`` with ``clocks``) read
+    when it walked the text character by character and had one method per
+    precedence level: the same tree, or the same error and position."""
+    return _Parser(text, clocks).parse()
+
+
+# the pieces that random texts for the parsers are made of
+_PIECES = ("!", "&", "|", "->", "U", "X", "F", "G", "(", ")", "[", "]", ",",
+           "<", "<=", ">", ">=", "=", "==", "p", "q_1", "x", "true", "false",
+           "inf", "0", "1", "2", "0.5", "3/2", "1/0", "1.2.3", "[1,2]",
+           "(0,inf)", "[<=3]", "[2,2]", "(3,1]", "[1,inf]", " ", "\n", "\t",
+           "@")
+_CHARACTERS = "!&|-<>=()[],./_01239pqxUXFGtrueinf \n\t@#"
+
+
+def _outcome(parse, text: str):
+    """The tree that ``parse`` reads from ``text``, or the class and message
+    of the error it raises, position included."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def _parser_texts(rng: random.Random):
+    """Texts for both parsers, each with ``True`` for a guard or an
+    invariant: printed random formulas and constraints, random strings of
+    pieces, one-character edits of both, depth probes around the limit and
+    texts over several lines."""
+    atoms = ("p", "q", "r_2")
+    printed = []
+    for _ in range(400):
+        printed.append((format_formula(random_bounded_formula(
+            rng, atoms, depth=3, denominators=(1, 2, 3), constants=True)),
+            False))
+        printed.append((format_formula(random_fragment_formula(rng, atoms)),
+                        False))
+        printed.append((format_formula(random_propositional(rng, atoms, 3)),
+                        False))
+        printed.append((format_formula(random_clock_constraint(
+            rng, ("x", "y1", "U", "inf", "true"), depth=3)), True))
+    pieced = [("".join(rng.choice(("", " ")) + rng.choice(_PIECES)
+                       for _ in range(rng.randrange(1, 12))), clocks)
+              for _ in range(700) for clocks in (False, True)]
+    edited = []
+    for text, clocks in printed + pieced:
+        at = rng.randrange(len(text))
+        edited.append((text[:at] + text[at + 1:], clocks))
+        at = rng.randrange(len(text) + 1)
+        edited.append((text[:at] + rng.choice(_CHARACTERS) + text[at:],
+                       clocks))
+    probes = []
+    for n in (99, 100, 101):
+        for leaf, clocks in (("p", False), ("x < 1", True)):
+            probes += [("(" * n + leaf + ")" * n, clocks),
+                       ("!" * n + leaf, clocks), ("X " * n + leaf, clocks)]
+            probes += [(f" {op} ".join([leaf] * (n + 1)), clocks)
+                       for op in ("&", "|", "->", "U", "U[1,2]")]
+    lines = [("a &\n  )", False), ("\n\n", False), ("\n\n", True),
+             ("p\n\t& @", False), ("F[1,\n\t2] p", False),
+             ("G(p ->\n\tX\tF[<=2]\n\t\tq)\n)", False),
+             ("x <\n\t= 1", True), ("x <= 1 &\n\t\ty > 2 |", True),
+             ("\tF[3,2]\n p", False), ("\n  F(1,1] p", False)]
+    return printed + pieced + edited + probes + lines
+
+
+class TestReferenceParser:
+    def test_parsers_match_the_reference(self):
+        texts = _parser_texts(random.Random(2024))
+        assert len(texts) >= 5000
+        for text, clocks in texts:
+            parse = parse_constraint if clocks else parse_formula
+            assert _outcome(parse, text) == _outcome(
+                lambda t: reference_parse(t, clocks), text), (text, clocks)
 
 
 class TestNormalize:
