@@ -31,7 +31,7 @@ from .core import (InputError, denominator_lcm, format_rational, naming,
 from .mitl import (Formula, atoms_of, first_violation, format_formula,
                    parse_formula)
 from .search import (ExplorationLimitError, PlanBundle, find_accepting_lasso,
-                     project_plan)
+                     live_states, project_plan)
 from .tba import (TimedBuchiAutomaton, tba_from_dict, tba_to_dict,
                   translate_mitl)
 from .product import GlobalProduct, LocalProduct, TeamProduct
@@ -253,16 +253,29 @@ def load_model(path: Path) -> dict:
 
 
 def _systems_of(data) -> dict:
+    """The agents of a model or problem file by name.  The names are
+    distinct and none is ``team``, which scopes the team's formulas; the
+    alphabets are pairwise disjoint."""
     _check_model_file(data)
     out = {}
+    owner: dict[str, str] = {}  # atom -> the agent whose alphabet holds it
     for i, entry in enumerate(data["agents"]):
         name = entry["name"]
         if not name:
             raise InputError(f"agents[{i}].name: empty agent name")
+        if name == "team":
+            raise InputError(f"agents[{i}].name: 'team' is reserved for the "
+                             f"team's scope")
         if name in out:
             raise InputError(f"agents[{i}].name: duplicate agent name "
                              f"{name!r}")
-        out[name] = load_system(entry, f"agents[{i}]")
+        system = out[name] = load_system(entry, f"agents[{i}]")
+        overlap = system.atoms & owner.keys()
+        if overlap:
+            atom = min(overlap)
+            raise InputError(f"agents[{i}]: atom {atom!r} also belongs to "
+                             f"agent {owner[atom]!r}")
+        owner.update(dict.fromkeys(system.atoms, name))
     if not out:
         raise InputError("agents: no agents defined")
     return out
@@ -347,46 +360,36 @@ def _load_automaton(path: Path, where: str) -> TimedBuchiAutomaton:
         return tba_from_dict(data)
 
 
-# how _load_specification words its failures for an agent and for the team:
-# formula atoms outside the alphabet, an automaton over another alphabet,
-# neither a formula nor an automaton file
-_AGENT_ERRORS = (
-    "agent {name}: formula atoms {found} are not in the agent's alphabet",
-    "agent {name}: automaton alphabet {found} must equal the agent's "
-    "alphabet {atoms}",
-    "agent {name}: needs a formula or a tba file")
-_TEAM_ERRORS = (
-    "team formula atoms {found} are not in any agent's alphabet",
-    "team automaton alphabet must equal the union of agent alphabets",
-    "a global formula or tba is required")
+def _formula_over(text: str, atoms: frozenset, where: str) -> Formula:
+    """The formula ``text``, whose atoms must be in the alphabet ``atoms``;
+    an error names ``where``."""
+    with naming(where):
+        formula = parse_formula(text)
+        unknown = atoms_of(formula) - atoms
+        if unknown:
+            raise InputError(f"atoms {sorted(unknown)} are not in the "
+                             f"alphabet {sorted(atoms)}")
+    return formula
 
 
 def _load_specification(entry: dict, atoms: frozenset, base: Path,
-                        where: str, errors: tuple):
+                        where: str):
     """The formula, or ``None``, and the automaton of an agent or of the
     team: the entry's formula, over ``atoms`` and translated, or its
     automaton file, whose alphabet must be ``atoms``, but not both."""
-
-    def error(which: int, found=None) -> InputError:
-        return InputError(errors[which].format(
-            name=entry.get("name"), found=found, atoms=sorted(atoms)))
-
-    text = entry.get("formula")
-    if text is not None and "tba" in entry:
+    if "formula" in entry and "tba" in entry:
         raise InputError(f"{where}: give a formula or a tba file, not both")
-    if text is not None:
-        with naming(f"{where}.formula"):
-            formula = parse_formula(text)
-        unknown = atoms_of(formula) - atoms
-        if unknown:
-            raise error(0, sorted(unknown))
+    if "formula" in entry:
+        formula = _formula_over(entry["formula"], atoms, f"{where}.formula")
         return formula, translate_mitl(formula, alphabet=atoms)
     if "tba" in entry:
         automaton = _load_automaton(base / entry["tba"], f"{where}.tba")
         if automaton.atoms != atoms:
-            raise error(1, sorted(automaton.atoms))
+            raise InputError(f"{where}.tba: the automaton's atoms "
+                             f"{sorted(automaton.atoms)} differ from the "
+                             f"alphabet {sorted(atoms)}")
         return None, automaton
-    raise error(2)
+    raise InputError(f"{where}: needs a formula or a tba file")
 
 
 def load_problem(path: Path) -> PlanningProblem:
@@ -395,22 +398,16 @@ def load_problem(path: Path) -> PlanningProblem:
     base = path.parent
     model = _systems_of(data)
     agents = []
-    owner: dict[str, str] = {}  # atom -> the agent whose alphabet holds it
     for i, entry in enumerate(data["agents"]):
         system = model[entry["name"]]
-        overlap = system.atoms & owner.keys()
-        if overlap:  # the alphabets must be pairwise disjoint
-            atom = min(overlap)
-            raise InputError(f"agents[{i}]: atom {atom!r} also belongs to "
-                             f"agent {owner[atom]!r}")
-        owner.update(dict.fromkeys(system.atoms, entry["name"]))
         formula, automaton = _load_specification(
-            entry, system.atoms, base, f"agents[{i}]", _AGENT_ERRORS)
+            entry, system.atoms, base, f"agents[{i}]")
         agents.append(AgentSpec(name=entry["name"], system=system,
                                 formula=formula, automaton=automaton))
     global_formula, global_automaton = _load_specification(
-        data.get("global", {}), frozenset(owner), base, "global",
-        _TEAM_ERRORS)
+        data.get("global", {}),
+        frozenset().union(*(system.atoms for system in model.values())),
+        base, "global")
     options = data.get("options", {})
     return PlanningProblem(
         agents=tuple(agents),
@@ -457,12 +454,14 @@ def solve(problem: PlanningProblem) -> PlanOutcome:
 
     team = global_prod = None
     try:
-        team = TeamProduct(locals_, problem.state_budget)
+        # the first stage: each local product trimmed to its live states
+        live = [live_states(local, problem.state_budget) for local in locals_]
+        team = TeamProduct(locals_, live)
         # an agent without live states has an empty language of its own,
         # and leaves the team no initial state; one without initial states
         # has its note already
-        for agent, local, live in zip(problem.agents, locals_, team.live):
-            if not live and local.initial_states():
+        for agent, local, states in zip(problem.agents, locals_, live):
+            if not states and local.initial_states():
                 notes.append(f"agent {agent.name}: local specification is "
                              f"unsatisfiable on its own transition system")
         global_prod = GlobalProduct(team, global_automaton)
@@ -664,17 +663,9 @@ def _parse_scoped_formulas(items, model, runs):
             raise InputError(f"unknown formula scope {scope!r}")
         if scope != "team" and scope not in runs:
             raise InputError(f"no run given for agent {scope!r}")
-        with naming(f"--formula {scope}: {text}"):
-            formula = parse_formula(text)
-        if scope == "team":
-            unknown, errors = atoms_of(formula) - team_atoms, _TEAM_ERRORS
-        else:
-            unknown = atoms_of(formula) - model[scope].atoms
-            errors = _AGENT_ERRORS
-        if unknown:
-            raise InputError(errors[0].format(name=scope,
-                                              found=sorted(unknown)))
-        scoped.append((scope, formula))
+        atoms = team_atoms if scope == "team" else model[scope].atoms
+        scoped.append((scope, _formula_over(text, atoms,
+                                            f"--formula {scope}: {text}")))
     return scoped
 
 
@@ -682,9 +673,9 @@ def _model_and_runs(args):
     """The model and the runs of ``check`` and ``simulate``."""
     model = load_model(Path(args.model))
     runs = load_runs(Path(args.runs))
-    unknown = set(runs) - set(model)
-    if unknown:
-        raise InputError(f"runs given for unknown agents: {sorted(unknown)}")
+    for name in runs:
+        if name not in model:
+            raise InputError(f"runs.{name}: the model has no such agent")
     return model, runs
 
 
@@ -692,7 +683,10 @@ def _collective_of(model: dict, runs: dict):
     """The agents' names in order, each agent's word, the collective run
     and the team's word; building an agent's word validates its run."""
     names = sorted(runs)
-    words = {name: timed_word_of(model[name], runs[name]) for name in names}
+    words = {}
+    for name in names:
+        with naming(f"runs.{name}"):
+            words[name] = timed_word_of(model[name], runs[name])
     merged = collective_run([runs[name] for name in names])
     word = collective_word_of([model[name] for name in names], merged)
     return names, words, merged, word

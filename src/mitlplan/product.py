@@ -14,10 +14,11 @@ the loop head, a whole position of the word at a time
 (:meth:`AutomatonProduct.advance`), and builds no state object.  Layer 1
 pairs one agent's transition system with its
 specification automaton.  Layer 2 interleaves the per-agent layer-1
-graphs, trimmed to their live states (:func:`search.live_states`): each
-step advances time by the smallest time remaining on the agents' moves,
-and agents finishing exactly then complete their moves.  Layer 3 pairs the
-team graph with the team specification automaton.
+graphs, trimmed to the live states it is given (``solve`` finds them with
+:func:`search.live_states`): each step advances time by the smallest time
+remaining on the agents' moves, and agents finishing exactly then complete
+their moves.  Layer 3 pairs the team graph with the team specification
+automaton.
 
 The global layer drops every state that can no longer meet a deadline of
 the team automaton, initial or successor.  The rule is read in one place,
@@ -86,7 +87,6 @@ from typing import NamedTuple
 
 from .mitl import (And, Atom, Compare, FalseFormula, Formula, Not,
                    TrueFormula, normalize)
-from .search import live_states
 from .tba import TimedBuchiAutomaton
 from .wts import WeightedTransitionSystem
 
@@ -212,23 +212,22 @@ class TeamProduct:
 
     Team acceptance needs every agent to accept infinitely often, and every
     state reachable from a local state that is not live is not live either,
-    so no accepting team cycle passes through one: the constructor runs
-    :func:`search.live_states` on each local product (each pass counts
-    against ``state_budget``), and components, targets and initial
-    combinations are drawn from the live states alone.
+    so no accepting team cycle passes through one: ``live`` holds each local
+    product's live states (:func:`search.live_states`, which ``solve`` runs
+    once per agent), and components, targets and initial combinations are
+    drawn from them alone.
     """
 
     # a state carries its letter; read without a Python-level call
     label_of = staticmethod(attrgetter("letter"))
 
-    def __init__(self, locals_, state_budget=None):
+    def __init__(self, locals_, live):
         self.locals = tuple(locals_)
         if not self.locals:
             raise ValueError("at least one agent is required")
         self.count = len(self.locals)
         self.all_marks = (1 << self.count) - 1
-        self.live = tuple(live_states(local, state_budget)
-                          for local in self.locals)
+        self.live = tuple(live)
         self._letters: dict = {}  # region vector -> its letter
         self._interned: dict = {}  # letter -> the one object for it
         self._edges: dict = {}  # expanded state -> its number of successors

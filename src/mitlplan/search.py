@@ -73,10 +73,10 @@ def find_accepting_lasso(graph, state_budget: Optional[int] = None):
     return None if found is None else _lasso(graph, *found)
 
 
-def has_accepting_run(graph, state_budget: Optional[int] = None) -> bool:
+def has_accepting_run(graph) -> bool:
     """Whether :func:`find_accepting_lasso` would find a lasso; the same
     pass, which builds none."""
-    return _components(graph, state_budget, True) is not None
+    return _components(graph, None, True) is not None
 
 
 def live_states(graph, state_budget: Optional[int] = None) -> frozenset:

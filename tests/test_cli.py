@@ -190,9 +190,11 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("formula, message", [
         ("r1: F red",
-         "agent r1: formula atoms ['red'] are not in the agent's alphabet"),
+         "--formula r1: F red: atoms ['red'] are not in the alphabet "
+         "['green']"),
         ("team: F zzz",
-         "team formula atoms ['zzz'] are not in any agent's alphabet"),
+         "--formula team: F zzz: atoms ['zzz'] are not in the alphabet "
+         "['green', 'red']"),
     ])
     def test_atoms_outside_the_scope_exit_3_as_in_plan(self, capsys, formula,
                                                        message):
@@ -325,7 +327,57 @@ def test_runs_of_an_agent_the_model_lacks_exit_3(tmp_path, capsys, command):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        "", "error: runs given for unknown agents: ['r9']\n")
+        "", "error: runs.r9: the model has no such agent\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cycle, message", [
+    ([["p1", "0"], ["p3", "1"]],
+     "runs.r1: step 0: p1 -> p3 is not a transition"),
+    ([["p2", "0"], ["p1", "2"]],
+     "runs.r1: run starts at p2, not an initial state"),
+])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_a_run_that_does_not_fit_its_agent_is_named(tmp_path, capsys, command,
+                                                    cycle, message):
+    runs = write_json(tmp_path / "runs.json", {"runs": {
+        "r1": {"cycle": cycle, "period": "4"}}})
+    argv = [command, "--model", fixture("two_agent_chain_model.json"),
+            "--runs", runs]
+    if command == "simulate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("agents, message", [
+    # the name of an agent would be read as the team's scope
+    ([{"name": "team", "labels": {"s": ["p"]}}, {"name": "other"}],
+     "agents[0].name: 'team' is reserved for the team's scope"),
+    ([{"name": "r1", "labels": {"s": ["p"]}},
+      {"name": "r2", "labels": {"s": ["p", "q"]}}],
+     "agents[1]: atom 'p' also belongs to agent 'r1'"),
+])
+@pytest.mark.parametrize("command", ["plan", "check", "simulate"])
+def test_the_agent_loader_refuses_for_every_command(tmp_path, capsys, command,
+                                                    agents, message):
+    model = write_json(tmp_path / "model.json", {
+        "agents": [{**GOOD_AGENT, **agent} for agent in agents],
+        "global": {"formula": "true"}})
+    if command == "plan":
+        argv = ["plan", model]
+    else:
+        runs = write_json(tmp_path / "runs.json", {"runs": {
+            agent["name"]: {"cycle": [["s", "0"]], "period": "1"}
+            for agent in agents}})
+        argv = [command, "--model", model, "--runs", runs]
+    if command != "check":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -752,18 +804,19 @@ class TestMalformedProblemFiles:
 
     @pytest.mark.parametrize("data, message", [
         (with_agent(formula="F hot"),
-         "agent solo: formula atoms ['hot'] are not in the agent's alphabet"),
+         "agents[0].formula: atoms ['hot'] are not in the alphabet []"),
         (with_agent(atoms=["p"], formula=None, tba="goal.json"),
-         "agent solo: automaton alphabet [] must equal the agent's alphabet "
+         "agents[0].tba: the automaton's atoms [] differ from the alphabet "
          "['p']"),
         (with_agent(formula=None),
-         "agent solo: needs a formula or a tba file"),
+         "agents[0]: needs a formula or a tba file"),
         ({**with_agent(), "global": {"formula": "F hot"}},
-         "team formula atoms ['hot'] are not in any agent's alphabet"),
+         "global.formula: atoms ['hot'] are not in the alphabet []"),
         ({**with_agent(atoms=["p"]), "global": {"tba": "goal.json"}},
-         "team automaton alphabet must equal the union of agent alphabets"),
+         "global.tba: the automaton's atoms [] differ from the alphabet "
+         "['p']"),
         ({**with_agent(), "global": {}},
-         "a global formula or tba is required"),
+         "global: needs a formula or a tba file"),
     ])
     def test_a_specification_that_does_not_fit_exits_3(self, tmp_path, capsys,
                                                         data, message):

@@ -108,6 +108,18 @@ def test_one_pass_of_the_search_starts_from_the_initial_states():
     assert readers == ["search._components"]
 
 
+def test_the_products_import_nothing_from_the_search():
+    # solve runs the live-state pass and hands the team layer its sets
+    tree = ast.parse((PACKAGE / "product.py").read_text())
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in [getattr(node, "module", None) or ""] + [
+                    alias.name for alias in node.names]:
+                parts.update(name.split("."))
+    assert "search" not in parts
+
+
 def test_one_compiler_decides_every_boolean_formula():
     # labels, guards, invariants and the evaluator's propositional
     # subformulas are all decided by the code that compile_formula builds

@@ -15,7 +15,7 @@ from mitlplan.mitl import (And, Atom, Compare, Not, normalize,
                            parse_constraint, parse_formula, satisfies)
 from mitlplan.product import (GlobalProduct, LocalProduct, TeamProduct,
                               TeamState, _deadlines, _time_bound)
-from mitlplan.search import find_accepting_lasso
+from mitlplan.search import find_accepting_lasso, live_states
 from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton, translate_mitl,
                           universal_tba)
 from mitlplan.wts import (TimedRun, WeightedTransitionSystem, grid_cells,
@@ -67,10 +67,16 @@ def local_product(system, automaton, factor=None):
     return LocalProduct(system.scaled(factor), automaton.scaled(factor))
 
 
+def team_of(locals_):
+    """The team layer over ``locals_``, each trimmed to its live states as
+    ``solve`` trims them."""
+    return TeamProduct(locals_, [live_states(local) for local in locals_])
+
+
 def recurring_team():
     """Two agents that each see their colour within a deadline, again and
     again; in halves of a time unit, as ``chain_green`` needs."""
-    return TeamProduct([
+    return team_of([
         local_product(chain_green(), translate_mitl(
             parse_formula("G F[0,10] green"), alphabet={"green"}), 2),
         local_product(shuttle_red(), translate_mitl(
@@ -192,7 +198,7 @@ class TestTeamProduct:
         system = chain_green()
         automaton = translate_mitl(parse_formula("G F[0,10] green"))
         local = local_product(system, automaton, 2)
-        team = TeamProduct([local])
+        team = team_of([local])
         local_lasso = find_accepting_lasso(local)
         team_lasso = find_accepting_lasso(team)
         assert (local_lasso is None) == (team_lasso is None)
@@ -209,7 +215,7 @@ class TestTeamProduct:
         fast = tiny_system({"a": set()}, weights={("a", "b"): Q(1), ("b", "a"): Q(1)})
         slow = tiny_system({"a": set()}, weights={("a", "b"): Q(2), ("b", "a"): Q(2)})
         nothing = universal_tba(frozenset())
-        team = TeamProduct([local_product(fast, nothing),
+        team = team_of([local_product(fast, nothing),
                             local_product(slow, nothing)])
         initial = team.initial_states()[0]
         steps = team.successors(initial)
@@ -225,7 +231,7 @@ class TestTeamProduct:
         one = tiny_system({"a": set()}, weights={("a", "b"): Q(2), ("b", "a"): Q(2)})
         two = tiny_system({"a": set()}, weights={("a", "b"): Q(2), ("b", "a"): Q(2)})
         nothing = universal_tba(frozenset())
-        team = TeamProduct([local_product(one, nothing),
+        team = team_of([local_product(one, nothing),
                             local_product(two, nothing)])
         initial = team.initial_states()[0]
         steps = team.successors(initial)
@@ -243,7 +249,7 @@ class TestTeamProduct:
             weights={("a", "b"): Q(1)},
             atoms=frozenset(), labels={})
         local = local_product(stuck, universal_tba(frozenset()))
-        team = TeamProduct([local])
+        team = team_of([local])
         assert local.statistics()["states"] == 2
         assert team.live == (frozenset(),)
         assert team.initial_states() == ()
@@ -257,7 +263,7 @@ class TestTeamProduct:
             weights={("a", "b"): Q(1), ("b", "a"): Q(1), ("a", "c"): Q(1)},
             atoms=frozenset(), labels={})
         local = local_product(branching, universal_tba(frozenset()))
-        team = TeamProduct([local])
+        team = team_of([local])
         assert {state.node for state in team.live[0]} == {"a", "b"}
         (initial,) = team.initial_states()
         assert [state.components[0].node
@@ -282,7 +288,7 @@ class TestTeamProduct:
             atoms=frozenset({"red"}), labels={"q1": set(), "q2": {"red"}})
         locals_ = [local_product(g1, universal_tba({"green"}), 2),
                    local_product(g2, universal_tba({"red"}), 2)]
-        team = TeamProduct(locals_)
+        team = team_of(locals_)
         # walk a fixed path and rebuild the runs it claims
         state = team.initial_states()[0]
         stamps = [Q(0)]
@@ -307,7 +313,7 @@ class TestGlobalProduct:
         g1 = chain_green()
         local = local_product(g1, translate_mitl(
             parse_formula("G F[0,10] green"), alphabet={"green"}), 2)
-        return TeamProduct([local])
+        return team_of([local])
 
     def test_universal_goal_reduces_to_team_emptiness(self):
         team = self._team()
@@ -378,8 +384,8 @@ class TestLiveTrimming:
         built = []
 
         class Recorded(TeamProduct):
-            def __init__(self, locals_, state_budget=None):
-                super().__init__(locals_, state_budget)
+            def __init__(self, locals_, live):
+                super().__init__(locals_, live)
                 built.append(self)
 
         monkeypatch.setattr(cli, "TeamProduct", Recorded)
