@@ -11,6 +11,12 @@ Exit codes: 0 success, 1 unsatisfiable, 2 exploration budget exhausted,
 else the ``exit_code`` of the :class:`~mitlplan.core.InputError` that
 stopped the command: 3 for malformed input, 4 for a formula outside the
 supported fragment.  Any other exception is a bug and shows its traceback.
+
+:func:`main` builds the parser of the invoked command alone, and the
+parser of every command only when the arguments name none; a command's
+help and usage errors read the same in both.  ``plan.json`` and the
+automaton of ``translate`` are written by :func:`indented_json`, whose
+bytes are those of ``json.dumps(value, indent=2)``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from pathlib import Path
 from typing import Optional
@@ -498,6 +505,61 @@ def _collect_statistics(locals_, team, global_prod, budget_hit) -> dict:
 
 # --- serialization -----------------------------------------------------------
 
+def indented_json(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the dicts with
+    string keys, lists, strings, bools, ints and ``None`` that plans and
+    automata are written as; any other type raises ``TypeError``.  With
+    ``indent``, ``json`` encodes in pure Python through nested generators;
+    this writer appends each piece to one list, and escapes each string
+    with ``json``'s C function."""
+    pieces = []
+    _append_json(value, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _append_json(value, newline: str, out) -> None:
+    """Appends ``value`` through ``out``, each nested line started by
+    ``newline``: a line break and the indentation of ``value``."""
+    kind = type(value)
+    if kind is str:
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif kind is int:
+        out(repr(value))
+    elif kind is list:
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out(separator)
+            _append_json(item, inner, out)
+            separator = "," + inner
+        out(newline + "]")
+    elif kind is dict:
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out(separator)
+            out(encode_basestring_ascii(key))
+            out(": ")
+            _append_json(item, inner, out)
+            separator = "," + inner
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                        f"serializable")
+
+
 def _lasso_to_json(lasso, payload) -> dict:
     return {
         "prefix": [[payload(p), format_rational(t)] for p, t in lasso.prefix],
@@ -634,7 +696,7 @@ def command_plan(args) -> int:
         return EXIT_EXPLORATION_LIMIT
     bundle = outcome.bundle
     _write(out_dir / "plan.json",
-           json.dumps(bundle_to_json(bundle, outcome.statistics), indent=2) + "\n")
+           indented_json(bundle_to_json(bundle, outcome.statistics)) + "\n")
     names = list(bundle.agent_names)
     _write(out_dir / "trace.csv",
            trace_csv(names, bundle.collective_run, bundle.collective_word))
@@ -647,6 +709,18 @@ def command_plan(args) -> int:
     return EXIT_SUCCESS
 
 
+def _split_scope(item: str, model) -> tuple:
+    """The scope and the formula text of a ``--formula`` option: the
+    scope is the longest text before a ``:`` that is ``team`` or a model
+    agent, as an agent's name may hold a colon; when none is, the text
+    before the last ``:``, as the formula language has no ``:``."""
+    cuts = [i for i, char in enumerate(item) if char == ":"]
+    scopes = {"team", *model}
+    known = [cut for cut in cuts if item[:cut].strip() in scopes]
+    cut = (known or cuts or [len(item)])[-1]
+    return item[:cut].strip(), item[cut + 1:].strip()
+
+
 def _parse_scoped_formulas(items, model, runs):
     """The (scope, formula) pairs of ``--formula`` options.  A formula's
     atoms must be in its agent's alphabet, or for the team in the union of
@@ -654,15 +728,15 @@ def _parse_scoped_formulas(items, model, runs):
     team_atoms = frozenset().union(*(model[name].atoms for name in runs))
     scoped = []
     for item in items:
-        scope, _, text = item.partition(":")
-        scope = scope.strip()
-        text = text.strip()
+        scope, text = _split_scope(item, model)
         if not text:
             raise InputError(f"--formula needs the form scope:formula, got {item!r}")
         if scope != "team" and scope not in model:
-            raise InputError(f"unknown formula scope {scope!r}")
+            raise InputError(f"--formula {item}: unknown formula scope "
+                             f"{scope!r}")
         if scope != "team" and scope not in runs:
-            raise InputError(f"no run given for agent {scope!r}")
+            raise InputError(f"--formula {item}: no run given for agent "
+                             f"{scope!r}")
         atoms = team_atoms if scope == "team" else model[scope].atoms
         scoped.append((scope, _formula_over(text, atoms,
                                             f"--formula {scope}: {text}")))
@@ -723,7 +797,7 @@ def command_translate(args) -> int:
     listed = (args.alphabet or "").split(",")
     alphabet = atoms_of(formula) | {a.strip() for a in listed if a.strip()}
     automaton = translate_mitl(formula, alphabet=alphabet)
-    payload = json.dumps(tba_to_dict(automaton), indent=2) + "\n"
+    payload = indented_json(tba_to_dict(automaton)) + "\n"
     if args.out:
         _write(Path(args.out), payload)
         print(f"automaton written to {args.out}")
@@ -740,19 +814,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="mitlplan",
-        description="Timed plan synthesis for agent teams under interval "
-                    "temporal deadlines")
-    commands = parser.add_subparsers(dest="command", required=True)
-
+def _plan_parser(commands) -> None:
     plan = commands.add_parser("plan", help="synthesize a joint timed plan")
     plan.add_argument("problem", help="problem file (JSON)")
     plan.add_argument("--out-dir", default=".", help="artifact directory")
     plan.add_argument("--state-budget", type=int, default=None)
     plan.set_defaults(handler=command_plan)
 
+
+def _check_parser(commands) -> None:
     check = commands.add_parser("check", help="evaluate formulas on given runs")
     check.add_argument("--model", required=True)
     check.add_argument("--runs", required=True)
@@ -761,6 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="agent name or 'team', a colon, then the formula")
     check.set_defaults(handler=command_check)
 
+
+def _simulate_parser(commands) -> None:
     simulate = commands.add_parser("simulate",
                                    help="merge runs and export the trace")
     simulate.add_argument("--model", required=True)
@@ -768,6 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out-dir", default=".")
     simulate.set_defaults(handler=command_simulate)
 
+
+def _translate_parser(commands) -> None:
     translate = commands.add_parser("translate",
                                     help="compile a formula to an automaton file")
     translate.add_argument("formula")
@@ -775,12 +849,36 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated atoms beyond those in the formula")
     translate.add_argument("--out", default=None)
     translate.set_defaults(handler=command_translate)
+
+
+# each command's subparser, added in this order
+_COMMANDS = {"plan": _plan_parser, "check": _check_parser,
+             "simulate": _simulate_parser, "translate": _translate_parser}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  A
+    subparser's usage, help and errors do not depend on its siblings, so
+    a command's arguments parse and fail alike in both."""
+    parser = _ArgumentParser(
+        prog="mitlplan",
+        description="Timed plan synthesis for agent teams under interval "
+                    "temporal deadlines")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(commands)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # only the invoked command's parser is built; without one (no command,
+    # an option such as --help, an unknown name) the whole tree is, for
+    # its help and its errors
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

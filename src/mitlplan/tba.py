@@ -52,7 +52,6 @@ position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -224,12 +223,18 @@ class TimedBuchiAutomaton:
             if not edge.resets <= clock_set:
                 raise undeclared(f"edges[{i}].resets", edge.resets)
         self.locations = tuple(sorted(self.locations))
-        # an intersection shares one object per distinct guard and label,
-        # so each is printed once and found again by identity
-        text = cache(format_formula)
+        # one text per distinct formula and one sorted tuple per distinct
+        # resets set, for the edge order and for tba_to_dict; an
+        # intersection shares one object per distinct guard and label, so
+        # each is found again by identity
+        texts = self._texts = {formula: format_formula(formula) for formula in {
+            *self.initial.values(), *self.invariants.values(),
+            *(e.guard for e in self.edges), *(e.label for e in self.edges)}}
+        resets = self._resets = {clocks: tuple(sorted(clocks))
+                                 for clocks in {e.resets for e in self.edges}}
         self.edges = tuple(sorted(self.edges, key=lambda e: (
-            e.source, e.target, text(e.guard), tuple(sorted(e.resets)),
-            text(e.label))))
+            e.source, e.target, texts[e.guard], resets[e.resets],
+            texts[e.label])))
         by_source: dict[str, list[Edge]] = {loc: [] for loc in self.locations}
         for edge in self.edges:
             by_source[edge.source].append(edge)
@@ -339,14 +344,18 @@ class TimedBuchiAutomaton:
 # --- JSON external format -------------------------------------------------
 
 def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
-    text = cache(format_formula)
+    """The JSON form of ``automaton``, as :func:`tba_from_dict` reads it.
+    Each formula's text and each sorted resets set are those that the
+    automaton's constructor made once for its edge order."""
+    text = automaton._texts
+    resets = automaton._resets
 
     def location(loc: str) -> dict:
         entry = {"name": loc,
-                 "invariant": text(automaton.invariants[loc]),
+                 "invariant": text[automaton.invariants[loc]],
                  "accepting": loc in automaton.accepting}
         if loc in automaton.initial:
-            entry["initial"] = text(automaton.initial[loc])
+            entry["initial"] = text[automaton.initial[loc]]
         return entry
 
     return {
@@ -357,9 +366,9 @@ def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
             {
                 "from": edge.source,
                 "to": edge.target,
-                "label": text(edge.label),
-                "guard": text(edge.guard),
-                "resets": sorted(edge.resets),
+                "label": text[edge.label],
+                "guard": text[edge.guard],
+                "resets": list(resets[edge.resets]),
             }
             for edge in automaton.edges
         ],

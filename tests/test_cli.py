@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 import sys
 import xml.etree.ElementTree as ElementTree
 from fractions import Fraction as Q
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mitlplan.cli import main
+from mitlplan.cli import build_parser, indented_json, main
+from mitlplan.core import InputError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -115,6 +117,61 @@ def test_translate_output_is_pinned(name, capsys):
     assert capsys.readouterr().out.encode() == expected.read_bytes()
 
 
+# characters that json escapes, or writes as \\u escapes (non-ASCII, and
+# an astral one as a surrogate pair), with a few it writes as they are
+JSON_CHARACTERS = ('"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00",
+                   "\x1f", "\x7f", "\u00e9", "\u20ac", "\u2028", "\ud800",
+                   "\U0001f600", "\U0010ffff", "a", "Z", "0", " ", ":", ",")
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choices(JSON_CHARACTERS, k=rng.randrange(6)))
+
+
+def random_json(rng: random.Random, depth: int):
+    """A value of the types that plans and automata are written as,
+    nested at most ``depth`` deep."""
+    kind = rng.choice(["str", "int", "bool", "none", "list", "dict"]
+                      if depth else ["str", "int", "bool", "none"])
+    if kind == "str":
+        return random_text(rng)
+    if kind == "int":
+        return rng.choice([0, -1, rng.randrange(-1000, 1000), -2 ** 63,
+                           2 ** 64, rng.randrange(-2 ** 80, 2 ** 80)])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    if kind == "list":
+        return [random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {random_text(rng): random_json(rng, depth - 1)
+            for _ in range(rng.randrange(4))}
+
+
+class TestIndentedJson:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_json_dumps_on_random_values(self, seed):
+        rng = random.Random(seed)
+        value = [random_json(rng, 4) for _ in range(3)]
+        assert indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], {"a": {}}, [[]], [{}], {"a": [], "b": {"c": []}},
+        "", "".join(JSON_CHARACTERS), True, False, None, 0, -7,
+        -2 ** 100, 2 ** 64 + 1, [True, None, -1, "x"],
+    ])
+    def test_equals_json_dumps(self, value):
+        assert indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1, 2), {"a"}, frozenset(), [0.0], {"a": (1,)}, {1: "one"},
+        b"bytes",
+    ])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            indented_json(value)
+
+
 class TestCheckCommand:
     def test_response_formula_verdicts(self, capsys):
         code = main([
@@ -209,7 +266,7 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("formula, message", [
         ("F green", "--formula needs the form scope:formula, got 'F green'"),
-        ("r2: F red", "no run given for agent 'r2'"),
+        ("r2: F red", "--formula r2: F red: no run given for agent 'r2'"),
     ])
     def test_a_formula_without_its_scope_or_run_exits_3(self, tmp_path,
                                                         capsys, formula,
@@ -230,6 +287,46 @@ class TestCheckCommand:
             "--formula", "nobody: true",
         ])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "error: --formula nobody: true: unknown formula scope 'nobody'\n")
+
+    @pytest.fixture
+    def colon_named(self, tmp_path):
+        """The corridor's model and runs with r1 named ``r`` and r2
+        ``r:2``: the scope of ``r:2: ...`` is the longer name."""
+        names = {"r1": "r", "r2": "r:2"}
+        model = json.loads(Path(fixture("two_agent_chain_model.json"))
+                           .read_text())
+        for agent in model["agents"]:
+            agent["name"] = names[agent["name"]]
+        runs = json.loads(Path(fixture("two_agent_chain_runs.json"))
+                          .read_text())
+        runs["runs"] = {names[name]: run for name, run in runs["runs"].items()}
+        return ["check", "--model", write_json(tmp_path / "model.json", model),
+                "--runs", write_json(tmp_path / "runs.json", runs)]
+
+    def test_an_agent_name_may_hold_a_colon(self, capsys, colon_named):
+        assert main(colon_named + ["--formula", "r:2: G(red -> X G[<=5] !red)",
+                                   "--formula", "r: F green",
+                                   "--formula", "team: F (green & red)"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "r:2: G (red -> X G[0,5] !red) -> VIOLATED at position 2 "
+            "(time 5/2)",
+            "r: F green -> SATISFIED",
+            "team: F (green & red) -> SATISFIED"]
+
+    @pytest.mark.parametrize("formula, message", [
+        # no text before a colon names a scope, so the one named is the
+        # text before the last colon
+        ("q:3: F red", "--formula q:3: F red: unknown formula scope 'q:3'"),
+        # r names one, and the formula language has no ':'
+        ("r:3: F red", "--formula r: 3: F red: 1:1: unknown token ':'"),
+    ])
+    def test_a_scope_with_a_colon_that_names_no_agent(self, capsys,
+                                                      colon_named, formula,
+                                                      message):
+        assert main(colon_named + ["--formula", formula]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSimulateCommand:
@@ -1180,6 +1277,48 @@ class TestUsageErrors:
             main(argv)
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: mitlplan")
+
+    @staticmethod
+    def through_every_parser(argv):
+        """The exit code and the message that ``main`` gives for ``argv``
+        with the parser of every command; ``None`` when ``argv`` parses."""
+        try:
+            build_parser().parse_args(argv)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        return None
+
+    @staticmethod
+    def outcome(run, argv, capsys) -> tuple:
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # --help
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["nonsense"], ["--bogus"], ["Plan"],
+        *([command, *rest] for command in ("plan", "check", "simulate",
+                                           "translate")
+          for rest in ([], ["--help"], ["-h", "x"], ["--bogus"],
+                       ["--state-budget", "x"], ["--model"], ["x", "y"])),
+        ["plan", "problem.json", "--state-budget", "x"],
+        ["plan", "problem.json", "--bogus"],
+        ["check", "--runs", "runs.json"],
+        ["simulate", "--model", "model.json"],
+        ["check", "--model", "m", "--runs", "r", "--formula"],
+        ["translate", "F p", "--bogus", "x"],
+        ["translate", "--out", "a.json"],
+    ])
+    def test_the_invoked_command_parses_as_in_the_whole_tree(self, capsys,
+                                                             argv):
+        # main builds only the invoked command's parser; every usage error
+        # and help text is the one of the parser of every command
+        expected = self.outcome(self.through_every_parser, argv, capsys)
+        assert expected[0] is not None
+        assert self.outcome(main, argv, capsys) == expected
 
 
 class TestUnreadablePaths:

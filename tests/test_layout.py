@@ -160,6 +160,19 @@ def test_no_dataclass_declares_a_private_field():
     assert private == []
 
 
+def test_one_writer_indents_json():
+    # with indent= json encodes in pure Python; cli.indented_json writes
+    # the same bytes
+    indenting = _enclosing(
+        lambda node: (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("dump", "dumps")
+                      and any(keyword.arg == "indent"
+                              for keyword in node.keywords)),
+        ast.FunctionDef)
+    assert indenting == []
+
+
 def _caught(handler: ast.ExceptHandler) -> set:
     """The names of the exception classes ``handler`` catches."""
     return {node.id if isinstance(node, ast.Name) else node.attr
