@@ -42,10 +42,17 @@ by polarity: a negated atom costs 0, a conjunction takes the larger side
 and a disjunction the smaller, ``true`` costs 0 and ``false`` is never
 reached.  A state ``(team state, l, v)`` is dead when, for one deadline of
 ``l``, every exit's bound exceeds the latest value less ``v(x)``.  The
-least exit bound is cached per team state and location.  A dead state has
-no accepting continuation, and neither has any state reachable from it,
-so the search meets the other states in the same order and returns the
-same first lasso.
+least exit bound is cached per team state and location.
+
+The global layer orders its kept successors by urgency: construction
+order, stably sorted by the least exit bound over the deadlines of the
+successor's location, 0 for a location without one, so the search tries
+first the successor nearest its deadline's exit (directed model checking,
+Edelkamp, Leue & Lluch-Lafuente, SPIN 2001).  The emptiness check is
+correct under any successor order.  A dead state has no accepting
+continuation, and neither has any state reachable from it, so pruning
+keeps the first lasso of that order: the one found in the unpruned
+product whose successors, dead ones included, are sorted the same way.
 
 Acceptance is generalized Büchi: every searched graph gives
 ``marks(state)``, a bitmask of the acceptance sets the state belongs to,
@@ -73,8 +80,9 @@ saturated clocks, say) share one tuple of moves.  Successors
 come in construction order, which is deterministic: a system lists each
 region's successors sorted and once, and ``step`` yields each automaton
 move once in the order of the sorted edges, so the products keep their
-moves as built.  No expansion builds the same successor twice.  Only the
-team layer sorts, for the reason given at :meth:`TeamProduct.successors`.
+moves as built.  No expansion builds the same successor twice.  The team
+layer sorts, for the reason given at :meth:`TeamProduct.successors`, and
+the global layer sorts by urgency, stably.
 """
 
 from __future__ import annotations
@@ -311,8 +319,9 @@ class GlobalProduct(AutomatonProduct):
     """Layer 3: the team graph paired with the team automaton; the marks
     are the team's, and bit ``n`` at an accepting location.
 
-    It never returns a dead state, initial or successor, as the module
-    describes it; its ``pruned`` statistic counts the states it dropped."""
+    It never returns a dead state, initial or successor, and it returns
+    the successors most urgent first, as the module describes it; its
+    ``pruned`` statistic counts the states it dropped."""
 
     def __init__(self, team: TeamProduct, automaton: TimedBuchiAutomaton):
         team_atoms = frozenset().union(
@@ -333,37 +342,54 @@ class GlobalProduct(AutomatonProduct):
                         for k, local in enumerate(team.locals)
                         if atom in local.graph.atoms)
             for atom in automaton.atoms}
-        # (team state, location) -> (clock slot, latest value from which an
-        # exit is still in time) per deadline
+        # (team state, location) -> (least exit bound, (clock slot, latest
+        # value from which an exit is still in time) per deadline)
         self._latest: dict = {}
 
     def initial_states(self):
         return tuple(state for state in super().initial_states()
-                     if not self._dead(state))
+                     if self._urgency(state) is not None)
 
     def successors(self, state: ProductState):
+        """The successors that are not dead, in construction order stably
+        sorted by urgency (:meth:`_urgency`)."""
         built = super().successors(state)
-        out = tuple([pair for pair in built if not self._dead(pair[1])])
+        urgency = self._urgency
+        keyed = []
+        for pair in built:
+            key = urgency(pair[1])
+            if key is not None:
+                keyed.append((key, pair))
+        if len(keyed) > 1:
+            keyed.sort(key=itemgetter(0))
+        out = tuple([pair for _, pair in keyed])
         self._edges[state] = len(out)
         self._dropped[state] = len(built) - len(out)
         return out
 
-    def _dead(self, state: ProductState) -> bool:
-        """Whether every exit of one of the location's deadlines is further
-        away than the deadline's clock has left."""
+    def _urgency(self, state: ProductState):
+        """The least exit bound over the deadlines of the state's location,
+        0 for a location without one, or ``None`` when the state is dead:
+        when every exit of one deadline is further away than its clock has
+        left."""
         deadlines = self._deadlines.get(state.location)
         if deadlines is None:
-            return False
+            return 0
         key = (state.node, state.location)
-        latest = self._latest.get(key)
-        if latest is None:
+        found = self._latest.get(key)
+        if found is None:
             time_to = partial(self._time_to, state.node)
-            latest = self._latest[key] = tuple(
-                (slot, value - min([reach(time_to) for reach in exits],
-                                   default=inf))
-                for slot, value, exits in deadlines)
+            bounds = [min([reach(time_to) for reach in exits], default=inf)
+                      for _, _, exits in deadlines]
+            found = self._latest[key] = (min(bounds), tuple(
+                (slot, value - bound)
+                for (slot, value, _), bound in zip(deadlines, bounds)))
+        least, latest = found
         valuation = state.valuation
-        return any(valuation[slot] > value for slot, value in latest)
+        for slot, value in latest:
+            if valuation[slot] > value:
+                return None
+        return least
 
     def _time_to(self, team: TeamState, atom: str):
         """A lower bound on the time until the team letter carries

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
-from math import lcm
+from functools import cache, partial
+from math import inf, lcm
 
 from mitlplan.core import INFINITY, LassoTimedWord, TimeInterval
 from mitlplan.mitl import (Always, And, Atom, Compare, Eventually,
                            FalseFormula, Formula, Implies, Next, Not, Or,
-                           TrueFormula, Until)
+                           TrueFormula, Until, normalize)
 from mitlplan.product import (AutomatonProduct, GlobalProduct, LocalProduct,
-                              TeamProduct)
+                              TeamProduct, _time_bound)
 from mitlplan.tba import (Edge, TimedBuchiAutomaton, label_and,
                           map_comparisons)
 
@@ -743,12 +743,45 @@ def team_successor_key(pair):
             tuple((1, target) if target else (0,) for target in state.targets))
 
 
+def deadline_exits(product: GlobalProduct, state):
+    """Each conjunct of the invariant at the state's location that bounds a
+    clock from above, as ``(clock, relation, constant, least exit bound)``,
+    read from the invariant's comparisons with their own relations: a
+    translated automaton writes each deadline as ``x <= u`` or ``x < u``.
+    The exits are the edges that leave the location or reset the clock,
+    each bounded through ``product``'s time to an atom."""
+    automaton = product.automaton
+    time_to = partial(product._time_to, state.node)
+    parts = [automaton.invariants[state.location]]
+    for part in parts:
+        if isinstance(part, And):
+            parts += (part.left, part.right)
+        elif isinstance(part, Compare) and part.relation in ("<", "<="):
+            exits = [_time_bound(normalize(edge.label))(time_to)
+                     for edge in automaton.edges_from(state.location)
+                     if edge.target != state.location
+                     or part.clock in edge.resets]
+            yield (part.clock, part.relation, part.constant,
+                   min(exits, default=inf))
+
+
+def least_exit_bound(product: GlobalProduct, state):
+    """The global layer's sort key: the least exit bound over the state's
+    deadlines, 0 without one."""
+    return min((bound for *_, bound in deadline_exits(product, state)),
+               default=0)
+
+
 class UnprunedGlobalProduct(GlobalProduct):
     """The global layer without its deadline pruning: every initial state
-    and successor that the team graph and the team automaton build."""
+    and successor that the team graph and the team automaton build, the
+    successors stably sorted by :func:`least_exit_bound`, dead ones too."""
 
     initial_states = AutomatonProduct.initial_states
-    successors = AutomatonProduct.successors
+
+    def successors(self, state):
+        return tuple(sorted(AutomatonProduct.successors(self, state),
+                            key=lambda pair: least_exit_bound(self, pair[1])))
 
 
 class _Memoized:

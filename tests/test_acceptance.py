@@ -137,7 +137,9 @@ class TestCriterion3GridCaseStudy:
     def test_three_robots_meet_within_the_team_deadline(self, tmp_path,
                                                          capsys):
         # fixtures/grid_meet_three.json adds a third robot to the case
-        # study; without pruning its global layer has 30,475 states
+        # study.  Expanding the most urgent successor first finds a lasso
+        # after 39 global states; construction order explored 2,282, and
+        # 30,475 without pruning
         code = main(["plan", str(FIXTURES / "grid_meet_three.json"),
                      "--out-dir", str(tmp_path)])
         assert code == 0
@@ -149,8 +151,24 @@ class TestCriterion3GridCaseStudy:
                 FIXTURES / "expected" / "grid_meet_three" / name
             ).read_bytes(), name
         plan = json.loads((tmp_path / "plan.json").read_text())
-        assert plan["statistics"]["globalLayer"]["states"] < 5_000
+        assert plan["statistics"]["globalLayer"]["states"] == 39
         report(3, "three robots meet within the team deadline")
+
+    def test_four_robots_meet_within_the_team_deadline(self, tmp_path,
+                                                        capsys):
+        # fixtures/grid_meet_four.json adds a fourth robot; construction
+        # order explored 33,446 global states in about 3.5 s
+        code = main(["plan", str(FIXTURES / "grid_meet_four.json"),
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        verdicts = capsys.readouterr().out.splitlines()[1:]
+        assert len(verdicts) == 10
+        assert all(line.startswith("  [ok] ") for line in verdicts)
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        assert plan["status"] == "success"
+        assert all(v["satisfied"] for v in plan["verdicts"])
+        assert plan["statistics"]["globalLayer"]["states"] == 46
+        report(3, "four robots meet within the team deadline")
 
 
 def _grid_shortest_time(system, start: str, goal: str) -> Q:

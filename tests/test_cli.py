@@ -639,13 +639,12 @@ class TestPlanCommand:
             "statesAtLimit": 41}
 
     def test_the_global_search_counts_against_the_budget(
-            self, tmp_path, capsys):
-        # the live-state passes fit in 1,000 states, the global search of
-        # 2,282 states does not
+            self, tmp_path, capsys, gf_all):
+        # gf_all is unsatisfiable: its live-state passes fit in 1,000
+        # states, the global search of 30,467 states does not
         from mitlplan.cli import load_problem, solve
-        data = json.loads(Path(fixture("grid_meet_three.json")).read_text())
-        data.setdefault("options", {})["stateBudget"] = 1000
-        problem = write_json(tmp_path / "small.json", data)
+        gf_all["options"]["stateBudget"] = 1000
+        problem = write_json(tmp_path / "small.json", gf_all)
         assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().out == \
             "EXPLORATION LIMIT: stopped after 1001 states\n"
@@ -655,12 +654,12 @@ class TestPlanCommand:
         assert outcome.notes == ()
         assert outcome.statistics == {
             "localLayers": [
-                {"states": 47, "edges": 119, "accepting": 22, "live": 27},
-                {"states": 57, "edges": 149, "accepting": 26, "live": 31},
+                {"states": 135, "edges": 331, "accepting": 7, "live": 53},
+                {"states": 62, "edges": 138, "accepting": 4, "live": 19},
                 {"states": 148, "edges": 424, "accepting": 43, "live": 105}],
-            "teamLayer": {"states": 1000, "edges": 8203, "accepting": 0},
-            "globalLayer": {"states": 1000, "edges": 3227, "accepting": 0,
-                            "pruned": 4976},
+            "teamLayer": {"states": 1000, "edges": 4994, "accepting": 0},
+            "globalLayer": {"states": 1000, "edges": 2548, "accepting": 0,
+                            "pruned": 2446},
             "statesAtLimit": 1001}
 
     def test_plan_revalidates_under_check(self, tmp_path, capsys):

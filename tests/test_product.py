@@ -2,7 +2,6 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as Q
-from functools import partial
 from math import inf
 from operator import le, lt
 from pathlib import Path
@@ -11,10 +10,10 @@ import pytest
 
 from mitlplan import cli
 from mitlplan.core import denominator_lcm
-from mitlplan.mitl import (And, Atom, Compare, Not, normalize,
-                           parse_constraint, parse_formula, satisfies)
-from mitlplan.product import (GlobalProduct, LocalProduct, TeamProduct,
-                              TeamState, _deadlines, _time_bound)
+from mitlplan.mitl import (Atom, Not, parse_constraint, parse_formula,
+                           satisfies)
+from mitlplan.product import (AutomatonProduct, GlobalProduct, LocalProduct,
+                              TeamProduct, TeamState, _deadlines)
 from mitlplan.search import find_accepting_lasso, live_states
 from mitlplan.tba import (TRUE, Edge, TimedBuchiAutomaton, translate_mitl,
                           universal_tba)
@@ -22,7 +21,8 @@ from mitlplan.wts import (TimedRun, WeightedTransitionSystem, grid_cells,
                           timed_word_of)
 from oracles import (MemoizedGlobalProduct, MemoizedLocalProduct,
                      MemoizedTeamProduct, UnprunedGlobalProduct,
-                     enumerate_timed_runs, random_fragment_formula,
+                     deadline_exits, enumerate_timed_runs,
+                     least_exit_bound, random_fragment_formula,
                      scc_has_accepting_cycle, team_successor_key)
 
 
@@ -348,6 +348,33 @@ class TestGlobalProduct:
             covered |= both.marks(state)
         assert covered == both.all_marks
 
+    def test_the_least_bound_of_two_deadlines_orders_the_successors(self):
+        """From ``s`` the agent moves off green, to ``p2``, 4 half units
+        from green, and the automaton enters ``one`` or ``two`` in that
+        order.  Both locations' deadlines on ``x`` exit on green; ``two``
+        has a second deadline, on ``y``, which its ``y``-resetting
+        self-loop exits at once.  Its least exit bound is 0, so it comes
+        first."""
+        automaton = TimedBuchiAutomaton(
+            locations=("s", "one", "two", "done"), initial={"s": TRUE},
+            clocks=("x", "y"),
+            invariants={"one": parse_constraint("x <= 50"),
+                        "two": parse_constraint("x <= 50 & y <= 50")},
+            edges=(Edge("s", TRUE, frozenset(), "one"),
+                   Edge("s", TRUE, frozenset(), "two"),
+                   Edge("one", TRUE, frozenset(), "done", Atom("green")),
+                   Edge("two", TRUE, frozenset(), "done", Atom("green")),
+                   Edge("two", TRUE, frozenset({"y"}), "two"),
+                   Edge("done", TRUE, frozenset(), "done")),
+            accepting=frozenset({"done"}), atoms=frozenset({"green"}))
+        both = GlobalProduct(self._team(), automaton.scaled(1))
+        (start,) = both.initial_states()
+        built = AutomatonProduct.successors(both, start)
+        assert [s.location for _, s in built] == ["one", "two"]
+        assert [(s.location, s.node.components[0].node)
+                for _, s in both.successors(start)] == [
+            ("two", "p2"), ("one", "p2")]
+
     def test_a_strict_deadline_in_rational_time_raises(self):
         """``x < u`` admits ``u - 1`` and no more in integer time only: the
         team automaton must be the scaled one."""
@@ -447,25 +474,12 @@ def _expanded(layer) -> list:
 
 def _misses_a_deadline(product: GlobalProduct, state) -> bool:
     """Whether an exit taken at the earliest time that the product's exit
-    bounds allow breaks a deadline of the state's location, read from the
-    invariant's comparisons with their own relations: a translated
-    automaton writes each deadline as ``x <= u`` or ``x < u``."""
-    automaton = product.automaton
-    time_to = partial(product._time_to, state.node)
-    parts = [automaton.invariants[state.location]]
-    for part in parts:
-        if isinstance(part, And):
-            parts += (part.left, part.right)
-        elif isinstance(part, Compare) and part.relation in ("<", "<="):
-            clock = part.clock
-            exits = [_time_bound(normalize(edge.label))(time_to)
-                     for edge in automaton.edges_from(state.location)
-                     if edge.target != state.location or clock in edge.resets]
-            earliest = (state.valuation[automaton.clocks.index(clock)]
-                        + min(exits, default=inf))
-            if not {"<": lt, "<=": le}[part.relation](earliest, part.constant):
-                return True
-    return False
+    bounds allow breaks a deadline of the state's location."""
+    clocks = product.automaton.clocks
+    return any(
+        not {"<": lt, "<=": le}[relation](
+            state.valuation[clocks.index(clock)] + bound, constant)
+        for clock, relation, constant, bound in deadline_exits(product, state))
 
 
 def _reachable_edges(graph, roots):
@@ -481,6 +495,19 @@ def _reachable_edges(graph, roots):
         marks[state] = graph.marks(state)
         frontier.extend(edges[state])
     return edges, marks
+
+
+class _UnorderedGlobalProduct(GlobalProduct):
+    """The global layer searched in construction order: the built initial
+    states and successors less those that miss a deadline."""
+
+    def initial_states(self):
+        return tuple(state for state in AutomatonProduct.initial_states(self)
+                     if not _misses_a_deadline(self, state))
+
+    def successors(self, state):
+        return tuple(pair for pair in AutomatonProduct.successors(self, state)
+                     if not _misses_a_deadline(self, pair[1]))
 
 
 class TestDeadlinePruning:
@@ -539,6 +566,42 @@ class TestDeadlinePruning:
         assert statuses["success"] >= 10 and statuses["unsatisfiable"] >= 10
         assert dropped_at_open_deadlines > 0
         assert dropped_in_all > dropped_at_open_deadlines
+
+    def test_the_global_layer_expands_the_most_urgent_successor_first(
+            self, tmp_path, monkeypatch):
+        """On the seeded instances, each expansion's successors are the
+        built ones that meet their deadlines, in construction order stably
+        sorted by the least exit bound (so a stable permutation, and
+        non-decreasing in it), and the search in construction order comes
+        to the same status."""
+        searched = []
+
+        def recorded(graph, state_budget=None):
+            searched.append(graph)
+            return find_accepting_lasso(graph, state_budget)
+
+        monkeypatch.setattr(cli, "find_accepting_lasso", recorded)
+        statuses = Counter()
+        reordered = 0
+        for seed in range(60):
+            path = tmp_path / f"{seed}.json"
+            path.write_text(json.dumps(random_grid_problem(random.Random(seed))))
+            problem = cli.load_problem(path)
+            searched.clear()
+            outcome = cli.solve(problem)
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "GlobalProduct", _UnorderedGlobalProduct)
+                assert cli.solve(problem).status == outcome.status, seed
+            statuses[outcome.status] += 1
+            ordered = searched[0]
+            for state in _expanded(ordered):
+                kept = _UnorderedGlobalProduct.successors(ordered, state)
+                urgent_first = sorted(
+                    kept, key=lambda pair: least_exit_bound(ordered, pair[1]))
+                assert list(ordered.successors(state)) == urgent_first, seed
+                reordered += urgent_first != list(kept)
+        assert statuses["success"] >= 10 and statuses["unsatisfiable"] >= 10
+        assert reordered > 100, reordered
 
     def test_team_successors_come_in_the_order_of_components_and_targets(
             self, tmp_path, monkeypatch):
@@ -611,51 +674,53 @@ class TestDeadlinePruning:
             "a": [(0, 2, [inf, inf])]}
 
     @staticmethod
-    def _plans_from_a_rewritten_team_file(tmp_path, old, new):
-        """grid_meet's ``plan.json``, with its team automaton from
-        ``translate`` and with the same file with ``old`` rewritten as
-        ``new``."""
+    def _outcomes_from_a_rewritten_team_file(tmp_path, problem, old, new):
+        """The outcomes of ``problem``, gf_all, which the search exhausts,
+        with its team automaton from ``translate`` and with the same file
+        with ``old`` rewritten as ``new``."""
         fixtures = Path(__file__).resolve().parent.parent / "fixtures"
-        problem = json.loads((fixtures / "grid_meet.json").read_text())
         goal = problem["global"].pop("formula")
         atoms = ",".join(sorted(frozenset().union(*(
             system.atoms for system in
-            cli.load_model(fixtures / "grid_meet.json").values()))))
+            cli.load_model(fixtures / "grid_meet_three.json").values()))))
         translated = tmp_path / "translated.json"
         assert cli.main(["translate", goal, "--alphabet", atoms,
                          "--out", str(translated)]) == 0
         text = translated.read_text()
         assert old in text
         (tmp_path / "written.json").write_text(text.replace(old, new))
-        plans = []
+        outcomes = []
         for name in ("translated", "written"):
             problem["global"]["tba"] = f"{name}.json"
             path = tmp_path / f"problem_{name}.json"
             path.write_text(json.dumps(problem))
-            assert cli.main(["plan", str(path),
-                             "--out-dir", str(tmp_path / name)]) == 0
-            plans.append((tmp_path / name / "plan.json").read_bytes())
-        return plans
+            outcome = cli.solve(cli.load_problem(path))
+            assert outcome.status == "unsatisfiable"
+            outcomes.append(outcome)
+        return outcomes
 
     def test_a_disjunction_written_with_or_prunes_as_translated(
-            self, tmp_path):
-        """The exit label written with ``|`` plans to the same bytes,
-        statistics included."""
-        translated, written = self._plans_from_a_rewritten_team_file(
-            tmp_path, "!(!(meet1A & meet2A) & !(meet1B & meet2B))",
-            "(meet1A & meet2A) | (meet1B & meet2B)")
+            self, tmp_path, gf_all):
+        """The exit label written with ``|`` prunes the same states and
+        explores the same product.  The label also stands under a second
+        ``!``, so the rewrite keeps its outer parentheses."""
+        translated, written = self._outcomes_from_a_rewritten_team_file(
+            tmp_path, gf_all,
+            "!(!((meet1A & meet2A) & meet3A) & !((meet1B & meet2B) & meet3B))",
+            "((meet1A & meet2A & meet3A) | (meet1B & meet2B & meet3B))")
         assert translated == written
-        assert json.loads(written)["statistics"]["globalLayer"]["pruned"] > 0
+        assert written.statistics["globalLayer"]["pruned"] > 0
 
     def test_a_deadline_written_as_a_negation_prunes_as_translated(
-            self, tmp_path):
-        """The deadline ``x <= 30`` written as ``!(x > 30)`` plans to the
-        same bytes, statistics included."""
-        translated, written = self._plans_from_a_rewritten_team_file(
-            tmp_path, '"invariant": "x <= 30"', '"invariant": "!(x > 30)"')
+            self, tmp_path, gf_all):
+        """The deadline ``x <= 30`` written as ``!(x > 30)`` prunes the
+        same states and explores the same product."""
+        translated, written = self._outcomes_from_a_rewritten_team_file(
+            tmp_path, gf_all,
+            '"invariant": "x <= 30"', '"invariant": "!(x > 30)"')
         assert translated == written
-        layer = json.loads(written)["statistics"]["globalLayer"]
-        assert (layer["states"], layer["pruned"]) == (39, 26)
+        layer = written.statistics["globalLayer"]
+        assert (layer["states"], layer["pruned"]) == (30467, 18545)
 
 
 def _times(state):
@@ -786,17 +851,37 @@ class TestStatistics:
         assert global_stats["states"] > 10 and team_stats["edges"] > 10
 
 
-def test_solving_grid_meet_three_stays_small_in_memory():
-    """Without successor lists in the team and global layers, solving
-    grid_meet_three peaks at about 3.7 MiB of Python allocations; it peaked
-    at 8.2 MiB while both layers kept theirs."""
+def _peak_allocation(problem) -> tuple:
+    """The outcome of solving ``problem`` and the peak of its Python
+    allocations in bytes."""
     import tracemalloc
-    problem = cli.load_problem(FIXTURES / "grid_meet_three.json")
     tracemalloc.start()
     try:
         outcome = cli.solve(problem)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return outcome, peak
+
+
+def test_solving_grid_meet_three_stays_small_in_memory():
+    """Expanding the most urgent successor first, solving grid_meet_three
+    peaks at about 0.5 MiB of Python allocations; in construction order it
+    peaked at about 3.5 MiB, and at 8.2 MiB while the team and global
+    layers kept their successor lists."""
+    outcome, peak = _peak_allocation(
+        cli.load_problem(FIXTURES / "grid_meet_three.json"))
     assert outcome.status == "success"
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_searching_gf_all_stays_small_in_memory(tmp_path, gf_all):
+    """Without successor lists in the team and global layers, the first
+    3,000 states of gf_all's search peak at about 3.7 MiB of Python
+    allocations, and at about 7.5 MiB with both layers memoized."""
+    gf_all["options"]["stateBudget"] = 3000
+    path = tmp_path / "gf_all.json"
+    path.write_text(json.dumps(gf_all))
+    outcome, peak = _peak_allocation(cli.load_problem(path))
+    assert outcome.status == "exploration-limit"
     assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -214,7 +214,7 @@ class TestAutomatonModel:
         fixtures = Path(__file__).resolve().parent.parent / "fixtures"
         outcome = cli.solve(cli.load_problem(fixtures / "grid_meet.json"))
         assert outcome.status == "success"
-        assert len(computed) == len(set(computed)) == len(asked) == 162
+        assert len(computed) == len(set(computed)) == len(asked) == 166
         assert set(computed) == asked
 
     def test_cmax(self):
