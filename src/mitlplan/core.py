@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt, sub
+from operator import lt
 from typing import Iterable
 
 
@@ -327,16 +327,6 @@ class LassoSequence:
         if scale == 1:
             return self.ticks, self.period_ticks
         return tuple(t * scale for t in self.ticks), self.period_ticks * scale
-
-    def integer_steps(self, factor: int) -> list[tuple[int, int]]:
-        """Per position of prefix + cycle: the time to the next position in
-        :meth:`integer_timeline`'s units, and that position reduced into
-        prefix + cycle."""
-        stamps, period = self.integer_timeline(factor)
-        loop = self.loop
-        following = stamps[1:] + (stamps[loop] + period,)
-        return list(zip(map(sub, following, stamps),
-                        [*range(1, len(stamps)), loop]))
 
     def unroll(self, count: int) -> tuple:
         """Prefix followed by ``count`` shifted copies of the cycle."""

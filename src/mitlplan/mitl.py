@@ -41,13 +41,16 @@ anchors its operand at the operand's own position, so the operand has one
 truth table over prefix + cycle, built once and periodic past the prefix
 (the operand reads only the suffix from its position).  One backward pass
 over the table gives the next-witness index that the quantifier reads:
-the next position at or after each one where the operand is true (for
-``F`` and the right side of ``U``) or false (for ``G`` and the left side
-of ``U``).  A quantifier bisects the stamps for the first position inside
-its window and decides from one entry of each index, so evaluation costs
-O(|word| * |formula| * log |word|) whatever the width of the windows.
-``first_violation`` divides the stamp it reports back into the exact
-``Fraction`` of the input word.
+the stamp of the next position at or after each one where the operand is
+true (for ``F`` and the right side of ``U``) or false (for ``G`` and the
+left side of ``U``).  The quantifier's own table is one forward sweep
+over prefix + cycle: the first position inside the window only moves
+forward with the anchor, so a pointer follows it, and each entry
+compares one index entry with the anchor.  Evaluation costs
+O(|word| * |formula|) whatever the width of the windows; the stamps are
+bisected only where a window start moves on by more than one position.
+The root is read at one position, and ``first_violation`` divides the
+stamp it reports back into the exact ``Fraction`` of the input word.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import inf, lcm
+from operator import sub
 from typing import Callable
 
 from .core import (INFINITY, InputError, LassoTimedWord, TimeInterval,
@@ -601,15 +605,15 @@ class _Node:
     propositional subformula, whose ``truth`` lists its value at each
     position of prefix + cycle.  A temporal node's interval is in the
     evaluator's integer time and closed at both ends: ``low`` is the least
-    offset inside it, ``high`` the greatest or ``None`` when unbounded.
+    offset inside it, ``high`` the greatest or ``inf`` when unbounded.
 
     The evaluator fills the other fields when a quantifier first reads the
     node or a node above it.  ``table`` lists the node's truth at each
     position of prefix + cycle, anchored at that position's own stamp; a
     propositional node's table is its ``truth``.  ``next_true[j]``
-    (``next_false[j]``) is the first position at or after ``j`` of the
-    infinite word where the table reads true (false), or ``None`` when
-    there is none.
+    (``next_false[j]``) is the stamp of the first position at or after
+    ``j`` of the infinite word where the table reads true (false), or
+    ``None`` when there is none.
     """
 
     __slots__ = ("kind", "operands", "interval", "low", "high", "truth",
@@ -627,6 +631,7 @@ class _Node:
         interval = self.interval
         lower = ticks_of(interval.lower, factor)
         self.low = lower if interval.lower_closed else lower + 1
+        self.high = inf
         if not interval.unbounded:
             upper = ticks_of(interval.upper, factor)
             self.high = upper if interval.upper_closed else upper - 1
@@ -669,14 +674,15 @@ class _Evaluator:
     denominators, so every anchor and every offset ``t(j) - a`` is an
     ``int``.  Stamps, tables and indexes
     are lists over prefix + cycle; positions past them are reduced into
-    the cycle, and an index's positions are shifted by the turns taken.
+    the cycle, and an index's stamps are lifted by a period per turn.
 
     A quantifier at ``(i, a)`` finds the first position ``k`` at or after
     ``i`` stamped ``a + low`` or later, and reads its operand's index at
     ``k``: ``G`` holds when the next false position is past ``a + high``,
     ``F`` when the next true one is within it.  ``U`` is ``F`` on its right
     operand, whose left operand has no false position from ``i`` on before
-    that witness.
+    that witness.  :meth:`table` judges every position at once;
+    :meth:`holds` judges one, the root's.
     """
 
     def __init__(self, word: LassoTimedWord, formula: Formula):
@@ -695,18 +701,22 @@ class _Evaluator:
         self.size = len(self.stamps)
         self.cycle = self.size - self.loop
 
-    def stamp(self, j: int) -> int:
+    def locate(self, j: int) -> tuple[int, int]:
+        """The position of prefix + cycle that position ``j`` repeats, and
+        the cycle turns between them."""
         if j < self.size:
-            return self.stamps[j]
+            return j, 0
         turns, slot = divmod(j - self.loop, self.cycle)
-        return self.stamps[self.loop + slot] + turns * self.period
+        return self.loop + slot, turns
+
+    def stamp(self, j: int) -> int:
+        slot, turns = self.locate(j)
+        return self.stamps[slot] + turns * self.period
 
     def holds(self, node: _Node, i: int, anchor: int) -> bool:
         truth = node.truth
         if truth is not None:
-            if i >= self.size:
-                i = self.loop + (i - self.loop) % self.cycle
-            return truth[i]
+            return truth[self.locate(i)[0]]
         kind = node.kind
         if kind is Not:
             return not self.holds(node.operands[0], i, anchor)
@@ -719,27 +729,25 @@ class _Evaluator:
         kind, high = node.kind, node.high
         if kind is Next:
             gap = self.stamp(i + 1) - self.stamp(i)
-            return (node.low <= gap and (high is None or gap <= high)
+            return (node.low <= gap <= high
                     and self.holds(node.operands[0], i + 1, anchor))
         # with no lower bound the window opens at i: an anchor is never
         # later than the stamp of the position it is judged at
         low = node.low
         start = self.first_at(i, anchor + low) if low else i
         if kind is Always:
-            miss = self.next_where(node.operands[0], start, False)
-            return miss is None or (high is not None
-                                    and self.stamp(miss) - anchor > high)
+            miss = self.next_at(node.operands[0], start, False)
+            return miss is None or miss - anchor > high
         if kind is Eventually:
-            hit = self.next_where(node.operands[0], start, True)
+            hit = self.next_at(node.operands[0], start, True)
         else:  # Until
             left, right = node.operands
-            hit = self.next_where(right, start, True)
+            hit = self.next_at(right, start, True)
             if hit is not None:
-                miss = self.next_where(left, i, False)
+                miss = self.next_at(left, i, False)
                 if miss is not None and miss < hit:
                     return False
-        return hit is not None and (high is None
-                                    or self.stamp(hit) - anchor <= high)
+        return hit is not None and hit - anchor <= high
 
     def first_at(self, i: int, time: int) -> int:
         """The first position at or after ``i`` stamped ``time`` or later."""
@@ -752,29 +760,29 @@ class _Evaluator:
         return turns * self.cycle + bisect_left(
             stamps, time - turns * self.period, loop)
 
-    def next_where(self, node: _Node, j: int, value: bool):
-        """The first position at or after ``j`` where ``node``, anchored at
-        that position, is ``value``; ``None`` if there is none."""
-        index = node.next_true if value else node.next_false
-        if index is None:
-            index = self._index(node, value)
-        if j < self.size:
-            return index[j]
-        turns, slot = divmod(j - self.loop, self.cycle)
-        found = index[self.loop + slot]
-        return None if found is None else found + turns * self.cycle
+    def next_at(self, node: _Node, j: int, value: bool):
+        """The stamp of the first position at or after ``j`` where
+        ``node``, anchored at that position, is ``value``; ``None`` if
+        there is none."""
+        slot, turns = self.locate(j)
+        found = self._index(node, value)[slot]
+        return None if found is None else found + turns * self.period
 
     def _index(self, node: _Node, value: bool) -> list:
-        """``node.next_true`` or ``node.next_false``, in one backward pass
-        over prefix + cycle that starts from the first such position of
-        the next cycle turn."""
-        table = self.table(node)
-        found = next((j + self.cycle for j in range(self.loop, self.size)
+        """``node.next_true`` or ``node.next_false``, built on first use in
+        one backward pass over prefix + cycle that starts from the first
+        such position of the next cycle turn."""
+        index = node.next_true if value else node.next_false
+        if index is not None:
+            return index
+        table, stamps = self.table(node), self.stamps
+        found = next((stamps[j] + self.period
+                      for j in range(self.loop, self.size)
                       if table[j] == value), None)
         index = [None] * self.size
         for j in range(self.size - 1, -1, -1):
             if table[j] == value:
-                found = j
+                found = stamps[j]
             index[j] = found
         if value:
             node.next_true = index
@@ -782,24 +790,90 @@ class _Evaluator:
             node.next_false = index
         return index
 
-    def table(self, node: _Node) -> list:
-        """``node.table``, built from its operands' tables where they keep
-        the anchor of their own position: below ``!`` and ``&``."""
-        table = node.table
-        if table is None:
-            kind = node.kind
-            if kind is Not:
-                table = [not v for v in self.table(node.operands[0])]
-            elif kind is And:
-                left, right = node.operands
-                table = [a and b for a, b in zip(self.table(left),
-                                                 self.table(right))]
-            else:
-                temporal = self._temporal
-                table = [temporal(node, j, t)
-                         for j, t in enumerate(self.stamps)]
+    def table(self, node: _Node, shift: int = 0) -> list:
+        """``node`` judged at ``(j + shift, t(j))`` for each position ``j``
+        of prefix + cycle.  With ``shift`` 0 that is ``node.table``, built
+        once; below ``X``, which passes its anchor down, a node is judged
+        ``shift`` positions after its anchor's."""
+        if shift == 0 and node.table is not None:
+            return node.table
+        kind = node.kind
+        if node.truth is not None:
+            table = [node.truth[slot] for slot in self._slots(shift)]
+        elif kind is Not:
+            table = [not v for v in self.table(node.operands[0], shift)]
+        elif kind is And:
+            left, right = node.operands
+            table = [a and b for a, b in zip(self.table(left, shift),
+                                             self.table(right, shift))]
+        elif kind is Next:
+            stamps, low, high = self.stamps, node.low, node.high
+            gaps = [*map(sub, stamps[1:], stamps),
+                    stamps[self.loop] + self.period - stamps[-1]]
+            table = [low <= gaps[slot] <= high and v
+                     for slot, v in zip(self._slots(shift), self.table(
+                         node.operands[0], shift + 1))]
+        else:
+            table = self._window(node, shift)
+        if shift == 0:
             node.table = table
         return table
+
+    def _slots(self, shift: int) -> list:
+        """The position of prefix + cycle that ``j + shift`` repeats, for
+        each position ``j`` of prefix + cycle."""
+        return [self.locate(j)[0] for j in range(shift, self.size + shift)]
+
+    def _window(self, node: _Node, shift: int) -> list:
+        """The table of ``F``, ``G`` or ``U`` at ``shift``: each entry
+        compares the anchor with the stamp of the next witness from the
+        window's start and, for ``U``, of its left side's next miss."""
+        kind, high, stamps = node.kind, node.high, self.stamps
+        found = self._starts(self._index(node.operands[-1],
+                                          kind is not Always),
+                             shift, node.low)
+        if kind is Always:
+            return [miss is None or miss - t > high
+                    for miss, t in zip(found, stamps)]
+        if kind is Eventually:
+            return [hit is not None and hit - t <= high
+                    for hit, t in zip(found, stamps)]
+        misses = self._starts(self._index(node.operands[0], False), shift, 0)
+        return [hit is not None and hit - t <= high
+                and (miss is None or miss >= hit)
+                for hit, miss, t in zip(found, misses, stamps)]
+
+    def _starts(self, index: list, shift: int, low: int) -> list:
+        """``index`` read, for each position ``j`` of prefix + cycle, at
+        the first position ``k`` at or after ``j + shift`` stamped
+        ``t(j) + low`` or later, its stamp lifted into ``k``'s cycle turn.
+
+        ``j + shift`` and ``t(j)`` only grow with ``j``, and so does ``k``:
+        one forward sweep moves it on, into later cycle turns if it must,
+        a position at a time, and ``first_at`` finds it when one step is
+        not enough."""
+        if not shift and not low:
+            return index
+        stamps, size, loop, period = (self.stamps, self.size, self.loop,
+                                      self.period)
+        k = shift
+        slot, turns = self.locate(k)
+        lift = turns * period
+        out = []
+        for j, anchor in enumerate(stamps):
+            edge = anchor + low
+            if k < j + shift or stamps[slot] + lift < edge:
+                k += 1
+                slot += 1
+                if slot == size:
+                    slot, lift = loop, lift + period
+                if stamps[slot] + lift < edge:
+                    k = self.first_at(k, edge)
+                    slot, turns = self.locate(k)
+                    lift = turns * period
+            found = index[slot]
+            out.append(None if found is None else found + lift)
+        return out
 
 
 def evaluate_at(word: LassoTimedWord, position: int, formula: Formula) -> bool:
@@ -830,6 +904,7 @@ def first_violation(word: LassoTimedWord, formula: Formula):
         node = right if evaluator.holds(left, 0, anchor) else left
     position = 0
     if node.kind is Always:
-        position = evaluator.next_where(
-            node.operands[0], evaluator.first_at(0, anchor + node.low), False)
+        position = evaluator.first_at(0, evaluator.next_at(
+            node.operands[0], evaluator.first_at(0, anchor + node.low),
+            False))
     return position, Fraction(evaluator.stamp(position), evaluator.factor)

@@ -2,16 +2,18 @@
 three layered products of the planner.
 
 A labelled weighted graph gives ``initial_states()``, ``successors(node)``
-as ``(weight, node)`` pairs and ``label_of(node)``: a transition system,
-the team graph, or the positions of a lasso word (``accepts_lasso``).
-:class:`AutomatonProduct` pairs one with an automaton; each step follows
-an edge of weight ``w`` and moves the automaton with
-:meth:`TimedBuchiAutomaton.step`, elapsing ``w`` and reading the letter of
-the edge's target.  The planner's layers build its states one at a time,
-as a graph for the search; membership of a lasso word sweeps it breadth
-first instead, from the configurations at the start of the prefix or at
-the loop head, a whole position of the word at a time
-(:meth:`AutomatonProduct.advance`), and builds no state object.  Layer 1
+as ``(weight, node)`` pairs and ``label_of(node)``: a transition system
+or the team graph.  :class:`AutomatonProduct` pairs one with an
+automaton; each step follows an edge of weight ``w`` and moves the
+automaton with :meth:`TimedBuchiAutomaton.step`, elapsing ``w`` and
+reading the letter of the edge's target.  The planner's layers build its
+states one at a time, as a graph for the search.  Membership of a lasso
+word (``accepts_lasso``) reads no graph: it sweeps the automaton's
+configurations ``(location, valuation)`` breadth first over a sequence
+of ``(elapse, letter)`` steps, from the configurations at the start of
+the prefix or at the loop head, a whole position of the word at a time
+(:meth:`AutomatonProduct.advance`), stops when none is left, and builds
+no state object.  Layer 1
 pairs one agent's transition system with its
 specification automaton.  Layer 2 interleaves the per-agent layer-1
 graphs, trimmed to the live states it is given (``solve`` finds them with
@@ -115,7 +117,8 @@ class TeamState(NamedTuple):
 class AutomatonProduct:
     """A labelled weighted graph paired with a timed automaton, as the
     module describes it; its one acceptance set is the accepting
-    locations."""
+    locations.  Membership's product has no graph, ``None``, and only
+    sweeps."""
 
     all_marks = 1
 
@@ -149,26 +152,24 @@ class AutomatonProduct:
                 out.append((weight, ProductState(node, location, landed)))
         return tuple(out)
 
-    def advance(self, sources: dict, count: int) -> dict:
-        """The states ``count`` steps after ``sources``, breadth first and
-        memoizing nothing: a dict from each state to whether some path to
-        it passes an accepting location, counted on arrival.  ``sources``
-        maps states to such flags alike; a state is read as a ``(node,
-        location, valuation)`` tuple, and a reached one is such a plain
-        tuple, equal to its :class:`ProductState`.  The states of one step
+    def advance(self, sources: dict, steps) -> dict:
+        """The configurations after the ``(elapse, letter)`` steps from
+        ``sources``, breadth first and memoizing nothing: a dict from each
+        ``(location, valuation)`` to whether some path to it passes an
+        accepting location, counted on arrival; ``sources`` maps
+        configurations to such flags alike.  The configurations of one step
         are merged as they arrive, their flags by ``or``, so the work per
-        step is the number of distinct states, not of paths."""
-        step, label_of = self._step, self.graph.label_of
-        successors, accepting = self.graph.successors, self.automaton.accepting
-        for _ in range(count):
+        step is the number of distinct configurations, not of paths; the
+        sweep stops when none is left."""
+        step, accepting = self._step, self.automaton.accepting
+        for elapse, letter in steps:
+            if not sources:
+                break
             reached = {}
-            for (node, location, valuation), passed in sources.items():
-                for weight, target in successors(node):
-                    for move in step(location, valuation, weight,
-                                     label_of(target)):
-                        state = (target, *move)
-                        reached[state] = (passed or move[0] in accepting
-                                          or reached.get(state, False))
+            for (location, valuation), passed in sources.items():
+                for move in step(location, valuation, elapse, letter):
+                    reached[move] = (passed or move[0] in accepting
+                                     or reached.get(move, False))
             sources = reached
         return sources
 

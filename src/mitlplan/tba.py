@@ -42,11 +42,13 @@ word's product with an automaton passes the word's loop head, its first
 cycle position, so acceptance depends only on what one turn of the cycle
 does to the product's configurations there.  The SCC pass of
 :mod:`mitlplan.search` runs on a small graph of those configurations,
-:class:`_CycleProfile`.  One sweep of the product over the prefix,
-position by position, gives its initial configurations, and one sweep
-over the cycle from a configuration, when the pass first asks for it,
-gives that configuration's successors; no product state is built per
-position.
+:class:`_CycleProfile`.  It builds the word's prefix steps and cycle
+steps, the time to each next position and its letter, once from the
+word's integer timeline, and no graph of the word's positions.  One sweep
+of the product over the prefix steps gives its initial configurations,
+and one sweep over the cycle steps from a configuration, when the pass
+first asks for it, gives that configuration's successors; a sweep stops
+as soon as no configuration survives, and builds no product state.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Optional
 
 from .core import (InputError, LassoTimedWord, TimeInterval, denominator_lcm,
@@ -732,48 +734,42 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
 
 # --- lasso membership -------------------------------------------------------
 
-class _LassoWordGraph:
-    """The positions of a lasso word as a labelled weighted graph in the
-    sense of :mod:`mitlplan.product`, in integer time under ``factor``:
-    each position of prefix + cycle leads to the next one, reduced into
-    prefix + cycle, by the time between them."""
-
-    def __init__(self, word: LassoTimedWord, factor: int):
-        # lookups by position, without a Python-level call
-        self.label_of = word.payloads.__getitem__
-        self.successors = tuple(zip(  # one (gap, next) pair per position
-            word.integer_steps(factor))).__getitem__
-
-    def initial_states(self):
-        return (0,)
-
-
 class _CycleProfile:
     """The cycle-profile graph of a lasso word's product with an automaton,
     a graph in the sense of :mod:`mitlplan.search`.  A state is a *head*,
-    a state of the product at the loop head (the word's first cycle
-    position), with a flag, which is also its mark.  The initial states
-    are the heads that one sweep over the prefix reaches, unflagged.  The
-    successors of a head are the heads one turn of the cycle later, each
-    flagged when some turn into it arrives at an accepting location on the
-    way, the head it ends at included and the one it starts from not; a
-    turn elapses the word's period.
+    a configuration ``(location, valuation)`` of the product at the loop
+    head (the word's first cycle position), with a flag, which is also its
+    mark.  The initial states are the heads that one sweep over the prefix
+    reaches, unflagged.  The successors of a head are the heads one turn
+    of the cycle later, each flagged when some turn into it arrives at an
+    accepting location on the way, the head it ends at included and the
+    one it starts from not; a turn elapses the word's period.
 
-    The successors of a head come from one sweep of
-    :meth:`AutomatonProduct.advance` over one turn, from that head alone,
-    on the first request for either flag; both flags share them."""
+    The word's steps, the time to each next position and its letter, are
+    built once from its integer timeline under ``factor``.  The successors
+    of a head come from one sweep of :meth:`AutomatonProduct.advance`
+    over one turn, from that head alone, on the first request for either
+    flag; both flags share them."""
 
     all_marks = 1
     marks = staticmethod(itemgetter(1))
 
-    def __init__(self, product, loop: int, length: int, period: int):
-        self._product = product
-        self._loop, self._length, self._period = loop, length, period
+    def __init__(self, product, word: LassoTimedWord, factor: int):
+        stamps, self._period = word.integer_timeline(factor)
+        loop, letters = word.loop, word.payloads
+        steps = list(zip(
+            map(sub, stamps[1:] + (stamps[loop] + self._period,), stamps),
+            letters[1:] + letters[loop:loop + 1]))
+        self._prefix, self._cycle = steps[:loop], steps[loop:]
+        self._product, self._first = product, letters[0]
         self._turns: dict = {}  # swept head -> its successors
 
     def initial_states(self):
-        start = dict.fromkeys(self._product.initial_states(), False)
-        heads = self._product.advance(start, self._loop)
+        automaton = self._product.automaton
+        zero = automaton.zero_valuation()
+        start = {(location, zero): False for location in
+                 automaton.initial_locations(self._first)}
+        heads = self._product.advance(start, self._prefix)
         return tuple((head, 0) for head in heads)
 
     def successors(self, state):
@@ -782,7 +778,7 @@ class _CycleProfile:
         if turns is None:
             turns = self._turns[head] = tuple(
                 (self._period, (target, int(passed))) for target, passed in
-                self._product.advance({head: False}, self._length).items())
+                self._product.advance({head: False}, self._cycle).items())
         return turns
 
 
@@ -810,8 +806,5 @@ def accepts_lasso(automaton: TimedBuchiAutomaton, word: LassoTimedWord) -> bool:
     if not word.all_atoms() <= automaton.atoms:
         raise ValueError("word uses atoms outside the automaton alphabet")
     factor = lcm(word.unit, denominator_lcm(automaton.constants()))
-    product = AutomatonProduct(_LassoWordGraph(word, factor),
-                               automaton.scaled(factor))
-    return has_accepting_run(_CycleProfile(
-        product, word.loop, word.cycle_length,
-        word.period_ticks * (factor // word.unit)))
+    product = AutomatonProduct(None, automaton.scaled(factor))
+    return has_accepting_run(_CycleProfile(product, word, factor))

@@ -167,6 +167,15 @@ def run_refusal(system, prefix, cycle, period):
 
 # --- the merge of runs, one event at a time --------------------------------
 
+def integer_steps(sequence, factor: int) -> list:
+    """Per position of prefix + cycle: the time to the next position, in
+    units of ``1 / factor``, and that position reduced into prefix + cycle."""
+    stamps, period = sequence.integer_timeline(factor)
+    after = [*range(1, len(stamps)), sequence.loop]
+    return [(stamps[a] + period * (a <= j) - stamps[j], a)
+            for j, a in enumerate(after)]
+
+
 def stepping_merge(runs):
     """The collective run of ``runs`` by simulation: repeatedly, the agents
     whose next arrival time is minimal complete their transitions together
@@ -180,7 +189,7 @@ def stepping_merge(runs):
 
     factor = lcm(*(run.unit for run in runs))
     states = [run.payloads for run in runs]
-    steps = [run.integer_steps(factor) for run in runs]
+    steps = [integer_steps(run, factor) for run in runs]
     agents = range(len(runs))
     positions = [0 for _ in runs]
     pending = [steps[k][0][0] for k in agents]
@@ -585,7 +594,7 @@ def lasso_product_oracle(automaton, word) -> tuple[bool, int]:
     factor = lcm(word.unit, *(c.denominator for c in automaton.constants()))
     scaled = automaton.scaled(factor)
     cmax = scaled.cmax()
-    gaps = word.integer_steps(factor)
+    gaps = integer_steps(word, factor)
 
     @cache  # the oracle's pass asks again for each state
     def successors(state):

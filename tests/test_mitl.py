@@ -610,6 +610,27 @@ class TestEvaluator:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    def test_a_table_sweep_costs_no_more_single_reads_on_a_longer_word(
+            self, monkeypatch):
+        # one forward sweep builds each quantifier's table: the per-position
+        # reads (_temporal, first_at) serve only the root
+        calls = []
+        for name in ("_temporal", "first_at"):
+            method = getattr(_Evaluator, name)
+
+            def counted(self, *args, method=method):
+                calls.append(args)
+                return method(self, *args)
+
+            monkeypatch.setattr(_Evaluator, name, counted)
+        counts = []
+        for length in (12, 1200):
+            w = word([], [({"p"}, Q(t, 2)) for t in range(length)], length // 2)
+            calls.clear()
+            assert satisfies(w, parse_formula("G G[<=5] p"))
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
+
 
 # names a compiler that spliced them into code text would break or alias
 CODE_NAMES = ["v", "c0", "not", "True", "lambda"]
@@ -645,6 +666,84 @@ class TestCompileFormula:
                           for _ in clocks]
                 assert check(tuple(values)) == evaluate_constraint(
                     constraint, dict(zip(clocks, values)))
+
+
+def _windows(rng, period):
+    """An interval over stamps in halves: sometimes one that holds a single
+    distance of the word (a point window), sometimes one whose lower bound
+    lies one or three periods on, with either end open."""
+    lower = Q(rng.randrange(0, 4), 2) + period * rng.choice([0, 0, 1, 3])
+    if rng.random() < 0.25:
+        return rng.choice([TimeInterval(lower, lower + Q(1, 2), True, False),
+                           TimeInterval(lower, lower + Q(1, 2), False, True)])
+    return TimeInterval(lower, lower + Q(rng.randrange(1, 6), 2),
+                        rng.random() < 0.6, rng.random() < 0.6)
+
+
+def _swept_formula(rng, period, depth):
+    """A bounded formula over p and q whose quantifiers use :func:`_windows`,
+    ``X`` over a quantifier and ``U`` with a left side of its own."""
+    if depth == 0 or rng.random() < 0.2:
+        return Atom(rng.choice("pq"))
+    sub = lambda: _swept_formula(rng, period, depth - 1)
+    pick = rng.randrange(7)
+    if pick == 0:
+        return Not(sub())
+    if pick == 1:
+        return And(sub(), sub())
+    if pick == 2:
+        return Next(_windows(rng, period), sub())
+    if pick == 3:
+        return Eventually(_windows(rng, period), sub())
+    if pick == 4:
+        return Always(_windows(rng, period), sub())
+    return Until(_windows(rng, period), sub(), sub())
+
+
+def _temporal_nodes(node, formula):
+    """Each temporal node below the evaluator's ``node`` with its
+    normalized subformula ``formula``."""
+    if node.truth is not None:
+        return
+    if node.interval is not None:
+        yield node, formula
+    parts = ((formula.left, formula.right)
+             if isinstance(formula, (And, Until)) else (formula.operand,))
+    for below, part in zip(node.operands, parts):
+        yield from _temporal_nodes(below, part)
+
+
+class TestTableSweep:
+    def test_every_temporal_table_matches_the_brute_force(self):
+        # the sweep judges every position of prefix + cycle at once; each
+        # entry must agree with the clauses applied one position at a time
+        rng = random.Random(3203)
+        seen = dict.fromkeys(("empty", "later", "point", "open", "until",
+                              "next"), 0)
+        for trial in range(160):
+            w = random_lasso_word(rng, ["p", "q"],
+                                  max_prefix=0 if trial % 4 == 0 else 3)
+            phi = normalize(_swept_formula(rng, w.period, 3))
+            evaluator = _Evaluator(w, phi)
+            size = w.prefix_length + w.cycle_length
+            for node, part in _temporal_nodes(evaluator.root, phi):
+                expected = [brute_force_evaluate(w, j, part)
+                            for j in range(size)]
+                assert evaluator.table(node) == expected, (
+                    format_formula(part), w)
+                interval = part.interval
+                seen["later"] += interval.lower > w.period
+                seen["point"] += interval.upper - interval.lower == Q(1, 2)
+                seen["open"] += not (interval.lower_closed
+                                     and interval.upper_closed)
+                if isinstance(part, Until):  # the left side fails first
+                    seen["until"] += sum(
+                        not holds and brute_force_evaluate(
+                            w, j, Eventually(interval, part.right))
+                        for j, holds in enumerate(expected))
+                seen["next"] += isinstance(part, Next)
+            seen["empty"] += not w.prefix
+        assert min(seen.values()) >= 40, seen
 
 
 class TestProperties:

@@ -440,9 +440,9 @@ class TestCycleProfile:
         swept = []
         advance = AutomatonProduct.advance
 
-        def counted(product, sources, count):
-            swept.append(sorted(location for _, location, _ in sources))
-            return advance(product, sources, count)
+        def counted(product, sources, steps):
+            swept.append(sorted(location for location, _ in sources))
+            return advance(product, sources, steps)
 
         monkeypatch.setattr(AutomatonProduct, "advance", counted)
         automaton = self.untimed([("s", "g"), ("s", "h"), ("g", "a"),
@@ -451,6 +451,31 @@ class TestCycleProfile:
         self.decide(automaton, word([(set(), Q(0))],
                                     [(set(), Q(1)), (set(), Q(2))], 2), True)
         assert swept == [["s"], ["g"]]
+
+    @pytest.mark.parametrize("lost", [0, 3])
+    def test_a_product_that_dies_in_the_prefix_stops_stepping(
+            self, monkeypatch, lost):
+        # the automaton reads p at every position, and the word drops p at
+        # position ``lost`` of its ten-position prefix: the sweep steps the
+        # one configuration up to that position and no further, and at
+        # position 0 no initial location reads the letter at all
+        calls = []
+        step = TimedBuchiAutomaton.step
+
+        def counted(automaton, *args):
+            calls.append(args)
+            return step(automaton, *args)
+
+        monkeypatch.setattr(TimedBuchiAutomaton, "step", counted)
+        p = Atom("p")
+        automaton = TimedBuchiAutomaton(
+            locations=("h",), initial={"h": p}, clocks=(), invariants={},
+            edges=(Edge("h", TRUE, frozenset(), "h", p),),
+            accepting=frozenset({"h"}), atoms=frozenset({"p"}))
+        w = word([(set() if j == lost else {"p"}, Q(j)) for j in range(10)],
+                 [({"p"}, Q(10 + j)) for j in range(40)], 40)
+        assert not accepts_lasso(automaton, w)
+        assert len(calls) == lost  # within the prefix's ten positions
 
     def test_an_accepting_location_on_the_prefix_alone_rejects(self):
         automaton = self.untimed([("s", "h"), ("h", "m"), ("m", "h")], {"s"},
@@ -466,9 +491,9 @@ class TestCycleProfile:
         swept = []  # per word, the heads swept over one turn of the cycle
         advance = AutomatonProduct.advance
 
-        def counted(product, sources, count):
+        def counted(product, sources, steps):
             swept[-1] += 1
-            return advance(product, sources, count)
+            return advance(product, sources, steps)
 
         monkeypatch.setattr(AutomatonProduct, "advance", counted)
         rng = random.Random(59)
