@@ -13,7 +13,11 @@ and constants they read.  Floats never enter the pipeline; they appear
 only in presentation code (SVG coordinates).
 
 Every check that input can reach raises :class:`InputError`; a plain
-``ValueError`` is a check that only a bug can fail.
+``ValueError`` is a check that only a bug can fail.  Input is checked once,
+by the reader that takes it into the program: the loaders of
+:mod:`mitlplan.cli`, :func:`~mitlplan.tba.tba_from_dict`, and the checks of
+a lasso sequence and of a run against its system.  The constructors of
+the automaton and system models only build.
 """
 
 from __future__ import annotations

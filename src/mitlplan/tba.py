@@ -36,6 +36,12 @@ few hundred distinct questions.  The memo, the compiled formulas and
 ``cmax`` are attributes, not fields: the constructor takes only the
 model, and ``==`` compares only the model.
 
+The constructor normalizes, sorts and indexes, and checks nothing.  An
+automaton from outside the program is checked once, where it is read,
+by :func:`tba_from_dict`; the translations, the intersections and the
+:meth:`~TimedBuchiAutomaton.scaled` copies that the program builds are
+well formed by construction.
+
 Membership of a lasso word (:func:`accepts_lasso`) follows Markey &
 Schnoebelen, "Model checking a path" (CONCUR 2003): every cycle of the
 word's product with an automaton passes the word's loop head, its first
@@ -177,53 +183,9 @@ class TimedBuchiAutomaton:
     def __post_init__(self):
         self.clocks = tuple(sorted(self.clocks))
         self.initial = dict(self.initial)
-        self.invariants = dict(self.invariants)
+        self.invariants = dict.fromkeys(self.locations, TRUE) | self.invariants
         self.accepting = frozenset(self.accepting)
         self.atoms = frozenset(self.atoms)
-        known = set(self.locations)
-        if not self.initial:
-            raise InputError("automaton needs at least one initial location")
-        if not set(self.initial) <= known:
-            raise InputError("initial locations must be declared")
-        if not self.accepting <= known:
-            raise InputError("accepting locations must be declared")
-        for label in set(self.initial.values()) | {e.label for e in self.edges}:
-            if not is_propositional(label) or not atoms_of(label) <= self.atoms:
-                raise InputError(f"label {format_formula(label)} is not "
-                                 f"propositional over the automaton's atoms")
-        clock_set = set(self.clocks)
-        declared: dict = {}  # constraint -> whether it reads declared clocks
-
-        def clocks_of(constraint: Formula) -> set:
-            return {c.clock for c in comparisons(constraint)}
-
-        def fits(constraint: Formula) -> bool:
-            # an intersection shares each distinct constraint among many
-            # locations or edges, so each is read once
-            ok = declared.get(constraint)
-            if ok is None:
-                ok = declared[constraint] = clocks_of(constraint) <= clock_set
-            return ok
-
-        def undeclared(where: str, clocks) -> InputError:
-            return InputError(f"{where}: clock {min(clocks - clock_set)!r} "
-                              f"is not declared")
-
-        # in the order given, named as the JSON form names them
-        for i, loc in enumerate(self.locations):
-            invariant = self.invariants.setdefault(loc, TRUE)
-            if not fits(invariant):
-                raise undeclared(f"locations[{i}].invariant",
-                                 clocks_of(invariant))
-        for i, edge in enumerate(self.edges):
-            for field, end in (("from", edge.source), ("to", edge.target)):
-                if end not in known:
-                    raise InputError(f"edges[{i}].{field}: {end!r} is not a "
-                                     f"declared location")
-            if not fits(edge.guard):
-                raise undeclared(f"edges[{i}].guard", clocks_of(edge.guard))
-            if not edge.resets <= clock_set:
-                raise undeclared(f"edges[{i}].resets", edge.resets)
         self.locations = tuple(sorted(self.locations))
         # one text per distinct formula and one sorted tuple per distinct
         # resets set, for the edge order and for tba_to_dict; an
@@ -385,7 +347,16 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
     read in it, as a ``label`` list of atoms, and a boolean ``initial``:
     that letter becomes the label of every edge into the location and of
     its initial entry.  Without ``atoms`` the alphabet is every atom the
-    labels name.  A location or a clock listed twice is refused."""
+    labels name.
+
+    Refused: a location or a clock listed twice; a label that does not
+    parse, is not propositional or names an atom outside ``atoms``; a
+    guard or an invariant that is no clock constraint; a file with no
+    initial location; an edge whose ``from`` or ``to`` is no declared
+    location; and an invariant, a guard or a reset that names an
+    undeclared clock.  Each refusal of one kind comes in file order:
+    locations before edges, ``from`` before ``to``, the guard before the
+    resets."""
     def constraint(entry: dict, key: str, where: str) -> Formula:
         with naming(f"{where}.{key}: constraint syntax"):
             return parse_constraint(entry.get(key, "true"))
@@ -444,6 +415,25 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
              label=label_and(edge_label, exact.get(entry["to"], TRUE)))
         for i, (entry, edge_label) in enumerate(zip(data["edges"], edge_labels))
     )
+    if not initial:
+        raise InputError("locations: no location is initial")
+    clocks = set(data.get("clocks", []))
+
+    def declared(used: set, where: str) -> None:
+        if not used <= clocks:
+            raise InputError(f"{where}: clock {min(used - clocks)!r} is not "
+                             f"declared")
+
+    for i, invariant in enumerate(invariants.values()):
+        declared({c.clock for c in comparisons(invariant)},
+                 f"locations[{i}].invariant")
+    for i, edge in enumerate(edges):
+        for field, end in (("from", edge.source), ("to", edge.target)):
+            if end not in invariants:
+                raise InputError(f"edges[{i}].{field}: {end!r} is not a "
+                                 f"declared location")
+        declared({c.clock for c in comparisons(edge.guard)}, f"edges[{i}].guard")
+        declared(edge.resets, f"edges[{i}].resets")
     return TimedBuchiAutomaton(
         locations=tuple(invariants),
         initial={name: label_and(initial_label, exact.get(name, TRUE))

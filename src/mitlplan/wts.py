@@ -14,6 +14,12 @@ cycle starts and its period is the lcm of the run periods.  Its stamps
 are the sorted union of the agents' arrivals before the end of that
 first period, and each agent's state at a stamp is the one of its latest
 arrival.
+
+The constructor of :class:`WeightedTransitionSystem`, :func:`grid_system`
+and :func:`collective_word_of` only build, and check nothing: a model
+file is checked once, where it is read (``cli.load_system`` and
+``cli._systems_of``), and a run where it meets its system
+(:meth:`TimedRun.validate_for`).
 """
 
 from __future__ import annotations
@@ -45,23 +51,8 @@ class WeightedTransitionSystem:
         self.initial = frozenset(self.initial)
         self.atoms = frozenset(self.atoms)
         self.weights = dict(self.weights)
-        self.labels = dict(self.labels)
-        known = set(self.states)
-        if not self.initial:
-            raise InputError("at least one initial state is required")
-        if not self.initial <= known:
-            raise InputError("initial states must be declared states")
-        for pair, weight in self.weights.items():
-            if pair[0] not in known or pair[1] not in known:
-                raise InputError(f"transition endpoints undeclared: {pair}")
-            if weight <= 0:
-                raise InputError(
-                    f"transition weights must be positive: {pair} -> {weight}")
-        for state in self.states:
-            label = freeze_atoms(self.labels.get(state, ()))
-            if not label <= self.atoms:
-                raise InputError(f"label of {state} uses undeclared atoms")
-            self.labels[state] = label
+        self.labels = {state: freeze_atoms(self.labels.get(state, ()))
+                       for state in self.states}
         # sorted by target
         out: dict[str, list] = {s: [] for s in self.states}
         for pair in sorted(self.weights):
@@ -204,15 +195,10 @@ def collective_run(runs) -> CollectiveRun:
 
 def collective_word_of(systems, run: CollectiveRun) -> LassoTimedWord:
     """The team's word: at every position, the union of each agent's label
-    at its component state.  Agent alphabets must be pairwise disjoint.
-    The word shares the run's ticks."""
+    at its component state.  Agent alphabets must be pairwise disjoint, as
+    the model loader (``cli._systems_of``) makes them.  The word shares the
+    run's ticks."""
     systems = list(systems)
-    for i in range(len(systems)):
-        for j in range(i + 1, len(systems)):
-            overlap = systems[i].atoms & systems[j].atoms
-            if overlap:
-                raise InputError(
-                    f"agent alphabets overlap: {sorted(overlap)}")
     # one letter per joint state, however often the run visits it
     letters = {vector: frozenset().union(*(
         system.label_of(state) for system, state in zip(systems, vector)))
@@ -236,13 +222,9 @@ def grid_system(rows: int, cols: int, move_weights: dict, labels: dict,
                 initial) -> WeightedTransitionSystem:
     """A rows-by-cols workspace of :func:`grid_cells` with 4-neighbor
     moves.  ``move_weights`` maps each of :data:`GRID_MOVES` to a positive
-    duration.
+    duration, and ``rows`` and ``cols`` are positive, as the model loader
+    (``cli.load_system``) makes them.
     """
-    if rows < 1 or cols < 1:
-        raise InputError("grid needs positive dimensions")
-    for key in GRID_MOVES:
-        if key not in move_weights:
-            raise InputError(f"grid move weight missing: {key}")
     states = grid_cells(rows, cols)
     weights = {}
     for r in range(rows):

@@ -1210,6 +1210,12 @@ class TestMalformedAutomatonFiles:
         # a guard read once for both edges still names the first
         ("global", with_edges({"guard": "z <= 1"}, {"guard": "z <= 1"}),
          "global.tba: edges[0].guard: clock 'z' is not declared"),
+        # no location is initial, and a dangling source
+        ("global", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "initial": False}]},
+         "global.tba: locations: no location is initial"),
+        ("agent", with_edges({"from": "zz"}),
+         "agents[0].tba: edges[0].from: 'zz' is not a declared location"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):

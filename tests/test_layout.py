@@ -248,3 +248,24 @@ def test_every_module_parses_at_the_python_floor():
     for path in sorted(PACKAGE.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path),
                   feature_version=version)
+
+
+def test_the_model_constructors_only_build():
+    # a model from outside the program is checked once, by the reader that
+    # takes it in; the automata and systems the program builds are well formed
+    builders = ["tba.TimedBuchiAutomaton.__post_init__",
+                "wts.WeightedTransitionSystem.__post_init__",
+                "wts.grid_system", "wts.collective_word_of"]
+    raises = {}  # module.function or module.class.method -> whether it raises
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(path.stem, tree)] + [
+            (f"{path.stem}.{node.name}", node) for node in tree.body
+            if isinstance(node, ast.ClassDef)]
+        for prefix, scope in scopes:
+            for node in scope.body:
+                if isinstance(node, ast.FunctionDef):
+                    raises[f"{prefix}.{node.name}"] = any(
+                        isinstance(inner, ast.Raise) for inner in ast.walk(node))
+    assert {name: raises.get(name) for name in builders} == dict.fromkeys(
+        builders, False)

@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from mitlplan.core import LassoTimedWord
+from mitlplan.core import LassoTimedWord, denominator_lcm
 from mitlplan.mitl import (And, Atom, Compare, MitlSyntaxError, Not,
                            TrueFormula, format_formula, parse_constraint,
                            parse_formula, satisfies)
@@ -21,6 +21,7 @@ from oracles import (evaluate_constraint, lasso_product_oracle,
                      random_automaton, random_fragment_formula,
                      random_lasso_word, reference_intersect, reference_step,
                      stamps_scaled)
+from test_cli import TRANSLATED
 
 
 def word(prefix, cycle, period):
@@ -173,14 +174,26 @@ class TestAutomatonModel:
         assert again.atoms == automaton.atoms
 
     def test_every_automaton_round_trips_through_its_file(self):
-        # nested guards print with the parentheses that read them back
+        # nested guards print with the parentheses that read them back, and
+        # every automaton the program builds passes the checks of the file
+        # reader, the only ones an automaton meets
         rng = random.Random(43)
         letters = [frozenset(), frozenset({"p"}), frozenset({"q"}),
                    frozenset({"p", "q"})]
-        for trial in range(60):
-            automaton = (random_automaton(rng, letters) if trial % 2 else
-                         translate_mitl(random_fragment_formula(rng, ["p", "q"]),
-                                        alphabet={"p", "q"}))
+        built = [random_automaton(rng, letters) if trial % 2 else
+                 translate_mitl(random_fragment_formula(rng, ["p", "q"]),
+                                alphabet={"p", "q"})
+                 for trial in range(60)]
+        built += [intersect(drawn, translated)
+                  for translated, drawn in zip(built[::2], built[1::2])]
+        built += [translate_mitl(parse_formula(text))
+                  for text in TRANSLATED.values()]
+        built += [universal_tba({"p", "q"}), empty_tba({"p"})]
+        built += [automaton.scaled(denominator_lcm(automaton.constants())
+                                   * rng.choice([1, 2, 6]))
+                  for automaton in built]
+        assert len(built) == 210
+        for trial, automaton in enumerate(built):
             data = json.loads(json.dumps(tba_to_dict(automaton)))
             assert tba_from_dict(data) == automaton, trial
 
@@ -240,12 +253,6 @@ class TestAutomatonModel:
         assert one.invariants is not two.invariants
         assert one.invariants == two.invariants == {
             "l": TRUE, "m": parse_constraint("x <= 2")}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimedBuchiAutomaton(locations=("a",), initial={},
-                                clocks=(), invariants={}, edges=(),
-                                accepting=frozenset(), atoms=frozenset())
 
 
 class TestTranslate:
