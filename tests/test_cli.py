@@ -1,6 +1,9 @@
+import ast
 import csv
 import json
 import random
+import re
+import shlex
 import sys
 import xml.etree.ElementTree as ElementTree
 from fractions import Fraction as Q
@@ -8,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mitlplan.cli import build_parser, indented_json, main
+from mitlplan.cli import build_parser, indented_json, main, read_arguments
 from mitlplan.core import InputError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -61,13 +64,24 @@ class TestTranslateCommand:
 
     def test_alphabet_adds_to_the_formula_atoms(self, tmp_path):
         written = []
-        for listed in ("b", "a,b"):
+        for listed in ("b", "a,b", ", b,,"):  # an empty entry is skipped
             out = tmp_path / f"{len(written)}.json"
             assert main(["translate", "F a", "--alphabet", listed,
                          "--out", str(out)]) == 0
             written.append(out.read_bytes())
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
         assert json.loads(written[0])["atoms"] == ["a", "b"]
+
+    @pytest.mark.parametrize("listed, entry", [
+        ("p q,,&", "p q"), ("q,&", "&"), ("true", "true"), ("q, G ", "G"),
+        ("(q)", "(q)"), ("7", "7"), ("!q", "!q"),
+    ])
+    def test_an_alphabet_entry_that_names_no_atom_exits_3(self, capsys,
+                                                          listed, entry):
+        # an entry names an atom when it reads as the formula of that atom
+        assert main(["translate", "F p", "--alphabet", listed]) == 3
+        assert capsys.readouterr().err == (
+            f"error: --alphabet: {entry!r} is not an atom name\n")
 
     def test_propositional_formula_is_clock_free(self, capsys):
         assert main(["translate", "p & q"]) == 0
@@ -1324,6 +1338,142 @@ class TestUsageErrors:
         expected = self.outcome(self.through_every_parser, argv, capsys)
         assert expected[0] is not None
         assert self.outcome(main, argv, capsys) == expected
+
+
+# The options of each command and the arguments without which it cannot
+# run; the lines of the reader's corpus are drawn from these, every command
+# name, the values below and the tokens that only argparse reads.
+OPTIONS = {"plan": ("--out-dir", "--state-budget"),
+           "check": ("--model", "--runs", "--formula"),
+           "simulate": ("--model", "--runs", "--out-dir"),
+           "translate": ("--alphabet", "--out")}
+NEEDED = {"plan": ["x"], "check": ["--model", "x", "--runs", "x"],
+          "simulate": ["--model", "x", "--runs", "x"], "translate": ["F p"]}
+VALUES = ("x", "-5", "-x", "", "F p", "--out", "7", "plan")
+SPECIALS = ("-h", "--help", "--", "-")
+
+
+def command_lines(count: int = 2000) -> list:
+    """``count`` distinct seeded argument lists.  Three in five start from
+    a command's shortest complete line; one in ten has something else in
+    the command's place; each line then takes up to three pieces at random
+    places.  Three in five pieces are one of the command's options with a
+    value, as ``--opt value`` or ``--opt=value``; the others are a value,
+    an option abbreviated, an option without its value, an option of any
+    command, a command name or a special."""
+    rng = random.Random("command lines")
+    everyone = sorted({flag for flags in OPTIONS.values() for flag in flags})
+
+    def piece(command):
+        value = rng.choice(VALUES)
+        flag = rng.choice(OPTIONS[command])
+        if rng.random() < 0.6:
+            return rng.choice(([flag, value], [f"{flag}={value}"]))
+        other = rng.choice(everyone)
+        return rng.choice((
+            [value], [flag[:rng.randrange(3, len(flag))], value], [flag],
+            [other, value], [f"{other}={value}"], [rng.choice(SPECIALS)],
+            [rng.choice(sorted(OPTIONS))]))
+
+    lines = {}
+    while len(lines) < count:
+        command = rng.choice(sorted(OPTIONS))
+        line = [command, *NEEDED[command]] if rng.random() < 0.6 \
+            else [command]
+        if rng.random() < 0.1:
+            line[0] = rng.choice([*SPECIALS, *VALUES, command.title()])
+        for _ in range(rng.randrange(4)):
+            at = rng.randrange(1, len(line) + 1)
+            line[at:at] = piece(command)
+        lines.setdefault(tuple(line), line)
+    return list(lines.values())
+
+
+def through_the_whole_tree(argv) -> int:
+    """What ``main`` gives for ``argv`` when the parser of every command
+    reads every line."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+
+
+def readme_lines() -> list:
+    """The arguments of each ``mitlplan`` call in README's shell blocks."""
+    text = (FIXTURES.parent / "README.md").read_text()
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("mitlplan ")]
+
+
+def lines_in_tests() -> list:
+    """The argument lists written out in ``tests/`` that argparse reads:
+    each list display that starts with a command name, any element other
+    than a string taken as ``x``."""
+    lines = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.List) and node.elts
+                    and isinstance(node.elts[0], ast.Constant)
+                    and node.elts[0].value in OPTIONS) or any(
+                        isinstance(item, ast.Starred) for item in node.elts):
+                continue
+            argv = [item.value if isinstance(item, ast.Constant)
+                    and isinstance(item.value, str) else "x"
+                    for item in node.elts]
+            try:
+                build_parser().parse_args(argv)
+            except (InputError, SystemExit):  # refused, or help
+                continue
+            lines.append(argv)
+    return lines
+
+
+class TestReader:
+    """``read_arguments``, which reads the plain lines of ``main`` from one
+    table, against the argparse tree built from that table."""
+
+    LINES = command_lines()
+
+    def test_a_line_it_reads_parses_alike_in_argparse(self):
+        read = {}
+        for argv in self.LINES:
+            args = read_arguments(argv)
+            if args is not None:
+                assert vars(args) == vars(build_parser().parse_args(argv)), \
+                    argv
+                read[argv[0]] = read.get(argv[0], 0) + 1
+        # each command reads a fair share of the corpus
+        assert sorted(read) == sorted(OPTIONS)
+        assert min(read.values()) >= 25, read
+
+    def test_main_answers_as_the_whole_tree(self, tmp_path, monkeypatch,
+                                            capsys):
+        # translate --out writes into the working directory
+        monkeypatch.chdir(tmp_path)
+        for argv in self.LINES:
+            expected = TestUsageErrors.outcome(through_the_whole_tree, argv,
+                                               capsys)
+            assert TestUsageErrors.outcome(main, argv, capsys) == expected, \
+                argv
+
+    def test_it_reads_every_documented_benchmarked_and_tested_line(
+            self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+        import workloads
+        benchmarked = [
+            op.argv for name in workloads.WORKLOADS for seed in (7, 19)
+            for op in workloads.operations(name, seed, tmp_path / name,
+                                           FIXTURES.parent)
+            if op.argv is not None]
+        documented, tested = readme_lines(), lines_in_tests()
+        assert len(documented) >= 2 and len(benchmarked) >= 8
+        assert len(tested) >= 50
+        for argv in documented + benchmarked + tested:
+            assert read_arguments(argv) is not None, argv
 
 
 class TestUnreadablePaths:

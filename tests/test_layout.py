@@ -269,3 +269,22 @@ def test_the_model_constructors_only_build():
                         isinstance(inner, ast.Raise) for inner in ast.walk(node))
     assert {name: raises.get(name) for name in builders} == dict.fromkeys(
         builders, False)
+
+
+def test_an_accepted_command_line_loads_no_argparse():
+    # cli.main reads a plain command line from its table; argparse is
+    # imported only for help texts and refusals
+    import subprocess
+    import sys
+    script = "\n".join([
+        "import io, sys",
+        "from contextlib import redirect_stdout",
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
+        "from mitlplan import cli",
+        "with redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['translate', 'F p', '--alphabet', 'p,q'])",
+        "print(code, *(name in sys.modules",
+        "              for name in ('argparse', 'gettext', 'locale')))"])
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["0", "False", "False", "False"]
