@@ -47,8 +47,8 @@ from typing import Optional
 
 from .core import (InputError, denominator_lcm, format_rational, naming,
                    parse_rational)
-from .mitl import (Formula, atoms_of, first_violation, format_formula,
-                   parse_formula)
+from .mitl import (Formula, atoms_of, check_atom_names, first_violation,
+                   format_formula, parse_formula)
 from .search import (ExplorationLimitError, PlanBundle, find_accepting_lasso,
                      live_states, project_plan)
 from .tba import (TimedBuchiAutomaton, tba_from_dict, tba_to_dict,
@@ -197,7 +197,8 @@ def _initial(states: list, known, where: str) -> list:
 
 def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
     """The system of one agent entry; ``where`` names the entry in errors.
-    A transition may be listed again only with the same weight."""
+    Every atom it lists must be one that a formula can name, and a
+    transition may be listed again only with the same weight."""
     if "grid" in entry:
         grid = entry["grid"]
         rows = _positive(grid["rows"], f"{where}.grid.rows")
@@ -206,6 +207,8 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
         labels = grid.get("labels", {})
         for cell in labels:
             _declared(cell, cells, f"{where}.grid.labels.{cell}")
+        check_atom_names({f"{where}.grid.labels.{cell}": atoms
+                          for cell, atoms in labels.items()})
         if "initial" in entry and "initial" in grid:
             raise InputError(f"{where}.grid.initial: the start cells are "
                              f"given in {where}.initial already")
@@ -228,6 +231,9 @@ def load_system(entry: dict, where: str) -> WeightedTransitionSystem:
     labels = {_declared(state, known, f"{where}.labels.{state}"):
               frozenset(atoms)
               for state, atoms in entry.get("labels", {}).items()}
+    check_atom_names({f"{where}.atoms": entry.get("atoms", []),
+                      **{f"{where}.labels.{state}": atoms
+                         for state, atoms in entry.get("labels", {}).items()}})
     atoms = set(entry.get("atoms", []))
     for atom_set in labels.values():
         atoms |= atom_set
@@ -804,21 +810,11 @@ def command_simulate(args) -> int:
     return EXIT_SUCCESS
 
 
-def _names_an_atom(text: str) -> bool:
-    """Whether ``text`` is a formula of one atom, named ``text``."""
-    try:
-        return atoms_of(parse_formula(text)) == {text}
-    except InputError:
-        return False
-
-
 def command_translate(args) -> int:
     formula = parse_formula(args.formula)
     listed = [atom for atom in map(str.strip, (args.alphabet or "").split(","))
               if atom]
-    for atom in listed:
-        if not _names_an_atom(atom):
-            raise InputError(f"--alphabet: {atom!r} is not an atom name")
+    check_atom_names({"--alphabet": listed})
     automaton = translate_mitl(formula,
                                alphabet=atoms_of(formula) | set(listed))
     payload = indented_json(tba_to_dict(automaton)) + "\n"

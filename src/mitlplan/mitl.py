@@ -49,8 +49,10 @@ forward with the anchor, so a pointer follows it, and each entry
 compares one index entry with the anchor.  Evaluation costs
 O(|word| * |formula|) whatever the width of the windows; the stamps are
 bisected only where a window start moves on by more than one position.
-The root is read at one position, and ``first_violation`` divides the
-stamp it reports back into the exact ``Fraction`` of the input word.
+The tables are the only decider: a position is judged by reading the
+root's table, and ``first_violation`` reads its witness from the index
+of the failing ``G``'s body and divides its stamp back into the exact
+``Fraction`` of the input word.
 """
 
 from __future__ import annotations
@@ -550,6 +552,25 @@ def parse_constraint(text: str) -> Formula:
     return _Parser(text, clocks=True).parse()
 
 
+def check_atom_names(fields: dict) -> None:
+    """Refuses a listed text that no formula can name as an atom, such as
+    ``p q``, ``true`` or ``&``: a text names an atom when it parses as
+    the formula of that one atom.  ``fields`` maps each field to the
+    texts it lists, and the refusal names the first field listing the
+    text.  Each distinct text is parsed once."""
+    first: dict = {}  # text -> the first field listing it
+    for where, texts in fields.items():
+        for text in texts:
+            first.setdefault(text, where)
+    for text, where in first.items():
+        try:
+            if atoms_of(parse_formula(text)) == {text}:
+                continue
+        except InputError:
+            pass
+        raise InputError(f"{where}: {text!r} is not an atom name")
+
+
 def format_formula(formula: Formula) -> str:
     """Print a formula, guard or invariant in the concrete syntax;
     reparsing it with the matching parser yields an equal AST."""
@@ -602,28 +623,27 @@ class _Node:
     """One subformula of the normalized tree, as the evaluator reads it.
 
     ``kind`` is the formula class, or :class:`Formula` for a maximal
-    propositional subformula, whose ``truth`` lists its value at each
-    position of prefix + cycle.  A temporal node's interval is in the
+    propositional subformula.  A temporal node's interval is in the
     evaluator's integer time and closed at both ends: ``low`` is the least
     offset inside it, ``high`` the greatest or ``inf`` when unbounded.
 
-    The evaluator fills the other fields when a quantifier first reads the
-    node or a node above it.  ``table`` lists the node's truth at each
-    position of prefix + cycle, anchored at that position's own stamp; a
-    propositional node's table is its ``truth``.  ``next_true[j]``
-    (``next_false[j]``) is the stamp of the first position at or after
-    ``j`` of the infinite word where the table reads true (false), or
-    ``None`` when there is none.
+    ``table`` lists the node's truth at each position of prefix + cycle,
+    anchored at that position's own stamp.  A propositional node's table
+    is built with the node; the evaluator fills the other tables, and the
+    indexes, when it first reads the node or a node above it.
+    ``next_true[j]`` (``next_false[j]``) is the stamp of the first
+    position at or after ``j`` of the infinite word where the table reads
+    true (false), or ``None`` when there is none.
     """
 
-    __slots__ = ("kind", "operands", "interval", "low", "high", "truth",
-                 "table", "next_true", "next_false")
+    __slots__ = ("kind", "operands", "interval", "low", "high", "table",
+                 "next_true", "next_false")
 
-    def __init__(self, kind, operands=(), interval=None, truth=None):
+    def __init__(self, kind, operands=(), interval=None, table=None):
         self.kind = kind
         self.operands = operands
         self.interval = interval
-        self.truth = self.table = truth
+        self.table = table
         self.low = self.high = None
         self.next_true = self.next_false = None
 
@@ -646,7 +666,7 @@ def _build(formula: Formula, nodes: dict, letters: list) -> _Node:
     match formula:
         case _ if is_propositional(formula):
             check = compile_formula(formula)
-            node = _Node(Formula, truth=[check(letter) for letter in letters])
+            node = _Node(Formula, table=[check(letter) for letter in letters])
         case Not(operand):
             node = _Node(Not, (_build(operand, nodes, letters),))
         case And(left, right):
@@ -681,8 +701,8 @@ class _Evaluator:
     ``k``: ``G`` holds when the next false position is past ``a + high``,
     ``F`` when the next true one is within it.  ``U`` is ``F`` on its right
     operand, whose left operand has no false position from ``i`` on before
-    that witness.  :meth:`table` judges every position at once;
-    :meth:`holds` judges one, the root's.
+    that witness.  :meth:`table` judges every position at once, and is
+    the only judge: the root, too, is read from its table.
     """
 
     def __init__(self, word: LassoTimedWord, formula: Formula):
@@ -713,42 +733,6 @@ class _Evaluator:
         slot, turns = self.locate(j)
         return self.stamps[slot] + turns * self.period
 
-    def holds(self, node: _Node, i: int, anchor: int) -> bool:
-        truth = node.truth
-        if truth is not None:
-            return truth[self.locate(i)[0]]
-        kind = node.kind
-        if kind is Not:
-            return not self.holds(node.operands[0], i, anchor)
-        if kind is And:
-            left, right = node.operands
-            return self.holds(left, i, anchor) and self.holds(right, i, anchor)
-        return self._temporal(node, i, anchor)
-
-    def _temporal(self, node: _Node, i: int, anchor: int) -> bool:
-        kind, high = node.kind, node.high
-        if kind is Next:
-            gap = self.stamp(i + 1) - self.stamp(i)
-            return (node.low <= gap <= high
-                    and self.holds(node.operands[0], i + 1, anchor))
-        # with no lower bound the window opens at i: an anchor is never
-        # later than the stamp of the position it is judged at
-        low = node.low
-        start = self.first_at(i, anchor + low) if low else i
-        if kind is Always:
-            miss = self.next_at(node.operands[0], start, False)
-            return miss is None or miss - anchor > high
-        if kind is Eventually:
-            hit = self.next_at(node.operands[0], start, True)
-        else:  # Until
-            left, right = node.operands
-            hit = self.next_at(right, start, True)
-            if hit is not None:
-                miss = self.next_at(left, i, False)
-                if miss is not None and miss < hit:
-                    return False
-        return hit is not None and hit - anchor <= high
-
     def first_at(self, i: int, time: int) -> int:
         """The first position at or after ``i`` stamped ``time`` or later."""
         if self.stamp(i) >= time:
@@ -759,14 +743,6 @@ class _Evaluator:
         turns = (time - stamps[loop]) // self.period
         return turns * self.cycle + bisect_left(
             stamps, time - turns * self.period, loop)
-
-    def next_at(self, node: _Node, j: int, value: bool):
-        """The stamp of the first position at or after ``j`` where
-        ``node``, anchored at that position, is ``value``; ``None`` if
-        there is none."""
-        slot, turns = self.locate(j)
-        found = self._index(node, value)[slot]
-        return None if found is None else found + turns * self.period
 
     def _index(self, node: _Node, value: bool) -> list:
         """``node.next_true`` or ``node.next_false``, built on first use in
@@ -798,8 +774,8 @@ class _Evaluator:
         if shift == 0 and node.table is not None:
             return node.table
         kind = node.kind
-        if node.truth is not None:
-            table = [node.truth[slot] for slot in self._slots(shift)]
+        if kind is Formula:
+            table = [node.table[slot] for slot in self._slots(shift)]
         elif kind is Not:
             table = [not v for v in self.table(node.operands[0], shift)]
         elif kind is And:
@@ -877,10 +853,12 @@ class _Evaluator:
 
 
 def evaluate_at(word: LassoTimedWord, position: int, formula: Formula) -> bool:
+    """The root's table at ``position``, which past prefix + cycle reads
+    the position it repeats: a table is periodic past the prefix."""
     if position < 0:
         raise ValueError("positions are nonnegative")
     evaluator = _Evaluator(word, formula)
-    return evaluator.holds(evaluator.root, position, evaluator.stamp(position))
+    return evaluator.table(evaluator.root)[evaluator.locate(position)[0]]
 
 
 def satisfies(word: LassoTimedWord, formula: Formula) -> bool:
@@ -896,15 +874,15 @@ def first_violation(word: LassoTimedWord, formula: Formula):
     failing conjunct; anything else reports position 0.
     """
     evaluator = _Evaluator(word, formula)
-    node, anchor = evaluator.root, evaluator.stamp(0)
-    if evaluator.holds(node, 0, anchor):
+    node = evaluator.root
+    if evaluator.table(node)[0]:
         return None
     while node.kind is And:
         left, right = node.operands
-        node = right if evaluator.holds(left, 0, anchor) else left
+        node = right if evaluator.table(left)[0] else left
     position = 0
     if node.kind is Always:
-        position = evaluator.first_at(0, evaluator.next_at(
-            node.operands[0], evaluator.first_at(0, anchor + node.low),
-            False))
+        miss = evaluator._starts(evaluator._index(node.operands[0], False),
+                                 0, node.low)[0]
+        position = evaluator.first_at(0, miss)
     return position, Fraction(evaluator.stamp(position), evaluator.factor)

@@ -69,8 +69,9 @@ from .core import (InputError, LassoTimedWord, TimeInterval, denominator_lcm,
                    naming)
 from .mitl import (Always, And, Atom, Compare, Eventually, FalseFormula,
                    Formula, Next, Not, TrueFormula, Until, atoms_of,
-                   compile_formula, format_formula, is_propositional,
-                   normalize, parse_constraint, parse_formula)
+                   check_atom_names, compile_formula, format_formula,
+                   is_propositional, normalize, parse_constraint,
+                   parse_formula)
 
 
 class UnsupportedFragmentError(InputError):
@@ -349,8 +350,9 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
     its initial entry.  Without ``atoms`` the alphabet is every atom the
     labels name.
 
-    Refused: a location or a clock listed twice; a label that does not
-    parse, is not propositional or names an atom outside ``atoms``; a
+    Refused: a location or a clock listed twice; an entry of ``atoms`` or
+    of a location's ``label`` list that names no atom; a label that does
+    not parse, is not propositional or names an atom outside ``atoms``; a
     guard or an invariant that is no clock constraint; a file with no
     initial location; an edge whose ``from`` or ``to`` is no declared
     location; and an invariant, a guard or a reset that names an
@@ -386,6 +388,10 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
 
     unique([entry["name"] for entry in data["locations"]], "locations[{}].name")
     unique(data.get("clocks", []), "clocks[{}]")
+    check_atom_names({"atoms": data.get("atoms", []),
+                      **{f"locations[{i}].label": entry["label"]
+                         for i, entry in enumerate(data["locations"])
+                         if "label" in entry}})
     letters = {}  # location of an old file -> the exact letter read there
     for i, entry in enumerate(data["locations"]):
         if "label" in entry:

@@ -403,16 +403,17 @@ class TestSimulateCommand:
         assert rows[1].split(",")[2:4] == ["b", "d"]
 
     def test_names_with_commas_and_markup_are_escaped(self, tmp_path):
-        agents = {"r<1>": ("a,b", "<s>"), "q&2": ('"c"', "d")}
+        # an atom is a formula's name, so only agents and states hold markup
+        agents = {"r<1>": ("a,b", "<s>", "r1"), "q&2": ('"c"', "d", "q2")}
         model = write_json(tmp_path / "model.json", {"agents": [
             {"name": name, "states": [one, two], "initial": [one],
-             "labels": {two: [f"<{name}>"]},
+             "labels": {two: [atom]},
              "transitions": [{"from": one, "to": two, "weight": "1"},
                              {"from": two, "to": one, "weight": "1"}]}
-            for name, (one, two) in agents.items()]})
+            for name, (one, two, atom) in agents.items()]})
         runs = write_json(tmp_path / "runs.json", {"runs": {
             name: {"cycle": [[one, "0"], [two, "1"]], "period": "2"}
-            for name, (one, two) in agents.items()}})
+            for name, (one, two, _) in agents.items()}})
         assert main(["simulate", "--model", model, "--runs", runs,
                      "--out-dir", str(tmp_path)]) == 0
         with open(tmp_path / "trace.csv", newline="") as handle:
@@ -420,11 +421,11 @@ class TestSimulateCommand:
         # the merge orders agents by name
         assert rows[:3] == [["time", "phase", "q&2", "r<1>", "atoms"],
                             ["0", "cycle/2", '"c"', "a,b", ""],
-                            ["1", "cycle/2", "d", "<s>", "<q&2> <r<1>>"]]
+                            ["1", "cycle/2", "d", "<s>", "q2 r1"]]
         svg = ElementTree.fromstring((tmp_path / "timeline.svg").read_text())
         texts = {element.text for element in svg.iter()
                  if element.tag.endswith("text")}
-        assert {"r<1>", "q&2", "a,b", "<s>", "<q&2> <r<1>>"} <= texts
+        assert {"r<1>", "q&2", "a,b", "<s>", "q2 r1"} <= texts
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -880,6 +881,20 @@ class TestMalformedProblemFiles:
          "agents[0].formula: 1:2: the <= shorthand requires [<=b]"),
         (with_agent(formula="F[<=1/0] true"), [],
          "agents[0].formula: 1:4: not a rational number: '1/0'"),
+        # a listed atom must be one that a formula can name; the refusal
+        # names the first field that lists it
+        (with_agent(atoms=["g", "p q"]), [],
+         "error: agents[0].atoms: 'p q' is not an atom name\n"),
+        (with_agent(labels={"s": ["g", "true", "&"]}), [],
+         "error: agents[0].labels.s: 'true' is not an atom name\n"),
+        (with_agent(atoms=["g"], labels={"s": ["g", "F"]}), [],
+         "error: agents[0].labels.s: 'F' is not an atom name\n"),
+        (with_agent(atoms=["", "g"], labels={"s": [""]}), [],
+         "error: agents[0].atoms: '' is not an atom name\n"),
+        (with_agent(initial=["p1"], grid={
+            "rows": 2, "cols": 2, "labels": {"p1": ["g"], "p2": ["F"]},
+            "moveWeights": {"up": 1, "right": 1, "down": 1, "left": 1}}),
+         [], "error: agents[0].grid.labels.p2: 'F' is not an atom name\n"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, data, flags,
                                       names):
@@ -911,6 +926,25 @@ class TestMalformedProblemFiles:
                                       {"agents": [agent]}))
         assert model["solo"].successors("s") == ((1, "t"),)
         assert model["solo"].successors("t") == ((2, "s"),)
+
+    def test_each_distinct_atom_is_parsed_once(self, tmp_path, monkeypatch):
+        from mitlplan import mitl
+        from mitlplan.cli import load_model
+        parsed, parse = [], mitl.parse_formula
+
+        def counted(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(mitl, "parse_formula", counted)
+        agent = with_agent(states=["s", "t"], atoms=["g", "h"],
+                           labels={"s": ["g", "h"], "t": ["h", "g"]},
+                           transitions=[{"from": "s", "to": "t",
+                                         "weight": "1"}])["agents"][0]
+        model = load_model(write_json(tmp_path / "model.json",
+                                      {"agents": [agent]}))
+        assert model["solo"].atoms == {"g", "h"}
+        assert sorted(parsed) == ["g", "h"]
 
     @pytest.mark.parametrize("data, message", [
         (with_agent(formula="F hot"),
@@ -1230,6 +1264,12 @@ class TestMalformedAutomatonFiles:
          "global.tba: locations: no location is initial"),
         ("agent", with_edges({"from": "zz"}),
          "agents[0].tba: edges[0].from: 'zz' is not a declared location"),
+        # an atom no formula can name, listed or read in a location
+        ("global", {**GOOD_TBA, "atoms": ["p q", "false"]},
+         "global.tba: atoms: 'p q' is not an atom name"),
+        ("agent", {**GOOD_TBA, "atoms": ["hot"], "locations": [
+            {**GOOD_TBA["locations"][0], "label": ["hot", "G"]}]},
+         "agents[0].tba: locations[0].label: 'G' is not an atom name"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):

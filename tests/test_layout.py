@@ -288,3 +288,29 @@ def test_an_accepted_command_line_loads_no_argparse():
     done = subprocess.run([sys.executable, "-c", script], check=True,
                           capture_output=True, text=True)
     assert done.stdout.split() == ["0", "False", "False", "False"]
+
+
+def test_the_evaluator_decides_through_its_tables_alone():
+    # the quantifier tables are the evaluator's one decider: no second
+    # judge reads a temporal node one position at a time
+    temporal = {"Next", "Eventually", "Always", "Until"}
+    tree = ast.parse((PACKAGE / "mitl.py").read_text())
+    evaluator = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "_Evaluator")
+    scopes = [(f"_Evaluator.{node.name}", node) for node in evaluator.body
+              if isinstance(node, ast.FunctionDef)]
+    scopes += [(node.name, node) for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(inner, ast.Name) and inner.id == "_Evaluator"
+                       for inner in ast.walk(node))]
+    reads = {}  # scope -> the temporal kinds it reads
+    for name, scope in scopes:
+        kinds = {node.id for node in ast.walk(scope)
+                 if isinstance(node, ast.Name) and node.id in temporal}
+        if kinds:
+            reads[name] = kinds
+    assert reads.keys() <= {"_Evaluator.table", "_Evaluator._window",
+                            "first_violation"}, reads
+    assert {"_Evaluator.table", "_Evaluator._window"} <= reads.keys()
+    assert reads.get("first_violation", set()) <= {"Always"}

@@ -593,43 +593,51 @@ class TestEvaluator:
 
     def test_quantifier_cost_does_not_grow_with_the_window(self, monkeypatch):
         # p holds everywhere, so a window scanner reads every position of
-        # every inner window; the tables read each position once
+        # every inner window; the tables sweep each F/G/U node once and
+        # bisect the stamps no more often for a wider window
         w = word([], [({"p"}, Q(t, 2)) for t in range(1200)], 600)
-        calls = []
-        holds = _Evaluator.holds
-
-        def counted(self, node, i, anchor):
-            calls.append(i)
-            return holds(self, node, i, anchor)
-
-        monkeypatch.setattr(_Evaluator, "holds", counted)
-        counts = []
-        for bound in (5, 50):
-            calls.clear()
-            assert satisfies(w, parse_formula(f"G G[<={bound}] p"))
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+        calls = _count_calls(monkeypatch, "_window", "first_at")
+        for window in ("[<={}]", "[1,{}]"):
+            counts = []
+            for bound in (5, 50):
+                calls.clear()
+                phi = f"G G{window.format(bound)} p & F G{window.format(bound)} p"
+                assert satisfies(w, parse_formula(phi))
+                counts.append(calls.count("first_at"))
+                assert calls.count("_window") == 3, (phi, calls)
+            assert counts[0] == counts[1], (window, counts)
 
     def test_a_table_sweep_costs_no_more_single_reads_on_a_longer_word(
             self, monkeypatch):
-        # one forward sweep builds each quantifier's table: the per-position
-        # reads (_temporal, first_at) serve only the root
-        calls = []
-        for name in ("_temporal", "first_at"):
-            method = getattr(_Evaluator, name)
+        # one forward sweep builds each quantifier's table, stepping its
+        # window start a position at a time: first_at bisects the stamps
+        # only where a step is not enough, never once per position
+        calls = _count_calls(monkeypatch, "_window", "first_at")
+        for phi in ("G G[<=5] p", "G G[1,5] p"):
+            counts = []
+            for length in (12, 1200):
+                w = word([], [({"p"}, Q(t, 2)) for t in range(length)],
+                         length // 2)
+                calls.clear()
+                assert satisfies(w, parse_formula(phi))
+                counts.append(calls.count("first_at"))
+                assert calls.count("_window") == 2, (phi, calls)
+            assert counts[1] <= counts[0], (phi, counts)
 
-            def counted(self, *args, method=method):
-                calls.append(args)
-                return method(self, *args)
 
-            monkeypatch.setattr(_Evaluator, name, counted)
-        counts = []
-        for length in (12, 1200):
-            w = word([], [({"p"}, Q(t, 2)) for t in range(length)], length // 2)
-            calls.clear()
-            assert satisfies(w, parse_formula("G G[<=5] p"))
-            counts.append(len(calls))
-        assert counts[1] <= counts[0]
+def _count_calls(monkeypatch, *names) -> list:
+    """A list that records the name of each call to the named methods of
+    the evaluator, while ``monkeypatch`` lasts."""
+    calls = []
+    for name in names:
+        method = getattr(_Evaluator, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(_Evaluator, name, counted)
+    return calls
 
 
 # names a compiler that spliced them into code text would break or alias
@@ -703,7 +711,7 @@ def _swept_formula(rng, period, depth):
 def _temporal_nodes(node, formula):
     """Each temporal node below the evaluator's ``node`` with its
     normalized subformula ``formula``."""
-    if node.truth is not None:
+    if node.kind is Formula:
         return
     if node.interval is not None:
         yield node, formula
