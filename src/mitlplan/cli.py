@@ -72,7 +72,7 @@ DEFAULT_STATE_BUDGET = 5_000_000
 # list, ``[a, b]`` a pair, and a type or tuple of types a value.
 
 _RATIONAL = (str, int)
-_INITIAL = (str, bool)  # a label; true or false in files with location labels
+_INITIAL = (str, bool)  # a label, true for any letter, or false
 _KINDS = {dict: "an object", list: "a list", str: "a string",
           int: "an integer", bool: "true or false",
           _RATIONAL: "an integer or a rational string",
@@ -91,10 +91,13 @@ _TEAM = {"formula?": str, "tba?": str}
 _RUNS = {"runs": {str: {"prefix?": [[str, _RATIONAL]],
                         "cycle?": [[str, _RATIONAL]], "period": _RATIONAL}}}
 _TBA = {"clocks?": [str], "atoms?": [str],
-        "locations": [{"name": str, "label?": [str], "invariant?": str,
+        "locations": [{"name": str, "invariant?": str,
                        "accepting?": bool, "initial?": _INITIAL}],
         "edges": [{"from": str, "to": str, "label?": str, "guard?": str,
                    "resets?": [str]}]}
+# an automaton of several acceptance sets lists those holding a location
+_TBA_SETS = {**_TBA, "acceptanceSets": int, "locations": [
+    {**_TBA["locations"][0], "accepting?": [int]}]}
 
 
 def _check(value, schema, where: str) -> None:
@@ -381,7 +384,8 @@ def _load_automaton(path: Path, where: str) -> TimedBuchiAutomaton:
     field, as in ``global.tba: edges[2].to: missing``."""
     data = _load_json(path)
     with naming(where):
-        _check(data, _TBA, "")
+        _check(data, _TBA_SETS if isinstance(data, dict)
+               and "acceptanceSets" in data else _TBA, "")
         return tba_from_dict(data)
 
 

@@ -59,10 +59,11 @@ product whose successors, dead ones included, are sorted the same way.
 Acceptance is generalized Büchi: every searched graph gives
 ``marks(state)``, a bitmask of the acceptance sets the state belongs to,
 and ``all_marks``, the mask of every set; a run accepts when it visits
-each set infinitely often.  A product with an automaton has one set, its
-accepting locations.  The team layer has bit ``k`` where agent ``k``'s
-component is locally accepting, and the global layer adds bit ``n`` (for
-``n`` agents) at an accepting location of the team automaton.
+each set infinitely often.  A product with an automaton has the
+automaton's sets, the marks of its location.  The team layer holds the
+agents' sets side by side, each agent's shifted above those of the agents
+before it, and the global layer adds the team automaton's sets above the
+team's.
 
 Time is an ``int`` in every layer, durations, clock values and the time
 remaining on a move alike: the caller builds the products on the
@@ -116,11 +117,8 @@ class TeamState(NamedTuple):
 
 class AutomatonProduct:
     """A labelled weighted graph paired with a timed automaton, as the
-    module describes it; its one acceptance set is the accepting
-    locations.  Membership's product has no graph, ``None``, and only
-    sweeps."""
-
-    all_marks = 1
+    module describes it; its acceptance sets are the automaton's.
+    Membership's product has no graph, ``None``, and only sweeps."""
 
     def __init__(self, graph, automaton: TimedBuchiAutomaton):
         others = [c for c in automaton.constants() if type(c) is not int]
@@ -130,6 +128,7 @@ class AutomatonProduct:
                              f"automaton")
         self.graph = graph
         self.automaton = automaton
+        self.all_marks = automaton.all_marks
         # the one step of the automaton, for the successors and the sweep
         self._step = automaton.step
 
@@ -155,26 +154,26 @@ class AutomatonProduct:
     def advance(self, sources: dict, steps) -> dict:
         """The configurations after the ``(elapse, letter)`` steps from
         ``sources``, breadth first and memoizing nothing: a dict from each
-        ``(location, valuation)`` to whether some path to it passes an
-        accepting location, counted on arrival; ``sources`` maps
-        configurations to such flags alike.  The configurations of one step
-        are merged as they arrive, their flags by ``or``, so the work per
+        ``(location, valuation)`` to the marks of every location that a
+        path to it passes, counted on arrival; ``sources`` maps
+        configurations to such masks alike.  The configurations of one step
+        are merged as they arrive, their masks by ``|``, so the work per
         step is the number of distinct configurations, not of paths; the
         sweep stops when none is left."""
-        step, accepting = self._step, self.automaton.accepting
+        step, marks = self._step, self.automaton.marks
         for elapse, letter in steps:
             if not sources:
                 break
             reached = {}
             for (location, valuation), passed in sources.items():
                 for move in step(location, valuation, elapse, letter):
-                    reached[move] = (passed or move[0] in accepting
-                                     or reached.get(move, False))
+                    reached[move] = (passed | marks[move[0]]
+                                     | reached.get(move, 0))
             sources = reached
         return sources
 
     def marks(self, state: ProductState) -> int:
-        return int(state.location in self.automaton.accepting)
+        return self.automaton.marks[state.location]
 
 
 class LocalProduct(AutomatonProduct):
@@ -216,8 +215,8 @@ class TeamProduct:
     before every state), and the time remaining on that move, the move's
     weight when the agent commits to it.  Every step advances time by the
     smallest remaining time; exactly the agents with that much left
-    complete their moves.  Agent ``k``'s acceptance set is bit ``k`` of the
-    marks: the states whose ``k``-th component is locally accepting.
+    complete their moves.  The marks hold agent ``k``'s local marks, of its
+    ``k``-th component, shifted above the bits of the agents before it.
 
     Team acceptance needs every agent to accept infinitely often, and every
     state reachable from a local state that is not live is not live either,
@@ -235,7 +234,10 @@ class TeamProduct:
         if not self.locals:
             raise ValueError("at least one agent is required")
         self.count = len(self.locals)
-        self.all_marks = (1 << self.count) - 1
+        # per agent, the bits of the agents before it, and then of all
+        self._shifts = list(itertools.accumulate(
+            [local.all_marks.bit_length() for local in self.locals], initial=0))
+        self.all_marks = (1 << self._shifts.pop()) - 1
         self.live = tuple(live)
         self._letters: dict = {}  # region vector -> its letter
         self._interned: dict = {}  # letter -> the one object for it
@@ -309,8 +311,8 @@ class TeamProduct:
         return tuple(sorted(out, key=itemgetter(1)))
 
     def marks(self, state: TeamState) -> int:
-        return sum(local.marks(component) << k for k, (local, component)
-                   in enumerate(zip(self.locals, state.components)))
+        return sum(local.marks(component) << shift for local, component, shift
+                   in zip(self.locals, state.components, self._shifts))
 
     def statistics(self) -> dict:
         return _statistics(self, self._edges)
@@ -318,7 +320,7 @@ class TeamProduct:
 
 class GlobalProduct(AutomatonProduct):
     """Layer 3: the team graph paired with the team automaton; the marks
-    are the team's, and bit ``n`` at an accepting location.
+    are the team's, and above them the location's.
 
     It never returns a dead state, initial or successor, and it returns
     the successors most urgent first, as the module describes it; its
@@ -332,7 +334,8 @@ class GlobalProduct(AutomatonProduct):
                 f"team alphabet {sorted(team_atoms)} differs from automaton "
                 f"alphabet {sorted(automaton.atoms)}")
         super().__init__(team, automaton)
-        self.all_marks = team.all_marks | 1 << team.count
+        self._shift = team.all_marks.bit_length()
+        self.all_marks = team.all_marks | automaton.all_marks << self._shift
         self._edges: dict = {}  # expanded state -> its number of successors
         self._dropped: dict = {}  # expanded state -> its dead successors
         # location -> (clock slot, latest value, exit bounds) per deadline
@@ -407,7 +410,7 @@ class GlobalProduct(AutomatonProduct):
 
     def marks(self, state: ProductState) -> int:
         return (self.graph.marks(state.node)
-                | super().marks(state) << self.graph.count)
+                | super().marks(state) << self._shift)
 
     def statistics(self) -> dict:
         pruned = (len(super().initial_states()) - len(self.initial_states())

@@ -18,7 +18,9 @@ construction, whatever letter is read there.  A run over a timed word
 starts in an initial location whose label holds at position 0, and each
 step elapses the gap to the next position, checks the source invariant,
 the edge's label on the next letter and its guard on the elapsed
-valuation, applies the resets, and checks the target invariant.
+valuation, applies the resets, and checks the target invariant.  A run
+accepts when it visits each acceptance set of locations infinitely
+often (generalized Büchi acceptance).
 :meth:`TimedBuchiAutomaton.step` is that step.  Its one caller is
 :class:`~mitlplan.product.AutomatonProduct`, which the planner's products
 and membership of a lasso word share; it yields each move once, in the
@@ -33,8 +35,9 @@ its moves in one map from ``(location, letter, valuation, elapse)`` to one
 immutable tuple that every later call returns.  Saturation keeps the
 valuations few, so a product of thousands of states asks a few dozen or a
 few hundred distinct questions.  The memo, the compiled formulas and
-``cmax`` are attributes, not fields: the constructor takes only the
-model, and ``==`` compares only the model.
+``cmax`` are attributes, not fields, as are each location's acceptance
+``marks`` and ``all_marks``: the constructor takes only the model, and
+``==`` compares only the model.
 
 The constructor normalizes, sorts and indexes, and checks nothing.  An
 automaton from outside the program is checked once, where it is read,
@@ -92,18 +95,14 @@ class UnsupportedFragmentError(InputError):
 TRUE = TrueFormula()
 
 
-def label_and(*parts: Formula) -> Formula:
-    """The conjunction of ``parts``, labels or clock constraints, leaving
-    out those that are true.  It nests pairs, so its depth grows with the
-    logarithm of the number of parts: an old-format file's exact letter has
-    one part per atom, and every pass over a formula recurses."""
-    parts = [part for part in parts if not isinstance(part, TrueFormula)]
-    if not parts:
-        return TRUE
-    while len(parts) > 1:
-        parts = [And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
-                 for i in range(0, len(parts), 2)]
-    return parts[0]
+def label_and(left: Formula, right: Formula) -> Formula:
+    """The conjunction of two labels or two clock constraints, leaving out
+    a side that is true."""
+    if isinstance(left, TrueFormula):
+        return right
+    if isinstance(right, TrueFormula):
+        return left
+    return And(left, right)
 
 
 def comparisons(constraint: Formula):
@@ -162,7 +161,7 @@ def interval_guard(clock: str, interval: TimeInterval) -> Formula:
 
 # --- the automaton model -------------------------------------------------
 
-@dataclass(frozen=True, slots=True)  # old-format files hold thousands of edges
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: str
     guard: Formula  # a clock constraint
@@ -178,16 +177,20 @@ class TimedBuchiAutomaton:
     clocks: tuple[str, ...]
     invariants: dict  # location -> clock constraint
     edges: tuple[Edge, ...]
-    accepting: frozenset[str]
+    accepting: tuple[frozenset[str], ...]  # the locations of each set
     atoms: frozenset[str]
 
     def __post_init__(self):
         self.clocks = tuple(sorted(self.clocks))
         self.initial = dict(self.initial)
         self.invariants = dict.fromkeys(self.locations, TRUE) | self.invariants
-        self.accepting = frozenset(self.accepting)
+        self.accepting = tuple(map(frozenset, self.accepting))
         self.atoms = frozenset(self.atoms)
         self.locations = tuple(sorted(self.locations))
+        # location -> the bitmask of the acceptance sets holding it
+        self.marks = {loc: sum(1 << i for i, held in enumerate(self.accepting)
+                               if loc in held) for loc in self.locations}
+        self.all_marks = (1 << len(self.accepting)) - 1
         # one text per distinct formula and one sorted tuple per distinct
         # resets set, for the edge order and for tba_to_dict; an
         # intersection shares one object per distinct guard and label, so
@@ -314,11 +317,14 @@ def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
     automaton's constructor made once for its edge order."""
     text = automaton._texts
     resets = automaton._resets
+    count = len(automaton.accepting)
 
     def location(loc: str) -> dict:
+        marks = automaton.marks[loc]
         entry = {"name": loc,
                  "invariant": text[automaton.invariants[loc]],
-                 "accepting": loc in automaton.accepting}
+                 "accepting": bool(marks) if count == 1 else
+                 [i for i in range(count) if marks >> i & 1]}
         if loc in automaton.initial:
             entry["initial"] = text[automaton.initial[loc]]
         return entry
@@ -326,6 +332,7 @@ def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
     return {
         "clocks": list(automaton.clocks),
         "atoms": sorted(automaton.atoms),
+        **({} if count == 1 else {"acceptanceSets": count}),
         "locations": [location(loc) for loc in automaton.locations],
         "edges": [
             {
@@ -343,16 +350,16 @@ def tba_to_dict(automaton: TimedBuchiAutomaton) -> dict:
 def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
     """An automaton from its JSON form; an error names the field.
 
-    A location's ``initial`` is the label read at position 0.  Files
-    written before edges carried labels give a location the exact letter
-    read in it, as a ``label`` list of atoms, and a boolean ``initial``:
-    that letter becomes the label of every edge into the location and of
-    its initial entry.  Without ``atoms`` the alphabet is every atom the
-    labels name.
+    A location's ``initial`` is the label read at position 0.  Without
+    ``atoms`` the alphabet is every atom the labels name.  With one
+    acceptance set, ``accepting`` is true or false; with ``acceptanceSets``
+    sets, given because a set may be empty, it lists the sets' indices.
 
-    Refused: a location or a clock listed twice; an entry of ``atoms`` or
-    of a location's ``label`` list that names no atom; a label that does
-    not parse, is not propositional or names an atom outside ``atoms``; a
+    Refused: a location's ``label`` list (the old format's exact letter);
+    a location or a clock listed twice; an ``acceptanceSets`` below 1 or
+    an ``accepting`` index not below it; an entry of ``atoms`` that names
+    no atom; a label that does not
+    parse, is not propositional or names an atom outside ``atoms``; a
     guard or an invariant that is no clock constraint; a file with no
     initial location; an edge whose ``from`` or ``to`` is no declared
     location; and an invariant, a guard or a reset that names an
@@ -388,29 +395,25 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
 
     unique([entry["name"] for entry in data["locations"]], "locations[{}].name")
     unique(data.get("clocks", []), "clocks[{}]")
-    check_atom_names({"atoms": data.get("atoms", []),
-                      **{f"locations[{i}].label": entry["label"]
-                         for i, entry in enumerate(data["locations"])
-                         if "label" in entry}})
-    letters = {}  # location of an old file -> the exact letter read there
+    count = data.get("acceptanceSets", 1)
+    if count < 1:
+        raise InputError(f"acceptanceSets: must be a positive integer, got "
+                         f"{count}")
+    accepting = [set() for _ in range(count)]
     for i, entry in enumerate(data["locations"]):
         if "label" in entry:
-            letters[entry["name"]] = named[f"locations[{i}].label"] = \
-                frozenset(entry["label"])
+            raise InputError(f"locations[{i}].label: a location reads no "
+                             f"letter; label the edges into it instead")
+        held = entry.get("accepting", False)
+        for j, index in enumerate([0] if held is True else held or []):
+            if not 0 <= index < count:
+                raise InputError(f"locations[{i}].accepting[{j}]: {index} is "
+                                 f"no set index below acceptanceSets {count}")
+            accepting[index].add(entry["name"])
+    check_atom_names({"atoms": data.get("atoms", [])})
     initial = {entry["name"]: label(entry, "initial", f"locations[{i}]")
                for i, entry in enumerate(data["locations"])
                if entry.get("initial")}
-    edge_labels = [label(entry, "label", f"edges[{i}]")
-                   for i, entry in enumerate(data["edges"])]
-    atoms = frozenset(data["atoms"] if "atoms" in data
-                      else frozenset().union(*named.values()))
-    for where, used in named.items():
-        if not used <= atoms:
-            raise InputError(f"{where}: atoms {sorted(used - atoms)} are not "
-                             f"in the file's atoms")
-    exact = {name: label_and(*(Atom(a) if a in letter else Not(Atom(a))
-                               for a in sorted(atoms)))
-             for name, letter in letters.items()}
     invariants = {entry["name"]: constraint(entry, "invariant", f"locations[{i}]")
                   for i, entry in enumerate(data["locations"])}
     edges = tuple(
@@ -418,9 +421,14 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
              guard=constraint(entry, "guard", f"edges[{i}]"),
              resets=frozenset(entry.get("resets", [])),
              target=entry["to"],
-             label=label_and(edge_label, exact.get(entry["to"], TRUE)))
-        for i, (entry, edge_label) in enumerate(zip(data["edges"], edge_labels))
-    )
+             label=label(entry, "label", f"edges[{i}]"))
+        for i, entry in enumerate(data["edges"]))
+    atoms = frozenset(data["atoms"] if "atoms" in data
+                      else frozenset().union(*named.values()))
+    for where, used in named.items():
+        if not used <= atoms:
+            raise InputError(f"{where}: atoms {sorted(used - atoms)} are not "
+                             f"in the file's atoms")
     if not initial:
         raise InputError("locations: no location is initial")
     clocks = set(data.get("clocks", []))
@@ -442,13 +450,11 @@ def tba_from_dict(data: dict) -> TimedBuchiAutomaton:
         declared(edge.resets, f"edges[{i}].resets")
     return TimedBuchiAutomaton(
         locations=tuple(invariants),
-        initial={name: label_and(initial_label, exact.get(name, TRUE))
-                 for name, initial_label in initial.items()},
+        initial=initial,
         clocks=tuple(data.get("clocks", [])),
         invariants=invariants,
         edges=edges,
-        accepting=frozenset(entry["name"] for entry in data["locations"]
-                            if entry.get("accepting")),
+        accepting=accepting,
         atoms=atoms,
     )
 
@@ -485,7 +491,7 @@ class _Builder:
             clocks=tuple(self.clocks),
             invariants=self.invariants,
             edges=tuple(self.edges),
-            accepting=frozenset(self.accepting),
+            accepting=(self.accepting,),
             atoms=self.atoms,
         )
 
@@ -499,7 +505,7 @@ def universal_tba(atoms) -> TimedBuchiAutomaton:
 
 
 def empty_tba(atoms) -> TimedBuchiAutomaton:
-    """Accepts no timed word: complete but with an empty accepting set."""
+    """Accepts no timed word: complete but with an empty acceptance set."""
     b = _Builder(frozenset(atoms))
     dead = b.location("dead", initial=TRUE)
     b.connect(dead, dead)
@@ -648,29 +654,25 @@ def _translate(formula: Formula, atoms: frozenset[str], path: str) -> TimedBuchi
 def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutomaton:
     """Accepts exactly the words accepted by both automata.
 
-    Combined locations are (location of a, location of b, flag); the flag
-    alternates between waiting for an accepting visit of ``a`` (flag 1) and
-    of ``b`` (flag 2), and acceptance is flag 1 at an accepting location of
-    ``a``.  A combined edge or initial location reads the conjunction of
-    the two labels.
+    A combined location ``la|lb`` pairs a location of each, and a combined
+    edge an edge of each out of them; it reads the conjunction of the two
+    labels and of the two guards, and applies both resets.  The acceptance
+    sets are those of ``a`` followed by those of ``b``, so a run accepts
+    exactly when its runs of ``a`` and of ``b`` both do.  A nested
+    conjunction has the locations ``la|lb|lc`` and the sets of the product
+    of all its conjuncts.
 
     Each part is built once per call.  The clocks of a source location's
     invariant and of a source edge's guard and resets are renamed once,
-    per location and per edge.  A location pair's invariant, and an edge
-    pair's guard, resets and label, are built once and shared by its two
-    flag copies.  Every conjunction goes through one memo keyed by its two
-    operands, so equal conjunctions are one object, and the sort, the
-    printer and the compiled checks of the result meet each distinct
-    formula once.
+    per location and per edge.  Each distinct conjunction is kept once,
+    so equal conjunctions are one object, and the sort, the printer and the
+    compiled checks of the result meet each distinct formula once.
     """
-    conjoined: dict = {}  # (left, right) -> their conjunction
+    kept: dict = {}  # conjunction -> its one object
 
     def both(left: Formula, right: Formula) -> Formula:
-        key = (left, right)
-        formula = conjoined.get(key)
-        if formula is None:
-            formula = conjoined[key] = label_and(left, right)
-        return formula
+        formula = label_and(left, right)
+        return kept.setdefault(formula, formula)
 
     def renamed(automaton: TimedBuchiAutomaton, prefix: str):
         def rename(constraint: Formula) -> Formula:
@@ -687,43 +689,32 @@ def intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutom
 
     invariants_a, edges_a = renamed(a, "a_")
     invariants_b, edges_b = renamed(b, "b_")
-    # each location pair's two names, flag 1 then flag 2
-    names = {(la, lb): (f"{la}|{lb}|1", f"{la}|{lb}|2")
+    names = {(la, lb): f"{la}|{lb}"
              for la in a.locations for lb in b.locations}
-    locations = []
     invariants = {}
     initial = {}
-    accepting = set()
     edges = []
-    for (la, lb), (one, two) in names.items():
-        locations += (one, two)
-        invariants[one] = invariants[two] = both(invariants_a[la],
-                                                 invariants_b[lb])
+    for (la, lb), name in names.items():
+        invariants[name] = both(invariants_a[la], invariants_b[lb])
         if la in a.initial and lb in b.initial:
-            initial[one] = both(a.initial[la], b.initial[lb])
-        if la in a.accepting:
-            accepting.add(one)
-        # the flag each copy's edges lead to, as an index into a pair of
-        # names: flag 1 turns to 2 at an accepting location of a, and flag 2
-        # turns to 1 at one of b
-        to_one = 1 if la in a.accepting else 0
-        to_two = 0 if lb in b.accepting else 1
+            initial[name] = both(a.initial[la], b.initial[lb])
         for ea, guard_a, resets_a in edges_a[la]:
             for eb, guard_b, resets_b in edges_b[lb]:
-                guard = both(guard_a, guard_b)
-                resets = resets_a | resets_b
-                label = both(ea.label, eb.label)
-                targets = names[ea.target, eb.target]
-                edges.append(Edge(one, guard, resets, targets[to_one], label))
-                edges.append(Edge(two, guard, resets, targets[to_two], label))
+                edges.append(Edge(name, both(guard_a, guard_b),
+                                  resets_a | resets_b,
+                                  names[ea.target, eb.target],
+                                  both(ea.label, eb.label)))
     return TimedBuchiAutomaton(
-        locations=tuple(locations),
+        locations=tuple(invariants),
         initial=initial,
         clocks=tuple("a_" + c for c in a.clocks) + tuple("b_" + c
                                                          for c in b.clocks),
         invariants=invariants,
         edges=tuple(edges),
-        accepting=frozenset(accepting),
+        accepting=tuple({names[la, lb] for la in held for lb in b.locations}
+                        for held in a.accepting) + tuple(
+            {names[la, lb] for la in a.locations for lb in held}
+            for held in b.accepting),
         atoms=a.atoms | b.atoms,
     )
 
@@ -734,20 +725,19 @@ class _CycleProfile:
     """The cycle-profile graph of a lasso word's product with an automaton,
     a graph in the sense of :mod:`mitlplan.search`.  A state is a *head*,
     a configuration ``(location, valuation)`` of the product at the loop
-    head (the word's first cycle position), with a flag, which is also its
-    mark.  The initial states are the heads that one sweep over the prefix
-    reaches, unflagged.  The successors of a head are the heads one turn
-    of the cycle later, each flagged when some turn into it arrives at an
-    accepting location on the way, the head it ends at included and the
+    head (the word's first cycle position), with a mask, which is its
+    marks.  The initial states are the heads that one sweep over the
+    prefix reaches, with mask 0.  The successors of a head are the heads
+    one turn of the cycle later, each with the marks of every location
+    that a turn into it arrives at, the head it ends at included and the
     one it starts from not; a turn elapses the word's period.
 
     The word's steps, the time to each next position and its letter, are
     built once from its integer timeline under ``factor``.  The successors
     of a head come from one sweep of :meth:`AutomatonProduct.advance`
-    over one turn, from that head alone, on the first request for either
-    flag; both flags share them."""
+    over one turn, from that head alone, on the first request for any
+    mask; every mask shares them."""
 
-    all_marks = 1
     marks = staticmethod(itemgetter(1))
 
     def __init__(self, product, word: LassoTimedWord, factor: int):
@@ -758,12 +748,13 @@ class _CycleProfile:
             letters[1:] + letters[loop:loop + 1]))
         self._prefix, self._cycle = steps[:loop], steps[loop:]
         self._product, self._first = product, letters[0]
+        self.all_marks = product.all_marks
         self._turns: dict = {}  # swept head -> its successors
 
     def initial_states(self):
         automaton = self._product.automaton
         zero = automaton.zero_valuation()
-        start = {(location, zero): False for location in
+        start = {(location, zero): 0 for location in
                  automaton.initial_locations(self._first)}
         heads = self._product.advance(start, self._prefix)
         return tuple((head, 0) for head in heads)
@@ -773,8 +764,8 @@ class _CycleProfile:
         turns = self._turns.get(head)
         if turns is None:
             turns = self._turns[head] = tuple(
-                (self._period, (target, int(passed))) for target, passed in
-                self._product.advance({head: False}, self._cycle).items())
+                (self._period, pair) for pair in
+                self._product.advance({head: 0}, self._cycle).items())
         return turns
 
 
@@ -787,14 +778,14 @@ def accepts_lasso(automaton: TimedBuchiAutomaton, word: LassoTimedWord) -> bool:
     product.  Every position of the word has one successor, and the last
     one leads back to the loop head, so every cycle of the product passes
     the loop head and splits into whole turns of the cycle between heads.
-    A reachable cycle of the product that visits an accepting location is
-    a reachable cycle of heads in which some turn visits one, with every
-    state on it counted on arrival exactly once; that is a reachable cycle
-    of the profile graph through a flagged state.  Conversely, such a
-    cycle of the profile graph spells turns that chain into a cycle of the
-    product, and the turn into the flagged state visits an accepting
-    location: a head is flagged when some turn into it does, and its
-    successors do not depend on the flag."""
+    A reachable cycle of the product that visits every acceptance set is
+    a reachable cycle of heads whose turns visit them all, every state
+    counted on arrival once: a cycle of the profile graph whose masks
+    cover ``all_marks``.  Conversely, in a component of the profile graph
+    whose masks cover ``all_marks``, each mark comes from a turn between
+    two heads that reach one another in the product, so one component of
+    the product holds every set; a head's successors do not depend on its
+    mask."""
     # both modules import this one
     from .product import AutomatonProduct
     from .search import has_accepting_run

@@ -446,14 +446,15 @@ def random_automaton(rng: random.Random, letters, clocks=("x", "y"), size=4):
         invariants={loc: random_clock_constraint(rng, clocks)
                     if rng.random() < 0.5 else TrueFormula()
                     for loc in locations},
-        edges=tuple(edges), accepting=frozenset({rng.choice(locations)}),
+        edges=tuple(edges), accepting=(frozenset({rng.choice(locations)}),),
         atoms=atoms)
 
 
 # --- intersection by the nested loop ---------------------------------------
 
 def reference_intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> TimedBuchiAutomaton:
-    """Accepts exactly the words accepted by both automata.
+    """Accepts exactly the words accepted by both automata, each of one
+    acceptance set, by the degeneralized product of one set.
 
     Combined locations are (location of a, location of b, flag); the flag
     alternates between waiting for an accepting visit of ``a`` (flag 1) and
@@ -461,9 +462,11 @@ def reference_intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> Timed
     ``a``.  A combined edge or initial location reads the conjunction of
     the two labels.
 
-    The construction as first written: every part is built afresh for each
-    location pair, edge pair and flag.
+    Every part is built afresh for each location pair, edge pair and
+    flag.
     """
+    (accepting_a,), (accepting_b,) = a.accepting, b.accepting
+
     def clock_a(name: str) -> str:
         return f"a_{name}"
 
@@ -490,13 +493,13 @@ def reference_intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> Timed
                                              rename(b.invariants[lb], clock_b))
             if la in a.initial and lb in b.initial and flag == 1:
                 initial[loc] = label_and(a.initial[la], b.initial[lb])
-            if flag == 1 and la in a.accepting:
+            if flag == 1 and la in accepting_a:
                 accepting.add(loc)
 
     def next_flag(flag: int, la: str, lb: str) -> int:
         if flag == 1:
-            return 2 if la in a.accepting else 1
-        return 1 if lb in b.accepting else 2
+            return 2 if la in accepting_a else 1
+        return 1 if lb in accepting_b else 2
 
     edges = []
     for la, lb in pairs:
@@ -518,7 +521,7 @@ def reference_intersect(a: TimedBuchiAutomaton, b: TimedBuchiAutomaton) -> Timed
                                                            for c in b.clocks),
         invariants=invariants,
         edges=tuple(edges),
-        accepting=frozenset(accepting),
+        accepting=(accepting,),
         atoms=a.atoms | b.atoms,
     )
 
@@ -589,8 +592,9 @@ def lasso_product_oracle(automaton, word) -> tuple[bool, int]:
     the whole product of the word's positions with the automaton: each
     step by :func:`reference_step` under the lcm of the word's unit and
     the constants' denominators, and the product by
-    :func:`scc_has_accepting_cycle`.  Also the number of product states
-    with more than one successor."""
+    :func:`scc_has_accepting_cycle`, a state's marks being the acceptance
+    sets that hold its location.  Also the number of product states with
+    more than one successor."""
     factor = lcm(word.unit, *(c.denominator for c in automaton.constants()))
     scaled = automaton.scaled(factor)
     cmax = scaled.cmax()
@@ -613,14 +617,17 @@ def lasso_product_oracle(automaton, word) -> tuple[bool, int]:
     branching = 0
     queue = list(initial)
     for state in queue:
-        marks[state] = int(state[1] in scaled.accepting)
+        marks[state] = sum(1 << i for i, held in enumerate(scaled.accepting)
+                           if state[1] in held)
         following = successors(state)
         branching += len(following) > 1
         for succ in following:
             if succ not in marks:
                 marks[succ] = 0
                 queue.append(succ)
-    return scc_has_accepting_cycle(initial, successors, marks, 1), branching
+    all_marks = (1 << len(scaled.accepting)) - 1
+    return (scc_has_accepting_cycle(initial, successors, marks, all_marks),
+            branching)
 
 
 def random_buchi_graph(rng: random.Random, max_states=50, sets=1):

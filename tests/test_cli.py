@@ -44,8 +44,10 @@ class TestTranslateCommand:
         assert accepts_lasso(automaton, word)
 
     @pytest.mark.parametrize("formula, sizes", [
-        ("F[<=5] !a & G[<=9] b", (4, 12)),
-        ("G F[<=3] c & G(d -> X G[<=4] !d) & (e U[<=6] !f)", (32, 192)),
+        ("F[<=5] !a & G[<=9] b", (2, 6)),
+        ("G F[<=3] c & G(d -> X G[<=4] !d) & (e U[<=6] !f)", (8, 48)),
+        # one location per combination of the conjuncts' two locations
+        (" & ".join(f"G F[<=3] {atom}" for atom in "abcdef"), (64, 4096)),
     ])
     def test_conjunctions_load_back_edge_for_edge(self, tmp_path, formula,
                                                   sizes):
@@ -521,38 +523,6 @@ class TestPlanCommand:
         assert set(statistics["teamLayer"]) == {"states", "edges", "accepting"}
         assert set(statistics["globalLayer"]) == {"states", "edges",
                                                   "accepting", "pruned"}
-
-    def test_an_old_automaton_file_plans_as_its_formula(self, tmp_path):
-        # the fixture is translate's output of the team formula from when
-        # every location carried the exact letter read there
-        data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
-        assert data["global"] == {"formula": "F (green & red)"}
-        data["global"] = {"tba": fixture("old_format_team_goal.json")}
-        problem = write_json(tmp_path / "old.json", data)
-        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
-        plan = json.loads((tmp_path / "plan.json").read_text())
-        expected = json.loads((FIXTURES / "expected" / "two_agent_chain_plan"
-                               / "plan.json").read_text())
-        for key in ("agents", "collective", "statistics"):
-            assert plan[key] == expected[key], key
-
-    @pytest.mark.parametrize("count", [600, 2000])
-    def test_an_old_automaton_file_over_many_atoms_plans(self, tmp_path,
-                                                         count):
-        # each location's exact letter becomes a conjunction over every
-        # atom of the file, one literal per atom
-        data = json.loads(Path(fixture("two_agent_chain_plan.json")).read_text())
-        idle = [f"idle{i}" for i in range(count - 2)]
-        data["agents"][0]["atoms"] = ["green", *idle]
-        automaton = json.loads(Path(fixture("old_format_team_goal.json")).read_text())
-        automaton["atoms"] = ["green", "red", *idle]
-        data["global"] = {"tba": write_json(tmp_path / "goal.json", automaton)}
-        problem = write_json(tmp_path / "old.json", data)
-        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
-        plan = json.loads((tmp_path / "plan.json").read_text())
-        expected = json.loads((FIXTURES / "expected" / "two_agent_chain_plan"
-                               / "plan.json").read_text())
-        assert plan["collective"]["run"] == expected["collective"]["run"]
 
     def test_atoms_named_like_code_plan_as_the_corridor(self, tmp_path):
         # v and c0 hold where green does, not, True and lambda where red
@@ -1122,10 +1092,12 @@ class TestRunsLoader:
 
 
 GOOD_TBA = {"clocks": ["x"],
-            "locations": [{"name": "l", "label": [], "initial": True,
-                           "accepting": True}],
+            "locations": [{"name": "l", "initial": True, "accepting": True}],
             "edges": [{"from": "l", "to": "l", "guard": "x <= 1",
                        "resets": ["x"]}]}
+# GOOD_TBA with a second acceptance set, which its location holds too
+SETS_TBA = {**GOOD_TBA, "acceptanceSets": 2, "locations": [
+    {**GOOD_TBA["locations"][0], "accepting": [0, 1]}]}
 
 
 def with_edges(*edges):
@@ -1150,6 +1122,17 @@ class TestMalformedAutomatonFiles:
     def test_a_well_formed_file_plans(self, tmp_path, scope):
         problem = self.problem(tmp_path, scope, GOOD_TBA)
         assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("scope", ["agent", "global"])
+    def test_a_file_of_two_sets_plans_when_a_cycle_holds_both(self, tmp_path,
+                                                             scope):
+        # the second set of the rejected file is empty, so its count is
+        # given rather than read off the locations
+        problem = self.problem(tmp_path, scope, SETS_TBA)
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 0
+        problem = self.problem(tmp_path, scope, {**SETS_TBA, "locations": [
+            {**SETS_TBA["locations"][0], "accepting": [0]}]})
+        assert main(["plan", problem, "--out-dir", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("scope", ["agent", "global"])
     def test_clocks_may_be_named_like_keywords(self, tmp_path, scope):
@@ -1206,8 +1189,8 @@ class TestMalformedAutomatonFiles:
             {**GOOD_TBA["locations"][0], "initial": 1}]},
          "agents[0].tba: locations[0].initial: expected a label, true or false"),
         ("global", {**GOOD_TBA, "atoms": [], "locations": [
-            {**GOOD_TBA["locations"][0], "label": ["hot"]}]},
-         "global.tba: locations[0].label: atoms ['hot'] are not in the "
+            {**GOOD_TBA["locations"][0], "initial": "hot"}]},
+         "global.tba: locations[0].initial: atoms ['hot'] are not in the "
          "file's atoms"),
         # an atom, |, ->, false or a temporal operator is no clock constraint
         ("global", with_edges({"guard": "p"}),
@@ -1239,7 +1222,7 @@ class TestMalformedAutomatonFiles:
         # the second entry's invariant would replace the first one's
         ("global", {**GOOD_TBA, "locations": [
             {**GOOD_TBA["locations"][0], "invariant": "x <= 1"},
-            {"name": "m", "label": []},
+            {"name": "m"},
             {**GOOD_TBA["locations"][0], "invariant": "x <= 100"}]},
          "global.tba: locations[2].name: 'l' is listed before"),
         # two slots of one clock: a guard reads one, a reset sets both
@@ -1264,12 +1247,36 @@ class TestMalformedAutomatonFiles:
          "global.tba: locations: no location is initial"),
         ("agent", with_edges({"from": "zz"}),
          "agents[0].tba: edges[0].from: 'zz' is not a declared location"),
-        # an atom no formula can name, listed or read in a location
+        # an atom no formula can name
         ("global", {**GOOD_TBA, "atoms": ["p q", "false"]},
          "global.tba: atoms: 'p q' is not an atom name"),
-        ("agent", {**GOOD_TBA, "atoms": ["hot"], "locations": [
-            {**GOOD_TBA["locations"][0], "label": ["hot", "G"]}]},
-         "agents[0].tba: locations[0].label: 'G' is not an atom name"),
+        ("agent", {**GOOD_TBA, "atoms": ["hot", "G"]},
+         "agents[0].tba: atoms: 'G' is not an atom name"),
+        # a location's exact letter, of files written before edges carried
+        # labels, would be dropped and change the language
+        ("global", {**GOOD_TBA, "atoms": ["hot"], "locations": [
+            {**GOOD_TBA["locations"][0], "label": ["hot"]}]},
+         "global.tba: locations[0].label: a location reads no letter"),
+        ("agent", {**SETS_TBA, "acceptanceSets": 0},
+         "agents[0].tba: acceptanceSets: must be a positive integer, got 0"),
+        ("global", {**SETS_TBA, "acceptanceSets": True},
+         "global.tba: acceptanceSets: expected an integer"),
+        ("agent", {**SETS_TBA, "locations": [
+            {**SETS_TBA["locations"][0], "accepting": [0, 2]}]},
+         "agents[0].tba: locations[0].accepting[1]: 2 is no set index below "
+         "acceptanceSets 2"),
+        ("global", {**SETS_TBA, "locations": [
+            {**SETS_TBA["locations"][0], "accepting": [-1]}]},
+         "global.tba: locations[0].accepting[0]: -1 is no set index"),
+        ("agent", {**SETS_TBA, "locations": [
+            {**SETS_TBA["locations"][0], "accepting": [0.5]}]},
+         "agents[0].tba: locations[0].accepting[0]: expected an integer"),
+        ("global", {**SETS_TBA, "locations": [
+            {**SETS_TBA["locations"][0], "accepting": True}]},
+         "global.tba: locations[0].accepting: expected a list"),
+        ("agent", {**GOOD_TBA, "locations": [
+            {**GOOD_TBA["locations"][0], "accepting": [0]}]},
+         "agents[0].tba: locations[0].accepting: expected true or false"),
     ])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, scope, automaton,
                                       names):

@@ -342,9 +342,33 @@ class TestGlobalProduct:
         for k, local in enumerate(team.locals):
             assert any(local.marks(s.node.components[k])
                        for s in cycle_states)
-        assert any(s.location in goal.accepting for s in cycle_states)
+        assert any(s.location in goal.accepting[0] for s in cycle_states)
         covered = 0
         for state in cycle_states:
+            covered |= both.marks(state)
+        assert covered == both.all_marks
+
+    def test_automata_of_several_sets_keep_their_marks_side_by_side(self):
+        # agent 0 has two acceptance sets, agent 1 one, the team automaton
+        # two: each layer shifts a part above the parts before it
+        formulas = ("G F[0,10] green & G F[0,12] !green", "G F[0,8] red",
+                    "G F[0,12] green & G F[0,12] red")
+        automata = [translate_mitl(parse_formula(text)) for text in formulas]
+        team = team_of([local_product(system, automaton, 2) for
+                        system, automaton in zip(
+                            (chain_green(), shuttle_red()), automata)])
+        both = GlobalProduct(team, automata[2].scaled(2))
+        assert (team.all_marks, both.all_marks) == (0b111, 0b11111)
+        lasso = find_accepting_lasso(both, 100000)
+        assert lasso is not None
+        covered = 0
+        for _, state in lasso.cycle_steps:
+            local = [automaton.marks[c.location] for automaton, c
+                     in zip(automata, state.node.components)]
+            assert team.marks(state.node) == local[0] | local[1] << 2
+            assert both.marks(state) == (team.marks(state.node)
+                                         | automata[2].marks[state.location]
+                                         << 3)
             covered |= both.marks(state)
         assert covered == both.all_marks
 
@@ -366,7 +390,7 @@ class TestGlobalProduct:
                    Edge("two", TRUE, frozenset(), "done", Atom("green")),
                    Edge("two", TRUE, frozenset({"y"}), "two"),
                    Edge("done", TRUE, frozenset(), "done")),
-            accepting=frozenset({"done"}), atoms=frozenset({"green"}))
+            accepting=(frozenset({"done"}),), atoms=frozenset({"green"}))
         both = GlobalProduct(self._team(), automaton.scaled(1))
         (start,) = both.initial_states()
         built = AutomatonProduct.successors(both, start)
@@ -658,7 +682,7 @@ class TestDeadlinePruning:
                    Edge("a", TRUE, frozenset(), "a", Not(Atom("p"))),
                    Edge("a", TRUE, frozenset(), "b", Atom("q")),
                    Edge("b", TRUE, frozenset({"y"}), "b", Not(Atom("q")))),
-            accepting=frozenset({"b"}), atoms=frozenset({"p", "q"}))
+            accepting=(frozenset({"b"}),), atoms=frozenset({"p", "q"}))
         assert exit_bounds(_deadlines(automaton.scaled(1))) == {
             "a": [(1, 2, [7]), (0, 1, [5, 7]), (0, 2, [5, 7])],
             "b": [(1, 1, [0])]}
@@ -669,7 +693,7 @@ class TestDeadlinePruning:
             edges=(Edge("a", TRUE, frozenset(), "b", parse_formula("false")),
                    Edge("a", TRUE, frozenset(), "b", parse_formula("!true")),
                    Edge("b", TRUE, frozenset(), "b", TRUE)),
-            accepting=frozenset({"b"}), atoms=frozenset())
+            accepting=(frozenset({"b"}),), atoms=frozenset())
         assert exit_bounds(_deadlines(never.scaled(1))) == {
             "a": [(0, 2, [inf, inf])]}
 

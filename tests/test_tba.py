@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -146,7 +147,7 @@ class TestStepKernel:
             edges=(Edge("l", guard, frozenset(), "m", Atom("a")),
                    Edge("l", guard, frozenset(), "m", Atom("b")),
                    Edge("m", TRUE, frozenset(), "m")),
-            accepting=frozenset({"m"}), atoms=frozenset({"a", "b"}))
+            accepting=(frozenset({"m"}),), atoms=frozenset({"a", "b"}))
         both = frozenset({"a", "b"})
         assert automaton.step("l", (0,), 1, both) == (("m", (1,)),)
         assert automaton.step("l", (0,), 1, frozenset({"b"})) == (("m", (1,)),)
@@ -241,7 +242,7 @@ class TestAutomatonModel:
                 locations=("l", "m"), initial={"l": TRUE}, clocks=("x",),
                 invariants=invariants, edges=(Edge("l", TRUE, frozenset(), "m"),
                                               Edge("m", TRUE, frozenset(), "m")),
-                accepting=frozenset({"m"}), atoms=frozenset())
+                accepting=(frozenset({"m"}),), atoms=frozenset())
 
         empty = {}
         assert build(empty).invariants == {"l": TRUE, "m": TRUE}
@@ -398,6 +399,28 @@ class TestAcceptsLasso:
         assert calls["computed"] < calls["step"] * 0.8
 
 
+    def test_automata_of_several_sets_match_the_scc_oracle(self):
+        # intersections of two or three random automata hold as many
+        # acceptance sets; the oracle decides the whole product of the
+        # word's positions by the union of each component's marks
+        rng = random.Random(48)
+        letters = [frozenset(), frozenset({"p"})]
+        verdicts = {True: 0, False: 0}
+        for trial in range(150):
+            automata = [random_automaton(rng, letters, clocks=("x",), size=3)
+                        if rng.random() < 0.3 else translate_mitl(
+                            random_fragment_formula(rng, ["p"], False),
+                            alphabet={"p"})
+                        for _ in range(2 + trial % 2)]
+            automaton = functools.reduce(intersect, automata)
+            assert len(automaton.accepting) == len(automata)
+            w = random_lasso_word(rng, ["p"], max_prefix=3, max_cycle=12)
+            expected = lasso_product_oracle(automaton, w)[0]
+            assert accepts_lasso(automaton, w) == expected, trial
+            verdicts[expected] += 1
+        assert min(verdicts.values()) > 10, verdicts
+
+
 class TestCycleProfile:
     """Membership decided on the graph of loop-head configurations."""
 
@@ -411,7 +434,7 @@ class TestCycleProfile:
             invariants={},
             edges=tuple(Edge(source, TRUE, frozenset(), target)
                         for source, target in edges),
-            accepting=frozenset(accepting), atoms=frozenset())
+            accepting=(frozenset(accepting),), atoms=frozenset())
 
     def decide(self, automaton, w, expected):
         assert lasso_product_oracle(automaton, w)[0] == expected
@@ -478,7 +501,7 @@ class TestCycleProfile:
         automaton = TimedBuchiAutomaton(
             locations=("h",), initial={"h": p}, clocks=(), invariants={},
             edges=(Edge("h", TRUE, frozenset(), "h", p),),
-            accepting=frozenset({"h"}), atoms=frozenset({"p"}))
+            accepting=(frozenset({"h"}),), atoms=frozenset({"p"}))
         w = word([(set() if j == lost else {"p"}, Q(j)) for j in range(10)],
                  [({"p"}, Q(10 + j)) for j in range(40)], 40)
         assert not accepts_lasso(automaton, w)
@@ -620,21 +643,56 @@ class TestIntersect:
                frozenset({"p", "q"})]
 
     def draw(self, rng, translated: bool):
+        """An automaton of one acceptance set, as the reference takes."""
         if translated:
-            return translate_mitl(random_fragment_formula(rng, ["p", "q"]),
-                                  alphabet={"p", "q"})
-        return random_automaton(rng, self.LETTERS)
+            return translate_mitl(random_fragment_formula(
+                rng, ["p", "q"], allow_and=False), alphabet={"p", "q"})
+        return random_automaton(rng, self.LETTERS, size=3)
 
     def test_matches_the_reference_intersection(self):
+        # the product of acceptance sets accepts the words that the
+        # degeneralizing reference does, nested three deep as well, with
+        # the universal and the empty automaton among the operands
         rng = random.Random(26)
-        for trial in range(120):  # each of the four kinds of pair, in turn
+        words = [random_lasso_word(rng, ["p", "q"]) for _ in range(8)]
+        verdicts = {True: 0, False: 0}
+        for trial in range(24):  # each of the four kinds of pair, in turn
             a = self.draw(rng, translated=trial % 2)
             b = self.draw(rng, translated=trial // 2 % 2)
-            both, reference = intersect(a, b), reference_intersect(a, b)
-            assert both == reference, trial
-            assert tba_to_dict(both) == tba_to_dict(reference), trial
+            c = [universal_tba({"p", "q"}), empty_tba({"p", "q"}),
+                 self.draw(rng, translated=True)][trial % 3]
+            pairs = [(intersect(a, b), reference_intersect(a, b))]
+            pairs.append((intersect(pairs[0][0], c),
+                          reference_intersect(pairs[0][1], c)))
+            pairs.append((intersect(c, pairs[0][0]),
+                          reference_intersect(c, pairs[0][1])))
+            for both, reference in pairs:
+                for w in words:
+                    expected = accepts_lasso(reference, w)
+                    assert accepts_lasso(both, w) == expected, trial
+                    verdicts[expected] += 1
+        assert min(verdicts.values()) > 20, verdicts
 
-    def test_flag_copies_share_their_parts(self):
+    def test_sets_follow_the_operands(self):
+        # la|lb per pair of locations, one edge per pair of edges, and
+        # a's sets then b's; an empty set stays, so nothing is accepted
+        a = translate_mitl(parse_formula("G F[<=3] p & G F[<=3] q"))
+        b = empty_tba({"p", "q"})
+        both = intersect(a, b)
+        assert both.locations == tuple(
+            f"{la}|dead" for la in a.locations)
+        assert len(both.edges) == len(a.edges) == 16
+        assert both.accepting == (*({f"{la}|dead" for la in held}
+                                    for held in a.accepting), frozenset())
+        assert both.all_marks == 0b111
+        assert both.marks["hit|hit|dead"] == 0b011
+        assert tba_from_dict(json.loads(json.dumps(tba_to_dict(both)))) == both
+        rng = random.Random(3)
+        for _ in range(20):
+            w = random_lasso_word(rng, ["p", "q"])
+            assert not accepts_lasso(both, w)
+
+    def test_equal_parts_are_one_object(self):
         rng = random.Random(27)
         pairs = [(translate_mitl(parse_formula(
             "G F[<=12] !f & G(!c -> X G[<=9] !!c)")),
@@ -643,22 +701,16 @@ class TestIntersect:
                   for i in range(10)]
         for a, b in pairs:
             both = intersect(a, b)
-            for la, lb in itertools.product(a.locations, b.locations):
-                assert (both.invariants[f"{la}|{lb}|1"]
-                        is both.invariants[f"{la}|{lb}|2"])
-            # edges alike but for their flags, split by the source's flag
-            copies = {}
-            for edge in both.edges:
-                key = (edge.source[:-1], edge.target[:-1], edge.guard,
-                       edge.resets, edge.label)
-                copies.setdefault(key, {"1": [], "2": []})[
-                    edge.source[-1]].append(
-                    (id(edge.guard), id(edge.resets), id(edge.label)))
-            for one, two in (flags.values() for flags in copies.values()):
-                assert sorted(one) == sorted(two)
-            # and equal guards and labels are one object
+            assert len(both.locations) == len(a.locations) * len(b.locations)
+            assert len(both.edges) == sum(
+                len(a.edges_from(la)) * len(b.edges_from(lb))
+                for la, lb in itertools.product(a.locations, b.locations))
+            # each conjunction is built once: equal invariants, guards and
+            # labels are one object
+            parts = {"invariant": list(both.invariants.values())}
             for part in ("guard", "label"):
-                objects = [getattr(edge, part) for edge in both.edges]
+                parts[part] = [getattr(edge, part) for edge in both.edges]
+            for part, objects in parts.items():
                 assert len(set(map(id, objects))) == len(set(objects)), part
 
 
